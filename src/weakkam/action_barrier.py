@@ -1,7 +1,7 @@
 """One-step action kernels, min-plus matrix algebra, and the Peierls barrier.
 
 The kernel is the single edge-cost graph shared by every solver in the
-package: the barrier power iteration, the discounted value iteration and the
+package: the Peierls barrier, the discounted value iteration and the
 occupation-measure programs all price the directed edge y -> y + tau*v_k with
 
     cost(y -> head) = tau * (Lbar(y, k) + c),
@@ -11,12 +11,16 @@ Averaging the two endpoint values (trapezoidal in time) keeps the finite-time
 action free of the O(tau * osc V) telescoping bias a one-sided rule carries,
 while every cross-solver identity stays exact because all modules read the
 same arrays.
+
+The Peierls barrier is exact on this graph: Karp's minimum mean cycle gives
+the critical shift and the tight subgraph, and the barrier is the shortest
+path through the critical nodes. Min-plus powers h_{n tau} stay as the
+brute-force oracle for it.
 """
 
 from __future__ import annotations
 
-import concurrent.futures
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -31,6 +35,7 @@ __all__ = [
     "minplus_product",
     "minplus_power",
     "barrier_step",
+    "tight_subgraph",
     "peierls_barrier",
     "aubry_set",
     "mather_classes",
@@ -131,13 +136,16 @@ def build_kernel(
 
 @dataclass(frozen=True)
 class BarrierMatrix:
-    """Dense pairwise action values plus the horizon they were computed at."""
+    """Dense pairwise action values: h_{n tau} at a horizon, or the Peierls barrier.
+
+    steps is the horizon n of a min-plus power and None for the barrier; the
+    barrier carries its row fixed-point residual and stability flag instead.
+    """
 
     values: np.ndarray           # (num_rows, num_nodes)
     tau: float
     c: float
     steps: int | None = None     # exact horizon n for h_{n tau}, else None
-    window: tuple[int, int] | None = None  # (burn-in, last step) for Peierls
     residual: float | None = None
     stable: bool | None = None
     row_nodes: np.ndarray | None = None    # None means all nodes, in order
@@ -204,87 +212,111 @@ def barrier_step(kernel: ActionKernel, h: np.ndarray) -> np.ndarray:
     return out
 
 
-def _window_scan(kernel, h_start, n_start, burn_in, last):
-    """Running min of h_n over n in [burn_in, last], given h_start = h_{n_start}."""
-    h = h_start
-    acc = None
-    for n in range(n_start, last + 1):
-        if n > n_start:
-            h = barrier_step(kernel, h)
-        if n >= burn_in:
-            acc = h.copy() if acc is None else np.minimum(acc, h)
-    return acc, h
+def tight_subgraph(kernel: ActionKernel, tol: float = 1e-9) -> tuple[float, list[list[int]]]:
+    """Karp's minimum mean Lbar over cycles, and adjacency lists of tight edges.
+
+    Karp's recurrence is D_k(x) = min over edges into x of D_{k-1}(tail) +
+    Lbar(edge), D_0 = 0. An edge is tight when its slack under Bellman-Ford
+    potentials of the reduced costs Lbar - mean is at most tol, so every
+    minimum mean cycle runs on tight edges. adj[tail] lists their heads.
+    """
+    n = kernel.num_nodes
+    pred = kernel.pred_index
+    lag_in = np.take_along_axis(kernel.edge_lagrangian, pred, axis=1)
+
+    d = np.zeros((n + 1, n))
+    for k in range(1, n + 1):
+        d[k] = (d[k - 1][pred] + lag_in).min(axis=0)
+    ks = np.arange(n)
+    ratios = (d[n][None, :] - d[:n]) / (n - ks)[:, None]
+    mean = float(ratios.max(axis=0).min())
+
+    reduced = lag_in - mean
+    pi = np.zeros(n)
+    for _ in range(n):
+        nxt = np.minimum(pi, (pi[pred] + reduced).min(axis=0))
+        if np.array_equal(nxt, pi):
+            break
+        pi = nxt
+    tight = pi[pred] + reduced - pi[None, :] <= tol
+
+    adj: list[list[int]] = [[] for _ in range(n)]
+    for k in range(kernel.num_offsets):
+        for x in np.nonzero(tight[k])[0]:
+            adj[int(pred[k, x])].append(int(x))
+    return mean, adj
+
+
+def _on_cycle(adj: list[list[int]]) -> np.ndarray:
+    """Mask of the nodes on a directed cycle of adj, by Warshall's closure.
+
+    Only rows that reach pivot k are updated, so a sparse graph closes in far
+    fewer than n^3 steps.
+    """
+    n = len(adj)
+    reach = np.zeros((n, n), dtype=bool)
+    for tail, heads in enumerate(adj):
+        reach[tail, heads] = True
+    for k in range(n):
+        into = reach[:, k]
+        if into.any():
+            reach[into] |= reach[k]
+    return np.diag(reach)
+
+
+def _distances(kernel: ActionKernel, sources: np.ndarray) -> np.ndarray:
+    """Rows d(s, .): least cost over paths of any length, by Bellman-Ford.
+
+    Without negative cycles the rows settle within num_nodes rounds.
+    """
+    d = np.full((sources.size, kernel.num_nodes), np.inf)
+    d[np.arange(sources.size), sources] = 0.0
+    for _ in range(kernel.num_nodes):
+        nxt = np.minimum(d, barrier_step(kernel, d))
+        if np.array_equal(nxt, d):
+            break
+        d = nxt
+    return d
 
 
 def peierls_barrier(
     kernel: ActionKernel,
-    burn_in: int | None = None,
-    horizon: int | None = None,
     tol: float = 1e-9,
     rows: np.ndarray | None = None,
-    threads: int = 1,
 ) -> BarrierMatrix:
-    """Windowed-minimum approximation of the Peierls barrier.
+    """Exact Peierls barrier from the critical graph of the action kernel.
 
-    The liminf over t is replaced by an entrywise windowed minimum of
-    h_{n tau}. The window [burn_in, horizon] is doubled and the returned
-    values are the minimum over its tail half [horizon+1, 2*horizon]; taking
-    the minimum over the early window as well would retain pre-asymptotic
-    transients (pairs whose cheap direct connection at short horizons sits
-    below the eventual through-Aubry limit) and break the row fixed-point
-    property. The stabilization residual is the sup-change between the two
-    halves of the tail window: with the kernel at the correct critical shift
-    near-optimal cycles cost ~0 per period and the residual vanishes, while a
-    mis-shifted kernel drifts linearly and is flagged unstable.
+    Under the reduced costs cost - tau*(mean + c), with mean Karp's minimum
+    mean Lbar, no cycle is negative and the critical nodes (on a cycle of
+    tight edges) carry the zero-cost cycles. The liminf of h_{n tau} is then
+    h(y, x) = min over critical z of d(y, z) + d(z, x), d the least cost over
+    paths of any length (max-plus spectral theory).
+
+    values is one barrier step of h at the kernel's own shift and residual is
+    max |values - h|: rounding at the critical shift, tau*|mean + c| off it.
     """
     tau = kernel.stencil.tau
-    diam_steps = max(
-        int(np.ceil((n // 2) / max(1, max(abs(o[a]) for o in kernel.stencil.offsets))))
-        for a, n in enumerate(kernel.grid.sizes)
+    mean, adj = tight_subgraph(kernel)
+    crit = np.nonzero(_on_cycle(adj))[0]
+    if crit.size == 0:
+        raise WeakKamError("no tight cycle found; potentials failed to stabilize")
+    reduced = replace(kernel, costs=kernel.costs - tau * (mean + kernel.c))
+    # the reversed graph: edge x -> pred_k(x) carries the cost of pred_k(x) -> x
+    reverse = replace(
+        reduced, costs=reduced.costs_by_head(),
+        head_index=kernel.pred_index, pred_index=kernel.head_index,
     )
-    if burn_in is None:
-        burn_in = max(16, int(np.ceil(2.0 / tau)), 2 * diam_steps)
-    if horizon is None:
-        horizon = 2 * burn_in
-    if burn_in < 1 or horizon < 2 * burn_in:
-        raise WeakKamError("need burn_in >= 1 and horizon >= 2*burn_in")
-
-    if rows is None:
-        h0 = kernel.dense()
-        row_nodes = None
-    else:
-        row_nodes = np.asarray(rows, dtype=np.int64)
-        h0 = kernel.dense()[row_nodes]
-
-    mid = horizon + (horizon + 1) // 2
-
-    def run(block):
-        _, h_end = _window_scan(kernel, block, 1, horizon + 1, horizon)
-        first, h_mid = _window_scan(kernel, h_end, horizon, horizon + 1, mid)
-        second, _ = _window_scan(kernel, h_mid, mid, mid + 1, 2 * horizon)
-        return first, second
-
-    nrows = h0.shape[0]
-    workers = max(1, int(threads))
-    if workers == 1 or nrows < 2 * workers:
-        w_a, w_b = run(h0)
-    else:
-        # rows evolve independently; split into fixed blocks so the result is
-        # identical for any worker count
-        bounds = np.linspace(0, nrows, workers + 1, dtype=int)
-        blocks = [h0[bounds[i] : bounds[i + 1]] for i in range(workers)]
-        with concurrent.futures.ThreadPoolExecutor(max_workers=workers) as pool:
-            parts = list(pool.map(run, blocks))
-        w_a = np.vstack([p[0] for p in parts])
-        w_b = np.vstack([p[1] for p in parts])
-
-    values = np.minimum(w_a, w_b)
-    residual = float(np.max(np.abs(w_a - w_b)))
+    from_crit = _distances(reduced, crit)   # d(z, x)
+    to_crit = _distances(reverse, crit)     # d(y, z), row z
+    row_nodes = None if rows is None else np.asarray(rows, dtype=np.int64)
+    cols = slice(None) if row_nodes is None else row_nodes
+    h = minplus_product(to_crit[:, cols].T, from_crit)
+    values = barrier_step(kernel, h)
+    residual = float(np.max(np.abs(values - h)))
     return BarrierMatrix(
         values=values,
         tau=tau,
         c=kernel.c,
-        window=(horizon + 1, 2 * horizon),
         residual=residual,
         stable=bool(residual <= tol),
         row_nodes=row_nodes,

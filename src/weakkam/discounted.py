@@ -282,8 +282,29 @@ def calibration_residual(sol: DiscountedSolution, traj: TrajectorySample) -> flo
 # discounted occupation measures
 
 
+class EdgeMeasure:
+    """Weights on stencil edges keyed by (tail node, offset id); subclasses are
+    dataclasses with fields grid, stencil, tails, offset_ids and weights."""
+
+    @property
+    def mass(self) -> float:
+        return float(self.weights.sum())
+
+    def node_marginal(self) -> np.ndarray:
+        out = np.zeros(self.grid.num_nodes)
+        np.add.at(out, self.tails, self.weights)
+        return out
+
+    def heads(self) -> np.ndarray:
+        head = np.empty_like(self.tails)
+        for k in np.unique(self.offset_ids):
+            mask = self.offset_ids == k
+            head[mask] = self.grid.shift_indices(self.tails[mask], self.stencil.offsets[int(k)])
+        return head
+
+
 @dataclass(frozen=True)
-class DiscountedOccupationMeasure:
+class DiscountedOccupationMeasure(EdgeMeasure):
     """Geometric edge weights along a backward policy trajectory.
 
     Edge i runs from tails[i] (the earlier point) with stencil offset
@@ -303,22 +324,6 @@ class DiscountedOccupationMeasure:
     tail_bound: float
     tail_warning: bool
     final_node: int
-
-    @property
-    def mass(self) -> float:
-        return float(self.weights.sum())
-
-    def node_marginal(self) -> np.ndarray:
-        out = np.zeros(self.grid.num_nodes)
-        np.add.at(out, self.tails, self.weights)
-        return out
-
-    def heads(self) -> np.ndarray:
-        head = np.empty_like(self.tails)
-        for k in np.unique(self.offset_ids):
-            mask = self.offset_ids == k
-            head[mask] = self.grid.shift_indices(self.tails[mask], self.stencil.offsets[k])
-        return head
 
 
 def discounted_occupation_measure(

@@ -12,10 +12,11 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 import time
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 
 import numpy as np
 
@@ -99,8 +100,6 @@ class DiscretizationConfig:
 class ScheduleConfig:
     lambdas: tuple[float, ...] = (0.5, 0.25, 0.125, 0.0625)
     critical_lambdas: tuple[float, ...] = (0.2, 0.1, 0.05, 0.025)
-    burn_in: int | None = None
-    horizon: int | None = None
     tol_solve: float = 1e-8
     tol_stabilize: float = 1e-6
     eps_c: float | None = None     # default 10*|c_est - c_cross| + 1e-6
@@ -122,10 +121,15 @@ class ExperimentConfig:
 
     def validate(self) -> "ExperimentConfig":
         p, d, s = self.problem, self.discretization, self.schedule
+        for block, prefix in ((self, ""), (p, "problem."), (d, "discretization."),
+                              (s, "schedule.")):
+            _check_types(block, prefix)
         if p.family not in ("mechanical", "transport", "tabulated"):
             raise ConfigError(f"unknown family {p.family!r}")
         if p.dim not in (1, 2) or len(p.sizes) != p.dim:
             raise ConfigError("dim must be 1 or 2 with matching sizes")
+        if any(size < 2 for size in p.sizes):
+            raise ConfigError("problem.sizes must be at least 2")
         if p.family == "transport" and (p.drift is None or len(p.drift) != p.dim):
             raise ConfigError("transport family needs a drift vector of length dim")
         if p.family == "tabulated" and not p.table_path:
@@ -137,13 +141,18 @@ class ExperimentConfig:
         lam = s.lambdas
         if len(lam) < 1 or any(b >= a for a, b in zip(lam, lam[1:])):
             raise ConfigError("schedule.lambdas must be strictly decreasing")
-        if any(l <= 0 for l in lam):
+        if any(not l > 0 for l in lam):
             raise ConfigError("lambdas must be positive")
         for name in ("tol_solve", "tol_stabilize", "eps_aubry", "tol_constraint", "tol_prim"):
-            if getattr(s, name) <= 0:
+            if not getattr(s, name) > 0:
                 raise ConfigError(f"schedule.{name} must be positive")
-        if s.eps_c is not None and s.eps_c <= 0:
+        if s.eps_c is not None and not s.eps_c > 0:
             raise ConfigError("eps_c must be positive when given")
+        t, nodes = s.u0_targets, math.prod(p.sizes)
+        bad_count = isinstance(t, int) and t < 1
+        bad_nodes = isinstance(t, tuple) and not (t and all(0 <= x < nodes for x in t))
+        if bad_count or bad_nodes:
+            raise ConfigError(f"schedule.u0_targets must be a count >= 1 or nodes in [0, {nodes})")
         if self.critical_shift not in ("min_mean_cycle", "ergodic"):
             raise ConfigError(f"unknown critical_shift {self.critical_shift!r}")
         if self.threads < 1:
@@ -155,11 +164,13 @@ class ExperimentConfig:
 
     @staticmethod
     def from_dict(raw: dict) -> "ExperimentConfig":
-        def pick(cls, block):
+        def pick(cls, name):
+            block = raw.get(name)
             if block is None:
                 return cls()
-            fields = cls.__dataclass_fields__
-            unknown = set(block) - set(fields)
+            if not isinstance(block, dict):
+                raise ConfigError(f"{name} must be a JSON object")
+            unknown = set(block) - set(cls.__dataclass_fields__)
             if unknown:
                 raise ConfigError(f"unknown config keys {sorted(unknown)} in {cls.__name__}")
             coerced = {}
@@ -169,20 +180,49 @@ class ExperimentConfig:
                 coerced[key] = value
             return cls(**coerced)
 
+        if not isinstance(raw, dict):
+            raise ConfigError("a config must be a JSON object")
+        unknown = set(raw) - set(ExperimentConfig.__dataclass_fields__)
+        if unknown:
+            raise ConfigError(f"unknown config keys {sorted(unknown)}")
         cfg = ExperimentConfig(
-            problem=pick(ProblemConfig, raw.get("problem")),
-            discretization=pick(DiscretizationConfig, raw.get("discretization")),
-            schedule=pick(ScheduleConfig, raw.get("schedule")),
+            problem=pick(ProblemConfig, "problem"),
+            discretization=pick(DiscretizationConfig, "discretization"),
+            schedule=pick(ScheduleConfig, "schedule"),
             output_dir=raw.get("output_dir", "out"),
-            threads=int(raw.get("threads", 1)),
+            threads=raw.get("threads", 1),
             critical_shift=raw.get("critical_shift", "min_mean_cycle"),
         )
         return cfg.validate()
 
 
+def _matches(value, annotation: str) -> bool:
+    """Whether value fits one option of a field annotation, e.g. 'tuple[int, ...]'."""
+    if annotation == "None":
+        return value is None
+    if annotation.startswith("tuple["):
+        inner = annotation[len("tuple[") : -len(", ...]")]
+        return isinstance(value, tuple) and all(_matches(v, inner) for v in value)
+    kinds = {"int": int, "float": (int, float), "str": str, "dict": dict}[annotation]
+    return isinstance(value, kinds) and not isinstance(value, bool)
+
+
+def _check_types(block, prefix: str) -> None:
+    """Reject a config field whose value fits none of its annotated types."""
+    for f in fields(block):
+        if f.type.endswith("Config"):
+            continue
+        value = getattr(block, f.name)
+        if not any(_matches(value, option) for option in f.type.split(" | ")):
+            raise ConfigError(f"{prefix}{f.name} must be {f.type}, got {value!r}")
+
+
 def load_config(path) -> ExperimentConfig:
     with open(path) as fh:
-        raw = json.load(fh)
+        try:
+            raw = json.load(fh)
+        except ValueError as exc:
+            raise ConfigError(f"{path}: not valid JSON: {exc}") from None
     return ExperimentConfig.from_dict(raw)
 
 
@@ -203,6 +243,39 @@ def _build_spec(cfg: ProblemConfig, grid):
         values = read_potential_table(cfg.potential["path"], grid)
         return mechanical(table_potential(grid, values), dim=cfg.dim)
     raise ConfigError(f"unknown potential {name!r}")
+
+
+def _untimed(name, fn):
+    return fn()
+
+
+def _bounds(config: ExperimentConfig, run=_untimed):
+    """Grid, spec and stability bounds; run(stage, thunk) may time each stage."""
+    grid = run("grid", lambda: build_grid(config.problem.dim, config.problem.sizes))
+    spec = run("spec", lambda: _build_spec(config.problem, grid))
+
+    def bounds_at_level():
+        level = config.discretization.bounds_c
+        if level is None:  # default level: max |H(x, 0)| over the nodes
+            coords = grid.coordinates
+            level = float(np.abs(eval_hamiltonian(spec, coords, np.zeros_like(coords))).max())
+        return stability_bounds(spec, level, grid=grid)
+
+    return grid, spec, run("bounds", bounds_at_level)
+
+
+def _setup(config: ExperimentConfig, run=_untimed):
+    """_bounds, then the spec's velocity search box and the stencil."""
+    grid, spec, bounds = _bounds(config, run)
+    d = config.discretization
+    alpha = d.alpha or bounds.alpha
+    spec = spec.with_v_search(d.v_search or 2.0 * alpha)
+
+    def stencil():
+        tau = d.tau if d.tau_rule == "explicit" else default_time_step(grid, alpha)
+        return make_stencil(grid, tau, alpha, k=d.stencil_k)
+
+    return grid, spec, bounds, run("stencil", stencil)
 
 
 # ---------------------------------------------------------------------------
@@ -277,31 +350,7 @@ def run_pipeline(config: ExperimentConfig, out_dir=None) -> RunReport:
     clock = _StageClock()
     threads = config.threads
 
-    grid = clock.run("grid", lambda: build_grid(config.problem.dim, config.problem.sizes))
-    spec = clock.run("spec", lambda: _build_spec(config.problem, grid))
-
-    def stage_bounds():
-        d = config.discretization
-        if d.bounds_c is not None:
-            level = d.bounds_c
-        else:
-            coords = grid.coordinates
-            level = float(
-                np.abs(eval_hamiltonian(spec, coords, np.zeros_like(coords))).max()
-            )
-        return stability_bounds(spec, level, grid=grid)
-
-    bounds = clock.run("bounds", stage_bounds)
-    alpha = config.discretization.alpha or bounds.alpha
-    v_search = config.discretization.v_search or 2.0 * alpha
-    spec = spec.with_v_search(v_search)
-
-    def stage_stencil():
-        d = config.discretization
-        tau = d.tau if d.tau_rule == "explicit" else default_time_step(grid, alpha)
-        return make_stencil(grid, tau, alpha, k=d.stencil_k)
-
-    stencil = clock.run("stencil", stage_stencil)
+    grid, spec, bounds, stencil = _setup(config, clock.run)
     sched = config.schedule
 
     c_est, table = clock.run(
@@ -325,13 +374,7 @@ def run_pipeline(config: ExperimentConfig, out_dir=None) -> RunReport:
     )
 
     kernel = clock.run("kernel", lambda: build_kernel(grid, spec, stencil, c=c_used))
-    barrier = clock.run(
-        "peierls",
-        lambda: peierls_barrier(
-            kernel, burn_in=sched.burn_in, horizon=sched.horizon,
-            tol=sched.tol_stabilize, threads=threads,
-        ),
-    )
+    barrier = clock.run("peierls", lambda: peierls_barrier(kernel, tol=sched.tol_stabilize))
     io.write_barrier(barrier, os.path.join(out, "barrier"))
 
     report_aubry = clock.run("aubry", lambda: aubry_report(barrier, sched.eps_aubry))
@@ -421,49 +464,30 @@ def run_pipeline(config: ExperimentConfig, out_dir=None) -> RunReport:
         convergence,
     )
 
-    flags = [asdict(c) for c in verification.checks]
-    flags.append(
-        asdict(
-            CheckResult(
-                "barrier_stable",
-                "pass" if barrier.stable else "warn",
-                float(barrier.residual or 0.0),
-                sched.tol_stabilize,
-            )
-        )
-    )
-    flags.append(
-        asdict(
-            CheckResult(
-                "critical_spread",
-                "warn" if table.spread_warning else "pass",
-                float(table.spreads[-1]),
-                float(table.spreads[0]),
-                detail="-lambda*u spread must shrink along the schedule",
-            )
-        )
-    )
-    flags.append(
-        asdict(
-            CheckResult(
-                "lp_vs_min_mean_cycle",
-                "pass" if lp_vs_cycle <= 1e-8 else "fail",
-                float(lp_vs_cycle),
-                1e-8,
-            )
-        )
-    )
+    checks = [
+        *verification.checks,
+        CheckResult(
+            "barrier_stable", "pass" if barrier.stable else "warn",
+            float(barrier.residual or 0.0), sched.tol_stabilize,
+        ),
+        CheckResult(
+            "critical_spread", "warn" if table.spread_warning else "pass",
+            float(table.spreads[-1]), float(table.spreads[0]),
+            detail="-lambda*u spread must shrink along the schedule",
+        ),
+        CheckResult(
+            "lp_vs_min_mean_cycle", "pass" if lp_vs_cycle <= 1e-8 else "fail",
+            float(lp_vs_cycle), 1e-8,
+        ),
+    ]
     if u0_cross_delta is not None:
-        flags.append(
-            asdict(
-                CheckResult(
-                    "u0_methods_agree",
-                    "pass" if u0_cross_delta <= 1e-5 else "fail",
-                    float(u0_cross_delta),
-                    1e-5,
-                )
+        checks.append(
+            CheckResult(
+                "u0_methods_agree", "pass" if u0_cross_delta <= 1e-5 else "fail",
+                float(u0_cross_delta), 1e-5,
             )
         )
+    flags = [asdict(c) for c in checks]
 
     passed = all(f["status"] != "fail" for f in flags)
     # runtime-only knobs (worker count, target directory) stay out of the
@@ -520,19 +544,22 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _apply_overrides(config: ExperimentConfig, args) -> ExperimentConfig:
-    if getattr(args, "grid", None):
-        sizes = tuple([int(args.grid)] * config.problem.dim)
+    if args.grid is not None:
+        sizes = (args.grid,) * config.problem.dim
         config = replace(config, problem=replace(config.problem, sizes=sizes))
-    if getattr(args, "out", None):
+    if args.out is not None:
         config = replace(config, output_dir=args.out)
-    if getattr(args, "threads", None):
-        config = replace(config, threads=int(args.threads))
+    threads = args.threads
     env_threads = os.environ.get("WEAKKAM_THREADS")
-    if env_threads and not getattr(args, "threads", None):
-        config = replace(config, threads=int(env_threads))
-    if getattr(args, "lam", None):
-        lams = (float(args.lam),)
-        config = replace(config, schedule=replace(config.schedule, lambdas=lams))
+    if threads is None and env_threads:
+        try:
+            threads = int(env_threads)
+        except ValueError:
+            raise ConfigError(f"WEAKKAM_THREADS must be an integer, got {env_threads!r}") from None
+    if threads is not None:
+        config = replace(config, threads=threads)
+    if args.lam is not None:
+        config = replace(config, schedule=replace(config.schedule, lambdas=(args.lam,)))
     return config.validate()
 
 
@@ -542,16 +569,7 @@ def _prepare(args):
 
 
 def _cmd_bounds(args) -> int:
-    config = _prepare(args)
-    grid = build_grid(config.problem.dim, config.problem.sizes)
-    spec = _build_spec(config.problem, grid)
-    d = config.discretization
-    if d.bounds_c is not None:
-        level = d.bounds_c
-    else:
-        coords = grid.coordinates
-        level = float(np.abs(eval_hamiltonian(spec, coords, np.zeros_like(coords))).max())
-    bounds = stability_bounds(spec, level, grid=grid)
+    _, _, bounds = _bounds(_prepare(args))
     print(
         f"kappa={io.fmt(bounds.kappa)} A_kappa={io.fmt(bounds.A_kappa)} "
         f"C0={io.fmt(bounds.C0)} alpha={io.fmt(bounds.alpha)} "
@@ -560,32 +578,15 @@ def _cmd_bounds(args) -> int:
     return EXIT_OK
 
 
-def _setup(config):
-    grid = build_grid(config.problem.dim, config.problem.sizes)
-    spec = _build_spec(config.problem, grid)
-    d = config.discretization
-    if d.bounds_c is not None:
-        level = d.bounds_c
-    else:
-        coords = grid.coordinates
-        level = float(np.abs(eval_hamiltonian(spec, coords, np.zeros_like(coords))).max())
-    bounds = stability_bounds(spec, level, grid=grid)
-    alpha = d.alpha or bounds.alpha
-    spec = spec.with_v_search(d.v_search or 2.0 * alpha)
-    tau = d.tau if d.tau_rule == "explicit" else default_time_step(grid, alpha)
-    stencil = make_stencil(grid, tau, alpha, k=d.stencil_k)
-    return grid, spec, stencil
-
-
-def _critical_shift(config, grid, spec, stencil):
-    kernel0 = build_kernel(grid, spec, stencil, c=0.0)
-    mean, _ = min_mean_cycle(kernel0)
-    return -mean
+def _critical_kernel(grid, spec, stencil):
+    """Kernel at the critical shift -(minimum cycle mean), and a cycle achieving it."""
+    mean, cycle = min_mean_cycle(build_kernel(grid, spec, stencil, c=0.0))
+    return build_kernel(grid, spec, stencil, c=-mean), cycle
 
 
 def _cmd_critical(args) -> int:
     config = _prepare(args)
-    grid, spec, stencil = _setup(config)
+    grid, spec, _, stencil = _setup(config)
     c_est, table = critical_value_estimate(
         grid, spec, stencil, config.schedule.critical_lambdas,
         tol=config.schedule.tol_solve, max_iter=config.schedule.max_iter,
@@ -602,30 +603,26 @@ def _cmd_critical(args) -> int:
 
 def _cmd_peierls(args) -> int:
     config = _prepare(args)
-    grid, spec, stencil = _setup(config)
-    c_used = _critical_shift(config, grid, spec, stencil)
-    kernel = build_kernel(grid, spec, stencil, c=c_used)
-    barrier = peierls_barrier(
-        kernel, burn_in=config.schedule.burn_in, horizon=config.schedule.horizon,
-        tol=config.schedule.tol_stabilize, threads=config.threads,
-    )
+    grid, spec, _, stencil = _setup(config)
+    kernel, _ = _critical_kernel(grid, spec, stencil)
+    barrier = peierls_barrier(kernel, tol=config.schedule.tol_stabilize)
     os.makedirs(config.output_dir, exist_ok=True)
     io.write_barrier(barrier, os.path.join(config.output_dir, "barrier"))
     print(
-        f"c={io.fmt(c_used)} residual={io.fmt(barrier.residual)} stable={barrier.stable}"
+        f"c={io.fmt(kernel.c)} residual={io.fmt(barrier.residual)} stable={barrier.stable}"
     )
     return EXIT_OK if barrier.stable else EXIT_VERIFICATION
 
 
 def _cmd_discounted(args) -> int:
     config = _prepare(args)
-    grid, spec, stencil = _setup(config)
-    c_used = _critical_shift(config, grid, spec, stencil)
+    grid, spec, _, stencil = _setup(config)
+    kernel, _ = _critical_kernel(grid, spec, stencil)
     os.makedirs(config.output_dir, exist_ok=True)
     for lam in config.schedule.lambdas:
         sol = solve_discounted(
-            grid, spec, lam, stencil, c_used,
-            tol=config.schedule.tol_solve, max_iter=config.schedule.max_iter,
+            grid, spec, lam, stencil, kernel.c,
+            tol=config.schedule.tol_solve, max_iter=config.schedule.max_iter, kernel=kernel,
         )
         io.write_solution(sol, os.path.join(config.output_dir, f"discounted_{lam:g}"))
         start = int(np.argmax(sol.values.values))
@@ -642,10 +639,8 @@ def _cmd_discounted(args) -> int:
 
 def _cmd_mather(args) -> int:
     config = _prepare(args)
-    grid, spec, stencil = _setup(config)
-    kernel0 = build_kernel(grid, spec, stencil, c=0.0)
-    mean, cycle = min_mean_cycle(kernel0)
-    kernel = build_kernel(grid, spec, stencil, c=-mean)
+    grid, spec, _, stencil = _setup(config)
+    kernel, cycle = _critical_kernel(grid, spec, stencil)
     lp = solve_mather_lp(kernel)
     os.makedirs(config.output_dir, exist_ok=True)
     io.measure_to_csv(lp.measure, os.path.join(config.output_dir, "mather_measure.csv"))
@@ -653,13 +648,13 @@ def _cmd_mather(args) -> int:
         os.path.join(config.output_dir, "mather.json"),
         {
             "lp_value": lp.value,
-            "min_mean": mean,
+            "min_mean": -kernel.c,
             "cycle": [int(x) for x in cycle],
             "support_size": int(lp.support_edges.shape[0]),
             "projected_support": [int(x) for x in np.nonzero(lp.projected > 1e-12)[0]],
         },
     )
-    print(f"lp_value={io.fmt(lp.value)} min_mean={io.fmt(mean)}")
+    print(f"lp_value={io.fmt(lp.value)} min_mean={io.fmt(-kernel.c)}")
     return EXIT_OK
 
 
@@ -682,9 +677,8 @@ def _cmd_converge(args) -> int:
 
 def _cmd_verify(args) -> int:
     config = _prepare(args)
-    grid, spec, stencil = _setup(config)
-    c_used = _critical_shift(config, grid, spec, stencil)
-    kernel = build_kernel(grid, spec, stencil, c=c_used)
+    grid, spec, _, stencil = _setup(config)
+    kernel, _ = _critical_kernel(grid, spec, stencil)
     values = io.read_values_binary(args.u0, grid.num_nodes)
     violation = verify_subsolution(GridFunction(grid, values), kernel)
     lp = solve_mather_lp(kernel)

@@ -69,7 +69,6 @@ def write_barrier(barrier: BarrierMatrix, base_path) -> None:
         "tau": barrier.tau,
         "c": barrier.c,
         "steps": barrier.steps,
-        "window": list(barrier.window) if barrier.window else None,
         "residual": barrier.residual,
         "stable": barrier.stable,
         "row_nodes": barrier.row_nodes.tolist() if barrier.row_nodes is not None else None,
@@ -89,7 +88,6 @@ def read_barrier(base_path) -> BarrierMatrix:
         tau=meta["tau"],
         c=meta["c"],
         steps=meta["steps"],
-        window=tuple(meta["window"]) if meta["window"] else None,
         residual=meta["residual"],
         stable=meta["stable"],
         row_nodes=np.asarray(meta["row_nodes"], dtype=np.int64)

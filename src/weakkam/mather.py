@@ -19,8 +19,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .action_barrier import ActionKernel, BarrierMatrix, verify_subsolution
-from .discounted import DiscountedSolution, discounted_occupation_measure
+from .action_barrier import ActionKernel, BarrierMatrix, tight_subgraph, verify_subsolution
+from .discounted import DiscountedSolution, EdgeMeasure, discounted_occupation_measure
 from .errors import EmptyAubryError, InfeasibleError, WeakKamError
 from .models import GridFunction, LagrangianSpec, TorusGrid, eval_lagrangian
 from .simplex import solve_standard_form
@@ -45,7 +45,7 @@ __all__ = [
 
 
 @dataclass(frozen=True)
-class OccupationMeasure:
+class OccupationMeasure(EdgeMeasure):
     """Nonnegative weights on stencil edges keyed by (tail node, offset id)."""
 
     grid: TorusGrid
@@ -53,22 +53,6 @@ class OccupationMeasure:
     tails: np.ndarray
     offset_ids: np.ndarray
     weights: np.ndarray
-
-    @property
-    def mass(self) -> float:
-        return float(self.weights.sum())
-
-    def heads(self) -> np.ndarray:
-        head = np.empty_like(self.tails)
-        for k in np.unique(self.offset_ids):
-            mask = self.offset_ids == k
-            head[mask] = self.grid.shift_indices(self.tails[mask], self.stencil.offsets[int(k)])
-        return head
-
-    def node_marginal(self) -> np.ndarray:
-        out = np.zeros(self.grid.num_nodes)
-        np.add.at(out, self.tails, self.weights)
-        return out
 
     def pairing(self, edge_values: np.ndarray) -> float:
         """Integrate a per-edge quantity given as an (offsets, nodes) array."""
@@ -92,34 +76,12 @@ def closedness_residual(measure, grid: TorusGrid | None = None) -> float:
 def min_mean_cycle(kernel: ActionKernel) -> tuple[float, list[int]]:
     """Minimum mean per-unit-time Lagrangian over directed stencil cycles.
 
-    Runs Karp's recurrence D_k(x) = min over edges into x of D_{k-1}(tail) +
-    Lbar(edge) with D_0 = 0 at every node, then extracts an achieving cycle
-    from the tight subgraph of reduced costs (Bellman-Ford potentials).
-    The negated mean is an estimate of c(H) independent of the LP route.
+    Karp's mean and the tight subgraph come from tight_subgraph; a depth-first
+    search then extracts an achieving cycle from the tight edges. The negated
+    mean is an estimate of c(H) independent of the LP route.
     """
     n = kernel.num_nodes
-    pred = kernel.pred_index
-    lag_in = np.take_along_axis(kernel.edge_lagrangian, pred, axis=1)
-
-    d = np.zeros((n + 1, n))
-    for k in range(1, n + 1):
-        d[k] = (d[k - 1][pred] + lag_in).min(axis=0)
-    ks = np.arange(n)
-    ratios = (d[n][None, :] - d[:n]) / (n - ks)[:, None]
-    mean = float(ratios.max(axis=0).min())
-
-    # cycle extraction: potentials for reduced costs, then any tight cycle
-    reduced = lag_in - mean
-    pi = np.zeros(n)
-    for _ in range(n):
-        pi = np.minimum(pi, (pi[pred] + reduced).min(axis=0))
-    slack = pi[pred] + reduced - pi[None, :]
-    tight = slack <= 1e-9
-
-    adj: list[list[int]] = [[] for _ in range(n)]
-    for k in range(kernel.num_offsets):
-        for x in np.nonzero(tight[k])[0]:
-            adj[int(pred[k, x])].append(int(x))
+    mean, adj = tight_subgraph(kernel)
 
     color = np.zeros(n, dtype=np.int8)  # 0 white, 1 on stack, 2 done
     for root in range(n):
@@ -494,9 +456,13 @@ def verify_limit(
             )
         )
 
-    # (e) subsolution lower bound via discounted occupation measures
+    # (e) subsolution lower bound via discounted occupation measures: the
+    # solver weights step costs by kappa = (1 - beta)/(lambda tau), so summing
+    # w(head) - w(tail) <= cost along the policy orbit of x gives exactly
+    # u_lambda(x) >= kappa * (w(x) - <w, occupation>)
     if solutions:
         sol = min(solutions, key=lambda s: s.lam)
+        kappa = (1.0 - sol.beta) / (sol.lam * sol.tau)
         candidates: list[tuple[str, np.ndarray]] = []
         if full:
             candidates.append(("u0", u0.values))
@@ -509,9 +475,7 @@ def verify_limit(
             occ = discounted_occupation_measure(sol, int(x))
             marginal = occ.node_marginal()
             for name, w in candidates:
-                margin = (
-                    sol.values.values[x] - w[x] + float(marginal @ w) + tol_prim
-                )
+                margin = sol.values.values[x] - kappa * (w[x] - float(marginal @ w)) + tol_prim
                 worst_margin = min(worst_margin, float(margin))
         if candidates:
             checks.append(

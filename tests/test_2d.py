@@ -1,10 +1,13 @@
 """Two-dimensional torus coverage: the solvers share all code paths with 1-D,
 so these tests pin the index arithmetic and re-run the exactly-known cases."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 import weakkam as wk
+from weakkam.harness import ScheduleConfig
 
 from conftest import make_problem
 
@@ -67,6 +70,45 @@ class TestMechanical2D:
         u_a = wk.solve_discounted(p.grid, p.spec, 0.2, p.stencil, p.c_star, kernel=p.kernel)
         u_b = wk.solve_discounted(p.grid, p.spec, 0.1, p.stencil, p.c_star, kernel=p.kernel)
         assert (u_b.values.values >= u_a.values.values - 2e-8).all()
+
+
+@pytest.fixture(scope="module")
+def cos2d_battery(cos2d):
+    """Barrier, Aubry nodes, u0, Mather LP and u_lambda on the default lambda schedule."""
+    p = cos2d
+    h = wk.peierls_barrier(p.kernel)
+    sols = [
+        wk.solve_discounted(p.grid, p.spec, lam, p.stencil, p.c_star, kernel=p.kernel)
+        for lam in ScheduleConfig().lambdas
+    ]
+    return dict(
+        barrier=h,
+        aubry_nodes=wk.aubry_set(h, 1e-7),
+        u0=wk.u0_mechanical(h, p.spec, p.grid, p.c_star, 1e-9),
+        solutions=sols,
+        mather=[wk.solve_mather_lp(p.kernel)],
+    )
+
+
+def ineq_prim(battery, kernel, barrier):
+    report = wk.verify_limit(
+        battery["u0"], battery["solutions"], battery["mather"], kernel,
+        barrier=barrier, aubry_nodes=battery["aubry_nodes"],
+    )
+    return next(c for c in report.checks if c.name == "ineq_prim")
+
+
+class TestIneqPrim2D:
+    def test_default_schedule_passes(self, cos2d, cos2d_battery):
+        check = ineq_prim(cos2d_battery, cos2d.kernel, cos2d_battery["barrier"])
+        assert check.status == "pass", check
+
+    def test_non_subsolution_fails(self, cos2d, cos2d_battery):
+        # twice a barrier row is no critical subsolution, so the lower bound
+        # through the occupation measures must break
+        h = cos2d_battery["barrier"]
+        check = ineq_prim(cos2d_battery, cos2d.kernel, replace(h, values=2.0 * h.values))
+        assert check.status == "fail", check
 
 
 @pytest.fixture(scope="module")

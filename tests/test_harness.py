@@ -10,6 +10,7 @@ import pytest
 import weakkam as wk
 from weakkam.errors import ConfigError
 from weakkam.harness import (
+    EXIT_ERROR,
     EXIT_OK,
     EXIT_USAGE,
     EXIT_VERIFICATION,
@@ -238,3 +239,47 @@ class TestCli:
         monkeypatch.setenv("WEAKKAM_THREADS", "3")
         assert cli_dispatch(["converge", "--config", path]) == EXIT_OK
         assert (tmp_path / "out" / "report.json").exists()
+
+
+def _dump(edit=lambda raw: None):
+    def text(raw):
+        edit(raw)
+        return json.dumps(raw)
+
+    return text
+
+
+# case -> (extra CLI arguments, free32 config document -> file text,
+#          environment, text the error line must name)
+BAD_INPUTS = {
+    "lambda_zero": (["--lambda", "0"], _dump(), {}, "lambdas must be positive"),
+    "threads_zero": (["--threads", "0"], _dump(), {}, "threads must be >= 1"),
+    "grid_zero": (["--grid", "0"], _dump(), {}, "sizes"),
+    "malformed_json": ([], lambda raw: json.dumps(raw)[:-1], {}, "JSON"),
+    "threads_string": ([], _dump(lambda raw: raw.update(threads="two")), {}, "'two'"),
+    "lambdas_string": (
+        [], _dump(lambda raw: raw["schedule"].update(lambdas="abc")), {}, "'abc'"
+    ),
+    "burn_in_key": ([], _dump(lambda raw: raw["schedule"].update(burn_in=10)), {}, "burn_in"),
+    "threads_env": ([], _dump(), {"WEAKKAM_THREADS": "abc"}, "WEAKKAM_THREADS"),
+    "u0_targets_out_of_range": (
+        [], _dump(lambda raw: raw["schedule"].update(u0_targets=[999])), {}, "u0_targets"
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_INPUTS))
+def test_bad_input_is_one_line_error(case, tmp_path):
+    argv, text, env, named = BAD_INPUTS[case]
+    path = tmp_path / "cfg.json"
+    path.write_text(text(free_config(tmp_path / "out").to_dict()))
+    proc = subprocess.run(
+        [sys.executable, "-m", "weakkam", "bounds", "--config", str(path), *argv],
+        capture_output=True,
+        text=True,
+        env={**os.environ, **env},
+    )
+    errors = [line for line in proc.stderr.splitlines() if line.startswith("error:")]
+    assert proc.returncode in (EXIT_ERROR, EXIT_USAGE), proc.stdout
+    assert len(errors) == 1 and "Traceback" not in proc.stderr, proc.stderr
+    assert named in errors[0]
