@@ -212,12 +212,12 @@ def barrier_step(kernel: ActionKernel, h: np.ndarray) -> np.ndarray:
     return out
 
 
-def tight_subgraph(kernel: ActionKernel, tol: float = 1e-9) -> tuple[float, list[list[int]]]:
+def tight_subgraph(kernel: ActionKernel) -> tuple[float, list[list[int]]]:
     """Karp's minimum mean Lbar over cycles, and adjacency lists of tight edges.
 
     Karp's recurrence is D_k(x) = min over edges into x of D_{k-1}(tail) +
     Lbar(edge), D_0 = 0. An edge is tight when its slack under Bellman-Ford
-    potentials of the reduced costs Lbar - mean is at most tol, so every
+    potentials of the reduced costs Lbar - mean is at most 1e-9, so every
     minimum mean cycle runs on tight edges. adj[tail] lists their heads.
     """
     n = kernel.num_nodes
@@ -238,7 +238,7 @@ def tight_subgraph(kernel: ActionKernel, tol: float = 1e-9) -> tuple[float, list
         if np.array_equal(nxt, pi):
             break
         pi = nxt
-    tight = pi[pred] + reduced - pi[None, :] <= tol
+    tight = pi[pred] + reduced - pi[None, :] <= 1e-9
 
     adj: list[list[int]] = [[] for _ in range(n)]
     for k in range(kernel.num_offsets):
