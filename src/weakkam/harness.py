@@ -91,7 +91,7 @@ class DiscretizationConfig:
     tau_rule: str = "sqrt_h"       # or "explicit"
     tau: float | None = None
     stencil_k: int | None = None
-    alpha: float | None = None     # override the sampled velocity bound
+    alpha: float | None = None     # override the computed velocity bound
     v_search: float | None = None
     bounds_c: float | None = None  # level for kappa_c; default max |H(x,0)|
 
@@ -134,10 +134,15 @@ class ExperimentConfig:
             raise ConfigError("transport family needs a drift vector of length dim")
         if p.family == "tabulated" and not p.table_path:
             raise ConfigError("tabulated family needs table_path")
+        _check_potential(p)
         if d.tau_rule not in ("sqrt_h", "explicit"):
             raise ConfigError(f"unknown tau rule {d.tau_rule!r}")
-        if d.tau_rule == "explicit" and not (d.tau and d.tau > 0):
+        if d.tau_rule == "explicit" and d.tau is None:
             raise ConfigError("explicit tau rule needs a positive tau")
+        for name in ("alpha", "v_search", "tau", "stencil_k"):
+            value = getattr(d, name)
+            if value is not None and not 0 < value < math.inf:
+                raise ConfigError(f"discretization.{name} must be positive, got {value!r}")
         lam = s.lambdas
         if len(lam) < 1 or any(b >= a for a, b in zip(lam, lam[1:])):
             raise ConfigError("schedule.lambdas must be strictly decreasing")
@@ -217,6 +222,44 @@ def _check_types(block, prefix: str) -> None:
             raise ConfigError(f"{prefix}{f.name} must be {f.type}, got {value!r}")
 
 
+# potential name -> the keys its block may set besides "name"
+_POTENTIAL_KEYS = {
+    "zero": (),
+    "cosine": ("amplitudes", "frequencies", "amplitude", "frequency"),
+    "table": ("path",),
+}
+
+
+def _finite(value) -> bool:
+    return _matches(value, "float") and math.isfinite(value)
+
+
+def _check_potential(p: ProblemConfig) -> None:
+    """Reject a problem.potential block with unknown keys or mistyped values."""
+    block = p.potential
+    name = block.get("name", "zero")
+    if not isinstance(name, str) or name not in _POTENTIAL_KEYS:
+        raise ConfigError(f"unknown potential {name!r}")
+    unknown = set(block) - {"name", *_POTENTIAL_KEYS[name]}
+    if unknown:
+        raise ConfigError(f"unknown keys {sorted(unknown)} in problem.potential {name!r}")
+    path = block.get("path")
+    if name == "table" and not isinstance(path, str):
+        raise ConfigError(f"problem.potential.path must be a file path, got {path!r}")
+    for key in ("amplitude", "frequency"):
+        if key in block and key + "s" in block:
+            raise ConfigError(f"problem.potential sets both {key} and {key}s")
+        one, many = block.get(key, 1.0), block.get(key + "s", [1.0])
+        if not _finite(one):
+            raise ConfigError(f"problem.potential.{key} must be a finite number, got {one!r}")
+        if not (isinstance(many, (list, tuple)) and len(many) in (1, p.dim)
+                and all(map(_finite, many))):
+            raise ConfigError(
+                f"problem.potential.{key}s must be a list of 1 or {p.dim} finite numbers, "
+                f"got {many!r}"
+            )
+
+
 def load_config(path) -> ExperimentConfig:
     with open(path) as fh:
         try:
@@ -233,8 +276,6 @@ def _build_spec(cfg: ProblemConfig, grid):
         values = read_potential_table(cfg.table_path, grid)
         return mechanical(table_potential(grid, values), dim=cfg.dim)
     name = cfg.potential.get("name", "zero")
-    if name == "zero":
-        return mechanical(zero_potential(), dim=cfg.dim)
     if name == "cosine":
         amps = cfg.potential.get("amplitudes", [cfg.potential.get("amplitude", 1.0)])
         freqs = cfg.potential.get("frequencies", [cfg.potential.get("frequency", 1.0)])
@@ -242,7 +283,7 @@ def _build_spec(cfg: ProblemConfig, grid):
     if name == "table":
         values = read_potential_table(cfg.potential["path"], grid)
         return mechanical(table_potential(grid, values), dim=cfg.dim)
-    raise ConfigError(f"unknown potential {name!r}")
+    return mechanical(zero_potential(), dim=cfg.dim)
 
 
 def _untimed(name, fn):
@@ -268,8 +309,8 @@ def _setup(config: ExperimentConfig, run=_untimed):
     """_bounds, then the spec's velocity search box and the stencil."""
     grid, spec, bounds = _bounds(config, run)
     d = config.discretization
-    alpha = d.alpha or bounds.alpha
-    spec = spec.with_v_search(d.v_search or 2.0 * alpha)
+    alpha = d.alpha if d.alpha is not None else bounds.alpha
+    spec = spec.with_v_search(d.v_search if d.v_search is not None else 2.0 * alpha)
 
     def stencil():
         tau = d.tau if d.tau_rule == "explicit" else default_time_step(grid, alpha)

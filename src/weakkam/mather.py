@@ -198,11 +198,6 @@ class LimitFunctionResult:
     c_est: float
     eps: float
 
-    def as_grid_values(self, grid: TorusGrid) -> np.ndarray:
-        out = np.full(grid.num_nodes, np.nan)
-        out[self.targets] = self.values
-        return out
-
 
 def compute_u0(
     h: BarrierMatrix,
@@ -484,7 +479,10 @@ def verify_limit(
                     "pass" if worst_margin >= 0.0 else "fail",
                     worst_margin,
                     0.0,
-                    detail=f"u_lambda(x) >= w(x) - <w, occupation> - {tol_prim}",
+                    detail=(
+                        f"u_lambda(x) >= kappa*(w(x) - <w, occupation>) - {tol_prim}, "
+                        "kappa = (1-beta)/(lambda tau)"
+                    ),
                 )
             )
 

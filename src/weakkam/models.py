@@ -8,6 +8,9 @@ described by a family tag plus parameters; the built-in families are
 * ``tabulated``   H sampled on nodes x a momentum grid; L via the numerical
   convex conjugate (1-D only).
 
+H is convex in p, so the stability bounds that size every discretization
+follow exactly from Fenchel duality; only positions are sampled.
+
 Everything here is immutable after construction and free of hidden state, so
 values can be shared freely between worker threads.
 """
@@ -85,9 +88,6 @@ class TorusGrid:
 
     def multi_index(self, flat: int) -> tuple[int, ...]:
         return tuple(int(i) for i in np.unravel_index(int(flat) % self.num_nodes, self.sizes))
-
-    def node_coordinate(self, flat: int) -> np.ndarray:
-        return self.coordinates[int(flat) % self.num_nodes]
 
     def wrap_displacement(self, y, x) -> np.ndarray:
         """Per-axis representative of y - x in [-1/2, 1/2)."""
@@ -214,10 +214,6 @@ class LagrangianSpec:
 
     def with_v_search(self, v_search: float) -> "LagrangianSpec":
         return replace(self, v_search=float(v_search))
-
-    @property
-    def has_analytic_hamiltonian(self) -> bool:
-        return self.family in ("mechanical", "transport")
 
 
 def mechanical(potential: Callable, dim: int = 1) -> LagrangianSpec:
@@ -355,7 +351,7 @@ def legendre_transform(h_samples, p_grid, v_grid) -> np.ndarray:
 
 @dataclass(frozen=True)
 class StabilityBounds:
-    """Sampled bounds controlling every downstream discretization."""
+    """Bounds on the c-sublevel of H that size every downstream discretization."""
 
     kappa: float       # momentum bound: sup ||p|| over the c-sublevel of H
     A_kappa: float     # superlinearity offset: L >= (kappa+1)||v|| - A_kappa
@@ -365,11 +361,11 @@ class StabilityBounds:
     c: float           # level the bounds were computed at
 
 
-def _sample_points(spec: LagrangianSpec, grid: TorusGrid | None, density: int) -> np.ndarray:
+def _sample_points(spec: LagrangianSpec, grid: TorusGrid | None) -> np.ndarray:
     # 2-D sampling is capped harder: the bounds are safety margins and the
     # product grids grow quadratically
     if grid is not None:
-        counts = [min(density * n, 4096 if spec.dim == 1 else 64) for n in grid.sizes]
+        counts = [min(10 * n, 4096 if spec.dim == 1 else 64) for n in grid.sizes]
     else:
         counts = [1024 if spec.dim == 1 else 48] * spec.dim
     axes = [np.arange(c) / c for c in counts]
@@ -377,104 +373,81 @@ def _sample_points(spec: LagrangianSpec, grid: TorusGrid | None, density: int) -
     return np.stack([m.ravel() for m in mesh], axis=1)
 
 
-def _box_points(half_width: float, dim: int, per_axis: int) -> np.ndarray:
-    axes = [np.linspace(-half_width, half_width, per_axis)] * dim
-    mesh = np.meshgrid(*axes, indexing="ij")
-    return np.stack([m.ravel() for m in mesh], axis=1)
+def _table_sublevel_radius(rows: np.ndarray, p: np.ndarray, c: float) -> float:
+    """Largest |p| at which a row, linear between momentum samples, crosses c."""
+    inside = rows <= c
+    if (inside[:, 0] | inside[:, -1]).any():
+        raise NoSublevelError(
+            f"sublevel {{H <= {c:.6g}}} reaches the edge of the momentum grid; "
+            "H may not be coercive"
+        )
+    hit = inside.any(axis=1)
+    rows, inside = rows[hit], inside[hit]
+    first = np.argmax(inside, axis=1)
+    last = p.size - 1 - np.argmax(inside[:, ::-1], axis=1)
+    i = np.arange(rows.shape[0])
+    radius = 0.0
+    for k, j in ((last, last + 1), (first, first - 1)):
+        t = (c - rows[i, k]) / (rows[i, j] - rows[i, k])
+        radius = max(radius, float(np.abs(p[k] + t * (p[j] - p[k])).max(initial=0.0)))
+    return radius
 
 
 def stability_bounds(
-    spec: LagrangianSpec,
-    c: float,
-    grid: TorusGrid | None = None,
-    density: int = 10,
-    box_points: int | None = None,
+    spec: LagrangianSpec, c: float, grid: TorusGrid | None = None
 ) -> StabilityBounds:
-    """Estimate kappa_c, A_kappa, C0 and alpha by dense sampling.
+    """Exact kappa_c, A_kappa, C0 and alpha at level c for H convex in p.
 
-    kappa_c is the sup of ||p|| over the sampled sublevel {H(x,p) <= c}; the
-    momentum box is doubled until the sublevel pulls away from its boundary.
-    A_kappa and the minimum of L are sampled the same way in velocity space.
+    Positions x are sampled (V and the table rows are black boxes in x);
+    momenta and velocities are not. Fenchel duality gives the bounds
+    (Rockafellar, Convex Analysis, 1970, section 26):
+
+    * kappa_c = sup{|p| : H(x,p) <= c}. For |p|^2/2 + w.p + V(x) (the
+      mechanical and transport families) this is
+      |w| + sqrt(|w|^2 + 2(c - min_x H(x,0))); for a table it is the
+      outermost crossing of level c by the rows, linear between momenta.
+    * A_kappa = sup (kappa+1)|v| - L(x,v) = max_x H(x, +-(kappa+1)e), with
+      e = w/|w|, or the first axis when there is no drift.
+    * min L = -max_x H(x, 0).
+
     alpha = A_kappa + C0 bounds the speeds of optimal discrete trajectories,
     and the default search box is v_search = 2*alpha.
     """
-    xs = _sample_points(spec, grid, density)
-    per_axis = box_points or (2001 if spec.dim == 1 else 81)
-
-    h_at_zero = eval_hamiltonian(spec, xs, np.zeros_like(xs))
+    xs = _sample_points(spec, grid)
+    zeros = np.zeros_like(xs)
+    h_at_zero = eval_hamiltonian(spec, xs, zeros)
     if c < float(h_at_zero.min()) - 1e-12:
         raise NoSublevelError(
             f"no sampled point has H(x,0) <= c = {c:.6g} "
             f"(min H(x,0) = {h_at_zero.min():.6g})"
         )
 
-    # momentum bound: grow the box until the sublevel is strictly interior
-    half = 1.0
-    kappa = 0.0
-    for _ in range(40):
-        ps = _box_points(half, spec.dim, per_axis)
-        norms = np.sqrt(np.sum(ps * ps, axis=1))
-        inside = np.zeros(ps.shape[0], dtype=bool)
-        chunk = max(1, 2_000_000 // ps.shape[0])
-        for i in range(0, xs.shape[0], chunk):
-            xblock = xs[i : i + chunk]
-            hx = eval_hamiltonian(
-                spec,
-                np.repeat(xblock, ps.shape[0], axis=0),
-                np.tile(ps, (xblock.shape[0], 1)),
-            ).reshape(xblock.shape[0], ps.shape[0])
-            inside |= np.any(hx <= c + 1e-12, axis=0)
-        if not inside.any():
-            raise NoSublevelError(f"sublevel {{H <= {c:.6g}}} has no sampled points")
-        touches = np.max(np.abs(ps[inside]), initial=0.0) >= half * (1.0 - 2.0 / per_axis)
-        kappa = float(norms[inside].max())
-        if not touches:
-            break
-        half *= 2.0
+    if spec.family == "tabulated":
+        p = spec.momentum_grid
+        kappa = _table_sublevel_radius(_interp_table_rows(spec, xs), p, c)
+        if -(kappa + 1.0) < p[0] or kappa + 1.0 > p[-1]:
+            raise TruncationError(
+                f"kappa+1 = {kappa + 1.0:.6g} lies outside the momentum grid "
+                f"[{p[0]:.6g}, {p[-1]:.6g}]; widen the momentum grid"
+            )
+        e = np.ones(1)
     else:
-        raise NoSublevelError("sublevel never detached from the momentum box; H may not be coercive")
+        w = np.asarray(spec.drift if spec.drift is not None else (0.0,) * spec.dim)
+        speed = float(np.linalg.norm(w))
+        kappa = speed + math.sqrt(max(speed**2 + 2.0 * (c - float(h_at_zero.min())), 0.0))
+        e = w / speed if speed > 0 else np.eye(spec.dim)[0]
 
-    # superlinearity offset over a velocity box that contains the true argmax
-    width = max(kappa + 2.0, 1.0)
-    for _ in range(40):
-        vs = _box_points(width, spec.dim, per_axis)
-        speeds = np.sqrt(np.sum(vs * vs, axis=1))
-        best = -np.inf
-        arg_speed = 0.0
-        min_l = np.inf
-        chunk = max(1, 2_000_000 // vs.shape[0])
-        for i in range(0, xs.shape[0], chunk):
-            xblock = xs[i : i + chunk]
-            lv = eval_lagrangian(
-                spec,
-                np.repeat(xblock, vs.shape[0], axis=0),
-                np.tile(vs, (xblock.shape[0], 1)),
-            ).reshape(xblock.shape[0], vs.shape[0])
-            score = (kappa + 1.0) * speeds[None, :] - lv
-            j = int(np.argmax(np.max(score, axis=0)))
-            if float(score[:, j].max()) > best:
-                best = float(score[:, j].max())
-                arg_speed = float(speeds[j])
-            min_l = min(min_l, float(lv.min()))
-        if arg_speed < width * (1.0 - 2.0 / per_axis):
-            break
-        width *= 2.0
-    else:
-        raise WeakKamError("A_kappa search never detached from the velocity box")
-
-    a_kappa = best
-    max_l_rest = float(
-        (eval_lagrangian(spec, xs, np.zeros_like(xs))).max()
+    reach = (kappa + 1.0) * e
+    a_kappa = max(
+        float(eval_hamiltonian(spec, xs, np.broadcast_to(q, xs.shape)).max())
+        for q in (reach, -reach)
     )
+    min_l = -float(h_at_zero.max())
+    max_l_rest = float(eval_lagrangian(spec, xs, zeros).max())
     c0 = max(abs(min_l + c), max_l_rest + c)
-    alpha = a_kappa + c0
+    alpha = float(a_kappa + c0)
     return StabilityBounds(
-        kappa=kappa,
-        A_kappa=a_kappa,
-        C0=c0,
-        alpha=float(alpha),
-        v_search=2.0 * float(alpha),
-        c=float(c),
+        kappa=kappa, A_kappa=a_kappa, C0=c0, alpha=alpha, v_search=2.0 * alpha, c=float(c)
     )
 
 
@@ -573,7 +546,7 @@ def make_stencil(
 
 @dataclass(frozen=True)
 class GridFunction:
-    """Real values on grid nodes with sup-norm and a discrete Lipschitz quotient."""
+    """Real values on grid nodes with a discrete Lipschitz quotient."""
 
     grid: TorusGrid
     values: np.ndarray
@@ -585,9 +558,6 @@ class GridFunction:
                 f"expected {self.grid.num_nodes} node values, got shape {v.shape}"
             )
         object.__setattr__(self, "values", v)
-
-    def sup_norm(self) -> float:
-        return float(np.abs(self.values).max())
 
     def lipschitz_quotient(self) -> float:
         """Max |u(x)-u(y)| / d(x,y) over nearest-neighbor node pairs."""

@@ -249,6 +249,14 @@ def _dump(edit=lambda raw: None):
     return text
 
 
+def _potential(block):
+    return _dump(lambda raw: raw["problem"].update(potential=block))
+
+
+def _discretization(**values):
+    return _dump(lambda raw: raw["discretization"].update(values))
+
+
 # case -> (extra CLI arguments, free32 config document -> file text,
 #          environment, text the error line must name)
 BAD_INPUTS = {
@@ -265,6 +273,18 @@ BAD_INPUTS = {
     "u0_targets_out_of_range": (
         [], _dump(lambda raw: raw["schedule"].update(u0_targets=[999])), {}, "u0_targets"
     ),
+    "potential_amplitudes_string": (
+        [], _potential({"name": "cosine", "amplitudes": "x"}), {}, "amplitudes"
+    ),
+    "potential_table_without_path": ([], _potential({"name": "table"}), {}, "path"),
+    "potential_unknown_key": (
+        [], _potential({"name": "zero", "amplitude": 3}), {}, "amplitude"
+    ),
+    "alpha_zero": ([], _discretization(alpha=0), {}, "alpha"),
+    "alpha_negative": ([], _discretization(alpha=-1), {}, "alpha"),
+    "v_search_zero": ([], _discretization(v_search=0), {}, "v_search"),
+    "tau_zero": ([], _discretization(tau_rule="explicit", tau=0), {}, "tau"),
+    "stencil_k_zero": ([], _discretization(stencil_k=0), {}, "stencil_k"),
 }
 
 

@@ -195,6 +195,92 @@ class TestStabilityBounds:
         assert b.kappa >= 0 and b.alpha > 0
 
 
+def _transport_bounds(w, c):
+    speed = float(np.linalg.norm(w))
+    kappa = speed + np.sqrt(speed**2 + 2 * c)
+    return kappa, (kappa + 1) * speed + (kappa + 1) ** 2 / 2, max(c, speed**2 / 2 + c)
+
+
+# name -> (spec, level, grid, closed-form (kappa, A_kappa, C0))
+CLOSED_FORMS = {
+    "pendulum": (
+        wk.mechanical(wk.cosine_potential([1.0], [1.0])), 1.0, wk.build_grid(1, [200]),
+        (2.0, 5.5, 2.0),
+    ),
+    "cosine_2d": (
+        wk.mechanical(wk.cosine_potential([1.0, 1.0], [1.0, 1.0]), dim=2), 2.0,
+        wk.build_grid(2, [8, 8]), (np.sqrt(8), (1 + np.sqrt(8)) ** 2 / 2 + 2, 4.0),
+    ),
+    "transport_1d": (
+        wk.transport([0.7]), 0.3, wk.build_grid(1, [32]), _transport_bounds([0.7], 0.3),
+    ),
+    "transport_2d": (
+        wk.transport([0.3, -0.4], dim=2), 0.5, wk.build_grid(2, [8, 8]),
+        _transport_bounds([0.3, -0.4], 0.5),
+    ),
+}
+
+
+def _mesh(lo, hi, per_axis, dim):
+    mesh = np.meshgrid(*[np.linspace(lo, hi, per_axis)] * dim, indexing="ij")
+    return np.stack([m.ravel() for m in mesh], axis=1)
+
+
+class TestExactBounds:
+    @pytest.mark.parametrize("name", sorted(CLOSED_FORMS))
+    def test_closed_forms(self, name):
+        spec, c, grid, (kappa, a_kappa, c0) = CLOSED_FORMS[name]
+        b = wk.stability_bounds(spec, c, grid=grid)
+        assert abs(b.kappa - kappa) <= 1e-12
+        assert abs(b.A_kappa - a_kappa) <= 1e-12
+        assert abs(b.C0 - c0) <= 1e-12
+        assert b.alpha == b.A_kappa + b.C0 and b.v_search == 2 * b.alpha
+
+    @pytest.mark.parametrize("name", sorted(CLOSED_FORMS))
+    def test_dense_grid_oracle(self, name):
+        # sups over a dense (x, p) and (x, v) grid never exceed the bounds and
+        # come within one grid step of them
+        spec, c, grid, _ = CLOSED_FORMS[name]
+        b = wk.stability_bounds(spec, c, grid=grid)
+        per_axis = (501, 2001) if spec.dim == 1 else (21, 61)
+        xs = _mesh(0.0, 1.0, per_axis[0], spec.dim)
+        half = b.kappa + 2.0
+        step = 2 * half / (per_axis[1] - 1)
+        zs = _mesh(-half, half, per_axis[1], spec.dim)
+        x, z = np.repeat(xs, len(zs), axis=0), np.tile(zs, (len(xs), 1))
+        norms = np.linalg.norm(z, axis=1)
+        kappa = norms[wk.eval_hamiltonian(spec, x, z) <= c].max()
+        a_kappa = ((b.kappa + 1) * norms - wk.eval_lagrangian(spec, x, z)).max()
+        assert b.kappa - step <= kappa <= b.kappa + 1e-12
+        assert b.A_kappa - step <= a_kappa <= b.A_kappa + 1e-12
+
+    def test_tabulated_matches_mechanical(self):
+        grid = wk.build_grid(1, [16])
+        p = np.linspace(-6, 6, 1201)
+        xs = grid.coordinates[:, 0]
+        table = 0.5 * p[None, :] ** 2 + np.cos(2 * np.pi * xs)[:, None]
+        mechanical = wk.mechanical(wk.cosine_potential([1.0], [1.0]))
+        got = wk.stability_bounds(wk.tabulated(grid, p, table), 1.0, grid=grid)
+        ref = wk.stability_bounds(mechanical, 1.0, grid=grid)
+        for field in ("kappa", "A_kappa", "C0", "alpha"):
+            assert getattr(got, field) == pytest.approx(getattr(ref, field), abs=1e-9)
+
+    def test_tabulated_sublevel_at_grid_edge(self):
+        grid = wk.build_grid(1, [8])
+        p = np.linspace(-1.5, 1.5, 301)
+        spec = wk.tabulated(grid, p, np.broadcast_to(0.5 * p**2, (8, p.size)).copy())
+        with pytest.raises(NoSublevelError, match="coercive"):
+            wk.stability_bounds(spec, 2.0, grid=grid)
+
+    def test_tabulated_truncation(self):
+        # the sublevel ends at |p| = 2 inside the grid, but kappa + 1 = 3 does not
+        grid = wk.build_grid(1, [16])
+        p = np.linspace(-2.5, 2.5, 501)
+        table = 0.5 * p[None, :] ** 2 + np.cos(2 * np.pi * grid.coordinates[:, :1])
+        with pytest.raises(TruncationError, match="kappa"):
+            wk.stability_bounds(wk.tabulated(grid, p, table), 1.0, grid=grid)
+
+
 class TestStencil:
     def test_structure(self):
         grid = wk.build_grid(1, [32])
