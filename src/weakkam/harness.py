@@ -1,8 +1,9 @@
 """Experiment configuration, the end-to-end pipeline, and the CLI.
 
 A single JSON document describes the problem, the discretization, and the
-lambda schedule; ``run_pipeline`` executes bounds -> kernel -> critical value
--> barrier -> Aubry/classes -> Mather LP -> u0 -> discounted solves ->
+lambda schedule; ``run_pipeline`` executes bounds -> stencil -> ergodic
+critical-value estimate -> kernel at the exact critical shift -(minimum cycle
+mean) -> barrier -> Aubry/classes -> Mather LP -> u0 -> discounted solves ->
 verification, writing every artifact to the output directory as it is
 produced so failures keep their partial results. Timings go to their own
 file so report.json stays byte-identical across reruns and worker counts.
@@ -71,6 +72,11 @@ EXIT_ERROR = 1
 EXIT_VERIFICATION = 2
 EXIT_USAGE = 64
 
+# fixed thresholds: barrier fixed-point residual for barrier_stable, and the
+# diagonal eps that admits a node to the Aubry set
+_TOL_STABLE = 1e-6
+_EPS_AUBRY = 1e-7
+
 
 # ---------------------------------------------------------------------------
 # configuration
@@ -83,7 +89,6 @@ class ProblemConfig:
     sizes: tuple[int, ...] = (32,)
     potential: dict = field(default_factory=lambda: {"name": "zero"})
     drift: tuple[float, ...] | None = None
-    table_path: str | None = None
 
 
 @dataclass(frozen=True)
@@ -93,7 +98,6 @@ class DiscretizationConfig:
     stencil_k: int | None = None
     alpha: float | None = None     # override the computed velocity bound
     v_search: float | None = None
-    bounds_c: float | None = None  # level for kappa_c; default max |H(x,0)|
 
 
 @dataclass(frozen=True)
@@ -101,13 +105,8 @@ class ScheduleConfig:
     lambdas: tuple[float, ...] = (0.5, 0.25, 0.125, 0.0625)
     critical_lambdas: tuple[float, ...] = (0.2, 0.1, 0.05, 0.025)
     tol_solve: float = 1e-8
-    tol_stabilize: float = 1e-6
-    eps_c: float | None = None     # default 10*|c_est - c_cross| + 1e-6
-    eps_aubry: float = 1e-7
     u0_targets: int | tuple[int, ...] | None = 16
     max_iter: int = 5_000_000
-    tol_constraint: float = 1e-6
-    tol_prim: float = 1e-3
 
 
 @dataclass(frozen=True)
@@ -117,28 +116,32 @@ class ExperimentConfig:
     schedule: ScheduleConfig = field(default_factory=ScheduleConfig)
     output_dir: str = "out"
     threads: int = 1
-    critical_shift: str = "min_mean_cycle"  # or "ergodic"
 
     def validate(self) -> "ExperimentConfig":
         p, d, s = self.problem, self.discretization, self.schedule
         for block, prefix in ((self, ""), (p, "problem."), (d, "discretization."),
                               (s, "schedule.")):
             _check_types(block, prefix)
-        if p.family not in ("mechanical", "transport", "tabulated"):
+        if p.family not in ("mechanical", "transport"):
             raise ConfigError(f"unknown family {p.family!r}")
         if p.dim not in (1, 2) or len(p.sizes) != p.dim:
             raise ConfigError("dim must be 1 or 2 with matching sizes")
         if any(size < 2 for size in p.sizes):
             raise ConfigError("problem.sizes must be at least 2")
-        if p.family == "transport" and (p.drift is None or len(p.drift) != p.dim):
-            raise ConfigError("transport family needs a drift vector of length dim")
-        if p.family == "tabulated" and not p.table_path:
-            raise ConfigError("tabulated family needs table_path")
         _check_potential(p)
+        if p.family == "transport":
+            if p.drift is None or len(p.drift) != p.dim:
+                raise ConfigError("transport family needs a drift vector of length dim")
+            if p.potential.get("name", "zero") != "zero":
+                raise ConfigError("transport family takes no problem.potential other than zero")
+        elif p.drift is not None:
+            raise ConfigError("problem.drift is only read by the transport family")
         if d.tau_rule not in ("sqrt_h", "explicit"):
             raise ConfigError(f"unknown tau rule {d.tau_rule!r}")
         if d.tau_rule == "explicit" and d.tau is None:
             raise ConfigError("explicit tau rule needs a positive tau")
+        if d.tau_rule != "explicit" and d.tau is not None:
+            raise ConfigError("discretization.tau is only read when tau_rule is 'explicit'")
         for name in ("alpha", "v_search", "tau", "stencil_k"):
             value = getattr(d, name)
             if value is not None and not 0 < value < math.inf:
@@ -148,18 +151,13 @@ class ExperimentConfig:
             raise ConfigError("schedule.lambdas must be strictly decreasing")
         if any(not l > 0 for l in lam):
             raise ConfigError("lambdas must be positive")
-        for name in ("tol_solve", "tol_stabilize", "eps_aubry", "tol_constraint", "tol_prim"):
-            if not getattr(s, name) > 0:
-                raise ConfigError(f"schedule.{name} must be positive")
-        if s.eps_c is not None and not s.eps_c > 0:
-            raise ConfigError("eps_c must be positive when given")
+        if not s.tol_solve > 0:
+            raise ConfigError("schedule.tol_solve must be positive")
         t, nodes = s.u0_targets, math.prod(p.sizes)
         bad_count = isinstance(t, int) and t < 1
         bad_nodes = isinstance(t, tuple) and not (t and all(0 <= x < nodes for x in t))
         if bad_count or bad_nodes:
             raise ConfigError(f"schedule.u0_targets must be a count >= 1 or nodes in [0, {nodes})")
-        if self.critical_shift not in ("min_mean_cycle", "ergodic"):
-            raise ConfigError(f"unknown critical_shift {self.critical_shift!r}")
         if self.threads < 1:
             raise ConfigError("threads must be >= 1")
         return self
@@ -196,7 +194,6 @@ class ExperimentConfig:
             schedule=pick(ScheduleConfig, "schedule"),
             output_dir=raw.get("output_dir", "out"),
             threads=raw.get("threads", 1),
-            critical_shift=raw.get("critical_shift", "min_mean_cycle"),
         )
         return cfg.validate()
 
@@ -272,9 +269,6 @@ def load_config(path) -> ExperimentConfig:
 def _build_spec(cfg: ProblemConfig, grid):
     if cfg.family == "transport":
         return transport(cfg.drift, dim=cfg.dim)
-    if cfg.family == "tabulated":
-        values = read_potential_table(cfg.table_path, grid)
-        return mechanical(table_potential(grid, values), dim=cfg.dim)
     name = cfg.potential.get("name", "zero")
     if name == "cosine":
         amps = cfg.potential.get("amplitudes", [cfg.potential.get("amplitude", 1.0)])
@@ -295,11 +289,9 @@ def _bounds(config: ExperimentConfig, run=_untimed):
     grid = run("grid", lambda: build_grid(config.problem.dim, config.problem.sizes))
     spec = run("spec", lambda: _build_spec(config.problem, grid))
 
-    def bounds_at_level():
-        level = config.discretization.bounds_c
-        if level is None:  # default level: max |H(x, 0)| over the nodes
-            coords = grid.coordinates
-            level = float(np.abs(eval_hamiltonian(spec, coords, np.zeros_like(coords))).max())
+    def bounds_at_level():  # at the level max |H(x, 0)| over the nodes
+        coords = grid.coordinates
+        level = float(np.abs(eval_hamiltonian(spec, coords, np.zeros_like(coords))).max())
         return stability_bounds(spec, level, grid=grid)
 
     return grid, spec, run("bounds", bounds_at_level)
@@ -379,11 +371,11 @@ def _u0_target_list(option, grid):
 def run_pipeline(config: ExperimentConfig, out_dir=None) -> RunReport:
     """Execute the full experiment and write all artifacts.
 
-    Stage order: stability bounds, stencil, kernel at c = 0, ergodic critical
-    value, min-mean-cycle cross-check, kernel rebuilt at the critical shift,
-    Peierls barrier, Aubry set and Mather classes, Mather LP, u0 (both
-    characterizations when the family allows the rest-point shortcut),
-    discounted solves down the lambda schedule, verification battery.
+    Stage order: stability bounds, stencil, ergodic critical-value estimate,
+    kernel at the critical shift -(minimum cycle mean), Peierls barrier,
+    Aubry set and Mather classes, Mather LP, u0 (both characterizations when
+    the family allows the rest-point shortcut), discounted solves down the
+    lambda schedule, verification battery.
     """
     config = config.validate()
     out = os.fspath(out_dir or config.output_dir)
@@ -402,23 +394,18 @@ def run_pipeline(config: ExperimentConfig, out_dir=None) -> RunReport:
         ),
     )
 
-    kernel0 = clock.run("kernel0", lambda: build_kernel(grid, spec, stencil, c=0.0))
-    mean, cycle = clock.run("min_mean_cycle", lambda: min_mean_cycle(kernel0))
-    c_cross = -mean
-    cross_delta = abs(c_est - c_cross)
-    c_used = c_cross if config.critical_shift == "min_mean_cycle" else c_est
-
     io.write_csv(
         os.path.join(out, "critical.csv"),
         ["lambda", "min_neg_lambda_u", "max_neg_lambda_u", "mid", "spread"],
         [tuple(map(float, row)) for row in table.rows()],
     )
 
-    kernel = clock.run("kernel", lambda: build_kernel(grid, spec, stencil, c=c_used))
-    barrier = clock.run("peierls", lambda: peierls_barrier(kernel, tol=sched.tol_stabilize))
+    kernel, _ = clock.run("kernel", lambda: _critical_kernel(grid, spec, stencil))
+    c_cross = kernel.c
+    barrier = clock.run("peierls", lambda: peierls_barrier(kernel, tol=_TOL_STABLE))
     io.write_barrier(barrier, os.path.join(out, "barrier"))
 
-    report_aubry = clock.run("aubry", lambda: aubry_report(barrier, sched.eps_aubry))
+    report_aubry = clock.run("aubry", lambda: aubry_report(barrier, _EPS_AUBRY))
     class_of = {}
     for cid, cls in enumerate(report_aubry.classes):
         for node in cls:
@@ -434,20 +421,20 @@ def run_pipeline(config: ExperimentConfig, out_dir=None) -> RunReport:
 
     lp = clock.run("mather_lp", lambda: solve_mather_lp(kernel))
     io.measure_to_csv(lp.measure, os.path.join(out, "mather_measure.csv"))
-    lp_vs_cycle = abs(lp.value - mean)
+    lp_vs_cycle = abs(lp.value + c_cross)
 
-    eps_c = sched.eps_c if sched.eps_c is not None else 10.0 * abs(c_used - c_cross) + 1e-6
     targets = _u0_target_list(sched.u0_targets, grid)
     u0_lp = clock.run(
         "u0_lp",
-        lambda: compute_u0(barrier, kernel, c_used, eps_c, targets, threads=threads),
+        # near-Mather budget: mean Lagrangian within 1e-6 of -c
+        lambda: compute_u0(barrier, kernel, c_cross, 1e-6, targets, threads=threads),
     )
 
     u0_cross_delta = None
     try:
         u0_main = clock.run(
             "u0_mechanical",
-            lambda: u0_mechanical(barrier, spec, grid, c_used, max(sched.eps_aubry, 1e-9)),
+            lambda: u0_mechanical(barrier, spec, grid, c_cross, _EPS_AUBRY),
         )
         u0_cross_delta = float(
             np.abs(u0_main.values[u0_lp.targets] - u0_lp.values).max()
@@ -469,7 +456,7 @@ def run_pipeline(config: ExperimentConfig, out_dir=None) -> RunReport:
         sol = clock.run(
             f"discounted_{lam:g}",
             lambda lam=lam: solve_discounted(
-                grid, spec, lam, stencil, c_used,
+                grid, spec, lam, stencil, c_cross,
                 tol=sched.tol_solve, max_iter=sched.max_iter, kernel=kernel,
             ),
         )
@@ -480,9 +467,7 @@ def run_pipeline(config: ExperimentConfig, out_dir=None) -> RunReport:
         lambda: verify_limit(
             u0_main, solutions, [lp], kernel,
             barrier=barrier, aubry_nodes=report_aubry.nodes,
-            tol_constraint=sched.tol_constraint,
             tol_subsolution=max(10.0 * (barrier.residual or 0.0), 1e-9),
-            tol_prim=sched.tol_prim,
         ),
     )
 
@@ -509,7 +494,7 @@ def run_pipeline(config: ExperimentConfig, out_dir=None) -> RunReport:
         *verification.checks,
         CheckResult(
             "barrier_stable", "pass" if barrier.stable else "warn",
-            float(barrier.residual or 0.0), sched.tol_stabilize,
+            float(barrier.residual or 0.0), _TOL_STABLE,
         ),
         CheckResult(
             "critical_spread", "warn" if table.spread_warning else "pass",
@@ -551,8 +536,8 @@ def run_pipeline(config: ExperimentConfig, out_dir=None) -> RunReport:
         },
         c_est=float(c_est),
         c_cross=float(c_cross),
-        cross_delta=float(cross_delta),
-        c_used=float(c_used),
+        cross_delta=float(abs(c_est - c_cross)),
+        c_used=float(c_cross),
         critical_table=[list(map(float, r)) for r in table.rows()],
         spread_warning=bool(table.spread_warning),
         barrier_residual=float(barrier.residual or 0.0),
@@ -646,7 +631,7 @@ def _cmd_peierls(args) -> int:
     config = _prepare(args)
     grid, spec, _, stencil = _setup(config)
     kernel, _ = _critical_kernel(grid, spec, stencil)
-    barrier = peierls_barrier(kernel, tol=config.schedule.tol_stabilize)
+    barrier = peierls_barrier(kernel, tol=_TOL_STABLE)
     os.makedirs(config.output_dir, exist_ok=True)
     io.write_barrier(barrier, os.path.join(config.output_dir, "barrier"))
     print(
@@ -724,10 +709,7 @@ def _cmd_verify(args) -> int:
     violation = verify_subsolution(GridFunction(grid, values), kernel)
     lp = solve_mather_lp(kernel)
     integral = float(lp.projected @ values)
-    ok = (
-        violation <= config.schedule.tol_constraint
-        and integral <= config.schedule.tol_constraint
-    )
+    ok = violation <= 1e-6 and integral <= 1e-6  # verify_limit's constraint tolerance
     print(f"subsolution_violation={io.fmt(violation)} measure_integral={io.fmt(integral)}")
     return EXIT_OK if ok else EXIT_VERIFICATION
 
@@ -764,6 +746,9 @@ def cli_dispatch(argv) -> int:
         return EXIT_ERROR
     except OSError as exc:
         sys.stderr.write(f"error: {exc}\n")
+        return EXIT_ERROR
+    except MemoryError as exc:
+        sys.stderr.write(f"error: out of memory: {exc}\n")
         return EXIT_ERROR
 
 

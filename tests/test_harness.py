@@ -1,6 +1,7 @@
 import hashlib
 import json
 import os
+import resource
 import subprocess
 import sys
 
@@ -84,7 +85,7 @@ class TestConfig:
                 {"problem": {"family": "transport", "dim": 1, "sizes": [8]}}
             )
 
-    def test_tabulated_family_reads_csv(self, tmp_path):
+    def test_table_potential_reads_csv(self, tmp_path):
         table = tmp_path / "pot.csv"
         with open(table, "w") as fh:
             fh.write("node,value\n")
@@ -93,10 +94,10 @@ class TestConfig:
         cfg = ExperimentConfig.from_dict(
             {
                 "problem": {
-                    "family": "tabulated",
+                    "family": "mechanical",
                     "dim": 1,
                     "sizes": [8],
-                    "table_path": str(table),
+                    "potential": {"name": "table", "path": str(table)},
                 },
                 "schedule": {"lambdas": [0.4, 0.2], "critical_lambdas": [0.2, 0.1, 0.05]},
                 "output_dir": str(tmp_path / "out"),
@@ -234,6 +235,50 @@ class TestCli:
             payload = json.load(fh)
         assert payload["config"]["problem"]["sizes"] == [16]
 
+    @pytest.mark.parametrize("config", ["free32", "pendulum32"])
+    def test_subcommands_are_slices_of_converge(self, config, tmp_path):
+        if config == "free32":
+            path = write_config(tmp_path / "cfg.json", free_config(tmp_path / "ignored"))
+        else:
+            path = os.path.join(os.path.dirname(__file__), "..", "configs", "pendulum.json")
+        run = lambda cmd: cli_dispatch(
+            [cmd, "--config", path, "--grid", "32", "--out", str(tmp_path / cmd)]
+        )
+        assert run("converge") == EXIT_OK
+        slices = {
+            "critical": ["critical.csv"],
+            "peierls": ["barrier.bin", "barrier.json"],
+            "mather": ["mather_measure.csv"],
+        }
+        for cmd, names in slices.items():
+            assert run(cmd) == EXIT_OK
+            for name in names:
+                got = (tmp_path / cmd / name).read_bytes()
+                assert got == (tmp_path / "converge" / name).read_bytes(), (cmd, name)
+
+    def test_out_of_memory_is_one_line_error(self, tmp_path):
+        raw = free_config(tmp_path / "out").to_dict()
+        raw["problem"]["sizes"] = [400_000_000]
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(raw))
+        cap = 3 << 30  # the grid's coordinates alone need 3.2 GB
+
+        def limit_address_space():  # runs in the child only
+            resource.setrlimit(resource.RLIMIT_AS, (cap, cap))
+
+        proc = subprocess.run(
+            [sys.executable, "-m", "weakkam", "bounds", "--config", str(path)],
+            capture_output=True,
+            text=True,
+            preexec_fn=limit_address_space,
+            # one BLAS thread, so its per-thread buffers fit under the cap on any core count
+            env={**os.environ, "OPENBLAS_NUM_THREADS": "1"},
+        )
+        assert proc.returncode == EXIT_ERROR, proc.stderr
+        assert "Traceback" not in proc.stderr, proc.stderr
+        assert proc.stderr.splitlines() == [proc.stderr.strip()]
+        assert proc.stderr.startswith("error: out of memory")
+
     def test_threads_env_var(self, tmp_path, monkeypatch):
         path = write_config(tmp_path / "cfg.json", free_config(tmp_path / "out"))
         monkeypatch.setenv("WEAKKAM_THREADS", "3")
@@ -253,8 +298,12 @@ def _potential(block):
     return _dump(lambda raw: raw["problem"].update(potential=block))
 
 
+def _set(block, **values):
+    return _dump(lambda raw: raw[block].update(values))
+
+
 def _discretization(**values):
-    return _dump(lambda raw: raw["discretization"].update(values))
+    return _set("discretization", **values)
 
 
 # case -> (extra CLI arguments, free32 config document -> file text,
@@ -285,6 +334,26 @@ BAD_INPUTS = {
     "v_search_zero": ([], _discretization(v_search=0), {}, "v_search"),
     "tau_zero": ([], _discretization(tau_rule="explicit", tau=0), {}, "tau"),
     "stencil_k_zero": ([], _discretization(stencil_k=0), {}, "stencil_k"),
+    "tau_without_explicit_rule": ([], _discretization(tau=0.05), {}, "tau"),
+    "drift_on_mechanical": ([], _set("problem", drift=[0.5]), {}, "drift"),
+    "potential_on_transport": (
+        [],
+        _set("problem", family="transport", drift=[0.5],
+             potential={"name": "cosine", "amplitudes": [5.0]}),
+        {},
+        "potential",
+    ),
+    # keys of earlier versions: each is now an unknown key
+    "critical_shift_key": (
+        [], _dump(lambda raw: raw.update(critical_shift="ergodic")), {}, "critical_shift"
+    ),
+    "table_path_key": ([], _set("problem", table_path="pot.csv"), {}, "table_path"),
+    "bounds_c_key": ([], _discretization(bounds_c=1.0), {}, "bounds_c"),
+    "eps_c_key": ([], _set("schedule", eps_c=1e-6), {}, "eps_c"),
+    "eps_aubry_key": ([], _set("schedule", eps_aubry=1e-7), {}, "eps_aubry"),
+    "tol_stabilize_key": ([], _set("schedule", tol_stabilize=1e-6), {}, "tol_stabilize"),
+    "tol_constraint_key": ([], _set("schedule", tol_constraint=1e-6), {}, "tol_constraint"),
+    "tol_prim_key": ([], _set("schedule", tol_prim=1e-3), {}, "tol_prim"),
 }
 
 
