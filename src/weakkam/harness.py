@@ -334,6 +334,7 @@ class RunReport:
     lp_vs_cycle: float
     u0_method: str
     u0_cross_delta: float | None
+    counters: dict           # deterministic solver work: simplex pivots
     convergence: list        # rows (lambda, sup_error, min_neg, max_neg, lipschitz)
     plateau: float
     flags: list              # dicts from CheckResult
@@ -548,6 +549,7 @@ def run_pipeline(config: ExperimentConfig, out_dir=None) -> RunReport:
         lp_vs_cycle=float(lp_vs_cycle),
         u0_method=u0_main.method,
         u0_cross_delta=u0_cross_delta,
+        counters={"mather_lp_pivots": lp.iterations, "u0_pivots": u0_lp.pivots},
         convergence=[list(map(float, r)) for r in convergence],
         plateau=float(verification.plateau),
         flags=flags,

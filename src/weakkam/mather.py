@@ -23,7 +23,7 @@ from .action_barrier import ActionKernel, BarrierMatrix, tight_subgraph, verify_
 from .discounted import DiscountedSolution, EdgeMeasure, discounted_occupation_measure
 from .errors import EmptyAubryError, InfeasibleError, WeakKamError
 from .models import GridFunction, LagrangianSpec, TorusGrid, eval_lagrangian
-from .simplex import solve_standard_form
+from .simplex import CompressedColumns, solve_standard_form
 
 __all__ = [
     "OccupationMeasure",
@@ -127,26 +127,40 @@ class MatherSolveResult:
 
 
 def _edge_columns(kernel: ActionKernel):
-    """Conservation/mass constraint matrix over flattened edges (k*n + tail).
+    """Conservation/mass constraint columns over flattened edges (k*n + tail).
 
     One conservation row per node except the last (rows sum to zero, so the
-    last is redundant), then the unit-mass row.
+    last is redundant), then the unit-mass row. Edge k*n + t stores +1 at its
+    tail row, -1 at its head row and 1 in the mass row; a self-loop's pair
+    cancels, and an end in the dropped last row is stored with value 0.
     """
     n = kernel.num_nodes
-    m_off = kernel.num_offsets
-    n_edges = m_off * n
-    a = np.zeros((n, n_edges))
-    cols = np.arange(n_edges)
-    tails = cols % n
+    tails = np.tile(np.arange(n, dtype=np.int64), kernel.num_offsets)
     heads = kernel.head_index.reshape(-1)  # [k*n + tail] -> head
-    keep_t = tails < n - 1
-    keep_h = heads < n - 1
-    np.add.at(a, (tails[keep_t], cols[keep_t]), 1.0)
-    np.add.at(a, (heads[keep_h], cols[keep_h]), -1.0)
-    a[n - 1, :] = 1.0
+    rows = np.stack([tails, heads, np.full_like(tails, n - 1)])
+    vals = np.stack(
+        [(tails < n - 1).astype(float), -(heads < n - 1).astype(float), np.ones(tails.size)]
+    )
     b = np.zeros(n)
     b[n - 1] = 1.0
-    return a, b
+    return CompressedColumns(rows=rows, vals=vals, num_rows=n), b
+
+
+def _u0_columns(kernel: ActionKernel, budget: float):
+    """_edge_columns plus the budget row n: sum m Lbar + slack = budget.
+
+    The slack >= 0 is the last column; its padding entries sit in row n with
+    value 0.
+    """
+    core, b_core = _edge_columns(kernel)
+    n = kernel.num_nodes
+    rows = np.full((core.rows.shape[0] + 1, core.shape[1] + 1), n)
+    rows[:-1, :-1] = core.rows
+    vals = np.zeros(rows.shape)
+    vals[:-1, :-1] = core.vals
+    vals[-1, :-1] = kernel.edge_lagrangian.reshape(-1)
+    vals[-1, -1] = 1.0
+    return CompressedColumns(rows=rows, vals=vals, num_rows=n + 1), np.append(b_core, budget)
 
 
 def _measure_from_solution(kernel: ActionKernel, x: np.ndarray, weight_tol=1e-12):
@@ -197,6 +211,7 @@ class LimitFunctionResult:
     certificates: tuple               # per target: OccupationMeasure or node id
     c_est: float
     eps: float
+    pivots: int = 0                   # simplex pivots: base solve plus every target
 
 
 def compute_u0(
@@ -218,18 +233,10 @@ def compute_u0(
     if not h.is_square():
         raise WeakKamError("compute_u0 needs the full square barrier")
     targets = np.atleast_1d(np.asarray(targets, dtype=np.int64))
-    n = kernel.num_nodes
     m_off = kernel.num_offsets
 
-    a_core, b_core = _edge_columns(kernel)
-    lbar = kernel.edge_lagrangian.reshape(-1)
     budget = -float(c_est) + float(eps_c)
-    # budget row: sum m Lbar + slack = budget, slack >= 0
-    a = np.zeros((n + 1, m_off * n + 1))
-    a[:n, :-1] = a_core
-    a[n, :-1] = lbar
-    a[n, -1] = 1.0
-    b = np.concatenate([b_core, [budget]])
+    a, b = _u0_columns(kernel, budget)
 
     def objective_for(t: int) -> np.ndarray:
         col = h.values[:, t]
@@ -247,7 +254,7 @@ def compute_u0(
     def solve_target(t: int):
         res = solve_standard_form(a, b, objective_for(t), basis=base_basis)
         measure = _measure_from_solution(kernel, res.x[:-1])
-        return float(res.objective), measure
+        return float(res.objective), measure, res.iterations
 
     workers = max(1, int(threads))
     if workers == 1 or targets.size < 2:
@@ -265,6 +272,7 @@ def compute_u0(
         certificates=certificates,
         c_est=float(c_est),
         eps=float(eps_c),
+        pivots=base.iterations + sum(s[2] for s in solved),
     )
 
 

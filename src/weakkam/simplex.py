@@ -1,8 +1,21 @@
-"""Dense revised simplex for standard-form programs min c.x, Ax = b, x >= 0.
+"""Sparse revised simplex for standard-form programs min c.x, Ax = b, x >= 0.
 
 The solver is self-contained on purpose: the occupation-measure programs it
 backs act as a correctness oracle for the rest of the package, so we want
 full control over pivoting and tolerances rather than an external solver.
+
+The constraint matrix is held as compressed columns (`CompressedColumns`):
+per column, the row indices and values of its nonzeros, padded with zero
+values to the largest column count. The edge programs have at most four
+nonzeros per column, so pricing is a gather-and-sum over them and a dense
+`a` is converted once on entry. Phase-1 artificials are implicit identity
+columns, and rows with b < 0 are flipped by scaling values.
+
+The basis inverse is updated by one rank-one (product-form) pivot per step,
+O(m^2), and refactorized by a dense inverse of the basis matrix at the
+start, every `_REFACTOR_EVERY` pivots and once more at optimality, so the
+returned x, duals and objective carry no accumulated update error; if the
+fresh inverse still prices a column in, pivoting resumes.
 
 Entering variables are priced by Dantzig's rule (most negative reduced cost,
 lowest index on ties). Leaving variables use the lexicographic ratio test,
@@ -22,9 +35,53 @@ import numpy as np
 
 from .errors import InfeasibleError, UnboundedError, WeakKamError
 
-__all__ = ["SimplexResult", "solve_standard_form"]
+__all__ = ["CompressedColumns", "SimplexResult", "solve_standard_form"]
 
 _BLAND_TRIGGER = 2000  # degenerate-streak length before the entering rule falls back
+_REFACTOR_EVERY = 64   # rank-one updates between fresh inverses of the basis
+
+
+@dataclass(frozen=True)
+class CompressedColumns:
+    """An m x n matrix as per-column nonzeros, padded to the largest count.
+
+    `rows` and `vals` have shape (k, n): entry i of column j is
+    vals[i, j] at row rows[i, j]. Padding entries carry value 0, and entries
+    sharing a row add up.
+    """
+
+    rows: np.ndarray
+    vals: np.ndarray
+    num_rows: int
+
+    @property
+    def shape(self) -> tuple[int, int]:
+        return self.num_rows, self.rows.shape[1]
+
+    @classmethod
+    def from_dense(cls, a: np.ndarray) -> CompressedColumns:
+        """Keep the nonzero entries of a dense matrix, column by column."""
+        m, n = a.shape
+        col_ids, row_ids = np.nonzero(a.T)  # column-major, rows ascending
+        counts = np.bincount(col_ids, minlength=n)
+        k = max(int(counts.max(initial=0)), 1)
+        slot = np.arange(col_ids.size) - np.repeat(np.cumsum(counts) - counts, counts)
+        rows = np.zeros((k, n), dtype=np.int64)
+        vals = np.zeros((k, n))
+        rows[slot, col_ids] = row_ids
+        vals[slot, col_ids] = a[row_ids, col_ids]
+        return cls(rows=rows, vals=vals, num_rows=m)
+
+    def price(self, y: np.ndarray) -> np.ndarray:
+        """y @ A by a gather-and-sum over the stored entries."""
+        return np.einsum("ij,ij->j", y[self.rows], self.vals)
+
+    def dense(self, cols) -> np.ndarray:
+        """The dense submatrix A[:, cols]."""
+        cols = np.asarray(cols, dtype=np.int64)
+        out = np.zeros((self.num_rows, cols.size))
+        np.add.at(out, (self.rows[:, cols], np.arange(cols.size)), self.vals[:, cols])
+        return out
 
 
 @dataclass
@@ -36,6 +93,24 @@ class SimplexResult:
     iterations: int
 
 
+def _basis_matrix(a: CompressedColumns, basis: np.ndarray) -> np.ndarray:
+    """Dense basis matrix; columns >= n are the artificial identity columns."""
+    n = a.shape[1]
+    real = basis < n
+    b_mat = np.zeros((a.num_rows, basis.size))
+    b_mat[:, real] = a.dense(basis[real])
+    art = np.nonzero(~real)[0]
+    b_mat[basis[art] - n, art] = 1.0
+    return b_mat
+
+
+def _invert(a, basis):
+    try:
+        return np.linalg.inv(_basis_matrix(a, basis))
+    except np.linalg.LinAlgError as exc:
+        raise WeakKamError(f"singular basis in simplex: {exc}") from exc
+
+
 def _lexico_leave(x_b, d, b_inv, rows, feas_tol):
     """Lexicographic ratio test among candidate rows (d[rows] > 0)."""
     ratios = x_b[rows] / d[rows]
@@ -43,54 +118,87 @@ def _lexico_leave(x_b, d, b_inv, rows, feas_tol):
     tied = rows[ratios <= best + feas_tol * (1.0 + abs(best))]
     if tied.size == 1:
         return int(tied[0])
-    # refine ties column by column of B^-1 / d
-    for col in range(b_inv.shape[1]):
-        vals = b_inv[tied, col] / d[tied]
-        low = vals.min()
-        keep = vals <= low + 1e-12 * (1.0 + abs(low))
-        tied = tied[keep]
-        if tied.size == 1:
-            return int(tied[0])
+    # refine ties column by column of B^-1 / d, keeping the rows within
+    # 1e-12 of the column's least value; a column whose tied values all lie
+    # that close keeps every row, so the scan jumps to the next column that
+    # splits the remaining rows
+    scaled = b_inv[tied] / d[tied, None]
+    col = 0
+    while tied.size > 1:
+        low = scaled[:, col:].min(axis=0)
+        cut = low + 1e-12 * (1.0 + np.abs(low))
+        splits = np.nonzero(scaled[:, col:].max(axis=0) > cut)[0]
+        if splits.size == 0:
+            break
+        keep = scaled[:, col + splits[0]] <= cut[splits[0]]
+        tied, scaled = tied[keep], scaled[keep]
+        col += splits[0] + 1
     return int(tied[0])
 
 
 def _run(a, c, b_vec, basis, allowed, feas_tol, max_iter):
-    """Phase-agnostic pivot loop; `basis` is updated in place."""
-    m, n = a.shape
-    in_basis = np.zeros(n, dtype=bool)
-    in_basis[basis] = True
+    """Phase-agnostic pivot loop; `basis` is updated in place.
+
+    Columns past a.shape[1] are artificial: column n + i is the unit vector
+    of row i. Returns x_B, the duals and the pivot count, all from a fresh
+    inverse of the final basis.
+    """
+    n = a.shape[1]
+    n_total = c.size
+    open_ = allowed.copy()  # may enter: allowed and nonbasic
+    open_[basis] = False
     degenerate_run = 0
-    for iteration in range(max_iter):
-        try:
-            b_inv = np.linalg.inv(a[:, basis])
-        except np.linalg.LinAlgError as exc:
-            raise WeakKamError(f"singular basis in simplex: {exc}") from exc
+    pivots = 0
+    b_inv = _invert(a, basis)
+    fresh = True
+    while True:
         x_b = b_inv @ b_vec
         y = c[basis] @ b_inv
 
-        reduced = c - y @ a
-        eligible = (reduced < -feas_tol) & ~in_basis & allowed
-        candidates = np.nonzero(eligible)[0]
+        priced = a.price(y)
+        if n_total > n:
+            priced = np.concatenate([priced, y])
+        reduced = c - priced
+        candidates = np.nonzero((reduced < -feas_tol) & open_)[0]
         if candidates.size == 0:
-            return x_b, y, iteration
+            if fresh:
+                return x_b, y, pivots
+            b_inv = _invert(a, basis)
+            fresh = True
+            continue
+        if pivots >= max_iter:
+            raise WeakKamError(f"simplex exceeded {max_iter} pivots")
 
         if degenerate_run >= _BLAND_TRIGGER:
             j = int(candidates[0])
         else:
             j = int(candidates[np.argmin(reduced[candidates])])
 
-        d = b_inv @ a[:, j]
+        if j < n:
+            d = b_inv[:, a.rows[:, j]] @ a.vals[:, j]
+        else:
+            d = b_inv[:, j - n].copy()
         rows = np.nonzero(d > feas_tol)[0]
         if rows.size == 0:
             raise UnboundedError("objective unbounded below on the feasible set")
         leave_row = _lexico_leave(np.maximum(x_b, 0.0), d, b_inv, rows, feas_tol)
         step = max(x_b[leave_row], 0.0) / d[leave_row]
 
-        in_basis[basis[leave_row]] = False
-        in_basis[j] = True
+        open_[basis[leave_row]] = allowed[basis[leave_row]]
+        open_[j] = False
         basis[leave_row] = j
         degenerate_run = degenerate_run + 1 if step <= feas_tol else 0
-    raise WeakKamError(f"simplex exceeded {max_iter} pivots")
+        pivots += 1
+        if pivots % _REFACTOR_EVERY == 0:
+            b_inv = _invert(a, basis)
+            fresh = True
+        else:
+            # rows where d is zero are unchanged by the update
+            pivot_row = b_inv[leave_row] / d[leave_row]
+            touched = np.flatnonzero(d)
+            b_inv[touched] -= np.outer(d[touched], pivot_row)
+            b_inv[leave_row] = pivot_row
+            fresh = False
 
 
 def _package(c, basis, x_b, y, iterations, n_real):
@@ -108,7 +216,7 @@ def _package(c, basis, x_b, y, iterations, n_real):
 
 
 def solve_standard_form(
-    a: np.ndarray,
+    a: np.ndarray | CompressedColumns,
     b: np.ndarray,
     c: np.ndarray,
     basis: np.ndarray | None = None,
@@ -117,12 +225,13 @@ def solve_standard_form(
 ) -> SimplexResult:
     """Solve min c.x subject to Ax = b, x >= 0.
 
-    A warm-start basis from a previous solve against the same constraints
-    skips phase 1 entirely. Rows are sign-normalized so b >= 0; a redundant
-    row surfaces as an artificial variable stuck at zero, which is accepted
-    and barred from re-entering.
+    `a` is a dense array or `CompressedColumns`. A warm-start basis from a
+    previous solve against the same constraints skips phase 1 entirely. Rows
+    are sign-normalized so b >= 0; a redundant row surfaces as an artificial
+    variable stuck at zero, which is accepted and barred from re-entering.
     """
-    a = np.asarray(a, dtype=float)
+    if not isinstance(a, CompressedColumns):
+        a = CompressedColumns.from_dense(np.asarray(a, dtype=float))
     b = np.asarray(b, dtype=float).copy()
     c = np.asarray(c, dtype=float)
     m, n = a.shape
@@ -131,8 +240,9 @@ def solve_standard_form(
 
     flip = b < 0
     if flip.any():
-        a = a.copy()
-        a[flip] *= -1.0
+        a = CompressedColumns(
+            rows=a.rows, vals=np.where(flip[a.rows], -a.vals, a.vals), num_rows=m
+        )
         b[flip] *= -1.0
 
     if basis is not None and (np.asarray(basis) < n).all():
@@ -140,7 +250,7 @@ def solve_standard_form(
         if warm.shape != (m,):
             raise WeakKamError("warm-start basis must have one column per row")
         try:
-            probe = np.linalg.solve(a[:, warm], b)
+            probe = np.linalg.solve(a.dense(warm), b)
         except np.linalg.LinAlgError:
             probe = None
         if probe is not None and (probe >= -1e-7).all():
@@ -149,23 +259,21 @@ def solve_standard_form(
             return _package(c, warm, x_b, y, its, n)
         # stale or singular warm start: fall through to a cold start
 
-    # phase 1: artificial identity block
-    a1 = np.hstack([a, np.eye(m)])
+    # phase 1: implicit artificial identity block, columns n .. n+m-1
     c1 = np.concatenate([np.zeros(n), np.ones(m)])
     work_basis = np.arange(n, n + m, dtype=np.int64)
     allowed = np.ones(n + m, dtype=bool)
-    x_b, y, its1 = _run(a1, c1, b, work_basis, allowed, feas_tol, max_iter)
+    x_b, y, its1 = _run(a, c1, b, work_basis, allowed, feas_tol, max_iter)
     residue = float(x_b[work_basis >= n].sum()) if (work_basis >= n).any() else 0.0
     if residue > 1e-7:
         raise InfeasibleError(f"phase-1 optimum {residue:.3e} > 0: program infeasible")
 
     # drive leftover artificials out wherever a real column can replace them
     for row in np.nonzero(work_basis >= n)[0]:
-        b_mat = a1[:, work_basis]
         e_row = np.zeros(m)
         e_row[row] = 1.0
-        weights = np.linalg.solve(b_mat.T, e_row)
-        pivot_row = weights @ a  # row of B^-1 A over real columns
+        weights = np.linalg.solve(_basis_matrix(a, work_basis).T, e_row)
+        pivot_row = a.price(weights)  # row of B^-1 A over real columns
         for j in np.nonzero(np.abs(pivot_row) > 1e-7)[0]:
             if j not in work_basis:
                 work_basis[row] = j
@@ -174,5 +282,5 @@ def solve_standard_form(
     # phase 2: artificials keep zero cost but may not re-enter
     c2 = np.concatenate([c, np.zeros(m)])
     allowed[n:] = False
-    x_b, y, its2 = _run(a1, c2, b, work_basis, allowed, feas_tol, max_iter)
+    x_b, y, its2 = _run(a, c2, b, work_basis, allowed, feas_tol, max_iter)
     return _package(c2, work_basis, x_b, y, its1 + its2, n)

@@ -144,6 +144,8 @@ class TestPipeline:
             expected_keys = json.load(fh)
         assert sorted(payload.keys()) == expected_keys["top_level"]
         assert sorted(payload["bounds"].keys()) == expected_keys["bounds"]
+        assert sorted(payload["counters"].keys()) == expected_keys["counters"]
+        assert all(type(v) is int and v >= 0 for v in payload["counters"].values())
         flag_names = [f["name"] for f in payload["flags"]]
         assert flag_names == expected_keys["flags"]
         assert report.passed is payload["passed"]

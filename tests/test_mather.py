@@ -3,6 +3,8 @@ import pytest
 
 import weakkam as wk
 from weakkam.errors import EmptyAubryError, WeakKamError
+from weakkam.mather import _edge_columns, _u0_columns
+from weakkam.simplex import _REFACTOR_EVERY, solve_standard_form
 
 from conftest import make_problem, pendulum_potential, two_well_potential
 
@@ -26,6 +28,138 @@ def cycle_mean_oracle(kernel):
         )
         best = min(best, total / len(cyc))
     return best
+
+
+def dense_edge_columns(kernel):
+    """Reference assembly: the closed-measure constraints as a dense matrix.
+
+    One conservation row per node except the last, then the unit-mass row,
+    over flattened edges k*n + tail.
+    """
+    n = kernel.num_nodes
+    n_edges = kernel.num_offsets * n
+    a = np.zeros((n, n_edges))
+    cols = np.arange(n_edges)
+    tails = cols % n
+    heads = kernel.head_index.reshape(-1)
+    keep_t = tails < n - 1
+    keep_h = heads < n - 1
+    np.add.at(a, (tails[keep_t], cols[keep_t]), 1.0)
+    np.add.at(a, (heads[keep_h], cols[keep_h]), -1.0)
+    a[n - 1, :] = 1.0
+    b = np.zeros(n)
+    b[n - 1] = 1.0
+    return a, b
+
+
+def dense_u0_columns(kernel, budget):
+    """Reference assembly of the u0 program: budget row and its slack column."""
+    a_core, b_core = dense_edge_columns(kernel)
+    n, n_edges = a_core.shape
+    a = np.zeros((n + 1, n_edges + 1))
+    a[:n, :-1] = a_core
+    a[n, :-1] = kernel.edge_lagrangian.reshape(-1)
+    a[n, -1] = 1.0
+    return a, np.concatenate([b_core, [budget]])
+
+
+def expand(cols):
+    return cols.dense(np.arange(cols.shape[1]))
+
+
+BUILT = {
+    "cosine4x4": lambda: make_problem(
+        4, wk.cosine_potential([1.0, 1.0], [1.0, 1.0]), dim=2, tau=0.25, k=1, alpha=1.0
+    ),
+    "transport8": lambda: make_problem(8, drift=[0.5], tau=0.25, k=2, alpha=1.0),
+    "two_well32": lambda: make_problem(32, two_well_potential()),
+}
+
+
+def problem(name, request):
+    """A problem built here, or else the conftest fixture of that name."""
+    return BUILT[name]() if name in BUILT else request.getfixturevalue(name)
+
+
+class TestAssembly:
+    @pytest.mark.parametrize("name", ["pendulum16", "free32", "cosine4x4", "transport8"])
+    def test_compressed_matches_dense_oracle(self, name, request):
+        p = problem(name, request)
+        kernel = p.kernel
+        a, b = _edge_columns(kernel)
+        a_ref, b_ref = dense_edge_columns(kernel)
+        assert a.shape == a_ref.shape
+        np.testing.assert_array_equal(expand(a), a_ref)
+        np.testing.assert_array_equal(b, b_ref)
+        budget = -p.c_star + 1e-6
+        u, ub = _u0_columns(kernel, budget)
+        u_ref, ub_ref = dense_u0_columns(kernel, budget)
+        assert u.shape == u_ref.shape
+        np.testing.assert_array_equal(expand(u), u_ref)
+        np.testing.assert_array_equal(ub, ub_ref)
+        assert a.rows.shape[0] == 3 and u.rows.shape[0] == 4
+
+    def test_free_self_loops_vanish_from_conservation_rows(self, free32):
+        kernel = free32.kernel
+        a, _ = _edge_columns(kernel)
+        tails = np.tile(np.arange(32), kernel.num_offsets)
+        loops = np.nonzero(kernel.head_index.reshape(-1) == tails)[0]
+        assert loops.size == 32
+        dense = a.dense(loops)
+        np.testing.assert_array_equal(dense[:-1], 0.0)
+        np.testing.assert_array_equal(dense[-1], 1.0)
+
+    def test_negative_budget_takes_the_sign_flip(self, pendulum16):
+        p = pendulum16
+        budget = -p.c_star + 1e-6
+        assert budget < 0
+        h = wk.peierls_barrier(p.kernel)
+        u, ub = _u0_columns(p.kernel, budget)
+        c = np.concatenate([np.tile(h.values[:, 5], p.kernel.num_offsets), [0.0]])
+        res = solve_standard_form(u, ub, c)
+        u_ref, _ = dense_u0_columns(p.kernel, budget)
+        assert np.abs(u_ref @ res.x - ub).max() <= 1e-10
+        assert ub[-1] == budget  # the caller's right-hand side is left as given
+
+
+def highs(a, b, c):
+    from scipy.optimize import linprog
+
+    res = linprog(c, A_eq=a, b_eq=b, bounds=[(0, None)] * c.size, method="highs")
+    assert res.status == 0, res.message
+    return res.fun
+
+
+class TestLPCertificates:
+    @pytest.mark.parametrize("name", ["pendulum16", "two_well32", "transport8"])
+    def test_objectives_match_highs(self, name, request):
+        p = problem(name, request)
+        kernel = p.kernel
+        lp = wk.solve_mather_lp(kernel)
+        a_ref, b_ref = dense_edge_columns(kernel)
+        assert lp.value == pytest.approx(
+            highs(a_ref, b_ref, kernel.edge_lagrangian.reshape(-1)), abs=1e-9
+        )
+
+        h = wk.peierls_barrier(kernel)
+        n = kernel.num_nodes
+        targets = [0, n // 3, n - 1]
+        u0 = wk.compute_u0(h, kernel, p.c_star, 1e-6, targets)
+        u_ref, ub_ref = dense_u0_columns(kernel, -p.c_star + 1e-6)
+        for t, value in zip(targets, u0.values):
+            c = np.concatenate([np.tile(h.values[:, t], kernel.num_offsets), [0.0]])
+            assert value == pytest.approx(highs(u_ref, ub_ref, c), abs=1e-9)
+
+    def test_refactorized_solve_certifies_itself(self):
+        # enough pivots to pass several refactorization points
+        kernel = make_problem(60, two_well_potential()).kernel
+        a, b = _edge_columns(kernel)
+        c = kernel.edge_lagrangian.reshape(-1)
+        res = solve_standard_form(a, b, c)
+        assert res.iterations > _REFACTOR_EVERY
+        a_ref, _ = dense_edge_columns(kernel)
+        assert (c - res.duals @ a_ref).min() >= -1e-9
+        assert np.abs(a_ref @ res.x - b).max() <= 1e-10
 
 
 class TestMinMeanCycle:
