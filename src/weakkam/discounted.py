@@ -1,6 +1,7 @@
-"""Semi-Lagrangian value iteration for the discounted equation.
+"""The discounted equation on the action graph: value iteration, policy
+iteration for the critical-value table, and occupation measures.
 
-The solver shares the action kernel's edge costs: one backward step of
+All solvers share the action kernel's edge costs: one backward step of
 duration tau from x lands at a stencil predecessor y = x - tau*v_k and pays
 
     u(x) = min_k  (1 - beta)/(lambda*tau) * cost(y -> x) + beta * u(y),
@@ -10,6 +11,13 @@ of the integral of exp(lambda*s) over one backward step, so along any fixed
 path the discounted cost is monotone in lambda whenever the shifted running
 cost is nonnegative; that monotonicity is exact, not approximate, and the
 tests rely on it.
+
+A policy picks one stencil offset per node, so it maps every node to one
+predecessor: a functional graph. The critical-value table therefore uses
+Howard's policy iteration, which evaluates each policy exactly by pointer
+doubling, and an occupation measure is a closed geometric sum over the
+rho (tail plus cycle) shape of one policy orbit. `solve_discounted` keeps
+Jacobi value iteration with its residual stopping rule.
 """
 
 from __future__ import annotations
@@ -29,6 +37,7 @@ __all__ = [
     "DiscountedOccupationMeasure",
     "CriticalValueTable",
     "discounted_sweeps",
+    "discounted_policy_iteration",
     "solve_discounted",
     "critical_value_estimate",
     "backward_trajectory",
@@ -156,6 +165,7 @@ class CriticalValueTable:
     spreads: tuple[float, ...]
     c_est: float
     spread_warning: bool
+    rounds: tuple[int, ...]      # policy-iteration rounds per lambda
 
     def rows(self):
         return list(zip(self.lambdas, self.mins, self.maxs, self.mids, self.spreads))
@@ -171,21 +181,81 @@ def _neville_at_zero(xs: list[float], ys: list[float]) -> float:
     return vals[0]
 
 
+# a node switches offset only when that lowers its value by more than this
+# fraction of sup|u|, well above the rounding of the evaluation below
+_IMPROVE_RTOL = 1e-14
+
+
+def _evaluate_policy(step_cost: np.ndarray, succ: np.ndarray, beta: float) -> np.ndarray:
+    """Exact solution of u = step_cost + beta * u[succ] by pointer doubling.
+
+    After j doublings, a(x) is the sum of the first 2^j discounted step costs
+    along the orbit x, succ(x), succ(succ(x)), ... and the rest of the series
+    is b * u(succ^(2^j)(x)) with b = beta^(2^j); it is dropped once b is
+    below double rounding.
+    """
+    a, p, b = step_cost, succ, beta
+    while b >= 2.0**-53:
+        a = a + b * a[p]
+        p = p[p]
+        b *= b
+    return a
+
+
+def discounted_policy_iteration(
+    kernel: ActionKernel, lam: float, max_iter: int = 5_000_000
+) -> tuple[np.ndarray, int]:
+    """Exact discounted fixed point by Howard's policy iteration.
+
+    Starts from the per-node cheapest step, evaluates each policy exactly and
+    switches a node to its best offset only when that is strictly better
+    beyond the rounding tolerance, so the iteration terminates; argmin ties
+    go to the lowest stencil index. Returns (u, rounds), where a round is one
+    evaluation plus one improvement pass and the last round is the one that
+    finds nothing to improve. Raises ConvergenceError after max_iter rounds.
+    """
+    tau = kernel.stencil.tau
+    beta = math.exp(-lam * tau)
+    if not beta < 1.0:
+        raise WeakKamError("discount lambda*tau must be positive and above double rounding")
+    cost_in = (1.0 - beta) / (lam * tau) * kernel.costs_by_head()
+    pred = kernel.pred_index
+    cols = np.arange(kernel.num_nodes)
+    policy = cost_in.argmin(axis=0)
+    gain = np.array([np.inf])   # until the first improvement pass
+    for rounds in range(1, max_iter + 1):
+        u = _evaluate_policy(cost_in[policy, cols], pred[policy, cols], beta)
+        q = cost_in + beta * u[pred]
+        best = q.argmin(axis=0)
+        gain = q[policy, cols] - q[best, cols]
+        better = gain > _IMPROVE_RTOL * np.abs(u).max()
+        if not better.any():
+            return u, rounds
+        policy = np.where(better, best, policy)
+    raise ConvergenceError(
+        f"policy iteration hit max_iter={max_iter} rounds with a node still "
+        f"improving by {gain.max():.3e}",
+        residual=float(gain.max()),
+        iterations=max_iter,
+    )
+
+
 def critical_value_estimate(
     grid: TorusGrid,
     spec: LagrangianSpec,
     stencil: VelocityStencil,
     lambda_schedule,
-    tol: float = 1e-8,
     max_iter: int = 5_000_000,
 ) -> tuple[float, CriticalValueTable]:
     """Estimate c(H) from -lambda*u_lambda along a decreasing lambda schedule.
 
-    Solves with shift c = 0 for each lambda, records the node range of
-    -lambda*u_lambda, and Richardson-extrapolates the midpoint sequence to
-    lambda = 0 (Neville on the last three points). The per-lambda spread
-    max - min must shrink along the schedule; if it does not, the table
-    carries a warning flag signaling a too-coarse discretization.
+    For each lambda, finds the exact discounted solution u_lambda at shift
+    c = 0 by policy iteration (at most max_iter rounds, else
+    ConvergenceError), records the node range of -lambda*u_lambda, and
+    Richardson-extrapolates the midpoint sequence to lambda = 0 (Neville on
+    the last three points). The per-lambda spread max - min must shrink along
+    the schedule; if it does not, the table carries a warning flag signaling
+    a too-coarse discretization.
     """
     lambdas = [float(l) for l in lambda_schedule]
     if len(lambdas) < 3:
@@ -194,16 +264,15 @@ def critical_value_estimate(
         raise WeakKamError("the lambda schedule must be strictly decreasing")
 
     kernel = build_kernel(grid, spec, stencil, c=0.0)
-    mins, maxs, mids, spreads = [], [], [], []
+    mins, maxs, mids, spreads, rounds = [], [], [], [], []
     for lam in lambdas:
-        sol = solve_discounted(
-            grid, spec, lam, stencil, c=0.0, tol=tol, max_iter=max_iter, kernel=kernel
-        )
-        neg = -lam * sol.values.values
+        u, n_rounds = discounted_policy_iteration(kernel, lam, max_iter)
+        neg = -lam * u
         mins.append(float(neg.min()))
         maxs.append(float(neg.max()))
         mids.append(0.5 * (mins[-1] + maxs[-1]))
         spreads.append(maxs[-1] - mins[-1])
+        rounds.append(n_rounds)
 
     tail = min(3, len(lambdas))
     c_est = _neville_at_zero(lambdas[-tail:], mids[-tail:])
@@ -216,6 +285,7 @@ def critical_value_estimate(
         spreads=tuple(spreads),
         c_est=float(c_est),
         spread_warning=warn,
+        rounds=tuple(rounds),
     )
     return float(c_est), table
 
@@ -345,18 +415,37 @@ def discounted_occupation_measure(
         needed = int(math.ceil(math.log(1.0 / tail_threshold) / (sol.lam * sol.tau)))
         n_steps = min(needed, max_steps)
     tail = beta**n_steps
-    traj = backward_trajectory(sol, x0, n_steps)
 
-    raw = (1.0 - beta) * np.power(beta, np.arange(n_steps))
+    # walk the orbit x_0 = x0, x_{i+1} = pred[policy[x_i], x_i] until the
+    # horizon or the first repeat x_L = x_mu; step i is fixed by x_i alone
+    n = sol.grid.num_nodes
+    succ = sol.kernel.pred_index[sol.policy, np.arange(n)].tolist()
+    first_visit: dict[int, int] = {}
+    x = int(x0) % n
+    while len(first_visit) < n_steps and x not in first_visit:
+        first_visit[x] = len(first_visit)
+        x = succ[x]
+    nodes = np.fromiter(first_visit, dtype=np.int64, count=len(first_visit))
+    walked = nodes.size
+
+    # step i carries (1-beta)*beta^i; on the cycle x_mu..x_{L-1} step i recurs
+    # at i + period, i + 2*period, ... up to N-1, a geometric series in
+    # beta^period with count_i terms
+    raw = (1.0 - beta) * np.power(beta, np.arange(walked))
+    if walked < n_steps:
+        mu = first_visit[x]
+        period = walked - mu
+        counts = (n_steps - 1 - np.arange(mu, walked)) // period + 1
+        raw[mu:] *= (1.0 - np.power(beta, period * counts)) / (1.0 - beta**period)
+        x = int(nodes[mu + (n_steps - mu) % period])
     raw /= 1.0 - tail
 
-    # aggregate repeated (tail node, offset) pairs; order by first appearance
-    key = traj.nodes[1:] * sol.stencil.num_offsets + traj.offsets
-    uniq, inverse = np.unique(key, return_inverse=True)
-    weights = np.zeros(uniq.size)
-    np.add.at(weights, inverse, raw)
-    tails = (uniq // sol.stencil.num_offsets).astype(np.int64)
-    offset_ids = (uniq % sol.stencil.num_offsets).astype(np.int64)
+    offsets = sol.policy[nodes]
+    tails = sol.kernel.pred_index[offsets, nodes]
+    order = np.argsort(tails * sol.stencil.num_offsets + offsets)
+    tails = tails[order].astype(np.int64)
+    offset_ids = offsets[order].astype(np.int64)
+    weights = raw[order]
 
     return DiscountedOccupationMeasure(
         grid=sol.grid,
@@ -369,5 +458,5 @@ def discounted_occupation_measure(
         steps=n_steps,
         tail_bound=float(tail),
         tail_warning=bool(tail > tail_threshold),
-        final_node=int(traj.nodes[-1]),
+        final_node=x,
     )

@@ -334,7 +334,7 @@ class RunReport:
     lp_vs_cycle: float
     u0_method: str
     u0_cross_delta: float | None
-    counters: dict           # deterministic solver work: simplex pivots
+    counters: dict           # deterministic solver work: pivots, rounds, sweeps
     convergence: list        # rows (lambda, sup_error, min_neg, max_neg, lipschitz)
     plateau: float
     flags: list              # dicts from CheckResult
@@ -372,11 +372,13 @@ def _u0_target_list(option, grid):
 def run_pipeline(config: ExperimentConfig, out_dir=None) -> RunReport:
     """Execute the full experiment and write all artifacts.
 
-    Stage order: stability bounds, stencil, ergodic critical-value estimate,
-    kernel at the critical shift -(minimum cycle mean), Peierls barrier,
-    Aubry set and Mather classes, Mather LP, u0 (both characterizations when
-    the family allows the rest-point shortcut), discounted solves down the
-    lambda schedule, verification battery.
+    Stage order: stability bounds, stencil, ergodic critical-value estimate
+    (exact discounted solutions at shift 0 by policy iteration down
+    critical_lambdas), kernel at the critical shift -(minimum cycle mean),
+    Peierls barrier, Aubry set and Mather classes, Mather LP, u0 (both
+    characterizations when the family allows the rest-point shortcut),
+    discounted solves by value iteration down the lambda schedule,
+    verification battery.
     """
     config = config.validate()
     out = os.fspath(out_dir or config.output_dir)
@@ -390,8 +392,7 @@ def run_pipeline(config: ExperimentConfig, out_dir=None) -> RunReport:
     c_est, table = clock.run(
         "critical",
         lambda: critical_value_estimate(
-            grid, spec, stencil, sched.critical_lambdas,
-            tol=sched.tol_solve, max_iter=sched.max_iter,
+            grid, spec, stencil, sched.critical_lambdas, max_iter=sched.max_iter
         ),
     )
 
@@ -549,7 +550,12 @@ def run_pipeline(config: ExperimentConfig, out_dir=None) -> RunReport:
         lp_vs_cycle=float(lp_vs_cycle),
         u0_method=u0_main.method,
         u0_cross_delta=u0_cross_delta,
-        counters={"mather_lp_pivots": lp.iterations, "u0_pivots": u0_lp.pivots},
+        counters={
+            "mather_lp_pivots": lp.iterations,
+            "u0_pivots": u0_lp.pivots,
+            "critical_policy_rounds": sum(table.rounds),
+            "discounted_sweeps": sum(sol.iterations for sol in solutions),
+        },
         convergence=[list(map(float, r)) for r in convergence],
         plateau=float(verification.plateau),
         flags=flags,
@@ -617,7 +623,7 @@ def _cmd_critical(args) -> int:
     grid, spec, _, stencil = _setup(config)
     c_est, table = critical_value_estimate(
         grid, spec, stencil, config.schedule.critical_lambdas,
-        tol=config.schedule.tol_solve, max_iter=config.schedule.max_iter,
+        max_iter=config.schedule.max_iter,
     )
     os.makedirs(config.output_dir, exist_ok=True)
     io.write_csv(

@@ -111,6 +111,12 @@ def free32():
     return make_problem(32)
 
 
+@pytest.fixture(scope="session")
+def cos2d():
+    # V(x) = cos(2 pi x0) + cos(2 pi x1) on 8x8, max V = 2 at the origin node
+    return make_problem(8, potential=wk.cosine_potential([1.0, 1.0], [1.0, 1.0]), dim=2)
+
+
 def maupertuis_action(potential_1d, c, a, b):
     """Adaptive quadrature of sqrt(2(c - V(s))) from a to b (straight arc)."""
     from scipy.integrate import quad

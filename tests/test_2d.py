@@ -17,12 +17,6 @@ def free2d():
     return make_problem(8, dim=2)
 
 
-@pytest.fixture(scope="module")
-def cos2d():
-    # V(x) = cos(2 pi x0) + cos(2 pi x1), max V = 2 at the origin node
-    return make_problem(8, potential=wk.cosine_potential([1.0, 1.0], [1.0, 1.0]), dim=2)
-
-
 class TestFreeParticle2D:
     def test_critical_value_zero(self, free2d):
         mean, cycle = wk.min_mean_cycle(free2d.kernel0)

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 import weakkam as wk
-from weakkam.discounted import discounted_sweeps
+from weakkam.discounted import discounted_policy_iteration, discounted_sweeps
 from weakkam.errors import ConvergenceError, WeakKamError
 
 from conftest import make_problem, pendulum_potential
@@ -33,6 +33,71 @@ def brute_force_discounted(kernel, lam, steps):
                 acc = c + beta * acc
             best[start] = min(best[start], acc)
     return best
+
+
+def step_walk_occupation_measure(sol, x0, n_steps=None, tail_threshold=1e-8, max_steps=20_000_000):
+    """Reference occupation measure: walk all N policy steps and add up the
+    geometric weights edge by edge."""
+    beta = sol.beta
+    if n_steps is None:
+        needed = int(math.ceil(math.log(1.0 / tail_threshold) / (sol.lam * sol.tau)))
+        n_steps = min(needed, max_steps)
+    tail = beta**n_steps
+    traj = wk.backward_trajectory(sol, x0, n_steps)
+    raw = (1.0 - beta) * np.power(beta, np.arange(n_steps))
+    raw /= 1.0 - tail
+    key = traj.nodes[1:] * sol.stencil.num_offsets + traj.offsets
+    uniq, inverse = np.unique(key, return_inverse=True)
+    weights = np.zeros(uniq.size)
+    np.add.at(weights, inverse, raw)
+    return dict(
+        tails=(uniq // sol.stencil.num_offsets).astype(np.int64),
+        offset_ids=(uniq % sol.stencil.num_offsets).astype(np.int64),
+        weights=weights,
+        steps=n_steps,
+        tail_bound=float(tail),
+        final_node=int(traj.nodes[-1]),
+    )
+
+
+def assert_matches_step_walk(sol, x0, **kwargs):
+    """The closed-form occupation measure equals the step walk: the same
+    support in the same order, weights to 1e-12 (the sums run in another
+    order), and the same horizon, tail and final node."""
+    got = wk.discounted_occupation_measure(sol, x0, **kwargs)
+    ref = step_walk_occupation_measure(sol, x0, **kwargs)
+    np.testing.assert_array_equal(got.tails, ref["tails"])
+    np.testing.assert_array_equal(got.offset_ids, ref["offset_ids"])
+    assert got.tails.dtype == got.offset_ids.dtype == np.int64
+    assert np.abs(got.weights - ref["weights"]).max() <= 1e-12
+    assert got.steps == ref["steps"]
+    assert got.tail_bound == ref["tail_bound"]
+    assert got.final_node == ref["final_node"]
+    return got
+
+
+def converged_sweeps(kernel, lam, chunk=500, max_chunks=400):
+    """Value iteration from zero until one sweep changes u by at most 1e-14."""
+    u = np.zeros(kernel.num_nodes)
+    for _ in range(max_chunks):
+        u = discounted_sweeps(kernel, lam, chunk, init=u)
+        nxt = discounted_sweeps(kernel, lam, 1, init=u)
+        if np.abs(nxt - u).max() <= 1e-14:
+            return nxt
+        u = nxt
+    raise AssertionError("value iteration did not settle to 1e-14")
+
+
+@pytest.fixture(scope="module")
+def transport8():
+    return make_problem(8, drift=[0.5], tau=0.25, k=2, alpha=1.0)
+
+
+@pytest.fixture(scope="module")
+def cos4x4():
+    # the default time step does not fit a 4x4 torus: one-cell stencil, speed 1
+    potential = wk.cosine_potential([1.0, 1.0], [1.0, 1.0])
+    return make_problem(4, potential=potential, dim=2, tau=0.25, k=1, alpha=1.0)
 
 
 class TestSolveDiscounted:
@@ -105,6 +170,31 @@ class TestSolveDiscounted:
                 assert np.abs(got - oracle).max() <= 1e-12
 
 
+class TestPolicyIteration:
+    @pytest.mark.parametrize("name", ["pendulum16", "free32", "transport8", "cos4x4"])
+    @pytest.mark.parametrize("lam", [0.2, 0.025])
+    def test_matches_converged_value_iteration(self, request, name, lam):
+        kernel = request.getfixturevalue(name).kernel0
+        u, rounds = discounted_policy_iteration(kernel, lam)
+        oracle = converged_sweeps(kernel, lam)
+        assert rounds >= 1
+        assert np.abs(u - oracle).max() <= 1e-10
+
+    def test_max_iter_raises(self, pendulum16):
+        p = pendulum16
+        with pytest.raises(ConvergenceError) as err:
+            wk.critical_value_estimate(p.grid, p.spec, p.stencil, [0.2, 0.1, 0.05], max_iter=1)
+        assert err.value.iterations == 1
+
+    def test_rounds_recorded_per_lambda(self, pendulum16, free32):
+        p = pendulum16
+        _, table = wk.critical_value_estimate(p.grid, p.spec, p.stencil, [0.2, 0.1, 0.05])
+        assert len(table.rounds) == 3 and min(table.rounds) >= 2
+        # the cheapest step (stay put) is already optimal for the free particle
+        _, table = wk.critical_value_estimate(free32.grid, free32.spec, free32.stencil, [0.2, 0.1, 0.05])
+        assert table.rounds == (1, 1, 1)
+
+
 class TestCriticalValue:
     def test_free_particle(self, free32):
         c, table = wk.critical_value_estimate(
@@ -113,8 +203,8 @@ class TestCriticalValue:
         assert abs(c) <= 1e-9
         assert not table.spread_warning
 
-    def test_transport_representable(self):
-        p = make_problem(8, drift=[0.5], tau=0.25, k=2, alpha=1.0)
+    def test_transport_representable(self, transport8):
+        p = transport8
         c, table = wk.critical_value_estimate(p.grid, p.spec, p.stencil, [0.2, 0.1, 0.05, 0.025])
         assert abs(c) <= 1e-9
 
@@ -219,7 +309,7 @@ class TestOccupationMeasure:
         sol = wk.solve_discounted(
             free32.grid, free32.spec, 0.2, free32.stencil, c=0.0, kernel=free32.kernel0
         )
-        occ = wk.discounted_occupation_measure(sol, 7)
+        occ = assert_matches_step_walk(sol, 7)
         assert occ.tails.tolist() == [7]
         assert occ.offset_ids.tolist() == [free32.stencil.zero_index]
         assert occ.weights[0] == pytest.approx(1.0, abs=1e-12)
@@ -254,3 +344,41 @@ class TestOccupationMeasure:
         occ = wk.discounted_occupation_measure(sol, 8, n_steps=10)
         assert occ.tail_warning
         assert occ.tail_bound > 1e-8
+
+
+class TestOccupationMeasureOracle:
+    """The closed form over the policy orbit's tail and cycle against the step walk."""
+
+    @pytest.mark.parametrize("lam", [0.05, 0.01])
+    def test_pendulum(self, pendulum16, lam):
+        p = pendulum16
+        sol = wk.solve_discounted(p.grid, p.spec, lam, p.stencil, p.c_star, kernel=p.kernel)
+        for x0 in range(p.grid.num_nodes):
+            assert_matches_step_walk(sol, x0)
+
+    @pytest.mark.parametrize("n_steps", [1, 5, 7, 8, 9, 10])
+    def test_truncated_horizon(self, pendulum16, n_steps):
+        # the orbit of node 8 is 8, 10, 11, ..., 15 and then 0 for ever: the
+        # horizon ends before, at and after the point where the cycle closes
+        p = pendulum16
+        sol = wk.solve_discounted(p.grid, p.spec, 0.05, p.stencil, p.c_star, kernel=p.kernel)
+        orbit = wk.backward_trajectory(sol, 8, 10).nodes
+        assert orbit.tolist() == [8, 10, 11, 12, 13, 14, 15, 0, 0, 0, 0]
+        occ = assert_matches_step_walk(sol, 8, n_steps=n_steps)
+        assert occ.tails.size == min(n_steps, 8)
+        assert occ.tail_warning
+
+    @pytest.mark.parametrize("n_steps", [None, 5, 8, 13])
+    def test_transport_cycle(self, transport8, n_steps):
+        # the drift carries every orbit once round the torus: a period-8 cycle
+        p = transport8
+        sol = wk.solve_discounted(p.grid, p.spec, 0.025, p.stencil, p.c_star, kernel=p.kernel)
+        assert wk.backward_trajectory(sol, 3, 8).nodes.tolist() == [3, 2, 1, 0, 7, 6, 5, 4, 3]
+        for x0 in range(p.grid.num_nodes):
+            assert_matches_step_walk(sol, x0, n_steps=n_steps)
+
+    def test_2d_cosine(self, cos2d):
+        p = cos2d
+        sol = wk.solve_discounted(p.grid, p.spec, 0.0625, p.stencil, p.c_star, kernel=p.kernel)
+        for x0 in range(0, p.grid.num_nodes, 3):
+            assert_matches_step_walk(sol, x0)
