@@ -10,6 +10,14 @@ over near-minimizing mu.
 Two independent routes compute the optimal value: a Karp-style minimum mean
 cycle and the in-module simplex. They must agree to 1e-8 on every builtin
 problem, which is one of the package's acceptance gates.
+
+Both edge programs start the simplex at the vertex the critical graph
+implies: the extreme Mather measures are uniform measures on critical
+cycles, so a critical cycle plus a shortest-path in-tree to it is a
+spanning basis (network simplex) that is usually optimal. The simplex still
+prices every column on a fresh inverse of that basis, pivots on when it is
+not optimal and starts cold when it is singular or infeasible, so its value
+stays a certificate rather than a copy of the graph route.
 """
 
 from __future__ import annotations
@@ -175,12 +183,70 @@ def _measure_from_solution(kernel: ActionKernel, x: np.ndarray, weight_tol=1e-12
     )
 
 
+def _spanning_basis(kernel: ActionKernel, weights: np.ndarray, cycle_edges: np.ndarray):
+    """Edge columns of a cycle plus a shortest-path in-tree to it, or None.
+
+    `weights` is (num_offsets, num_nodes) by tail and sums to zero around
+    the cycle, whose edges `cycle_edges` (k*n + tail) are listed in walking
+    order. The cycle nodes take the potentials that price their cycle edges
+    at zero; Bellman-Ford then gives every other node the out-edge of its
+    shortest path to the cycle, switching only on strict improvement. Under
+    weights with no negative cycle these n columns are an optimal spanning
+    basis of the closed-measure program (network simplex). None when some
+    node does not reach the cycle through its chosen edges.
+    """
+    n = kernel.num_nodes
+    heads = kernel.head_index
+    nodes = np.arange(n)
+    cyc_k, cyc_t = np.divmod(np.asarray(cycle_edges, dtype=np.int64), n)
+    phi = np.full(n, np.inf)
+    phi[cyc_t[0]] = 0.0
+    for k, t in zip(cyc_k[:0:-1], cyc_t[:0:-1]):
+        phi[t] = weights[k, t] + phi[heads[k, t]]
+    choice = np.full(n, -1, dtype=np.int64)
+    choice[cyc_t] = cyc_k
+    free = choice < 0
+    for _ in range(n):
+        cand = weights + phi[heads]
+        k_best = np.argmin(cand, axis=0)
+        best = cand[k_best, nodes]
+        better = free & (best < phi)
+        if not better.any():
+            break
+        phi[better] = best[better]
+        choice[better] = k_best[better]
+    if (choice < 0).any():
+        return None
+    # after n steps along the chosen edges every node must sit on the cycle
+    succ = heads[choice, nodes]
+    for _ in range(n.bit_length()):
+        succ = succ[succ]
+    if free[succ].any():
+        return None
+    return choice * n + nodes
+
+
+def _mather_basis(kernel: ActionKernel):
+    """Spanning basis at Karp's cycle, cheapest offset per hop (lowest on ties)."""
+    mean, cycle = min_mean_cycle(kernel)
+    lag = kernel.edge_lagrangian
+    tails = np.asarray(cycle, dtype=np.int64)
+    hop = np.where(kernel.head_index[:, tails] == np.roll(tails, -1), lag[:, tails], np.inf)
+    cycle_edges = np.argmin(hop, axis=0) * kernel.num_nodes + tails
+    return _spanning_basis(kernel, lag - mean, cycle_edges)
+
+
 def solve_mather_lp(kernel: ActionKernel, feas_tol: float = 1e-9) -> MatherSolveResult:
-    """Minimize the mean edge Lagrangian over unit-mass closed edge measures."""
+    """Minimize the mean edge Lagrangian over unit-mass closed edge measures.
+
+    The simplex starts at the spanning basis of Karp's minimum mean cycle
+    and prices every column from there; when that basis is optimal it takes
+    no pivot, and otherwise it pivots on (or starts cold) as usual.
+    """
     a, b = _edge_columns(kernel)
     c = kernel.edge_lagrangian.reshape(-1)
     try:
-        res = solve_standard_form(a, b, c, feas_tol=feas_tol)
+        res = solve_standard_form(a, b, c, basis=_mather_basis(kernel), feas_tol=feas_tol)
     except InfeasibleError as exc:
         raise InfeasibleError(
             "closed-measure program infeasible; the uniform measure on any cycle "
@@ -211,7 +277,37 @@ class LimitFunctionResult:
     certificates: tuple               # per target: OccupationMeasure or node id
     c_est: float
     eps: float
-    pivots: int = 0                   # simplex pivots: base solve plus every target
+    pivots: int = 0                   # simplex pivots summed over the targets
+
+
+def _critical_cycles(h: BarrierMatrix, kernel: ActionKernel) -> list[np.ndarray]:
+    """Edge ids (k*n + tail) of cycles of the critical graph, each in walking order.
+
+    An edge is critical when cost(e) + h(head, tail) <= 1e-9, i.e. it lies on
+    a zero-cost cycle. Walking each node's lowest-index critical out-edge is
+    a functional graph; its cycles (one or more per critical class, never an
+    enumeration of simple cycles) are returned in order of discovery.
+    """
+    n = kernel.num_nodes
+    nodes = np.arange(n)
+    tight = kernel.costs + h.values[kernel.head_index, nodes] <= 1e-9
+    has_edge = tight.any(axis=0)
+    first_k = np.argmax(tight, axis=0)
+    succ = kernel.head_index[first_k, nodes]
+    state = np.zeros(n, dtype=np.int8)  # 0 unseen, 1 on the current walk, 2 done
+    cycles = []
+    for start in np.nonzero(has_edge)[0]:
+        path = []
+        node = int(start)
+        while has_edge[node] and state[node] == 0:
+            state[node] = 1
+            path.append(node)
+            node = int(succ[node])
+        if has_edge[node] and state[node] == 1:
+            loop = np.asarray(path[path.index(node):], dtype=np.int64)
+            cycles.append(first_k[loop] * n + loop)
+        state[path] = 2
+    return cycles
 
 
 def compute_u0(
@@ -226,33 +322,42 @@ def compute_u0(
 
     For each target x this solves: minimize sum_y mu(y) h(y, x) over closed
     unit-mass edge measures whose mean Lagrangian is within eps_c of -c_est,
-    where mu is the tail marginal. One LP per target; every target is
-    warm-started from a single reference basis so the reported values do not
-    depend on how targets are distributed over worker threads.
+    where mu is the tail marginal. One LP per target, started at the basis
+    the critical graph implies: the critical cycle of least mean h(., x) = v,
+    a shortest-path in-tree to it under node weights h(y, x) - v, and the
+    budget slack. The simplex prices every column from there, so it stays an
+    independent certificate, and each start depends on its target alone, so
+    the values do not depend on how targets are spread over worker threads.
     """
     if not h.is_square():
         raise WeakKamError("compute_u0 needs the full square barrier")
     targets = np.atleast_1d(np.asarray(targets, dtype=np.int64))
+    n = kernel.num_nodes
     m_off = kernel.num_offsets
 
     budget = -float(c_est) + float(eps_c)
     a, b = _u0_columns(kernel, budget)
+    cycles = _critical_cycles(h, kernel)
+    cycle_means = np.array([h.values[c % n].mean(axis=0) for c in cycles])
 
-    def objective_for(t: int) -> np.ndarray:
-        col = h.values[:, t]
-        return np.concatenate([np.tile(col, m_off), [0.0]])
-
-    try:
-        base = solve_standard_form(a, b, objective_for(int(targets[0])))
-    except InfeasibleError as exc:
-        raise InfeasibleError(
-            f"no closed measure meets the near-optimality budget {budget:.6g}; "
-            "increase eps_c (the discretization rarely reaches -c_est exactly)"
-        ) from exc
-    base_basis = base.basis
+    def basis_for(t: int):
+        if not cycles:
+            return None
+        best = int(np.argmin(cycle_means[:, t]))
+        weights = np.broadcast_to(h.values[:, t] - cycle_means[best, t], (m_off, n))
+        edges = _spanning_basis(kernel, weights, cycles[best])
+        return None if edges is None else np.append(edges, m_off * n)
 
     def solve_target(t: int):
-        res = solve_standard_form(a, b, objective_for(t), basis=base_basis)
+        col = h.values[:, t]
+        c = np.concatenate([np.tile(col, m_off), [0.0]])
+        try:
+            res = solve_standard_form(a, b, c, basis=basis_for(t))
+        except InfeasibleError as exc:
+            raise InfeasibleError(
+                f"no closed measure meets the near-optimality budget {budget:.6g}; "
+                "increase eps_c (the discretization rarely reaches -c_est exactly)"
+            ) from exc
         measure = _measure_from_solution(kernel, res.x[:-1])
         return float(res.objective), measure, res.iterations
 
@@ -272,7 +377,7 @@ def compute_u0(
         certificates=certificates,
         c_est=float(c_est),
         eps=float(eps_c),
-        pivots=base.iterations + sum(s[2] for s in solved),
+        pivots=sum(s[2] for s in solved),
     )
 
 

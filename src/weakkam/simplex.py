@@ -136,12 +136,13 @@ def _lexico_leave(x_b, d, b_inv, rows, feas_tol):
     return int(tied[0])
 
 
-def _run(a, c, b_vec, basis, allowed, feas_tol, max_iter):
+def _run(a, c, b_vec, basis, allowed, feas_tol, max_iter, b_inv=None):
     """Phase-agnostic pivot loop; `basis` is updated in place.
 
     Columns past a.shape[1] are artificial: column n + i is the unit vector
-    of row i. Returns x_B, the duals and the pivot count, all from a fresh
-    inverse of the final basis.
+    of row i. `b_inv`, when given, is a fresh inverse of the starting basis
+    and is updated in place. Returns x_B, the duals and the pivot count, all
+    from a fresh inverse of the final basis.
     """
     n = a.shape[1]
     n_total = c.size
@@ -149,7 +150,8 @@ def _run(a, c, b_vec, basis, allowed, feas_tol, max_iter):
     open_[basis] = False
     degenerate_run = 0
     pivots = 0
-    b_inv = _invert(a, basis)
+    if b_inv is None:
+        b_inv = _invert(a, basis)
     fresh = True
     while True:
         x_b = b_inv @ b_vec
@@ -225,10 +227,13 @@ def solve_standard_form(
 ) -> SimplexResult:
     """Solve min c.x subject to Ax = b, x >= 0.
 
-    `a` is a dense array or `CompressedColumns`. A warm-start basis from a
-    previous solve against the same constraints skips phase 1 entirely. Rows
-    are sign-normalized so b >= 0; a redundant row surfaces as an artificial
-    variable stuck at zero, which is accepted and barred from re-entering.
+    `a` is a dense array or `CompressedColumns`. `basis` is any guess of one
+    real column per row: it is factored once, and if that inverse gives a
+    primal-feasible B^-1 b phase 1 is skipped and pivoting starts there (zero
+    pivots when the guess is optimal); a singular or infeasible guess falls
+    back to the cold start. Rows are sign-normalized so b >= 0; a redundant
+    row surfaces as an artificial variable stuck at zero, which is accepted
+    and barred from re-entering.
     """
     if not isinstance(a, CompressedColumns):
         a = CompressedColumns.from_dense(np.asarray(a, dtype=float))
@@ -246,18 +251,20 @@ def solve_standard_form(
         b[flip] *= -1.0
 
     if basis is not None and (np.asarray(basis) < n).all():
-        warm = np.asarray(basis, dtype=np.int64).copy()
-        if warm.shape != (m,):
-            raise WeakKamError("warm-start basis must have one column per row")
+        guess = np.asarray(basis, dtype=np.int64).copy()
+        if guess.shape != (m,):
+            raise WeakKamError("basis guess must have one column per row")
         try:
-            probe = np.linalg.solve(a.dense(warm), b)
-        except np.linalg.LinAlgError:
-            probe = None
-        if probe is not None and (probe >= -1e-7).all():
-            allowed = np.ones(n, dtype=bool)
-            x_b, y, its = _run(a, c, b, warm, allowed, feas_tol, max_iter)
-            return _package(c, warm, x_b, y, its, n)
-        # stale or singular warm start: fall through to a cold start
+            b_inv = _invert(a, guess)
+        except WeakKamError:
+            b_inv = None
+        if b_inv is not None:
+            probe = b_inv @ b
+            if np.isfinite(probe).all() and (probe >= -1e-7).all():
+                allowed = np.ones(n, dtype=bool)
+                x_b, y, its = _run(a, c, b, guess, allowed, feas_tol, max_iter, b_inv)
+                return _package(c, guess, x_b, y, its, n)
+        # singular or infeasible guess: fall through to a cold start
 
     # phase 1: implicit artificial identity block, columns n .. n+m-1
     c1 = np.concatenate([np.zeros(n), np.ones(m)])

@@ -281,6 +281,34 @@ class TestCli:
         assert proc.stderr.splitlines() == [proc.stderr.strip()]
         assert proc.stderr.startswith("error: out of memory")
 
+    @staticmethod
+    def _two_well_report(out, grid, blas_threads):
+        config = os.path.join(os.path.dirname(__file__), os.pardir, "configs", "two_well.json")
+        proc = subprocess.run(
+            [sys.executable, "-m", "weakkam", "converge", "--config", config,
+             "--grid", str(grid), "--out", str(out)],
+            capture_output=True,
+            text=True,
+            env={**os.environ, "OPENBLAS_NUM_THREADS": str(blas_threads)},
+        )
+        assert proc.returncode == EXIT_OK, proc.stderr
+        return (out / "report.json").read_bytes()
+
+    def test_report_independent_of_blas_threads(self, tmp_path):
+        one = self._two_well_report(tmp_path / "one", 48, 1)
+        two = self._two_well_report(tmp_path / "two", 48, 2)
+        assert one == two
+
+    def test_pivot_counters_independent_of_blas_threads(self, tmp_path):
+        # at n = 120 LAPACK factors the basis on several threads, which used
+        # to move the pivot path; both programs now start at an optimal basis
+        counters = [
+            json.loads(self._two_well_report(tmp_path / f"b{t}", 120, t))["counters"]
+            for t in (1, 2)
+        ]
+        assert counters[0] == counters[1]
+        assert counters[0]["mather_lp_pivots"] == counters[0]["u0_pivots"] == 0
+
     def test_threads_env_var(self, tmp_path, monkeypatch):
         path = write_config(tmp_path / "cfg.json", free_config(tmp_path / "out"))
         monkeypatch.setenv("WEAKKAM_THREADS", "3")

@@ -3,7 +3,7 @@ import pytest
 
 import weakkam as wk
 from weakkam.errors import EmptyAubryError, WeakKamError
-from weakkam.mather import _edge_columns, _u0_columns
+from weakkam.mather import _edge_columns, _spanning_basis, _u0_columns
 from weakkam.simplex import _REFACTOR_EVERY, solve_standard_form
 
 from conftest import make_problem, pendulum_potential, two_well_potential
@@ -72,6 +72,7 @@ BUILT = {
         4, wk.cosine_potential([1.0, 1.0], [1.0, 1.0]), dim=2, tau=0.25, k=1, alpha=1.0
     ),
     "transport8": lambda: make_problem(8, drift=[0.5], tau=0.25, k=2, alpha=1.0),
+    "transport32": lambda: make_problem(32, drift=[0.3]),
     "two_well32": lambda: make_problem(32, two_well_potential()),
 }
 
@@ -160,6 +161,111 @@ class TestLPCertificates:
         a_ref, _ = dense_edge_columns(kernel)
         assert (c - res.duals @ a_ref).min() >= -1e-9
         assert np.abs(a_ref @ res.x - b).max() <= 1e-10
+
+
+def u0_objective(h, kernel, t):
+    return np.concatenate([np.tile(h.values[:, t], kernel.num_offsets), [0.0]])
+
+
+def wrong_basis(kernel):
+    """Spanning basis of a non-critical self-loop: a hop-count in-tree to it.
+
+    The loop sits at the node of largest rest Lagrangian; the basis is
+    primal feasible for the Mather program but not optimal.
+    """
+    n = kernel.num_nodes
+    zero = kernel.stencil.zero_index
+    y = int(np.argmax(kernel.edge_lagrangian[zero]))
+    weights = np.ones(kernel.edge_lagrangian.shape)
+    weights[zero, y] = 0.0
+    return _spanning_basis(kernel, weights, np.array([zero * n + y]))
+
+
+class TestCriticalGraphStart:
+    """Both edge programs start at the basis the critical graph implies."""
+
+    NAMES = ["pendulum16", "two_well32", "transport8", "transport32", "cosine4x4"]
+
+    @pytest.mark.parametrize("name", NAMES)
+    def test_mather_lp_takes_no_pivot(self, name, request):
+        kernel = problem(name, request).kernel
+        lp = wk.solve_mather_lp(kernel)
+        assert lp.iterations == 0
+        a, b = _edge_columns(kernel)
+        cold = solve_standard_form(a, b, kernel.edge_lagrangian.reshape(-1))
+        assert cold.iterations > 0
+        assert abs(lp.value - cold.objective) <= 1e-12
+
+    @pytest.mark.parametrize("name", NAMES)
+    def test_u0_takes_no_pivot(self, name, request):
+        p = problem(name, request)
+        kernel = p.kernel
+        h = wk.peierls_barrier(kernel)
+        n = kernel.num_nodes
+        targets = np.arange(0, n, max(1, n // 8))
+        u0 = wk.compute_u0(h, kernel, p.c_star, 1e-6, targets)
+        assert u0.pivots == 0
+        a, b = _u0_columns(kernel, -p.c_star + 1e-6)
+        for t, value in zip(targets, u0.values):
+            cold = solve_standard_form(a, b, u0_objective(h, kernel, t))
+            assert abs(value - cold.objective) <= 1e-12
+
+    def test_spanning_basis_prices_unequal_cycle_weights(self, pendulum16):
+        # weights r + psi(tail) - psi(head), r >= 0 random and 0 on the 2-cycle
+        # 0 -> 3 -> 0: no cycle is negative, the cycle is optimal, and its two
+        # edges carry unequal weights, so its nodes need distinct potentials
+        kernel = pendulum16.kernel
+        n = kernel.num_nodes
+        offsets = kernel.stencil.offsets
+        cycle = np.array([offsets.index((3,)) * n + 0, offsets.index((-3,)) * n + 3])
+        rng = np.random.default_rng(7)
+        r = rng.uniform(0.1, 1.0, kernel.edge_lagrangian.shape)
+        r.reshape(-1)[cycle] = 0.0
+        psi = rng.uniform(-1.0, 1.0, n)
+        weights = r + psi[None, :] - psi[kernel.head_index]
+        a, b = _edge_columns(kernel)
+        res = solve_standard_form(
+            a, b, weights.reshape(-1), basis=_spanning_basis(kernel, weights, cycle)
+        )
+        assert res.iterations == 0
+        assert abs(res.objective) <= 1e-12
+        assert abs(solve_standard_form(a, b, weights.reshape(-1)).objective) <= 1e-12
+
+    def test_spanning_basis_refuses_a_second_cycle(self, pendulum16):
+        # a negative 2-cycle 8 -> 11 -> 8 away from the given cycle: Bellman-Ford
+        # never settles and its chosen edges close a second cycle, which is
+        # no spanning basis
+        kernel = pendulum16.kernel
+        n = kernel.num_nodes
+        offsets = kernel.stencil.offsets
+        fwd, back = offsets.index((3,)), offsets.index((-3,))
+        weights = np.ones(kernel.edge_lagrangian.shape)
+        weights[fwd, 0] = weights[back, 3] = 0.0
+        weights[fwd, 8] = weights[back, 11] = -0.5
+        assert _spanning_basis(kernel, weights, np.array([fwd * n + 0, back * n + 3])) is None
+
+    @pytest.mark.parametrize("name", NAMES)
+    def test_wrong_basis_still_reaches_the_optimum(self, name, request):
+        p = problem(name, request)
+        kernel = p.kernel
+        basis = wrong_basis(kernel)
+        a, b = _edge_columns(kernel)
+        # primal feasible, so the solve pivots on from it rather than restarting
+        assert (np.linalg.solve(a.dense(basis), b) >= -1e-12).all()
+        c = kernel.edge_lagrangian.reshape(-1)
+        res = solve_standard_form(a, b, c, basis=basis)
+        assert res.iterations > 0
+        assert abs(res.objective - wk.solve_mather_lp(kernel).value) <= 1e-12
+
+        # in the u0 program its slack is negative: the solve starts cold
+        h = wk.peierls_barrier(kernel)
+        u, ub = _u0_columns(kernel, -p.c_star + 1e-6)
+        t = kernel.num_nodes // 3
+        cu = u0_objective(h, kernel, t)
+        res = solve_standard_form(u, ub, cu, basis=np.append(basis, c.size))
+        assert res.iterations > 0
+        expected = wk.compute_u0(h, kernel, p.c_star, 1e-6, [t]).values[0]
+        assert abs(res.objective - expected) <= 1e-12
 
 
 class TestMinMeanCycle:
