@@ -139,7 +139,8 @@ class BarrierMatrix:
     """Dense pairwise action values: h_{n tau} at a horizon, or the Peierls barrier.
 
     steps is the horizon n of a min-plus power and None for the barrier; the
-    barrier carries its row fixed-point residual and stability flag instead.
+    barrier carries its row fixed-point residual, stability flag and
+    Bellman-Ford round count instead.
     """
 
     values: np.ndarray           # (num_rows, num_nodes)
@@ -149,6 +150,7 @@ class BarrierMatrix:
     residual: float | None = None
     stable: bool | None = None
     row_nodes: np.ndarray | None = None    # None means all nodes, in order
+    relax_rounds: int | None = None        # Bellman-Ford rounds of the barrier
 
     @property
     def num_nodes(self) -> int:
@@ -204,11 +206,25 @@ def minplus_power(kernel: ActionKernel, n: int) -> BarrierMatrix:
 
 
 def barrier_step(kernel: ActionKernel, h: np.ndarray) -> np.ndarray:
-    """One Lax-Oleinik step: h'(y, x) = min_z h(y, z) + cost(z -> x)."""
+    """One Lax-Oleinik step: h'(y, x) = min_z h(y, z) + cost(z -> x).
+
+    Works one row of h at a time: the candidates h(y, pred_k(x)) + cost_in(k, x)
+    of row y fill one reused (num_offsets, num_nodes) buffer, no larger than
+    kernel.costs, and their minimum over k is written straight into the
+    output row. No (rows, num_nodes) temporary is made, and the floats are
+    those of a per-offset running minimum: the sums are the same and min is
+    exact.
+    """
     cost_in = kernel.costs_by_head()
-    out = np.full_like(h, np.inf)
-    for k in range(kernel.num_offsets):
-        np.minimum(out, h[:, kernel.pred_index[k]] + cost_in[k][None, :], out=out)
+    pred = kernel.pred_index
+    out = np.empty_like(h)
+    cand = np.empty_like(cost_in)
+    for r in range(h.shape[0]):
+        # pred holds valid node indices; "clip" lets take write into cand
+        # directly instead of through a bounds-checked buffer
+        np.take(h[r], pred, out=cand, mode="clip")
+        np.add(cand, cost_in, out=cand)
+        np.min(cand, axis=0, out=out[r])
     return out
 
 
@@ -219,6 +235,10 @@ def tight_subgraph(kernel: ActionKernel) -> tuple[float, list[list[int]]]:
     Lbar(edge), D_0 = 0. An edge is tight when its slack under Bellman-Ford
     potentials of the reduced costs Lbar - mean is at most 1e-9, so every
     minimum mean cycle runs on tight edges. adj[tail] lists their heads.
+
+    Only edge_lagrangian and pred_index are read, so the result does not
+    depend on the kernel's shift c: one call serves every kernel built on the
+    same grid, Lagrangian and stencil.
     """
     n = kernel.num_nodes
     pred = kernel.pred_index
@@ -264,25 +284,28 @@ def _on_cycle(adj: list[list[int]]) -> np.ndarray:
     return np.diag(reach)
 
 
-def _distances(kernel: ActionKernel, sources: np.ndarray) -> np.ndarray:
+def _distances(kernel: ActionKernel, sources: np.ndarray) -> tuple[np.ndarray, int]:
     """Rows d(s, .): least cost over paths of any length, by Bellman-Ford.
 
-    Without negative cycles the rows settle within num_nodes rounds.
+    Without negative cycles the rows settle within num_nodes rounds. Returns
+    the rows and the number of relaxation rounds run, the last of which
+    changes nothing unless num_nodes rounds ran out first.
     """
     d = np.full((sources.size, kernel.num_nodes), np.inf)
     d[np.arange(sources.size), sources] = 0.0
-    for _ in range(kernel.num_nodes):
+    for rounds in range(1, kernel.num_nodes + 1):
         nxt = np.minimum(d, barrier_step(kernel, d))
         if np.array_equal(nxt, d):
             break
         d = nxt
-    return d
+    return d, rounds
 
 
 def peierls_barrier(
     kernel: ActionKernel,
     tol: float = 1e-9,
     rows: np.ndarray | None = None,
+    tight: tuple[float, list[list[int]]] | None = None,
 ) -> BarrierMatrix:
     """Exact Peierls barrier from the critical graph of the action kernel.
 
@@ -292,11 +315,17 @@ def peierls_barrier(
     h(y, x) = min over critical z of d(y, z) + d(z, x), d the least cost over
     paths of any length (max-plus spectral theory).
 
+    tight is the (mean, adj) pair of tight_subgraph for this kernel's
+    Lagrangian, computed here when None. It does not depend on the shift, so
+    a caller that already ran Karp on a kernel at another shift passes its
+    pair in instead of running Karp again.
+
     values is one barrier step of h at the kernel's own shift and residual is
     max |values - h|: rounding at the critical shift, tau*|mean + c| off it.
+    relax_rounds counts the Bellman-Ford rounds of both distance passes.
     """
     tau = kernel.stencil.tau
-    mean, adj = tight_subgraph(kernel)
+    mean, adj = tight_subgraph(kernel) if tight is None else tight
     crit = np.nonzero(_on_cycle(adj))[0]
     if crit.size == 0:
         raise WeakKamError("no tight cycle found; potentials failed to stabilize")
@@ -306,8 +335,8 @@ def peierls_barrier(
         reduced, costs=reduced.costs_by_head(),
         head_index=kernel.pred_index, pred_index=kernel.head_index,
     )
-    from_crit = _distances(reduced, crit)   # d(z, x)
-    to_crit = _distances(reverse, crit)     # d(y, z), row z
+    from_crit, rounds_from = _distances(reduced, crit)   # d(z, x)
+    to_crit, rounds_to = _distances(reverse, crit)       # d(y, z), row z
     row_nodes = None if rows is None else np.asarray(rows, dtype=np.int64)
     cols = slice(None) if row_nodes is None else row_nodes
     h = minplus_product(to_crit[:, cols].T, from_crit)
@@ -320,6 +349,7 @@ def peierls_barrier(
         residual=residual,
         stable=bool(residual <= tol),
         row_nodes=row_nodes,
+        relax_rounds=rounds_from + rounds_to,
     )
 
 

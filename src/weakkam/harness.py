@@ -26,6 +26,7 @@ from .action_barrier import (
     aubry_report,
     build_kernel,
     peierls_barrier,
+    tight_subgraph,
     verify_subsolution,
 )
 from .discounted import backward_trajectory, critical_value_estimate, solve_discounted
@@ -402,9 +403,11 @@ def run_pipeline(config: ExperimentConfig, out_dir=None) -> RunReport:
         [tuple(map(float, row)) for row in table.rows()],
     )
 
-    kernel, _ = clock.run("kernel", lambda: _critical_kernel(grid, spec, stencil))
+    kernel, _, tight = clock.run("kernel", lambda: _critical_kernel(grid, spec, stencil))
     c_cross = kernel.c
-    barrier = clock.run("peierls", lambda: peierls_barrier(kernel, tol=_TOL_STABLE))
+    barrier = clock.run(
+        "peierls", lambda: peierls_barrier(kernel, tol=_TOL_STABLE, tight=tight)
+    )
     io.write_barrier(barrier, os.path.join(out, "barrier"))
 
     report_aubry = clock.run("aubry", lambda: aubry_report(barrier, _EPS_AUBRY))
@@ -551,6 +554,7 @@ def run_pipeline(config: ExperimentConfig, out_dir=None) -> RunReport:
         u0_method=u0_main.method,
         u0_cross_delta=u0_cross_delta,
         counters={
+            "barrier_relax_rounds": barrier.relax_rounds,
             "mather_lp_pivots": lp.iterations,
             "u0_pivots": u0_lp.pivots,
             "critical_policy_rounds": sum(table.rounds),
@@ -613,9 +617,21 @@ def _cmd_bounds(args) -> int:
 
 
 def _critical_kernel(grid, spec, stencil):
-    """Kernel at the critical shift -(minimum cycle mean), and a cycle achieving it."""
-    mean, cycle = min_mean_cycle(build_kernel(grid, spec, stencil, c=0.0))
-    return build_kernel(grid, spec, stencil, c=-mean), cycle
+    """Kernel at the critical shift -(minimum cycle mean), a cycle achieving it,
+    and the (mean, adj) tight subgraph of Karp's run.
+
+    Karp runs once, on the kernel at shift 0. The tight subgraph reads only
+    the edge Lagrangian and the predecessor table, which no shift changes, so
+    the pair is handed on to peierls_barrier. The critical kernel shares the
+    shift-0 arrays and recomputes only costs, by the expression build_kernel
+    evaluates, so its bits are those of a fresh build.
+    """
+    kernel0 = build_kernel(grid, spec, stencil, c=0.0)
+    tight = tight_subgraph(kernel0)
+    mean, cycle = min_mean_cycle(kernel0, tight=tight)
+    c = -mean
+    kernel = replace(kernel0, c=float(c), costs=stencil.tau * (kernel0.edge_lagrangian + c))
+    return kernel, cycle, tight
 
 
 def _cmd_critical(args) -> int:
@@ -638,8 +654,8 @@ def _cmd_critical(args) -> int:
 def _cmd_peierls(args) -> int:
     config = _prepare(args)
     grid, spec, _, stencil = _setup(config)
-    kernel, _ = _critical_kernel(grid, spec, stencil)
-    barrier = peierls_barrier(kernel, tol=_TOL_STABLE)
+    kernel, _, tight = _critical_kernel(grid, spec, stencil)
+    barrier = peierls_barrier(kernel, tol=_TOL_STABLE, tight=tight)
     os.makedirs(config.output_dir, exist_ok=True)
     io.write_barrier(barrier, os.path.join(config.output_dir, "barrier"))
     print(
@@ -651,7 +667,7 @@ def _cmd_peierls(args) -> int:
 def _cmd_discounted(args) -> int:
     config = _prepare(args)
     grid, spec, _, stencil = _setup(config)
-    kernel, _ = _critical_kernel(grid, spec, stencil)
+    kernel, _, _ = _critical_kernel(grid, spec, stencil)
     os.makedirs(config.output_dir, exist_ok=True)
     for lam in config.schedule.lambdas:
         sol = solve_discounted(
@@ -674,7 +690,7 @@ def _cmd_discounted(args) -> int:
 def _cmd_mather(args) -> int:
     config = _prepare(args)
     grid, spec, _, stencil = _setup(config)
-    kernel, cycle = _critical_kernel(grid, spec, stencil)
+    kernel, cycle, _ = _critical_kernel(grid, spec, stencil)
     lp = solve_mather_lp(kernel)
     os.makedirs(config.output_dir, exist_ok=True)
     io.measure_to_csv(lp.measure, os.path.join(config.output_dir, "mather_measure.csv"))
@@ -712,7 +728,7 @@ def _cmd_converge(args) -> int:
 def _cmd_verify(args) -> int:
     config = _prepare(args)
     grid, spec, _, stencil = _setup(config)
-    kernel, _ = _critical_kernel(grid, spec, stencil)
+    kernel, _, _ = _critical_kernel(grid, spec, stencil)
     values = io.read_values_binary(args.u0, grid.num_nodes)
     violation = verify_subsolution(GridFunction(grid, values), kernel)
     lp = solve_mather_lp(kernel)

@@ -81,15 +81,19 @@ def closedness_residual(measure, grid: TorusGrid | None = None) -> float:
 # minimum mean cycle (Karp)
 
 
-def min_mean_cycle(kernel: ActionKernel) -> tuple[float, list[int]]:
+def min_mean_cycle(
+    kernel: ActionKernel, tight: tuple[float, list[list[int]]] | None = None
+) -> tuple[float, list[int]]:
     """Minimum mean per-unit-time Lagrangian over directed stencil cycles.
 
-    Karp's mean and the tight subgraph come from tight_subgraph; a depth-first
-    search then extracts an achieving cycle from the tight edges. The negated
-    mean is an estimate of c(H) independent of the LP route.
+    Karp's mean and the tight subgraph come from tight_subgraph, or from
+    tight when the caller already holds that (mean, adj) pair; it does not
+    depend on the kernel's shift. A depth-first search then extracts an
+    achieving cycle from the tight edges. The negated mean is an estimate of
+    c(H) independent of the LP route.
     """
     n = kernel.num_nodes
-    mean, adj = tight_subgraph(kernel)
+    mean, adj = tight_subgraph(kernel) if tight is None else tight
 
     color = np.zeros(n, dtype=np.int8)  # 0 white, 1 on stack, 2 done
     for root in range(n):

@@ -1,4 +1,5 @@
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -6,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import weakkam as wk
+from weakkam import action_barrier
 from weakkam.action_barrier import barrier_step
 from weakkam.errors import EmptyAubryError
 
@@ -178,6 +180,84 @@ class TestPeierls:
         )
         got = wk.peierls_barrier(kernel).values
         assert np.max(np.abs(got - oracle)) <= 1e-12
+
+
+def per_offset_step(kernel, h):
+    """barrier_step as a running minimum over offsets of n x n temporaries.
+
+    This was the production step before the row-wise one; it stays as the
+    oracle the row-wise step must match bit for bit.
+    """
+    cost_in = kernel.costs_by_head()
+    out = np.full_like(h, np.inf)
+    for k in range(kernel.num_offsets):
+        np.minimum(out, h[:, kernel.pred_index[k]] + cost_in[k][None, :], out=out)
+    return out
+
+
+class TestBarrierStep:
+    @pytest.mark.parametrize("name", ["pendulum16", "free32", "cos2d"])
+    @pytest.mark.parametrize(
+        "per_node, extra", [(0, 0), (0, 1), (0, 3), (1, 0), (1, 5)],
+        ids=["0", "1", "3", "n", "n+5"],
+    )
+    def test_matches_per_offset_loop_bitwise(self, name, per_node, extra, request):
+        kernel = request.getfixturevalue(name).kernel
+        n = kernel.num_nodes
+        num_rows = per_node * n + extra
+        rng = np.random.default_rng(num_rows)
+        h = rng.normal(scale=3.0, size=(num_rows, n))
+        h[rng.random(h.shape) < 0.3] = np.inf
+        if num_rows > 1:
+            h[1] = np.inf  # a row that reaches nothing stays unreachable
+        got = barrier_step(kernel, h)
+        want = per_offset_step(kernel, h)
+        assert got.shape == want.shape == (num_rows, n)
+        assert got.dtype == want.dtype
+        assert got.tobytes() == want.tobytes()
+
+    def test_matches_per_offset_loop_on_the_barrier(self, pendulum16):
+        h = wk.peierls_barrier(pendulum16.kernel).values
+        got = barrier_step(pendulum16.kernel, h)
+        assert got.tobytes() == per_offset_step(pendulum16.kernel, h).tobytes()
+
+    def test_peak_allocation_is_output_plus_four_stencil_arrays(self, cos2d):
+        # n = 64 nodes and m = 25 offsets: the bound is 84 kB, and the per-offset
+        # loop, with its two n x n temporaries per offset, needs 146 kB
+        kernel = cos2d.kernel
+        n, m = kernel.num_nodes, kernel.num_offsets
+        h = wk.peierls_barrier(kernel).values
+        tracemalloc.start()
+        try:
+            barrier_step(kernel, h)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 8 * n * n + 32 * m * n
+
+
+class TestRelaxRounds:
+    def test_counts_bellman_ford_steps(self, pendulum16, monkeypatch):
+        calls = []
+        original = action_barrier.barrier_step
+
+        def counted(kernel, h):
+            calls.append(h.shape[0])
+            return original(kernel, h)
+
+        monkeypatch.setattr(action_barrier, "barrier_step", counted)
+        barrier = wk.peierls_barrier(pendulum16.kernel)
+        # every step but the last, the full n x n one, is a relaxation round
+        assert calls[-1] == pendulum16.kernel.num_nodes
+        assert barrier.relax_rounds == len(calls) - 1
+        assert 2 <= barrier.relax_rounds <= 2 * pendulum16.kernel.num_nodes
+
+    def test_given_tight_subgraph_gives_the_same_barrier(self, pendulum16):
+        tight = action_barrier.tight_subgraph(pendulum16.kernel0)
+        given = wk.peierls_barrier(pendulum16.kernel, tight=tight)
+        own = wk.peierls_barrier(pendulum16.kernel)
+        assert given.values.tobytes() == own.values.tobytes()
+        assert (given.residual, given.relax_rounds) == (own.residual, own.relax_rounds)
 
 
 class TestAubry:

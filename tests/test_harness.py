@@ -258,6 +258,26 @@ class TestCli:
                 got = (tmp_path / cmd / name).read_bytes()
                 assert got == (tmp_path / "converge" / name).read_bytes(), (cmd, name)
 
+    @pytest.mark.parametrize("cmd, expected", [("peierls", 1), ("converge", 2)])
+    def test_tight_subgraph_runs_once_per_kernel(self, cmd, expected, tmp_path, monkeypatch):
+        # peierls: once, shared by the critical kernel and the barrier;
+        # converge: once more, inside solve_mather_lp
+        original = wk.action_barrier.tight_subgraph
+        calls = []
+
+        def counted(kernel):
+            calls.append(kernel.num_nodes)
+            return original(kernel)
+
+        for module in list(sys.modules.values()):
+            if module is not None and module.__name__.startswith("weakkam"):
+                if getattr(module, "tight_subgraph", None) is original:
+                    monkeypatch.setattr(module, "tight_subgraph", counted)
+        path = os.path.join(os.path.dirname(__file__), "..", "configs", "pendulum.json")
+        code = cli_dispatch([cmd, "--config", path, "--grid", "32", "--out", str(tmp_path)])
+        assert code == EXIT_OK
+        assert len(calls) == expected
+
     def test_out_of_memory_is_one_line_error(self, tmp_path):
         raw = free_config(tmp_path / "out").to_dict()
         raw["problem"]["sizes"] = [400_000_000]
