@@ -12,19 +12,20 @@ action free of the O(tau * osc V) telescoping bias a one-sided rule carries,
 while every cross-solver identity stays exact because all modules read the
 same arrays.
 
-The Peierls barrier is exact on this graph: Karp's minimum mean cycle gives
-the critical shift and the tight subgraph, and the barrier is the shortest
-path through the critical nodes. Min-plus powers h_{n tau} stay as the
-brute-force oracle for it.
+The Peierls barrier is exact on this graph: the minimum mean cycle, by
+Howard's policy iteration, gives the critical shift and the tight subgraph,
+and the barrier is the shortest path through the critical nodes. Min-plus
+powers h_{n tau} stay as the brute-force oracle for it.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import EmptyAubryError, WeakKamError
+from .errors import ConvergenceError, EmptyAubryError, WeakKamError
 from .models import GridFunction, LagrangianSpec, TorusGrid, VelocityStencil, eval_lagrangian
 
 __all__ = [
@@ -228,13 +229,102 @@ def barrier_step(kernel: ActionKernel, h: np.ndarray) -> np.ndarray:
     return out
 
 
-def tight_subgraph(kernel: ActionKernel) -> tuple[float, list[list[int]]]:
-    """Karp's minimum mean Lbar over cycles, and adjacency lists of tight edges.
+# a node switches in-edge only when that lowers its cycle mean or bias by
+# more than this fraction of the largest one, well above their rounding
+_IMPROVE_RTOL = 1e-14
+# round cap of the minimum-mean-cycle policy iteration, far above the at most
+# 10 rounds it takes on the 1-D problems and the tori up to 32 x 32
+_MAX_ROUNDS = 1000
 
-    Karp's recurrence is D_k(x) = min over edges into x of D_{k-1}(tail) +
-    Lbar(edge), D_0 = 0. An edge is tight when its slack under Bellman-Ford
-    potentials of the reduced costs Lbar - mean is at most 1e-9, so every
-    minimum mean cycle runs on tight edges. adj[tail] lists their heads.
+
+def _evaluate_cycle_policy(
+    lag_in: np.ndarray, pred: np.ndarray, policy: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Cycle means and biases of the policy x -> pred[policy[x], x], exactly.
+
+    Each node's orbit is a rho: a tail into one cycle. A cycle's mean eta is
+    the sum of its Lbar (math.fsum) over its length; the first node reached
+    on it gets bias 0, and every other node of the rho the bias
+    v(x) = Lbar(x) - eta + v(next), walked back from that root.
+    """
+    n = pred.shape[1]
+    cols = np.arange(n)
+    succ = pred[policy, cols].tolist()
+    step = lag_in[policy, cols].tolist()
+    eta = [0.0] * n
+    bias = [0.0] * n
+    state = [0] * n  # 0 unseen, 1 on the current walk, 2 evaluated
+    for start in range(n):
+        path = []
+        x = start
+        while state[x] == 0:
+            state[x] = 1
+            path.append(x)
+            x = succ[x]
+        if state[x] == 1:  # the walk closed a new cycle at x
+            cut = path.index(x)
+            cycle = path[cut:]
+            mean = math.fsum(step[y] for y in cycle) / len(cycle)
+            eta[x] = mean
+            for y in reversed(cycle[1:]):
+                eta[y] = mean
+                bias[y] = step[y] - mean + bias[succ[y]]
+                state[y] = 2
+            state[x] = 2
+            path = path[:cut]
+        for y in reversed(path):
+            eta[y] = eta[succ[y]]
+            bias[y] = step[y] - eta[y] + bias[succ[y]]
+            state[y] = 2
+    return np.array(eta), np.array(bias)
+
+
+def _min_cycle_mean(
+    lag_in: np.ndarray, pred: np.ndarray, max_rounds: int = _MAX_ROUNDS
+) -> float:
+    """Minimum mean Lbar over cycles by Howard's policy iteration.
+
+    A policy picks one in-edge per node (a functional graph), starting from
+    each node's cheapest one. A round evaluates it exactly, then improves it:
+    a node first moves to the in-edge whose tail has the least cycle mean,
+    and when no node can lower its mean, to the in-edge of least bias among
+    tails of equal mean. A node switches only on a strict improvement beyond
+    rounding, and ties go to the lowest stencil index. The last round is the
+    one that finds nothing to improve; ConvergenceError after max_rounds.
+    The result is the mean of an actual cycle of the graph.
+    """
+    cols = np.arange(pred.shape[1])
+    policy = lag_in.argmin(axis=0)
+    for _ in range(max_rounds):
+        eta, bias = _evaluate_cycle_policy(lag_in, pred, policy)
+        # gains are measured against each node's own in-edge, so a cycle's
+        # root, whose bias is 0 by definition, never switches on rounding
+        eta_in = eta[pred]
+        best = eta_in.argmin(axis=0)
+        better = eta_in[policy, cols] - eta_in[best, cols] > _IMPROVE_RTOL * np.abs(eta).max()
+        if not better.any():
+            q = np.where(eta_in == eta, lag_in - eta + bias[pred], np.inf)
+            best = q.argmin(axis=0)
+            better = q[policy, cols] - q[best, cols] > _IMPROVE_RTOL * np.abs(bias).max()
+            if not better.any():
+                return float(eta.min())
+        policy = np.where(better, best, policy)
+    raise ConvergenceError(
+        f"minimum mean cycle: policy iteration hit max_rounds={max_rounds} "
+        "with a node still improving",
+        iterations=max_rounds,
+    )
+
+
+def tight_subgraph(kernel: ActionKernel) -> tuple[float, list[list[int]]]:
+    """Minimum mean Lbar over cycles, and adjacency lists of tight edges.
+
+    The mean comes from Howard's policy iteration (ConvergenceError when it
+    runs out of rounds) and is the mean of a real cycle, so that cycle's
+    reduced costs Lbar - mean sum to zero up to rounding, and a self-loop's
+    is exactly zero. An edge is tight when its slack under Bellman-Ford
+    potentials of those reduced costs is at most 1e-9, so every minimum mean
+    cycle runs on tight edges. adj[tail] lists their heads.
 
     Only edge_lagrangian and pred_index are read, so the result does not
     depend on the kernel's shift c: one call serves every kernel built on the
@@ -243,13 +333,7 @@ def tight_subgraph(kernel: ActionKernel) -> tuple[float, list[list[int]]]:
     n = kernel.num_nodes
     pred = kernel.pred_index
     lag_in = np.take_along_axis(kernel.edge_lagrangian, pred, axis=1)
-
-    d = np.zeros((n + 1, n))
-    for k in range(1, n + 1):
-        d[k] = (d[k - 1][pred] + lag_in).min(axis=0)
-    ks = np.arange(n)
-    ratios = (d[n][None, :] - d[:n]) / (n - ks)[:, None]
-    mean = float(ratios.max(axis=0).min())
+    mean = _min_cycle_mean(lag_in, pred)
 
     reduced = lag_in - mean
     pi = np.zeros(n)
@@ -309,7 +393,7 @@ def peierls_barrier(
 ) -> BarrierMatrix:
     """Exact Peierls barrier from the critical graph of the action kernel.
 
-    Under the reduced costs cost - tau*(mean + c), with mean Karp's minimum
+    Under the reduced costs cost - tau*(mean + c), with mean Howard's minimum
     mean Lbar, no cycle is negative and the critical nodes (on a cycle of
     tight edges) carry the zero-cost cycles. The liminf of h_{n tau} is then
     h(y, x) = min over critical z of d(y, z) + d(z, x), d the least cost over
@@ -317,8 +401,8 @@ def peierls_barrier(
 
     tight is the (mean, adj) pair of tight_subgraph for this kernel's
     Lagrangian, computed here when None. It does not depend on the shift, so
-    a caller that already ran Karp on a kernel at another shift passes its
-    pair in instead of running Karp again.
+    a caller that already ran it on a kernel at another shift passes its
+    pair in instead of running the policy iteration again.
 
     values is one barrier step of h at the kernel's own shift and residual is
     max |values - h|: rounding at the critical shift, tau*|mean + c| off it.

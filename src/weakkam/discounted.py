@@ -367,9 +367,9 @@ class EdgeMeasure:
 
     def heads(self) -> np.ndarray:
         head = np.empty_like(self.tails)
-        for k in np.unique(self.offset_ids):
+        for k in sorted(set(self.offset_ids.tolist())):
             mask = self.offset_ids == k
-            head[mask] = self.grid.shift_indices(self.tails[mask], self.stencil.offsets[int(k)])
+            head[mask] = self.grid.shift_indices(self.tails[mask], self.stencil.offsets[k])
         return head
 
 

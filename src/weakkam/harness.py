@@ -364,9 +364,8 @@ def _u0_target_list(option, grid):
         return np.arange(grid.num_nodes, dtype=np.int64)
     if isinstance(option, int):
         count = min(option, grid.num_nodes)
-        return np.unique(
-            np.linspace(0, grid.num_nodes, count, endpoint=False).astype(np.int64)
-        )
+        spaced = np.linspace(0, grid.num_nodes, count, endpoint=False).astype(np.int64)
+        return np.asarray(sorted(set(spaced.tolist())), dtype=np.int64)
     return np.asarray(sorted(int(t) for t in option), dtype=np.int64)
 
 
@@ -424,7 +423,7 @@ def run_pipeline(config: ExperimentConfig, out_dir=None) -> RunReport:
         ],
     )
 
-    lp = clock.run("mather_lp", lambda: solve_mather_lp(kernel))
+    lp = clock.run("mather_lp", lambda: solve_mather_lp(kernel, tight=tight))
     io.measure_to_csv(lp.measure, os.path.join(out, "mather_measure.csv"))
     lp_vs_cycle = abs(lp.value + c_cross)
 
@@ -618,13 +617,14 @@ def _cmd_bounds(args) -> int:
 
 def _critical_kernel(grid, spec, stencil):
     """Kernel at the critical shift -(minimum cycle mean), a cycle achieving it,
-    and the (mean, adj) tight subgraph of Karp's run.
+    and the (mean, adj) tight subgraph of Howard's run.
 
-    Karp runs once, on the kernel at shift 0. The tight subgraph reads only
-    the edge Lagrangian and the predecessor table, which no shift changes, so
-    the pair is handed on to peierls_barrier. The critical kernel shares the
-    shift-0 arrays and recomputes only costs, by the expression build_kernel
-    evaluates, so its bits are those of a fresh build.
+    Howard's policy iteration runs once, on the kernel at shift 0. The tight
+    subgraph reads only the edge Lagrangian and the predecessor table, which
+    no shift changes, so the pair is handed on to peierls_barrier and
+    solve_mather_lp. The critical kernel shares the shift-0 arrays and
+    recomputes only costs, by the expression build_kernel evaluates, so its
+    bits are those of a fresh build.
     """
     kernel0 = build_kernel(grid, spec, stencil, c=0.0)
     tight = tight_subgraph(kernel0)
@@ -690,8 +690,8 @@ def _cmd_discounted(args) -> int:
 def _cmd_mather(args) -> int:
     config = _prepare(args)
     grid, spec, _, stencil = _setup(config)
-    kernel, cycle, _ = _critical_kernel(grid, spec, stencil)
-    lp = solve_mather_lp(kernel)
+    kernel, cycle, tight = _critical_kernel(grid, spec, stencil)
+    lp = solve_mather_lp(kernel, tight=tight)
     os.makedirs(config.output_dir, exist_ok=True)
     io.measure_to_csv(lp.measure, os.path.join(config.output_dir, "mather_measure.csv"))
     io.write_json(
@@ -728,10 +728,10 @@ def _cmd_converge(args) -> int:
 def _cmd_verify(args) -> int:
     config = _prepare(args)
     grid, spec, _, stencil = _setup(config)
-    kernel, _, _ = _critical_kernel(grid, spec, stencil)
+    kernel, _, tight = _critical_kernel(grid, spec, stencil)
     values = io.read_values_binary(args.u0, grid.num_nodes)
     violation = verify_subsolution(GridFunction(grid, values), kernel)
-    lp = solve_mather_lp(kernel)
+    lp = solve_mather_lp(kernel, tight=tight)
     integral = float(lp.projected @ values)
     ok = violation <= 1e-6 and integral <= 1e-6  # verify_limit's constraint tolerance
     print(f"subsolution_violation={io.fmt(violation)} measure_integral={io.fmt(integral)}")

@@ -7,9 +7,9 @@ Lagrangian over closed measures recovers -c(H); the minimizers are the
 discrete Mather measures, and u0 is the cheapest mu-average of barrier rows
 over near-minimizing mu.
 
-Two independent routes compute the optimal value: a Karp-style minimum mean
-cycle and the in-module simplex. They must agree to 1e-8 on every builtin
-problem, which is one of the package's acceptance gates.
+Two independent routes compute the optimal value: the minimum mean cycle by
+Howard's policy iteration and the in-module simplex. They must agree to 1e-8
+on every builtin problem, which is one of the package's acceptance gates.
 
 Both edge programs start the simplex at the vertex the critical graph
 implies: the extreme Mather measures are uniform measures on critical
@@ -78,7 +78,7 @@ def closedness_residual(measure, grid: TorusGrid | None = None) -> float:
 
 
 # ---------------------------------------------------------------------------
-# minimum mean cycle (Karp)
+# minimum mean cycle
 
 
 def min_mean_cycle(
@@ -86,7 +86,7 @@ def min_mean_cycle(
 ) -> tuple[float, list[int]]:
     """Minimum mean per-unit-time Lagrangian over directed stencil cycles.
 
-    Karp's mean and the tight subgraph come from tight_subgraph, or from
+    Howard's mean and the tight subgraph come from tight_subgraph, or from
     tight when the caller already holds that (mean, adj) pair; it does not
     depend on the kernel's shift. A depth-first search then extracts an
     achieving cycle from the tight edges. The negated mean is an estimate of
@@ -230,9 +230,10 @@ def _spanning_basis(kernel: ActionKernel, weights: np.ndarray, cycle_edges: np.n
     return choice * n + nodes
 
 
-def _mather_basis(kernel: ActionKernel):
-    """Spanning basis at Karp's cycle, cheapest offset per hop (lowest on ties)."""
-    mean, cycle = min_mean_cycle(kernel)
+def _mather_basis(kernel: ActionKernel, tight=None):
+    """Spanning basis at a minimum mean cycle, cheapest offset per hop (lowest
+    on ties); tight is passed on to min_mean_cycle."""
+    mean, cycle = min_mean_cycle(kernel, tight=tight)
     lag = kernel.edge_lagrangian
     tails = np.asarray(cycle, dtype=np.int64)
     hop = np.where(kernel.head_index[:, tails] == np.roll(tails, -1), lag[:, tails], np.inf)
@@ -240,17 +241,23 @@ def _mather_basis(kernel: ActionKernel):
     return _spanning_basis(kernel, lag - mean, cycle_edges)
 
 
-def solve_mather_lp(kernel: ActionKernel, feas_tol: float = 1e-9) -> MatherSolveResult:
+def solve_mather_lp(
+    kernel: ActionKernel,
+    feas_tol: float = 1e-9,
+    tight: tuple[float, list[list[int]]] | None = None,
+) -> MatherSolveResult:
     """Minimize the mean edge Lagrangian over unit-mass closed edge measures.
 
-    The simplex starts at the spanning basis of Karp's minimum mean cycle
-    and prices every column from there; when that basis is optimal it takes
-    no pivot, and otherwise it pivots on (or starts cold) as usual.
+    The simplex starts at the spanning basis of the minimum mean cycle and
+    prices every column from there; when that basis is optimal it takes no
+    pivot, and otherwise it pivots on (or starts cold) as usual. tight is the
+    (mean, adj) pair of tight_subgraph for this kernel's Lagrangian, computed
+    here when None.
     """
     a, b = _edge_columns(kernel)
     c = kernel.edge_lagrangian.reshape(-1)
     try:
-        res = solve_standard_form(a, b, c, basis=_mather_basis(kernel), feas_tol=feas_tol)
+        res = solve_standard_form(a, b, c, basis=_mather_basis(kernel, tight), feas_tol=feas_tol)
     except InfeasibleError as exc:
         raise InfeasibleError(
             "closed-measure program infeasible; the uniform measure on any cycle "

@@ -1,13 +1,14 @@
 """Two-dimensional torus coverage: the solvers share all code paths with 1-D,
 so these tests pin the index arithmetic and re-run the exactly-known cases."""
 
+import os
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
 import weakkam as wk
-from weakkam.harness import ScheduleConfig
+from weakkam.harness import ScheduleConfig, load_config, run_pipeline
 
 from conftest import make_problem
 
@@ -142,3 +143,12 @@ class TestTable2D:
         assert vals[1, 2] == pytest.approx(np.cos(np.pi / 2) + 2)
         pot = wk.table_potential(grid, vals)
         np.testing.assert_allclose(pot(grid.coordinates), vals.ravel())
+
+
+class TestShippedConfig:
+    def test_torus_2d_config_converges(self, tmp_path):
+        path = os.path.join(os.path.dirname(__file__), os.pardir, "configs", "torus_2d.json")
+        report = run_pipeline(load_config(path), tmp_path)
+        assert report.passed
+        assert report.c_cross == 2.0
+        assert report.counters["mather_lp_pivots"] == report.counters["u0_pivots"] == 0

@@ -16,6 +16,7 @@ from weakkam.harness import (
     EXIT_USAGE,
     EXIT_VERIFICATION,
     ExperimentConfig,
+    _setup,
     cli_dispatch,
     run_pipeline,
 )
@@ -258,10 +259,9 @@ class TestCli:
                 got = (tmp_path / cmd / name).read_bytes()
                 assert got == (tmp_path / "converge" / name).read_bytes(), (cmd, name)
 
-    @pytest.mark.parametrize("cmd, expected", [("peierls", 1), ("converge", 2)])
+    @pytest.mark.parametrize("cmd, expected", [("peierls", 1), ("converge", 1)])
     def test_tight_subgraph_runs_once_per_kernel(self, cmd, expected, tmp_path, monkeypatch):
-        # peierls: once, shared by the critical kernel and the barrier;
-        # converge: once more, inside solve_mather_lp
+        # once, shared by the critical kernel, the barrier and the Mather LP
         original = wk.action_barrier.tight_subgraph
         calls = []
 
@@ -277,6 +277,53 @@ class TestCli:
         code = cli_dispatch([cmd, "--config", path, "--grid", "32", "--out", str(tmp_path)])
         assert code == EXIT_OK
         assert len(calls) == expected
+
+    @pytest.mark.parametrize(
+        "sizes, amplitude, frequency, schedule",
+        [
+            # the two-well benchmark problem at a = 2 - amplitude(seed 1)
+            ([120], 1.0731271511775198, 2.0,
+             {"lambdas": [0.25, 0.125, 0.0625, 0.03125],
+              "critical_lambdas": [0.2, 0.1, 0.05, 0.025], "u0_targets": 8}),
+            ([8, 8], 0.93, 1.0, {"u0_targets": 8}),
+        ],
+        ids=["two_well120", "torus8x8"],
+    )
+    def test_critical_self_loop_settles_the_graph_passes(
+        self, sizes, amplitude, frequency, schedule, tmp_path
+    ):
+        # at these amplitudes Karp's table put the mean a few ulps above the
+        # critical self-loop's Lbar, so that loop had a negative reduced cost:
+        # both Bellman-Ford passes ran 2n rounds and the Mather LP pivoted
+        dim = len(sizes)
+        config = ExperimentConfig.from_dict({
+            "problem": {
+                "family": "mechanical", "dim": dim, "sizes": sizes,
+                "potential": {"name": "cosine", "amplitudes": [amplitude] * dim,
+                              "frequencies": [frequency] * dim},
+            },
+            "schedule": schedule,
+        })
+        report = run_pipeline(config, tmp_path)
+        n = int(np.prod(sizes))
+        assert report.counters["barrier_relax_rounds"] < 2 * n
+        assert report.counters["mather_lp_pivots"] == 0
+        grid, spec, _, stencil = _setup(config)
+        kernel = wk.build_kernel(grid, spec, stencil, c=0.0)
+        loop = stencil.offsets.index((0,) * dim)
+        assert report.c_cross == -kernel.edge_lagrangian[loop].min()
+
+    def test_converge_does_not_import_numpy_ma(self, tmp_path):
+        config = os.path.join(os.path.dirname(__file__), os.pardir, "configs", "free.json")
+        argv = ["converge", "--config", config, "--out", str(tmp_path)]
+        script = (
+            "import sys\n"
+            "from weakkam.harness import cli_dispatch\n"
+            f"assert cli_dispatch({argv!r}) == 0\n"
+            "assert 'numpy.ma' not in sys.modules\n"
+        )
+        proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
 
     def test_out_of_memory_is_one_line_error(self, tmp_path):
         raw = free_config(tmp_path / "out").to_dict()

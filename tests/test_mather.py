@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 import weakkam as wk
-from weakkam.errors import EmptyAubryError, WeakKamError
+from weakkam.action_barrier import _min_cycle_mean, tight_subgraph
+from weakkam.errors import ConvergenceError, EmptyAubryError, WeakKamError
 from weakkam.mather import _edge_columns, _spanning_basis, _u0_columns
 from weakkam.simplex import _REFACTOR_EVERY, solve_standard_form
 
@@ -28,6 +29,49 @@ def cycle_mean_oracle(kernel):
         )
         best = min(best, total / len(cyc))
     return best
+
+
+def karp_mean(kernel):
+    """Karp's minimum mean Lbar over cycles, from the (n+1) x n table.
+
+    D_k(x) = min over edges into x of D_{k-1}(tail) + Lbar(edge), D_0 = 0,
+    and the mean is min over x of max over k < n of (D_n(x) - D_k(x))/(n - k).
+    """
+    n = kernel.num_nodes
+    pred = kernel.pred_index
+    lag_in = np.take_along_axis(kernel.edge_lagrangian, pred, axis=1)
+    d = np.zeros((n + 1, n))
+    for k in range(1, n + 1):
+        d[k] = (d[k - 1][pred] + lag_in).min(axis=0)
+    ratios = (d[n][None, :] - d[:n]) / (n - np.arange(n))[:, None]
+    return float(ratios.max(axis=0).min())
+
+
+def closed_walk_mean_oracle(kernel):
+    """Least Lbar per step over closed walks of at most n steps.
+
+    Min-plus powers of the dense Lbar matrix give every closed walk's least
+    total by length. A closed walk splits into simple cycles, so this is the
+    minimum simple-cycle mean, without enumerating the cycles.
+    """
+    n = kernel.num_nodes
+    lbar = np.full((n, n), np.inf)
+    for k in range(kernel.num_offsets):
+        np.minimum.at(lbar, (np.arange(n), kernel.head_index[k]), kernel.edge_lagrangian[k])
+    walk, best = lbar, np.inf
+    for length in range(1, n + 1):
+        best = min(best, float(np.diag(walk).min()) / length)
+        walk = (walk[:, :, None] + lbar[None, :, :]).min(axis=1)
+    return best
+
+
+def random_table8_kernel():
+    rng = np.random.default_rng(3)
+    grid = wk.build_grid(1, [8])
+    values = rng.uniform(-1.0, 1.0, 8)
+    spec = wk.mechanical(wk.table_potential(grid, values), dim=1).with_v_search(4.0)
+    stencil = wk.make_stencil(grid, 0.25, 1.0, k=2)
+    return wk.build_kernel(grid, spec, stencil, c=0.0)
 
 
 def dense_edge_columns(kernel):
@@ -290,12 +334,7 @@ class TestMinMeanCycle:
         assert mean == pytest.approx(cycle_mean_oracle(pendulum8.kernel0), abs=1e-12)
 
     def test_random_tabulated_potential_matches_oracle(self):
-        rng = np.random.default_rng(3)
-        grid = wk.build_grid(1, [8])
-        values = rng.uniform(-1.0, 1.0, 8)
-        spec = wk.mechanical(wk.table_potential(grid, values), dim=1).with_v_search(4.0)
-        stencil = wk.make_stencil(grid, 0.25, 1.0, k=2)
-        kernel = wk.build_kernel(grid, spec, stencil, c=0.0)
+        kernel = random_table8_kernel()
         mean, cycle = wk.min_mean_cycle(kernel)
         assert mean == pytest.approx(cycle_mean_oracle(kernel), abs=1e-12)
         # the returned cycle achieves the reported mean
@@ -308,6 +347,44 @@ class TestMinMeanCycle:
                     step = min(step, kernel.edge_lagrangian[k, node])
             total += step
         assert total / len(cycle) == pytest.approx(mean, abs=1e-9)
+
+
+class TestHowardMean:
+    @pytest.mark.parametrize(
+        "name", ["pendulum8", "random_table8", "transport8", "cosine4x4"]
+    )
+    def test_matches_karp_and_exhaustive_oracles(self, name, request):
+        if name == "random_table8":
+            kernel = random_table8_kernel()
+        else:
+            kernel = problem(name, request).kernel0
+        mean, _ = tight_subgraph(kernel)
+        assert abs(mean - karp_mean(kernel)) <= 1e-12
+        walks = closed_walk_mean_oracle(kernel)
+        assert abs(mean - walks) <= 1e-12
+        if name != "cosine4x4":
+            # too many simple cycles for networkx: 412,224 of length <= 8 alone
+            assert abs(walks - cycle_mean_oracle(kernel)) <= 1e-12
+
+    def test_mean_is_the_self_loop_where_karp_rounds_up(self):
+        # two-well n = 120 at a = 1.0731...: Karp's table gives a mean a few
+        # ulps above the critical self-loop's Lbar = -a, policy iteration
+        # returns that loop's Lbar itself
+        p = make_problem(120, wk.cosine_potential([1.0731271511775198], [2.0]))
+        kernel = p.kernel0
+        loop = kernel.stencil.offsets.index((0,))
+        mean, _ = tight_subgraph(kernel)
+        assert mean == kernel.edge_lagrangian[loop].min()
+        assert karp_mean(kernel) > mean
+
+    def test_round_cap_raises(self, pendulum8):
+        # the first policy of pendulum8 is not optimal: one round cannot end
+        kernel = pendulum8.kernel0
+        pred = kernel.pred_index
+        lag_in = np.take_along_axis(kernel.edge_lagrangian, pred, axis=1)
+        with pytest.raises(ConvergenceError, match="max_rounds=1"):
+            _min_cycle_mean(lag_in, pred, max_rounds=1)
+        assert _min_cycle_mean(lag_in, pred, max_rounds=2) == -1.0
 
 
 class TestMatherLP:
