@@ -106,12 +106,12 @@ def solve_discounted(
     the distance to the true fixed point by tol. Argmin ties go to the lowest
     stencil index, which makes policies and trajectories reproducible.
     """
-    if lam <= 0:
-        raise WeakKamError("discount lambda must be positive")
-    if kernel is None:
-        kernel = build_kernel(grid, spec, stencil, c)
     tau = stencil.tau
     beta = math.exp(-lam * tau)
+    if not beta < 1.0:
+        raise WeakKamError("discount lambda*tau must be positive and above double rounding")
+    if kernel is None:
+        kernel = build_kernel(grid, spec, stencil, c)
     weight = (1.0 - beta) / (lam * tau)
     cost_in = weight * kernel.costs_by_head()
     pred = kernel.pred_index

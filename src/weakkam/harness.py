@@ -18,6 +18,7 @@ import os
 import sys
 import time
 from dataclasses import asdict, dataclass, field, fields, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -147,11 +148,19 @@ class ExperimentConfig:
             value = getattr(d, name)
             if value is not None and not 0 < value < math.inf:
                 raise ConfigError(f"discretization.{name} must be positive, got {value!r}")
+        for name in ("lambdas", "critical_lambdas"):
+            bad = [l for l in getattr(s, name) if not 0 < l < math.inf]
+            if bad:
+                raise ConfigError(f"schedule.{name}: lambdas must be positive and finite, "
+                                  f"got {bad[0]!r}")
         lam = s.lambdas
         if len(lam) < 1 or any(b >= a for a, b in zip(lam, lam[1:])):
             raise ConfigError("schedule.lambdas must be strictly decreasing")
-        if any(not l > 0 for l in lam):
-            raise ConfigError("lambdas must be positive")
+        # f"{lam:g}" names a stage and the discounted artifacts; %g rounds
+        # monotonically, so only neighbours in a decreasing schedule can collide
+        for a, b in zip(lam, lam[1:]):
+            if f"{a:g}" == f"{b:g}":
+                raise ConfigError(f"schedule.lambdas {a!r} and {b!r} share the label {a:g}")
         if not s.tol_solve > 0:
             raise ConfigError("schedule.tol_solve must be positive")
         t, nodes = s.u0_targets, math.prod(p.sizes)
@@ -161,6 +170,8 @@ class ExperimentConfig:
             raise ConfigError(f"schedule.u0_targets must be a count >= 1 or nodes in [0, {nodes})")
         if self.threads < 1:
             raise ConfigError("threads must be >= 1")
+        if "\0" in self.output_dir:
+            raise ConfigError(f"output_dir must be a directory path, got {self.output_dir!r}")
         return self
 
     def to_dict(self) -> dict:
@@ -242,7 +253,7 @@ def _check_potential(p: ProblemConfig) -> None:
     if unknown:
         raise ConfigError(f"unknown keys {sorted(unknown)} in problem.potential {name!r}")
     path = block.get("path")
-    if name == "table" and not isinstance(path, str):
+    if name == "table" and not (isinstance(path, str) and "\0" not in path):
         raise ConfigError(f"problem.potential.path must be a file path, got {path!r}")
     for key in ("amplitude", "frequency"):
         if key in block and key + "s" in block:
@@ -281,37 +292,6 @@ def _build_spec(cfg: ProblemConfig, grid):
     return mechanical(zero_potential(), dim=cfg.dim)
 
 
-def _untimed(name, fn):
-    return fn()
-
-
-def _bounds(config: ExperimentConfig, run=_untimed):
-    """Grid, spec and stability bounds; run(stage, thunk) may time each stage."""
-    grid = run("grid", lambda: build_grid(config.problem.dim, config.problem.sizes))
-    spec = run("spec", lambda: _build_spec(config.problem, grid))
-
-    def bounds_at_level():  # at the level max |H(x, 0)| over the nodes
-        coords = grid.coordinates
-        level = float(np.abs(eval_hamiltonian(spec, coords, np.zeros_like(coords))).max())
-        return stability_bounds(spec, level, grid=grid)
-
-    return grid, spec, run("bounds", bounds_at_level)
-
-
-def _setup(config: ExperimentConfig, run=_untimed):
-    """_bounds, then the spec's velocity search box and the stencil."""
-    grid, spec, bounds = _bounds(config, run)
-    d = config.discretization
-    alpha = d.alpha if d.alpha is not None else bounds.alpha
-    spec = spec.with_v_search(d.v_search if d.v_search is not None else 2.0 * alpha)
-
-    def stencil():
-        tau = d.tau if d.tau_rule == "explicit" else default_time_step(grid, alpha)
-        return make_stencil(grid, tau, alpha, k=d.stencil_k)
-
-    return grid, spec, bounds, run("stencil", stencil)
-
-
 # ---------------------------------------------------------------------------
 # pipeline
 
@@ -345,20 +325,6 @@ class RunReport:
         return asdict(self)
 
 
-class _StageClock:
-    def __init__(self):
-        self.timings: dict[str, float] = {}
-
-    def run(self, name, fn):
-        start = time.perf_counter()
-        try:
-            return fn()
-        except WeakKamError as exc:
-            raise WeakKamError(f"[stage {name}] {exc}") from exc
-        finally:
-            self.timings[name] = time.perf_counter() - start
-
-
 def _u0_target_list(option, grid):
     if option is None:
         return np.arange(grid.num_nodes, dtype=np.int64)
@@ -367,6 +333,291 @@ def _u0_target_list(option, grid):
         spaced = np.linspace(0, grid.num_nodes, count, endpoint=False).astype(np.int64)
         return np.asarray(sorted(set(spaced.tolist())), dtype=np.int64)
     return np.asarray(sorted(int(t) for t in option), dtype=np.int64)
+
+
+class _Run:
+    """One run of the staged pipeline on a validated config.
+
+    Each stage is an attribute computed on first use and then kept. A stage
+    resolves its inputs first, so the time it records is its own; runs under
+    its timings.json name, labelling a WeakKamError ``[stage <name>]``; and
+    writes its artifact as soon as it has it, so failures keep their partial
+    results. Nothing is written while ``out`` is None.
+    """
+
+    def __init__(self, config: ExperimentConfig, out_dir=None):
+        self.config = config.validate()
+        self.out = os.fspath(out_dir or self.config.output_dir)
+        self.timings: dict[str, float] = {}
+        self._solutions = {}
+
+    def _timed(self, name, fn):
+        start = time.perf_counter()
+        try:
+            return fn()
+        except WeakKamError as exc:
+            raise WeakKamError(f"[stage {name}] {exc}") from exc
+        finally:
+            self.timings[name] = time.perf_counter() - start
+
+    def write(self, name, writer):
+        """Call writer(path) for the artifact called name in the output directory."""
+        if self.out is not None:
+            os.makedirs(self.out, exist_ok=True)
+            writer(os.path.join(self.out, name))
+
+    @cached_property
+    def grid(self):
+        p = self.config.problem
+        return self._timed("grid", lambda: build_grid(p.dim, p.sizes))
+
+    @cached_property
+    def _spec0(self):  # the spec before its velocity search box is set
+        grid = self.grid
+        return self._timed("spec", lambda: _build_spec(self.config.problem, grid))
+
+    @cached_property
+    def bounds(self):
+        """Stability bounds at the level max |H(x, 0)| over the nodes."""
+        grid, spec = self.grid, self._spec0
+
+        def at_level():
+            coords = grid.coordinates
+            level = float(np.abs(eval_hamiltonian(spec, coords, np.zeros_like(coords))).max())
+            return stability_bounds(spec, level, grid=grid)
+
+        return self._timed("bounds", at_level)
+
+    @cached_property
+    def alpha(self):
+        """The velocity bound: discretization.alpha, else the stability bounds'."""
+        bounds, alpha = self.bounds, self.config.discretization.alpha
+        return alpha if alpha is not None else bounds.alpha
+
+    @cached_property
+    def spec(self):
+        """The spec with its velocity search box: v_search, else 2 alpha."""
+        v_search = self.config.discretization.v_search
+        return self._spec0.with_v_search(v_search if v_search is not None else 2.0 * self.alpha)
+
+    @cached_property
+    def stencil(self):
+        d, grid, alpha = self.config.discretization, self.grid, self.alpha
+
+        def build():
+            tau = d.tau if d.tau_rule == "explicit" else default_time_step(grid, alpha)
+            return make_stencil(grid, tau, alpha, k=d.stencil_k)
+
+        return self._timed("stencil", build)
+
+    @cached_property
+    def critical(self):
+        """(c_est, table): exact discounted solutions at shift 0 down critical_lambdas."""
+        grid, spec, stencil, s = self.grid, self.spec, self.stencil, self.config.schedule
+        c_est, table = self._timed("critical", lambda: critical_value_estimate(
+            grid, spec, stencil, s.critical_lambdas, max_iter=s.max_iter
+        ))
+        self.write("critical.csv", lambda path: io.write_csv(
+            path,
+            ["lambda", "min_neg_lambda_u", "max_neg_lambda_u", "mid", "spread"],
+            [tuple(map(float, row)) for row in table.rows()],
+        ))
+        return c_est, table
+
+    @cached_property
+    def critical_graph(self):
+        """Kernel at the critical shift -(minimum cycle mean), a cycle achieving
+        it, and the (mean, adj) tight subgraph of Howard's run.
+
+        Howard's policy iteration runs once, on the kernel at shift 0. The tight
+        subgraph reads only the edge Lagrangian and the predecessor table, which
+        no shift changes, so the pair is handed on to peierls_barrier and
+        solve_mather_lp. The critical kernel shares the shift-0 arrays and
+        recomputes only costs, by the expression build_kernel evaluates, so its
+        bits are those of a fresh build.
+        """
+        grid, spec, stencil = self.grid, self.spec, self.stencil
+
+        def critical_kernel():
+            kernel0 = build_kernel(grid, spec, stencil, c=0.0)
+            tight = tight_subgraph(kernel0)
+            mean, cycle = min_mean_cycle(kernel0, tight=tight)
+            c = -mean
+            costs = stencil.tau * (kernel0.edge_lagrangian + c)
+            return replace(kernel0, c=float(c), costs=costs), cycle, tight
+
+        return self._timed("kernel", critical_kernel)
+
+    @cached_property
+    def barrier(self):
+        kernel, _, tight = self.critical_graph
+        barrier = self._timed(
+            "peierls", lambda: peierls_barrier(kernel, tol=_TOL_STABLE, tight=tight)
+        )
+        self.write("barrier", lambda path: io.write_barrier(barrier, path))
+        return barrier
+
+    @cached_property
+    def aubry(self):
+        barrier = self.barrier
+        aubry = self._timed("aubry", lambda: aubry_report(barrier, _EPS_AUBRY))
+        class_of = {node: cid for cid, cls in enumerate(aubry.classes) for node in cls}
+        self.write("aubry.csv", lambda path: io.write_csv(
+            path,
+            ["node", "diagonal", "class_id"],
+            [
+                (int(nd), float(dv), class_of[int(nd)])
+                for nd, dv in zip(aubry.nodes, aubry.diagonal)
+            ],
+        ))
+        return aubry
+
+    @cached_property
+    def mather(self):
+        kernel, _, tight = self.critical_graph
+        lp = self._timed("mather_lp", lambda: solve_mather_lp(kernel, tight=tight))
+        self.write("mather_measure.csv", lambda path: io.measure_to_csv(lp.measure, path))
+        return lp
+
+    @cached_property
+    def u0(self):
+        """(u0 reported, u0 by the LP route, their sup distance or None).
+
+        Both characterizations run when the family allows the rest-point
+        shortcut; otherwise (drifting families) the LP route is authoritative.
+        """
+        barrier, kernel = self.barrier, self.critical_graph[0]
+        grid, spec = self.grid, self.spec
+        targets = _u0_target_list(self.config.schedule.u0_targets, grid)
+        # near-Mather budget: mean Lagrangian within 1e-6 of -c
+        u0_lp = self._timed("u0_lp", lambda: compute_u0(barrier, kernel, kernel.c, 1e-6, targets))
+        try:
+            u0 = self._timed(
+                "u0_mechanical", lambda: u0_mechanical(barrier, spec, grid, kernel.c, _EPS_AUBRY)
+            )
+            delta = float(np.abs(u0.values[u0_lp.targets] - u0_lp.values).max())
+        except WeakKamError:
+            u0, delta = u0_lp, None
+        self.write("u0.csv", lambda path: io.write_csv(
+            path,
+            ["node", "value", "method"],
+            [(int(t), float(v), u0.method) for t, v in zip(u0.targets, u0.values)],
+        ))
+        return u0, u0_lp, delta
+
+    def discounted(self, lam):
+        """u_lambda by value iteration on the critical kernel, solved once per lambda."""
+        if lam not in self._solutions:
+            grid, spec, stencil, s = self.grid, self.spec, self.stencil, self.config.schedule
+            kernel = self.critical_graph[0]
+            self._solutions[lam] = self._timed(f"discounted_{lam:g}", lambda: solve_discounted(
+                grid, spec, lam, stencil, kernel.c,
+                tol=s.tol_solve, max_iter=s.max_iter, kernel=kernel,
+            ))
+        return self._solutions[lam]
+
+    @cached_property
+    def report(self) -> RunReport:
+        """Every stage in order, the verification battery, and the run's
+        convergence.csv, report.json and timings.json."""
+        bounds, stencil = self.bounds, self.stencil
+        c_est, table = self.critical
+        kernel, barrier, aubry, lp = self.critical_graph[0], self.barrier, self.aubry, self.mather
+        u0, u0_lp, u0_cross_delta = self.u0
+        solutions = [self.discounted(lam) for lam in self.config.schedule.lambdas]
+        verification = self._timed("verify", lambda: verify_limit(
+            u0, solutions, [lp], kernel,
+            barrier=barrier, aubry_nodes=aubry.nodes,
+            tol_subsolution=max(10.0 * (barrier.residual or 0.0), 1e-9),
+        ))
+
+        err_by_lam = dict(verification.sup_errors)
+        convergence = []
+        for sol in solutions:
+            neg = -sol.lam * sol.values.values
+            convergence.append((
+                float(sol.lam), float(err_by_lam[sol.lam]), float(neg.min()), float(neg.max()),
+                float(sol.values.lipschitz_quotient()),
+            ))
+        self.write("convergence.csv", lambda path: io.write_csv(
+            path,
+            ["lambda", "sup_error", "min_neg_lambda_u", "max_neg_lambda_u", "lipschitz_quotient"],
+            convergence,
+        ))
+
+        lp_vs_cycle = abs(lp.value + kernel.c)
+        checks = [
+            *verification.checks,
+            CheckResult(
+                "barrier_stable", "pass" if barrier.stable else "warn",
+                float(barrier.residual or 0.0), _TOL_STABLE,
+            ),
+            CheckResult(
+                "critical_spread", "warn" if table.spread_warning else "pass",
+                float(table.spreads[-1]), float(table.spreads[0]),
+                detail="-lambda*u spread must shrink along the schedule",
+            ),
+            CheckResult(
+                "lp_vs_min_mean_cycle", "pass" if lp_vs_cycle <= 1e-8 else "fail",
+                float(lp_vs_cycle), 1e-8,
+            ),
+        ]
+        if u0_cross_delta is not None:
+            checks.append(
+                CheckResult(
+                    "u0_methods_agree", "pass" if u0_cross_delta <= 1e-5 else "fail",
+                    float(u0_cross_delta), 1e-5,
+                )
+            )
+        flags = [asdict(c) for c in checks]
+
+        # runtime-only knobs (worker count, target directory) stay out of the
+        # report so identical experiments produce byte-identical report.json
+        config_dict = self.config.to_dict()
+        config_dict.pop("threads")
+        config_dict.pop("output_dir")
+        report = RunReport(
+            version=REPORT_VERSION,
+            config=config_dict,
+            bounds={
+                "kappa": bounds.kappa,
+                "A_kappa": bounds.A_kappa,
+                "C0": bounds.C0,
+                "alpha": bounds.alpha,
+                "v_search": bounds.v_search,
+                "c": bounds.c,
+                "tau": stencil.tau,
+                "stencil_offsets": stencil.num_offsets,
+            },
+            c_est=float(c_est),
+            c_cross=float(kernel.c),
+            cross_delta=float(abs(c_est - kernel.c)),
+            c_used=float(kernel.c),
+            critical_table=[list(map(float, r)) for r in table.rows()],
+            spread_warning=bool(table.spread_warning),
+            barrier_residual=float(barrier.residual or 0.0),
+            barrier_stable=bool(barrier.stable),
+            aubry_nodes=[int(x) for x in aubry.nodes],
+            mather_classes=[list(map(int, cls)) for cls in aubry.classes],
+            lp_value=float(lp.value),
+            lp_vs_cycle=float(lp_vs_cycle),
+            u0_method=u0.method,
+            u0_cross_delta=u0_cross_delta,
+            counters={
+                "barrier_relax_rounds": barrier.relax_rounds,
+                "mather_lp_pivots": lp.iterations,
+                "u0_pivots": u0_lp.pivots,
+                "critical_policy_rounds": sum(table.rounds),
+                "discounted_sweeps": sum(sol.iterations for sol in solutions),
+            },
+            convergence=[list(map(float, r)) for r in convergence],
+            plateau=float(verification.plateau),
+            flags=flags,
+            passed=all(f["status"] != "fail" for f in flags),
+        )
+        self.write("report.json", lambda path: io.write_json(path, report.to_dict()))
+        self.write("timings.json", lambda path: io.write_json(path, {"stages": self.timings}))
+        return report
 
 
 def run_pipeline(config: ExperimentConfig, out_dir=None) -> RunReport:
@@ -380,197 +631,12 @@ def run_pipeline(config: ExperimentConfig, out_dir=None) -> RunReport:
     discounted solves by value iteration down the lambda schedule,
     verification battery.
     """
-    config = config.validate()
-    out = os.fspath(out_dir or config.output_dir)
-    os.makedirs(out, exist_ok=True)
-    clock = _StageClock()
-    threads = config.threads
-
-    grid, spec, bounds, stencil = _setup(config, clock.run)
-    sched = config.schedule
-
-    c_est, table = clock.run(
-        "critical",
-        lambda: critical_value_estimate(
-            grid, spec, stencil, sched.critical_lambdas, max_iter=sched.max_iter
-        ),
-    )
-
-    io.write_csv(
-        os.path.join(out, "critical.csv"),
-        ["lambda", "min_neg_lambda_u", "max_neg_lambda_u", "mid", "spread"],
-        [tuple(map(float, row)) for row in table.rows()],
-    )
-
-    kernel, _, tight = clock.run("kernel", lambda: _critical_kernel(grid, spec, stencil))
-    c_cross = kernel.c
-    barrier = clock.run(
-        "peierls", lambda: peierls_barrier(kernel, tol=_TOL_STABLE, tight=tight)
-    )
-    io.write_barrier(barrier, os.path.join(out, "barrier"))
-
-    report_aubry = clock.run("aubry", lambda: aubry_report(barrier, _EPS_AUBRY))
-    class_of = {}
-    for cid, cls in enumerate(report_aubry.classes):
-        for node in cls:
-            class_of[node] = cid
-    io.write_csv(
-        os.path.join(out, "aubry.csv"),
-        ["node", "diagonal", "class_id"],
-        [
-            (int(nd), float(dv), class_of[int(nd)])
-            for nd, dv in zip(report_aubry.nodes, report_aubry.diagonal)
-        ],
-    )
-
-    lp = clock.run("mather_lp", lambda: solve_mather_lp(kernel, tight=tight))
-    io.measure_to_csv(lp.measure, os.path.join(out, "mather_measure.csv"))
-    lp_vs_cycle = abs(lp.value + c_cross)
-
-    targets = _u0_target_list(sched.u0_targets, grid)
-    u0_lp = clock.run(
-        "u0_lp",
-        # near-Mather budget: mean Lagrangian within 1e-6 of -c
-        lambda: compute_u0(barrier, kernel, c_cross, 1e-6, targets, threads=threads),
-    )
-
-    u0_cross_delta = None
-    try:
-        u0_main = clock.run(
-            "u0_mechanical",
-            lambda: u0_mechanical(barrier, spec, grid, c_cross, _EPS_AUBRY),
-        )
-        u0_cross_delta = float(
-            np.abs(u0_main.values[u0_lp.targets] - u0_lp.values).max()
-        )
-    except WeakKamError:
-        u0_main = u0_lp  # drifting families: the LP route is authoritative
-
-    io.write_csv(
-        os.path.join(out, "u0.csv"),
-        ["node", "value", "method"],
-        [
-            (int(t), float(v), u0_main.method)
-            for t, v in zip(u0_main.targets, u0_main.values)
-        ],
-    )
-
-    solutions = []
-    for lam in sched.lambdas:
-        sol = clock.run(
-            f"discounted_{lam:g}",
-            lambda lam=lam: solve_discounted(
-                grid, spec, lam, stencil, c_cross,
-                tol=sched.tol_solve, max_iter=sched.max_iter, kernel=kernel,
-            ),
-        )
-        solutions.append(sol)
-
-    verification = clock.run(
-        "verify",
-        lambda: verify_limit(
-            u0_main, solutions, [lp], kernel,
-            barrier=barrier, aubry_nodes=report_aubry.nodes,
-            tol_subsolution=max(10.0 * (barrier.residual or 0.0), 1e-9),
-        ),
-    )
-
-    convergence = []
-    err_by_lam = dict(verification.sup_errors)
-    for sol in solutions:
-        neg = -sol.lam * sol.values.values
-        convergence.append(
-            (
-                float(sol.lam),
-                float(err_by_lam[sol.lam]),
-                float(neg.min()),
-                float(neg.max()),
-                float(sol.values.lipschitz_quotient()),
-            )
-        )
-    io.write_csv(
-        os.path.join(out, "convergence.csv"),
-        ["lambda", "sup_error", "min_neg_lambda_u", "max_neg_lambda_u", "lipschitz_quotient"],
-        convergence,
-    )
-
-    checks = [
-        *verification.checks,
-        CheckResult(
-            "barrier_stable", "pass" if barrier.stable else "warn",
-            float(barrier.residual or 0.0), _TOL_STABLE,
-        ),
-        CheckResult(
-            "critical_spread", "warn" if table.spread_warning else "pass",
-            float(table.spreads[-1]), float(table.spreads[0]),
-            detail="-lambda*u spread must shrink along the schedule",
-        ),
-        CheckResult(
-            "lp_vs_min_mean_cycle", "pass" if lp_vs_cycle <= 1e-8 else "fail",
-            float(lp_vs_cycle), 1e-8,
-        ),
-    ]
-    if u0_cross_delta is not None:
-        checks.append(
-            CheckResult(
-                "u0_methods_agree", "pass" if u0_cross_delta <= 1e-5 else "fail",
-                float(u0_cross_delta), 1e-5,
-            )
-        )
-    flags = [asdict(c) for c in checks]
-
-    passed = all(f["status"] != "fail" for f in flags)
-    # runtime-only knobs (worker count, target directory) stay out of the
-    # report so identical experiments produce byte-identical report.json
-    config_dict = config.to_dict()
-    config_dict.pop("threads")
-    config_dict.pop("output_dir")
-    report = RunReport(
-        version=REPORT_VERSION,
-        config=config_dict,
-        bounds={
-            "kappa": bounds.kappa,
-            "A_kappa": bounds.A_kappa,
-            "C0": bounds.C0,
-            "alpha": bounds.alpha,
-            "v_search": bounds.v_search,
-            "c": bounds.c,
-            "tau": stencil.tau,
-            "stencil_offsets": stencil.num_offsets,
-        },
-        c_est=float(c_est),
-        c_cross=float(c_cross),
-        cross_delta=float(abs(c_est - c_cross)),
-        c_used=float(c_cross),
-        critical_table=[list(map(float, r)) for r in table.rows()],
-        spread_warning=bool(table.spread_warning),
-        barrier_residual=float(barrier.residual or 0.0),
-        barrier_stable=bool(barrier.stable),
-        aubry_nodes=[int(x) for x in report_aubry.nodes],
-        mather_classes=[list(map(int, cls)) for cls in report_aubry.classes],
-        lp_value=float(lp.value),
-        lp_vs_cycle=float(lp_vs_cycle),
-        u0_method=u0_main.method,
-        u0_cross_delta=u0_cross_delta,
-        counters={
-            "barrier_relax_rounds": barrier.relax_rounds,
-            "mather_lp_pivots": lp.iterations,
-            "u0_pivots": u0_lp.pivots,
-            "critical_policy_rounds": sum(table.rounds),
-            "discounted_sweeps": sum(sol.iterations for sol in solutions),
-        },
-        convergence=[list(map(float, r)) for r in convergence],
-        plateau=float(verification.plateau),
-        flags=flags,
-        passed=passed,
-    )
-    io.write_json(os.path.join(out, "report.json"), report.to_dict())
-    io.write_json(os.path.join(out, "timings.json"), {"stages": clock.timings})
-    return report
+    return _Run(config, out_dir).report
 
 
 # ---------------------------------------------------------------------------
-# command-line interface
+# command-line interface: each subcommand reads the stages it needs from one
+# run and prints one line per result
 
 
 class _Parser(argparse.ArgumentParser):
@@ -586,138 +652,69 @@ def _apply_overrides(config: ExperimentConfig, args) -> ExperimentConfig:
         config = replace(config, problem=replace(config.problem, sizes=sizes))
     if args.out is not None:
         config = replace(config, output_dir=args.out)
-    threads = args.threads
-    env_threads = os.environ.get("WEAKKAM_THREADS")
-    if threads is None and env_threads:
-        try:
-            threads = int(env_threads)
-        except ValueError:
-            raise ConfigError(f"WEAKKAM_THREADS must be an integer, got {env_threads!r}") from None
-    if threads is not None:
-        config = replace(config, threads=threads)
+    if args.threads is not None:
+        config = replace(config, threads=args.threads)
     if args.lam is not None:
         config = replace(config, schedule=replace(config.schedule, lambdas=(args.lam,)))
-    return config.validate()
+    return config
 
 
-def _prepare(args):
-    config = load_config(args.config)
-    return _apply_overrides(config, args)
-
-
-def _cmd_bounds(args) -> int:
-    _, _, bounds = _bounds(_prepare(args))
+def _cmd_bounds(run: _Run, args) -> int:
+    b = run.bounds
     print(
-        f"kappa={io.fmt(bounds.kappa)} A_kappa={io.fmt(bounds.A_kappa)} "
-        f"C0={io.fmt(bounds.C0)} alpha={io.fmt(bounds.alpha)} "
-        f"v_search={io.fmt(bounds.v_search)} c={io.fmt(bounds.c)}"
+        f"kappa={io.fmt(b.kappa)} A_kappa={io.fmt(b.A_kappa)} C0={io.fmt(b.C0)} "
+        f"alpha={io.fmt(b.alpha)} v_search={io.fmt(b.v_search)} c={io.fmt(b.c)}"
     )
     return EXIT_OK
 
 
-def _critical_kernel(grid, spec, stencil):
-    """Kernel at the critical shift -(minimum cycle mean), a cycle achieving it,
-    and the (mean, adj) tight subgraph of Howard's run.
-
-    Howard's policy iteration runs once, on the kernel at shift 0. The tight
-    subgraph reads only the edge Lagrangian and the predecessor table, which
-    no shift changes, so the pair is handed on to peierls_barrier and
-    solve_mather_lp. The critical kernel shares the shift-0 arrays and
-    recomputes only costs, by the expression build_kernel evaluates, so its
-    bits are those of a fresh build.
-    """
-    kernel0 = build_kernel(grid, spec, stencil, c=0.0)
-    tight = tight_subgraph(kernel0)
-    mean, cycle = min_mean_cycle(kernel0, tight=tight)
-    c = -mean
-    kernel = replace(kernel0, c=float(c), costs=stencil.tau * (kernel0.edge_lagrangian + c))
-    return kernel, cycle, tight
-
-
-def _cmd_critical(args) -> int:
-    config = _prepare(args)
-    grid, spec, _, stencil = _setup(config)
-    c_est, table = critical_value_estimate(
-        grid, spec, stencil, config.schedule.critical_lambdas,
-        max_iter=config.schedule.max_iter,
-    )
-    os.makedirs(config.output_dir, exist_ok=True)
-    io.write_csv(
-        os.path.join(config.output_dir, "critical.csv"),
-        ["lambda", "min_neg_lambda_u", "max_neg_lambda_u", "mid", "spread"],
-        [tuple(map(float, row)) for row in table.rows()],
-    )
+def _cmd_critical(run: _Run, args) -> int:
+    c_est, table = run.critical
     print(f"c_est={io.fmt(c_est)} spread_warning={table.spread_warning}")
     return EXIT_OK
 
 
-def _cmd_peierls(args) -> int:
-    config = _prepare(args)
-    grid, spec, _, stencil = _setup(config)
-    kernel, _, tight = _critical_kernel(grid, spec, stencil)
-    barrier = peierls_barrier(kernel, tol=_TOL_STABLE, tight=tight)
-    os.makedirs(config.output_dir, exist_ok=True)
-    io.write_barrier(barrier, os.path.join(config.output_dir, "barrier"))
-    print(
-        f"c={io.fmt(kernel.c)} residual={io.fmt(barrier.residual)} stable={barrier.stable}"
-    )
+def _cmd_peierls(run: _Run, args) -> int:
+    barrier, kernel = run.barrier, run.critical_graph[0]
+    print(f"c={io.fmt(kernel.c)} residual={io.fmt(barrier.residual)} stable={barrier.stable}")
     return EXIT_OK if barrier.stable else EXIT_VERIFICATION
 
 
-def _cmd_discounted(args) -> int:
-    config = _prepare(args)
-    grid, spec, _, stencil = _setup(config)
-    kernel, _, _ = _critical_kernel(grid, spec, stencil)
-    os.makedirs(config.output_dir, exist_ok=True)
-    for lam in config.schedule.lambdas:
-        sol = solve_discounted(
-            grid, spec, lam, stencil, kernel.c,
-            tol=config.schedule.tol_solve, max_iter=config.schedule.max_iter, kernel=kernel,
+def _cmd_discounted(run: _Run, args) -> int:
+    for lam in run.config.schedule.lambdas:
+        sol = run.discounted(lam)
+        run.write(f"discounted_{lam:g}", lambda path: io.write_solution(sol, path))
+        traj = backward_trajectory(
+            sol, int(np.argmax(sol.values.values)), min(400, 4 * run.grid.num_nodes)
         )
-        io.write_solution(sol, os.path.join(config.output_dir, f"discounted_{lam:g}"))
-        start = int(np.argmax(sol.values.values))
-        traj = backward_trajectory(sol, start, min(400, 4 * grid.num_nodes))
-        io.trajectory_to_csv(
-            traj, stencil, os.path.join(config.output_dir, f"trajectory_{lam:g}.csv")
+        run.write(
+            f"trajectory_{lam:g}.csv", lambda path: io.trajectory_to_csv(traj, run.stencil, path)
         )
-        print(
-            f"lambda={io.fmt(lam)} iterations={sol.iterations} "
-            f"residual={io.fmt(sol.residual)}"
-        )
+        print(f"lambda={io.fmt(lam)} iterations={sol.iterations} residual={io.fmt(sol.residual)}")
     return EXIT_OK
 
 
-def _cmd_mather(args) -> int:
-    config = _prepare(args)
-    grid, spec, _, stencil = _setup(config)
-    kernel, cycle, tight = _critical_kernel(grid, spec, stencil)
-    lp = solve_mather_lp(kernel, tight=tight)
-    os.makedirs(config.output_dir, exist_ok=True)
-    io.measure_to_csv(lp.measure, os.path.join(config.output_dir, "mather_measure.csv"))
-    io.write_json(
-        os.path.join(config.output_dir, "mather.json"),
-        {
-            "lp_value": lp.value,
-            "min_mean": -kernel.c,
-            "cycle": [int(x) for x in cycle],
-            "support_size": int(lp.support_edges.shape[0]),
-            "projected_support": [int(x) for x in np.nonzero(lp.projected > 1e-12)[0]],
-        },
-    )
+def _cmd_mather(run: _Run, args) -> int:
+    lp, (kernel, cycle, _) = run.mather, run.critical_graph
+    run.write("mather.json", lambda path: io.write_json(path, {
+        "lp_value": lp.value,
+        "min_mean": -kernel.c,
+        "cycle": [int(x) for x in cycle],
+        "support_size": int(lp.support_edges.shape[0]),
+        "projected_support": [int(x) for x in np.nonzero(lp.projected > 1e-12)[0]],
+    }))
     print(f"lp_value={io.fmt(lp.value)} min_mean={io.fmt(-kernel.c)}")
     return EXIT_OK
 
 
-def _cmd_u0(args) -> int:
-    config = _prepare(args)
-    report = run_pipeline(config)
+def _cmd_u0(run: _Run, args) -> int:
+    report = run.report
     print(f"u0 method={report.u0_method} plateau={io.fmt(report.plateau)}")
     return EXIT_OK if report.passed else EXIT_VERIFICATION
 
 
-def _cmd_converge(args) -> int:
-    config = _prepare(args)
-    report = run_pipeline(config)
+def _cmd_converge(run: _Run, args) -> int:
+    report = run.report
     print(
         f"c_est={io.fmt(report.c_est)} c_cross={io.fmt(report.c_cross)} "
         f"plateau={io.fmt(report.plateau)} passed={report.passed}"
@@ -725,14 +722,12 @@ def _cmd_converge(args) -> int:
     return EXIT_OK if report.passed else EXIT_VERIFICATION
 
 
-def _cmd_verify(args) -> int:
-    config = _prepare(args)
-    grid, spec, _, stencil = _setup(config)
-    kernel, _, tight = _critical_kernel(grid, spec, stencil)
+def _cmd_verify(run: _Run, args) -> int:
+    run.out = None  # checks the given u0 against the run's stages and writes nothing
+    kernel, grid = run.critical_graph[0], run.grid
     values = io.read_values_binary(args.u0, grid.num_nodes)
     violation = verify_subsolution(GridFunction(grid, values), kernel)
-    lp = solve_mather_lp(kernel, tight=tight)
-    integral = float(lp.projected @ values)
+    integral = float(run.mather.projected @ values)
     ok = violation <= 1e-6 and integral <= 1e-6  # verify_limit's constraint tolerance
     print(f"subsolution_violation={io.fmt(violation)} measure_integral={io.fmt(integral)}")
     return EXIT_OK if ok else EXIT_VERIFICATION
@@ -764,11 +759,9 @@ def cli_dispatch(argv) -> int:
             p.add_argument("--u0", required=True)
     args = parser.parse_args(argv)
     try:
-        return _COMMANDS[args.command](args)
-    except WeakKamError as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return EXIT_ERROR
-    except OSError as exc:
+        run = _Run(_apply_overrides(load_config(args.config), args))
+        return _COMMANDS[args.command](run, args)
+    except (WeakKamError, OSError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_ERROR
     except MemoryError as exc:

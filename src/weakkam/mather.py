@@ -22,7 +22,6 @@ stays a certificate rather than a copy of the graph route.
 
 from __future__ import annotations
 
-import concurrent.futures
 from dataclasses import dataclass
 
 import numpy as np
@@ -337,8 +336,9 @@ def compute_u0(
     the critical graph implies: the critical cycle of least mean h(., x) = v,
     a shortest-path in-tree to it under node weights h(y, x) - v, and the
     budget slack. The simplex prices every column from there, so it stays an
-    independent certificate, and each start depends on its target alone, so
-    the values do not depend on how targets are spread over worker threads.
+    independent certificate. The targets are solved one after another;
+    threads is accepted and has no effect (each target is one basis inverse,
+    and concurrent threaded LAPACK calls only stalled each other).
     """
     if not h.is_square():
         raise WeakKamError("compute_u0 needs the full square barrier")
@@ -372,13 +372,7 @@ def compute_u0(
         measure = _measure_from_solution(kernel, res.x[:-1])
         return float(res.objective), measure, res.iterations
 
-    workers = max(1, int(threads))
-    if workers == 1 or targets.size < 2:
-        solved = [solve_target(int(t)) for t in targets]
-    else:
-        with concurrent.futures.ThreadPoolExecutor(max_workers=workers) as pool:
-            solved = list(pool.map(solve_target, [int(t) for t in targets]))
-
+    solved = [solve_target(int(t)) for t in targets]
     values = np.array([s[0] for s in solved])
     certificates = tuple(s[1] for s in solved)
     return LimitFunctionResult(
@@ -392,20 +386,10 @@ def compute_u0(
     )
 
 
-def _zero_minimizes_velocity(spec: LagrangianSpec, grid: TorusGrid) -> bool:
+def _zero_minimizes_velocity(spec: LagrangianSpec) -> bool:
     if spec.family == "mechanical":
         return True
-    if spec.family == "transport":
-        return all(abs(w) < 1e-15 for w in spec.drift)
-    # tabulated: spot-check midpoint convexity's minimum at v = 0 on the nodes
-    coords = grid.coordinates
-    l0 = eval_lagrangian(spec, coords, np.zeros_like(coords))
-    for v in (0.25, 0.5, 1.0):
-        for sign in (-1.0, 1.0):
-            vv = np.full_like(coords, sign * v)
-            if (eval_lagrangian(spec, coords, vv) < l0 - 1e-9).any():
-                return False
-    return True
+    return spec.family == "transport" and all(abs(w) < 1e-15 for w in spec.drift)
 
 
 def u0_mechanical(
@@ -419,10 +403,11 @@ def u0_mechanical(
 
     When the constants are critical subsolutions the projected Mather and
     Aubry sets are both {y : L(y,0) + c = 0}, and u0(x) = min over that set
-    of h(y, x). Guarded: families whose fiber minimum sits away from v = 0
-    (drifting transport) must go through the LP route instead.
+    of h(y, x). Guarded: mechanical specs and zero-drift transport only;
+    drifting transport, whose fiber minimum sits away from v = 0, and
+    tabulated specs must go through the LP route instead.
     """
-    if not _zero_minimizes_velocity(spec, grid):
+    if not _zero_minimizes_velocity(spec):
         raise WeakKamError(
             "u0_mechanical requires argmin_v L(x,.) = 0 for every x; "
             "use compute_u0 for this family"

@@ -158,6 +158,13 @@ class TestSolveDiscounted:
             wk.solve_discounted(p.grid, p.spec, 0.01, p.stencil, p.c_star, kernel=p.kernel, max_iter=3)
         assert err.value.residual is not None and err.value.iterations == 3
 
+    @pytest.mark.parametrize("lam", [0.0, 1e-300])
+    def test_lambda_without_discount_rejected(self, pendulum16, lam):
+        # at 1e-300, beta = exp(-lambda*tau) rounds to 1 and the step weight to 0
+        p = pendulum16
+        with pytest.raises(WeakKamError, match="double rounding"):
+            wk.solve_discounted(p.grid, p.spec, lam, p.stencil, p.c_star, kernel=p.kernel)
+
     def test_equi_lipschitz_across_schedule(self, pendulum200, pendulum200_solutions):
         quotients = [s.values.lipschitz_quotient() for s in pendulum200_solutions]
         assert max(quotients) < 1.5 * min(quotients)

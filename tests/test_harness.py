@@ -1,14 +1,22 @@
+import contextlib
 import hashlib
+import importlib.util
+import io
 import json
+import math
 import os
 import resource
 import subprocess
 import sys
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import weakkam as wk
+import weakkam.harness as harness
 from weakkam.errors import ConfigError
 from weakkam.harness import (
     EXIT_ERROR,
@@ -16,7 +24,7 @@ from weakkam.harness import (
     EXIT_USAGE,
     EXIT_VERIFICATION,
     ExperimentConfig,
-    _setup,
+    _Run,
     cli_dispatch,
     run_pipeline,
 )
@@ -173,6 +181,35 @@ class TestPipeline:
             run_pipeline(ExperimentConfig.from_dict(raw))
 
 
+def _load_tracing():
+    path = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench", "tracing.py")
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+# calls a subcommand makes, on free32 with three lambdas, to each harness name
+# the benchmark's tracer wraps
+_SETUP = {"stability_bounds": 1, "make_stencil": 1}
+_GRAPH = {**_SETUP, "build_kernel": 1, "min_mean_cycle": 1}
+_FULL = {
+    **_GRAPH, "critical_value_estimate": 1, "peierls_barrier": 1, "aubry_report": 1,
+    "solve_mather_lp": 1, "compute_u0": 1, "u0_mechanical": 1, "solve_discounted": 3,
+    "verify_limit": 1,
+}
+STAGE_CALLS = {
+    "bounds": {"stability_bounds": 1},
+    "critical": {**_SETUP, "critical_value_estimate": 1},
+    "peierls": {**_GRAPH, "peierls_barrier": 1},
+    "discounted": {**_GRAPH, "solve_discounted": 3},
+    "mather": {**_GRAPH, "solve_mather_lp": 1},
+    "verify": {**_GRAPH, "solve_mather_lp": 1},
+    "u0": _FULL,
+    "converge": _FULL,
+}
+
+
 class TestCli:
     def test_critical_exit_zero(self, tmp_path, capsys):
         path = write_config(tmp_path / "cfg.json", free_config(tmp_path / "out"))
@@ -308,10 +345,27 @@ class TestCli:
         n = int(np.prod(sizes))
         assert report.counters["barrier_relax_rounds"] < 2 * n
         assert report.counters["mather_lp_pivots"] == 0
-        grid, spec, _, stencil = _setup(config)
-        kernel = wk.build_kernel(grid, spec, stencil, c=0.0)
-        loop = stencil.offsets.index((0,) * dim)
+        run = _Run(config)
+        kernel = wk.build_kernel(run.grid, run.spec, run.stencil, c=0.0)
+        loop = run.stencil.offsets.index((0,) * dim)
         assert report.c_cross == -kernel.edge_lagrangian[loop].min()
+
+    @pytest.mark.parametrize("cmd", sorted(STAGE_CALLS))
+    def test_subcommand_calls_each_traced_name_once_per_stage(self, cmd, tmp_path, monkeypatch):
+        calls = {}
+        for module, name, _ in _load_tracing()._WRAPPED:
+            if module == "harness":
+                def counted(*args, _name=name, _fn=getattr(harness, name), **kwargs):
+                    calls[_name] = calls.get(_name, 0) + 1
+                    return _fn(*args, **kwargs)
+
+                monkeypatch.setattr(harness, name, counted)
+        path = write_config(tmp_path / "cfg.json", free_config(tmp_path / "out"))
+        u0 = tmp_path / "u0.bin"
+        np.zeros(32).tofile(u0)
+        extra = ["--u0", str(u0)] if cmd == "verify" else []
+        assert cli_dispatch([cmd, "--config", path, *extra]) == EXIT_OK
+        assert calls == STAGE_CALLS[cmd]
 
     def test_converge_does_not_import_numpy_ma(self, tmp_path):
         config = os.path.join(os.path.dirname(__file__), os.pardir, "configs", "free.json")
@@ -376,12 +430,6 @@ class TestCli:
         assert counters[0] == counters[1]
         assert counters[0]["mather_lp_pivots"] == counters[0]["u0_pivots"] == 0
 
-    def test_threads_env_var(self, tmp_path, monkeypatch):
-        path = write_config(tmp_path / "cfg.json", free_config(tmp_path / "out"))
-        monkeypatch.setenv("WEAKKAM_THREADS", "3")
-        assert cli_dispatch(["converge", "--config", path]) == EXIT_OK
-        assert (tmp_path / "out" / "report.json").exists()
-
 
 def _dump(edit=lambda raw: None):
     def text(raw):
@@ -407,6 +455,14 @@ def _discretization(**values):
 #          environment, text the error line must name)
 BAD_INPUTS = {
     "lambda_zero": (["--lambda", "0"], _dump(), {}, "lambdas must be positive"),
+    "lambda_inf": (["--lambda", "inf"], _dump(), {}, "lambdas must be positive and finite"),
+    "critical_lambda_inf": (
+        [], _set("schedule", critical_lambdas=[math.inf, 0.1, 0.05]), {}, "critical_lambdas"
+    ),
+    # both would be written as discounted_0.5.*
+    "lambda_labels_collide": (
+        [], _set("schedule", lambdas=[0.5, 0.4999999, 0.25]), {}, "0.5 and 0.4999999"
+    ),
     "threads_zero": (["--threads", "0"], _dump(), {}, "threads must be >= 1"),
     "grid_zero": (["--grid", "0"], _dump(), {}, "sizes"),
     "malformed_json": ([], lambda raw: json.dumps(raw)[:-1], {}, "JSON"),
@@ -415,7 +471,6 @@ BAD_INPUTS = {
         [], _dump(lambda raw: raw["schedule"].update(lambdas="abc")), {}, "'abc'"
     ),
     "burn_in_key": ([], _dump(lambda raw: raw["schedule"].update(burn_in=10)), {}, "burn_in"),
-    "threads_env": ([], _dump(), {"WEAKKAM_THREADS": "abc"}, "WEAKKAM_THREADS"),
     "u0_targets_out_of_range": (
         [], _dump(lambda raw: raw["schedule"].update(u0_targets=[999])), {}, "u0_targets"
     ),
@@ -423,6 +478,8 @@ BAD_INPUTS = {
         [], _potential({"name": "cosine", "amplitudes": "x"}), {}, "amplitudes"
     ),
     "potential_table_without_path": ([], _potential({"name": "table"}), {}, "path"),
+    "potential_table_path_nul": ([], _potential({"name": "table", "path": "a\0b"}), {}, "path"),
+    "output_dir_nul": ([], _dump(lambda raw: raw.update(output_dir="a\0b")), {}, "output_dir"),
     "potential_unknown_key": (
         [], _potential({"name": "zero", "amplitude": 3}), {}, "amplitude"
     ),
@@ -469,3 +526,67 @@ def test_bad_input_is_one_line_error(case, tmp_path):
     assert proc.returncode in (EXIT_ERROR, EXIT_USAGE), proc.stdout
     assert len(errors) == 1 and "Traceback" not in proc.stderr, proc.stderr
     assert named in errors[0]
+
+
+def _fields(doc):
+    """Paths of the free config document's blocks and their fields."""
+    paths = []
+    for key, value in doc.items():
+        paths.append((key,))
+        if isinstance(value, dict):
+            paths += [(key, inner) for inner in value]
+    return paths
+
+
+# no path separators or dots, so a fuzzed output_dir stays inside the work dir
+_TEXT = st.text(st.characters(blacklist_characters="/\\."), max_size=4)
+_NUMBER = st.one_of(st.integers(-3, 40), st.floats())
+_VALUE = st.one_of(st.none(), st.booleans(), _NUMBER, _TEXT, st.lists(_NUMBER, max_size=3))
+# an argument is absent, text that parses as a number, or text without digits;
+# --grid stays at most 12, so a 2-D grid has at most 144 nodes
+_NOT_A_NUMBER = st.text(st.characters(blacklist_categories=("Nd",)), max_size=3)
+
+
+def _argument(numbers):
+    return st.one_of(st.none(), numbers.map(str), _NOT_A_NUMBER)
+
+
+_GRID = _argument(st.integers(-3, 12))
+_LAMBDA = _argument(st.floats() | st.floats(1e-3, 1.0) | st.integers(-3, 40))
+_THREADS = _argument(st.integers(-3, 40))
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    command=st.sampled_from(["bounds", "critical", "peierls"]),
+    path=st.sampled_from(_fields(free_config("out").to_dict())),
+    value=_VALUE,
+    grid=_GRID,
+    lam=_LAMBDA,
+    threads=_THREADS,
+)
+def test_fuzzed_input_exits_with_a_known_code(command, path, value, grid, lam, threads):
+    raw = free_config("out").to_dict()
+    block = raw if len(path) == 1 else raw[path[0]]
+    block[path[-1]] = value
+    argv = [command, "--config", "cfg.json"]
+    for flag, text in (("--grid", grid), ("--lambda", lam), ("--threads", threads)):
+        if text is not None:
+            argv += [flag, text]
+    stderr = io.StringIO()
+    cwd = os.getcwd()
+    with tempfile.TemporaryDirectory() as work:
+        os.chdir(work)
+        try:
+            with open("cfg.json", "w") as fh:
+                json.dump(raw, fh)
+            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(stderr):
+                try:
+                    code = cli_dispatch(argv)
+                except SystemExit as exc:  # argparse: usage errors and --help
+                    code = exc.code
+        finally:
+            os.chdir(cwd)
+    errors = [line for line in stderr.getvalue().splitlines() if line.startswith("error:")]
+    assert code in (EXIT_OK, EXIT_ERROR, EXIT_VERIFICATION, EXIT_USAGE), (argv, raw)
+    assert len(errors) <= 1, stderr.getvalue()

@@ -513,6 +513,14 @@ class TestU0Mechanical:
         with pytest.raises(WeakKamError, match="argmin"):
             wk.u0_mechanical(h, p.spec, p.grid, 0.0, 1e-9)
 
+    def test_guard_rejects_tabulated(self, pendulum16):
+        p = pendulum16
+        mom = np.linspace(-6, 6, 121)
+        table = 0.5 * mom[None, :] ** 2 + np.cos(2 * np.pi * p.grid.coordinates[:, :1])
+        h = wk.peierls_barrier(p.kernel)
+        with pytest.raises(WeakKamError, match="argmin"):
+            wk.u0_mechanical(h, wk.tabulated(p.grid, mom, table), p.grid, p.c_star, 1e-9)
+
     def test_empty_rest_set_is_error(self, pendulum16):
         h = wk.peierls_barrier(pendulum16.kernel)
         with pytest.raises(EmptyAubryError):
