@@ -13,9 +13,10 @@ while every cross-solver identity stays exact because all modules read the
 same arrays.
 
 The Peierls barrier is exact on this graph: the minimum mean cycle, by
-Howard's policy iteration, gives the critical shift and the tight subgraph,
-and the barrier is the shortest path through the critical nodes. Min-plus
-powers h_{n tau} stay as the brute-force oracle for it.
+Howard's policy iteration, gives the critical shift and the CriticalGraph
+(critical nodes, Mather classes, one cycle per class), and the barrier is
+the shortest path through the critical nodes. Min-plus powers h_{n tau}
+stay as the brute-force oracle for it.
 """
 
 from __future__ import annotations
@@ -36,6 +37,7 @@ __all__ = [
     "minplus_product",
     "minplus_power",
     "barrier_step",
+    "CriticalGraph",
     "tight_subgraph",
     "peierls_barrier",
     "aubry_set",
@@ -140,8 +142,8 @@ class BarrierMatrix:
     """Dense pairwise action values: h_{n tau} at a horizon, or the Peierls barrier.
 
     steps is the horizon n of a min-plus power and None for the barrier; the
-    barrier carries its row fixed-point residual, stability flag and
-    Bellman-Ford round count instead.
+    barrier carries its row fixed-point residual, stability flag,
+    Bellman-Ford round count and critical graph instead.
     """
 
     values: np.ndarray           # (num_rows, num_nodes)
@@ -152,6 +154,7 @@ class BarrierMatrix:
     stable: bool | None = None
     row_nodes: np.ndarray | None = None    # None means all nodes, in order
     relax_rounds: int | None = None        # Bellman-Ford rounds of the barrier
+    graph: CriticalGraph | None = None     # the critical graph the barrier rests on
 
     @property
     def num_nodes(self) -> int:
@@ -316,22 +319,75 @@ def _min_cycle_mean(
     )
 
 
-def tight_subgraph(kernel: ActionKernel) -> tuple[float, list[list[int]]]:
-    """Minimum mean Lbar over cycles, and adjacency lists of tight edges.
+@dataclass(frozen=True)
+class CriticalGraph:
+    """Howard's minimum mean Lbar and the critical classes and cycles.
+
+    classes are the strongly connected components of the tight edges that
+    carry a cycle (the Mather classes), each sorted, ordered by lowest node;
+    cycles[i] is a cycle of classes[i] as edge ids k*n + tail in walking order.
+    """
+
+    mean: float
+    classes: list[list[int]]
+    cycles: list[np.ndarray]
+
+
+def _cyclic_components(adj: list[list[int]]) -> list[list[int]]:
+    """Strongly connected components of adj that carry a cycle, each sorted,
+    ordered by lowest node: Tarjan's algorithm (1972) on an explicit call
+    stack, O(nodes + edges). A node's index is its position on Tarjan's
+    stack, which orders the nodes there as discovery does, and n once its
+    component is out.
+    """
+    n = len(adj)
+    index, low = [-1] * n, [0] * n
+    stack, classes = [], []
+    for root in range(n):
+        calls = [] if index[root] >= 0 else [(root, iter(adj[root]))]
+        while calls:
+            v, edges = calls[-1]
+            if index[v] < 0:
+                index[v] = low[v] = len(stack)
+                stack.append(v)
+            for w in edges:
+                if index[w] < 0:
+                    calls.append((w, iter(adj[w])))
+                    break
+                low[v] = min(low[v], index[w])
+            else:
+                calls.pop()
+                if calls:
+                    u = calls[-1][0]
+                    low[u] = min(low[u], low[v])
+                if low[v] == index[v]:
+                    comp = stack[index[v]:]
+                    del stack[index[v]:]
+                    for w in comp:
+                        index[w] = n
+                    if len(comp) > 1 or v in adj[v]:
+                        classes.append(sorted(comp))
+    return sorted(classes)
+
+
+def tight_subgraph(kernel: ActionKernel) -> CriticalGraph:
+    """The CriticalGraph of the kernel, by the package's one criticality test.
 
     The mean comes from Howard's policy iteration (ConvergenceError when it
     runs out of rounds) and is the mean of a real cycle, so that cycle's
     reduced costs Lbar - mean sum to zero up to rounding, and a self-loop's
     is exactly zero. An edge is tight when its slack under Bellman-Ford
     potentials of those reduced costs is at most 1e-9, so every minimum mean
-    cycle runs on tight edges. adj[tail] lists their heads.
+    cycle runs on tight edges. A class's cycle walks from its lowest node
+    along each node's lowest-offset tight edge inside the class until a node
+    repeats.
 
-    Only edge_lagrangian and pred_index are read, so the result does not
-    depend on the kernel's shift c: one call serves every kernel built on the
-    same grid, Lagrangian and stencil.
+    Only edge_lagrangian and the index tables are read, so the result does
+    not depend on the kernel's shift c: one call serves every kernel built
+    on the same grid, Lagrangian and stencil.
     """
     n = kernel.num_nodes
-    pred = kernel.pred_index
+    pred, heads = kernel.pred_index, kernel.head_index
     lag_in = np.take_along_axis(kernel.edge_lagrangian, pred, axis=1)
     mean = _min_cycle_mean(lag_in, pred)
 
@@ -342,30 +398,30 @@ def tight_subgraph(kernel: ActionKernel) -> tuple[float, list[list[int]]]:
         if np.array_equal(nxt, pi):
             break
         pi = nxt
-    tight = pi[pred] + reduced - pi[None, :] <= 1e-9
+    tight = pi + (kernel.edge_lagrangian - mean) - pi[heads] <= 1e-9  # by tail
 
     adj: list[list[int]] = [[] for _ in range(n)]
-    for k in range(kernel.num_offsets):
-        for x in np.nonzero(tight[k])[0]:
-            adj[int(pred[k, x])].append(int(x))
-    return mean, adj
+    tails, ks = np.nonzero(tight.T)  # by tail, then offset
+    for tail, head in zip(tails.tolist(), heads[ks, tails].tolist()):
+        adj[tail].append(head)
+    classes = _cyclic_components(adj)
+    if not classes:
+        raise WeakKamError("no tight cycle found; potentials failed to stabilize")
 
-
-def _on_cycle(adj: list[list[int]]) -> np.ndarray:
-    """Mask of the nodes on a directed cycle of adj, by Warshall's closure.
-
-    Only rows that reach pivot k are updated, so a sparse graph closes in far
-    fewer than n^3 steps.
-    """
-    n = len(adj)
-    reach = np.zeros((n, n), dtype=bool)
-    for tail, heads in enumerate(adj):
-        reach[tail, heads] = True
-    for k in range(n):
-        into = reach[:, k]
-        if into.any():
-            reach[into] |= reach[k]
-    return np.diag(reach)
+    label = np.full(n, -1)
+    for i, cls in enumerate(classes):
+        label[cls] = i
+    first = np.argmax(tight & (label[heads] == label), axis=0)
+    succ = heads[first, np.arange(n)].tolist()
+    cycles = []
+    for cls in classes:
+        seen, x = {}, cls[0]  # node -> step of the walk, in walking order
+        while x not in seen:
+            seen[x] = len(seen)
+            x = succ[x]
+        loop = np.array(list(seen)[seen[x]:], dtype=np.int64)
+        cycles.append(first[loop] * n + loop)
+    return CriticalGraph(mean=mean, classes=classes, cycles=cycles)
 
 
 def _distances(kernel: ActionKernel, sources: np.ndarray) -> tuple[np.ndarray, int]:
@@ -389,31 +445,29 @@ def peierls_barrier(
     kernel: ActionKernel,
     tol: float = 1e-9,
     rows: np.ndarray | None = None,
-    tight: tuple[float, list[list[int]]] | None = None,
+    tight: CriticalGraph | None = None,
 ) -> BarrierMatrix:
     """Exact Peierls barrier from the critical graph of the action kernel.
 
     Under the reduced costs cost - tau*(mean + c), with mean Howard's minimum
-    mean Lbar, no cycle is negative and the critical nodes (on a cycle of
-    tight edges) carry the zero-cost cycles. The liminf of h_{n tau} is then
-    h(y, x) = min over critical z of d(y, z) + d(z, x), d the least cost over
-    paths of any length (max-plus spectral theory).
+    mean Lbar, no cycle is negative and the critical nodes (those of the
+    CriticalGraph's classes) carry the zero-cost cycles. The liminf of
+    h_{n tau} is then h(y, x) = min over critical z of d(y, z) + d(z, x), d
+    the least cost over paths of any length (max-plus spectral theory).
 
-    tight is the (mean, adj) pair of tight_subgraph for this kernel's
-    Lagrangian, computed here when None. It does not depend on the shift, so
-    a caller that already ran it on a kernel at another shift passes its
-    pair in instead of running the policy iteration again.
+    tight is the CriticalGraph of tight_subgraph for this kernel's
+    Lagrangian, computed here when None and kept as the barrier's graph. It
+    does not depend on the shift, so a caller that already ran it on a kernel
+    at another shift passes it in instead of running Howard's method again.
 
     values is one barrier step of h at the kernel's own shift and residual is
     max |values - h|: rounding at the critical shift, tau*|mean + c| off it.
     relax_rounds counts the Bellman-Ford rounds of both distance passes.
     """
     tau = kernel.stencil.tau
-    mean, adj = tight_subgraph(kernel) if tight is None else tight
-    crit = np.nonzero(_on_cycle(adj))[0]
-    if crit.size == 0:
-        raise WeakKamError("no tight cycle found; potentials failed to stabilize")
-    reduced = replace(kernel, costs=kernel.costs - tau * (mean + kernel.c))
+    graph = tight_subgraph(kernel) if tight is None else tight
+    crit = np.sort(np.concatenate(graph.classes))
+    reduced = replace(kernel, costs=kernel.costs - tau * (graph.mean + kernel.c))
     # the reversed graph: edge x -> pred_k(x) carries the cost of pred_k(x) -> x
     reverse = replace(
         reduced, costs=reduced.costs_by_head(),
@@ -434,6 +488,7 @@ def peierls_barrier(
         stable=bool(residual <= tol),
         row_nodes=row_nodes,
         relax_rounds=rounds_from + rounds_to,
+        graph=graph,
     )
 
 

@@ -402,10 +402,15 @@ class _Run:
 
     @cached_property
     def stencil(self):
-        d, grid, alpha = self.config.discretization, self.grid, self.alpha
+        d, s, grid, alpha = self.config.discretization, self.config.schedule, self.grid, self.alpha
 
         def build():
             tau = d.tau if d.tau_rule == "explicit" else default_time_step(grid, alpha)
+            lam = min(s.lambdas + s.critical_lambdas)
+            if math.exp(-lam * tau) == 1.0:  # no discount at any lambda of the run
+                key = "tau" if d.tau_rule == "explicit" else "alpha"
+                raise ConfigError(f"discretization.{key} gives tau = {tau:.3g}, too small to "
+                                  f"discount: exp(-lambda*tau) rounds to 1 at lambda = {lam:g}")
             return make_stencil(grid, tau, alpha, k=d.stencil_k)
 
         return self._timed("stencil", build)
@@ -427,12 +432,13 @@ class _Run:
     @cached_property
     def critical_graph(self):
         """Kernel at the critical shift -(minimum cycle mean), a cycle achieving
-        it, and the (mean, adj) tight subgraph of Howard's run.
+        it, and the CriticalGraph of Howard's run.
 
-        Howard's policy iteration runs once, on the kernel at shift 0. The tight
-        subgraph reads only the edge Lagrangian and the predecessor table, which
-        no shift changes, so the pair is handed on to peierls_barrier and
-        solve_mather_lp. The critical kernel shares the shift-0 arrays and
+        Howard's policy iteration and the one criticality test run once, on
+        the kernel at shift 0. The CriticalGraph reads only the edge
+        Lagrangian and the index tables, which no shift changes, so it is
+        handed on to peierls_barrier (whose barrier passes it to compute_u0)
+        and solve_mather_lp. The critical kernel shares the shift-0 arrays and
         recomputes only costs, by the expression build_kernel evaluates, so its
         bits are those of a fresh build.
         """
@@ -440,19 +446,19 @@ class _Run:
 
         def critical_kernel():
             kernel0 = build_kernel(grid, spec, stencil, c=0.0)
-            tight = tight_subgraph(kernel0)
-            mean, cycle = min_mean_cycle(kernel0, tight=tight)
+            graph = tight_subgraph(kernel0)
+            mean, cycle = min_mean_cycle(kernel0, tight=graph)
             c = -mean
             costs = stencil.tau * (kernel0.edge_lagrangian + c)
-            return replace(kernel0, c=float(c), costs=costs), cycle, tight
+            return replace(kernel0, c=float(c), costs=costs), cycle, graph
 
         return self._timed("kernel", critical_kernel)
 
     @cached_property
     def barrier(self):
-        kernel, _, tight = self.critical_graph
+        kernel, _, graph = self.critical_graph
         barrier = self._timed(
-            "peierls", lambda: peierls_barrier(kernel, tol=_TOL_STABLE, tight=tight)
+            "peierls", lambda: peierls_barrier(kernel, tol=_TOL_STABLE, tight=graph)
         )
         self.write("barrier", lambda path: io.write_barrier(barrier, path))
         return barrier
@@ -474,8 +480,8 @@ class _Run:
 
     @cached_property
     def mather(self):
-        kernel, _, tight = self.critical_graph
-        lp = self._timed("mather_lp", lambda: solve_mather_lp(kernel, tight=tight))
+        kernel, _, graph = self.critical_graph
+        lp = self._timed("mather_lp", lambda: solve_mather_lp(kernel, tight=graph))
         self.write("mather_measure.csv", lambda path: io.measure_to_csv(lp.measure, path))
         return lp
 

@@ -26,7 +26,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .action_barrier import ActionKernel, BarrierMatrix, tight_subgraph, verify_subsolution
+from .action_barrier import (ActionKernel, BarrierMatrix, CriticalGraph, tight_subgraph,
+                             verify_subsolution)
 from .discounted import DiscountedSolution, EdgeMeasure, discounted_occupation_measure
 from .errors import EmptyAubryError, InfeasibleError, WeakKamError
 from .models import GridFunction, LagrangianSpec, TorusGrid, eval_lagrangian
@@ -81,44 +82,18 @@ def closedness_residual(measure, grid: TorusGrid | None = None) -> float:
 
 
 def min_mean_cycle(
-    kernel: ActionKernel, tight: tuple[float, list[list[int]]] | None = None
+    kernel: ActionKernel, tight: CriticalGraph | None = None
 ) -> tuple[float, list[int]]:
     """Minimum mean per-unit-time Lagrangian over directed stencil cycles.
 
-    Howard's mean and the tight subgraph come from tight_subgraph, or from
-    tight when the caller already holds that (mean, adj) pair; it does not
-    depend on the kernel's shift. A depth-first search then extracts an
-    achieving cycle from the tight edges. The negated mean is an estimate of
-    c(H) independent of the LP route.
+    Howard's mean and the nodes of cycles[0], the cycle of the critical class
+    with the lowest node, come from the CriticalGraph of tight_subgraph, or
+    from tight when the caller already holds it; it does not depend on the
+    kernel's shift. The negated mean is an estimate of c(H) independent of
+    the LP route.
     """
-    n = kernel.num_nodes
-    mean, adj = tight_subgraph(kernel) if tight is None else tight
-
-    color = np.zeros(n, dtype=np.int8)  # 0 white, 1 on stack, 2 done
-    for root in range(n):
-        if color[root]:
-            continue
-        stack = [(root, iter(adj[root]))]
-        color[root] = 1
-        path = [root]
-        while stack:
-            node, it = stack[-1]
-            advanced = False
-            for nxt in it:
-                if color[nxt] == 1:
-                    cycle = path[path.index(nxt):]
-                    return mean, cycle
-                if color[nxt] == 0:
-                    color[nxt] = 1
-                    path.append(nxt)
-                    stack.append((nxt, iter(adj[nxt])))
-                    advanced = True
-                    break
-            if not advanced:
-                color[node] = 2
-                path.pop()
-                stack.pop()
-    raise WeakKamError("no tight cycle found; potentials failed to stabilize")
+    graph = tight_subgraph(kernel) if tight is None else tight
+    return graph.mean, (graph.cycles[0] % kernel.num_nodes).tolist()
 
 
 # ---------------------------------------------------------------------------
@@ -229,34 +204,25 @@ def _spanning_basis(kernel: ActionKernel, weights: np.ndarray, cycle_edges: np.n
     return choice * n + nodes
 
 
-def _mather_basis(kernel: ActionKernel, tight=None):
-    """Spanning basis at a minimum mean cycle, cheapest offset per hop (lowest
-    on ties); tight is passed on to min_mean_cycle."""
-    mean, cycle = min_mean_cycle(kernel, tight=tight)
-    lag = kernel.edge_lagrangian
-    tails = np.asarray(cycle, dtype=np.int64)
-    hop = np.where(kernel.head_index[:, tails] == np.roll(tails, -1), lag[:, tails], np.inf)
-    cycle_edges = np.argmin(hop, axis=0) * kernel.num_nodes + tails
-    return _spanning_basis(kernel, lag - mean, cycle_edges)
-
-
 def solve_mather_lp(
     kernel: ActionKernel,
     feas_tol: float = 1e-9,
-    tight: tuple[float, list[list[int]]] | None = None,
+    tight: CriticalGraph | None = None,
 ) -> MatherSolveResult:
     """Minimize the mean edge Lagrangian over unit-mass closed edge measures.
 
-    The simplex starts at the spanning basis of the minimum mean cycle and
-    prices every column from there; when that basis is optimal it takes no
-    pivot, and otherwise it pivots on (or starts cold) as usual. tight is the
-    (mean, adj) pair of tight_subgraph for this kernel's Lagrangian, computed
-    here when None.
+    The simplex starts at the spanning basis of cycles[0] of the critical
+    graph and prices every column from there; when that basis is optimal it
+    takes no pivot, and otherwise it pivots on (or starts cold) as usual.
+    tight is the CriticalGraph of tight_subgraph for this kernel's
+    Lagrangian, computed here when None.
     """
     a, b = _edge_columns(kernel)
     c = kernel.edge_lagrangian.reshape(-1)
+    graph = tight_subgraph(kernel) if tight is None else tight
+    basis = _spanning_basis(kernel, kernel.edge_lagrangian - graph.mean, graph.cycles[0])
     try:
-        res = solve_standard_form(a, b, c, basis=_mather_basis(kernel, tight), feas_tol=feas_tol)
+        res = solve_standard_form(a, b, c, basis=basis, feas_tol=feas_tol)
     except InfeasibleError as exc:
         raise InfeasibleError(
             "closed-measure program infeasible; the uniform measure on any cycle "
@@ -290,36 +256,6 @@ class LimitFunctionResult:
     pivots: int = 0                   # simplex pivots summed over the targets
 
 
-def _critical_cycles(h: BarrierMatrix, kernel: ActionKernel) -> list[np.ndarray]:
-    """Edge ids (k*n + tail) of cycles of the critical graph, each in walking order.
-
-    An edge is critical when cost(e) + h(head, tail) <= 1e-9, i.e. it lies on
-    a zero-cost cycle. Walking each node's lowest-index critical out-edge is
-    a functional graph; its cycles (one or more per critical class, never an
-    enumeration of simple cycles) are returned in order of discovery.
-    """
-    n = kernel.num_nodes
-    nodes = np.arange(n)
-    tight = kernel.costs + h.values[kernel.head_index, nodes] <= 1e-9
-    has_edge = tight.any(axis=0)
-    first_k = np.argmax(tight, axis=0)
-    succ = kernel.head_index[first_k, nodes]
-    state = np.zeros(n, dtype=np.int8)  # 0 unseen, 1 on the current walk, 2 done
-    cycles = []
-    for start in np.nonzero(has_edge)[0]:
-        path = []
-        node = int(start)
-        while has_edge[node] and state[node] == 0:
-            state[node] = 1
-            path.append(node)
-            node = int(succ[node])
-        if has_edge[node] and state[node] == 1:
-            loop = np.asarray(path[path.index(node):], dtype=np.int64)
-            cycles.append(first_k[loop] * n + loop)
-        state[path] = 2
-    return cycles
-
-
 def compute_u0(
     h: BarrierMatrix,
     kernel: ActionKernel,
@@ -333,9 +269,10 @@ def compute_u0(
     For each target x this solves: minimize sum_y mu(y) h(y, x) over closed
     unit-mass edge measures whose mean Lagrangian is within eps_c of -c_est,
     where mu is the tail marginal. One LP per target, started at the basis
-    the critical graph implies: the critical cycle of least mean h(., x) = v,
-    a shortest-path in-tree to it under node weights h(y, x) - v, and the
-    budget slack. The simplex prices every column from there, so it stays an
+    h.graph implies: of its cycles, one per Mather class, the one of least
+    mean h(., x) = v, a shortest-path in-tree to it under node weights
+    h(y, x) - v, and the budget slack; cold when h has no graph (a min-plus
+    power). The simplex prices every column from there, so it stays an
     independent certificate. The targets are solved one after another;
     threads is accepted and has no effect (each target is one basis inverse,
     and concurrent threaded LAPACK calls only stalled each other).
@@ -348,7 +285,7 @@ def compute_u0(
 
     budget = -float(c_est) + float(eps_c)
     a, b = _u0_columns(kernel, budget)
-    cycles = _critical_cycles(h, kernel)
+    cycles = [] if h.graph is None else h.graph.cycles
     cycle_means = np.array([h.values[c % n].mean(axis=0) for c in cycles])
 
     def basis_for(t: int):

@@ -1,4 +1,5 @@
 import itertools
+import math
 import tracemalloc
 
 import numpy as np
@@ -306,6 +307,79 @@ class TestMatherClasses:
         report = wk.aubry_report(wk.peierls_barrier(p.kernel), 1e-7)
         np.testing.assert_array_equal(report.delta, report.delta.T)
         assert report.delta.min() >= -1e-9
+
+
+def nx_cyclic_components(adj):
+    """Strongly connected components of adj that carry a cycle, by networkx."""
+    import networkx as nx
+
+    g = nx.DiGraph()
+    g.add_nodes_from(range(len(adj)))
+    g.add_edges_from((tail, head) for tail, heads in enumerate(adj) for head in heads)
+    comps = [sorted(c) for c in nx.strongly_connected_components(g)]
+    return sorted(c for c in comps if len(c) > 1 or g.has_edge(c[0], c[0]))
+
+
+class TestCyclicComponents:
+    def test_long_ring_is_one_component(self):
+        n = 10_000  # far deeper than the recursion limit
+        adj = [[(i + 1) % n] for i in range(n)]
+        classes = action_barrier._cyclic_components(adj)
+        assert classes == [list(range(n))] == nx_cyclic_components(adj)
+
+    def test_bridge_nodes_belong_to_no_class(self):
+        # cycle 0 -> 1 -> 2 -> 0, bridge 2 -> 3 -> 4 -> 5, cycle 5 -> 6 -> 7 -> 5
+        adj = [[1], [2], [0, 3], [4], [5], [6], [7], [5]]
+        classes = action_barrier._cyclic_components(adj)
+        assert classes == [[0, 1, 2], [5, 6, 7]] == nx_cyclic_components(adj)
+
+    def test_singleton_needs_a_self_loop(self):
+        adj = [[1], [1, 2], []]
+        classes = action_barrier._cyclic_components(adj)
+        assert classes == [[1]] == nx_cyclic_components(adj)
+
+
+CRITICAL_GRAPH_PROBLEMS = {
+    "pendulum16": lambda: make_problem(16, pendulum_potential()),
+    "two_well32": lambda: make_problem(32, two_well_potential()),
+    "free32": lambda: make_problem(32),
+    "cos2d": lambda: make_problem(8, wk.cosine_potential([1.0, 1.0], [1.0, 1.0]), dim=2),
+    "transport16": lambda: make_problem(16, drift=[0.3]),
+    "transport6x6": lambda: make_problem(6, dim=2, drift=[0.3, 0.4]),
+}
+
+
+class TestCriticalGraph:
+    @pytest.mark.parametrize("name", sorted(CRITICAL_GRAPH_PROBLEMS))
+    def test_matches_networkx_and_the_barrier(self, name, monkeypatch):
+        p = CRITICAL_GRAPH_PROBLEMS[name]()
+        kernel, n = p.kernel0, p.kernel0.num_nodes
+        tight_adj = []
+        original = action_barrier._cyclic_components
+
+        def recorded(adj):
+            tight_adj.append(adj)
+            return original(adj)
+
+        monkeypatch.setattr(action_barrier, "_cyclic_components", recorded)
+        graph = action_barrier.tight_subgraph(kernel)
+        (adj,) = tight_adj
+        assert graph.classes == nx_cyclic_components(adj)
+
+        h = wk.peierls_barrier(p.kernel, tight=graph)
+        aubry = wk.aubry_set(h, 1e-7)
+        assert graph.classes == wk.mather_classes(h, aubry, 1e-7)
+        assert sorted(sum(graph.classes, [])) == aubry.tolist()
+
+        assert len(graph.cycles) == len(graph.classes)
+        for cls, cycle in zip(graph.classes, graph.cycles):
+            k, tails = np.divmod(cycle, n)
+            heads = kernel.head_index[k, tails]
+            np.testing.assert_array_equal(heads, np.roll(tails, -1))
+            assert set(tails.tolist()) <= set(cls)
+            assert all(head in adj[tail] for tail, head in zip(tails, heads))
+            mean = math.fsum(kernel.edge_lagrangian[k, tails]) / len(cycle)
+            assert abs(mean - graph.mean) <= 1e-12
 
 
 class TestVerifySubsolution:

@@ -489,6 +489,12 @@ BAD_INPUTS = {
     "tau_zero": ([], _discretization(tau_rule="explicit", tau=0), {}, "tau"),
     "stencil_k_zero": ([], _discretization(stencil_k=0), {}, "stencil_k"),
     "tau_without_explicit_rule": ([], _discretization(tau=0.05), {}, "tau"),
+    # tau so small that exp(-lambda*tau) rounds to 1: the stencil stage refuses it
+    "alpha_overflows_speeds": ([], _discretization(alpha=1e200), {}, "discretization.alpha"),
+    "alpha_without_discount": ([], _discretization(alpha=1e150), {}, "discretization.alpha"),
+    "tau_without_discount": (
+        [], _discretization(tau_rule="explicit", tau=1e-300), {}, "discretization.tau"
+    ),
     "drift_on_mechanical": ([], _set("problem", drift=[0.5]), {}, "drift"),
     "potential_on_transport": (
         [],
@@ -516,8 +522,9 @@ def test_bad_input_is_one_line_error(case, tmp_path):
     argv, text, env, named = BAD_INPUTS[case]
     path = tmp_path / "cfg.json"
     path.write_text(text(free_config(tmp_path / "out").to_dict()))
+    # critical is the first subcommand to reach the stencil stage, which checks tau
     proc = subprocess.run(
-        [sys.executable, "-m", "weakkam", "bounds", "--config", str(path), *argv],
+        [sys.executable, "-m", "weakkam", "critical", "--config", str(path), *argv],
         capture_output=True,
         text=True,
         env={**os.environ, **env},
