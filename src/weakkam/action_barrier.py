@@ -15,14 +15,16 @@ same arrays.
 The Peierls barrier is exact on this graph: the minimum mean cycle, by
 Howard's policy iteration, gives the critical shift and the CriticalGraph
 (critical nodes, Mather classes, one cycle per class), and the barrier is
-the shortest path through the critical nodes. Min-plus powers h_{n tau}
-stay as the brute-force oracle for it.
+the shortest path through the critical nodes, a min-plus product of factors
+with one row per Mather class. Min-plus powers h_{n tau} stay as the
+brute-force oracle for it.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -72,8 +74,16 @@ class ActionKernel:
         return self.stencil.num_offsets
 
     def costs_by_head(self) -> np.ndarray:
-        """(num_offsets, num_nodes) costs of the edge arriving at each node."""
-        return np.take_along_axis(self.costs, self.pred_index, axis=1)
+        """(num_offsets, num_nodes) costs of the edge arriving at each node,
+        gathered once per kernel (every Bellman-Ford round reads them) and
+        read-only."""
+        return self._costs_by_head
+
+    @cached_property
+    def _costs_by_head(self) -> np.ndarray:
+        cost_in = np.take_along_axis(self.costs, self.pred_index, axis=1)
+        cost_in.flags.writeable = False
+        return cost_in
 
     def dense(self) -> np.ndarray:
         """Dense (n, n) cost matrix with +inf on non-stencil pairs."""
@@ -143,7 +153,8 @@ class BarrierMatrix:
 
     steps is the horizon n of a min-plus power and None for the barrier; the
     barrier carries its row fixed-point residual, stability flag,
-    Bellman-Ford round count and critical graph instead.
+    Bellman-Ford round count and critical graph instead; its values are
+    made from factors with one row per Mather class (peierls_barrier).
     """
 
     values: np.ndarray           # (num_rows, num_nodes)
@@ -455,31 +466,43 @@ def peierls_barrier(
     h_{n tau} is then h(y, x) = min over critical z of d(y, z) + d(z, x), d
     the least cost over paths of any length (max-plus spectral theory).
 
+    Two nodes of one class lie on a zero-cost cycle, so their rows d(z, .)
+    and columns d(., z) differ by a constant and give the same term: one
+    source per class, its lowest node r, suffices, and h is the min-plus
+    product of the factors d(., r) and d(r, .) (Baccelli, Cohen, Olsder &
+    Quadrat, Synchronization and Linearity, 1992, ch. 3).
+
     tight is the CriticalGraph of tight_subgraph for this kernel's
     Lagrangian, computed here when None and kept as the barrier's graph. It
     does not depend on the shift, so a caller that already ran it on a kernel
     at another shift passes it in instead of running Howard's method again.
 
-    values is one barrier step of h at the kernel's own shift and residual is
-    max |values - h|: rounding at the critical shift, tau*|mean + c| off it.
-    relax_rounds counts the Bellman-Ford rounds of both distance passes.
+    values is one barrier step of h at the kernel's own shift, taken on the
+    factor d(r, .), one row per class, and residual is max |values - h|. At
+    the critical shift the factor rows are Bellman-Ford fixed points, which
+    a step gives back bit for bit but at the source (the least cycle through
+    it, 0 up to rounding), so the residual is 0 or rounding; off it,
+    tau*|mean + c|. relax_rounds counts the Bellman-Ford rounds of both
+    distance passes.
     """
     tau = kernel.stencil.tau
     graph = tight_subgraph(kernel) if tight is None else tight
-    crit = np.sort(np.concatenate(graph.classes))
+    reps = np.array([cls[0] for cls in graph.classes], dtype=np.int64)
     reduced = replace(kernel, costs=kernel.costs - tau * (graph.mean + kernel.c))
     # the reversed graph: edge x -> pred_k(x) carries the cost of pred_k(x) -> x
     reverse = replace(
         reduced, costs=reduced.costs_by_head(),
         head_index=kernel.pred_index, pred_index=kernel.head_index,
     )
-    from_crit, rounds_from = _distances(reduced, crit)   # d(z, x)
-    to_crit, rounds_to = _distances(reverse, crit)       # d(y, z), row z
+    from_rep, rounds_from = _distances(reduced, reps)   # d(r, x)
+    to_rep, rounds_to = _distances(reverse, reps)       # d(y, r), row r
     row_nodes = None if rows is None else np.asarray(rows, dtype=np.int64)
     cols = slice(None) if row_nodes is None else row_nodes
-    h = minplus_product(to_crit[:, cols].T, from_crit)
-    values = barrier_step(kernel, h)
-    residual = float(np.max(np.abs(values - h)))
+    to_rows = to_rep[:, cols].T
+    h = minplus_product(to_rows, from_rep)
+    values = minplus_product(to_rows, barrier_step(kernel, from_rep))
+    gap = np.subtract(values, h, out=h)  # h is not kept: its memory takes the gap
+    residual = float(np.max(np.abs(gap, out=gap)))
     return BarrierMatrix(
         values=values,
         tau=tau,

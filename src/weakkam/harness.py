@@ -589,8 +589,8 @@ class _Run:
                 "kappa": bounds.kappa,
                 "A_kappa": bounds.A_kappa,
                 "C0": bounds.C0,
-                "alpha": bounds.alpha,
-                "v_search": bounds.v_search,
+                "alpha": self.alpha,
+                "v_search": self.spec.v_search,
                 "c": bounds.c,
                 "tau": stencil.tau,
                 "stencil_offsets": stencil.num_offsets,
@@ -669,7 +669,7 @@ def _cmd_bounds(run: _Run, args) -> int:
     b = run.bounds
     print(
         f"kappa={io.fmt(b.kappa)} A_kappa={io.fmt(b.A_kappa)} C0={io.fmt(b.C0)} "
-        f"alpha={io.fmt(b.alpha)} v_search={io.fmt(b.v_search)} c={io.fmt(b.c)}"
+        f"alpha={io.fmt(run.alpha)} v_search={io.fmt(run.spec.v_search)} c={io.fmt(b.c)}"
     )
     return EXIT_OK
 

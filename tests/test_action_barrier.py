@@ -1,6 +1,8 @@
 import itertools
 import math
+import os
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -11,6 +13,7 @@ import weakkam as wk
 from weakkam import action_barrier
 from weakkam.action_barrier import barrier_step
 from weakkam.errors import EmptyAubryError
+from weakkam.harness import _Run, load_config
 
 from conftest import make_problem, maupertuis_barrier, pendulum_potential, two_well_potential
 
@@ -64,6 +67,9 @@ class TestKernel:
         by_head = k.costs_by_head()
         for kk in range(k.num_offsets):
             np.testing.assert_array_equal(by_head[kk], k.costs[kk][k.pred_index[kk]])
+        # gathered once per kernel, and shared read-only
+        assert k.costs_by_head() is by_head
+        assert not by_head.flags.writeable
 
 
 class TestMinPlus:
@@ -237,21 +243,47 @@ class TestBarrierStep:
         assert peak <= 8 * n * n + 32 * m * n
 
 
+def record_barrier_steps(monkeypatch):
+    """Copies of the h of every barrier_step call peierls_barrier makes."""
+    calls = []
+    original = action_barrier.barrier_step
+
+    def recorded(kernel, h):
+        calls.append(h.copy())
+        return original(kernel, h)
+
+    monkeypatch.setattr(action_barrier, "barrier_step", recorded)
+    return calls
+
+
 class TestRelaxRounds:
     def test_counts_bellman_ford_steps(self, pendulum16, monkeypatch):
-        calls = []
-        original = action_barrier.barrier_step
-
-        def counted(kernel, h):
-            calls.append(h.shape[0])
-            return original(kernel, h)
-
-        monkeypatch.setattr(action_barrier, "barrier_step", counted)
+        calls = record_barrier_steps(monkeypatch)
         barrier = wk.peierls_barrier(pendulum16.kernel)
-        # every step but the last, the full n x n one, is a relaxation round
-        assert calls[-1] == pendulum16.kernel.num_nodes
+        # every call steps one row per class; all but the factor step, the
+        # last, are relaxation rounds
+        assert {h.shape[0] for h in calls} == {len(barrier.graph.classes)}
         assert barrier.relax_rounds == len(calls) - 1
         assert 2 <= barrier.relax_rounds <= 2 * pendulum16.kernel.num_nodes
+
+    def test_passes_start_from_one_source_per_class(self, monkeypatch):
+        path = os.path.join(os.path.dirname(__file__), os.pardir, "configs", "transport.json")
+        run = _Run(load_config(path))
+        run.out = None  # write nothing
+        kernel, _, graph = run.critical_graph
+        assert [len(cls) for cls in graph.classes] == [32, 32]
+        calls = record_barrier_steps(monkeypatch)
+        barrier = wk.peierls_barrier(kernel, tight=graph)
+        assert {h.shape[0] for h in calls} == {2}
+        assert barrier.relax_rounds == len(calls) - 1
+        # each pass starts from the unit rows of the sources 0 and 1, the
+        # lowest nodes of the classes
+        starts = [h for h in calls if np.isfinite(h).sum() == 2]
+        assert len(starts) == 2
+        want = np.full((2, kernel.num_nodes), np.inf)
+        want[[0, 1], [0, 1]] = 0.0
+        for start in starts:
+            np.testing.assert_array_equal(start, want)
 
     def test_given_tight_subgraph_gives_the_same_barrier(self, pendulum16):
         tight = action_barrier.tight_subgraph(pendulum16.kernel0)
@@ -380,6 +412,74 @@ class TestCriticalGraph:
             assert all(head in adj[tail] for tail, head in zip(tails, heads))
             mean = math.fsum(kernel.edge_lagrangian[k, tails]) / len(cycle)
             assert abs(mean - graph.mean) <= 1e-12
+
+
+def all_critical_sources(kernel, graph):
+    """The barrier's factors from every critical node, not one per class:
+    (crit, from_crit, to_crit), rows of from_crit d(z, .), of to_crit d(., z)."""
+    tau = kernel.stencil.tau
+    crit = np.sort(np.concatenate(graph.classes))
+    reduced = replace(kernel, costs=kernel.costs - tau * (graph.mean + kernel.c))
+    reverse = replace(
+        reduced, costs=reduced.costs_by_head(),
+        head_index=kernel.pred_index, pred_index=kernel.head_index,
+    )
+    from_crit, _ = action_barrier._distances(reduced, crit)
+    to_crit, _ = action_barrier._distances(reverse, crit)
+    return crit, from_crit, to_crit
+
+
+def dense_route_values(kernel, graph):
+    """The barrier before its class factors: the min-plus product over every
+    critical node, then one barrier step on all n of its rows."""
+    _, from_crit, to_crit = all_critical_sources(kernel, graph)
+    return barrier_step(kernel, wk.minplus_product(to_crit.T, from_crit))
+
+
+class TestFactoredBarrier:
+    @pytest.fixture(scope="class", params=sorted(CRITICAL_GRAPH_PROBLEMS))
+    def case(self, request):
+        p = CRITICAL_GRAPH_PROBLEMS[request.param]()
+        graph = action_barrier.tight_subgraph(p.kernel0)
+        return p, graph, wk.peierls_barrier(p.kernel, tight=graph)
+
+    def test_values_match_the_dense_route(self, case):
+        p, graph, barrier = case
+        want = dense_route_values(p.kernel, graph)
+        assert np.max(np.abs(barrier.values - want)) <= 1e-14
+
+    def test_class_nodes_shift_the_representative(self, case):
+        # d(z, .) = d(z, r) + d(r, .) and d(., z) = d(., r) + d(r, z) for
+        # every node z of the class of lowest node r
+        p, graph, _ = case
+        crit, from_crit, to_crit = all_critical_sources(p.kernel, graph)
+        pos = {z: i for i, z in enumerate(crit.tolist())}
+        for cls in graph.classes:
+            r = pos[cls[0]]
+            for z in cls:
+                i = pos[z]
+                np.testing.assert_allclose(
+                    from_crit[i], from_crit[i, cls[0]] + from_crit[r], rtol=0, atol=1e-12
+                )
+                np.testing.assert_allclose(
+                    to_crit[i], to_crit[r] + from_crit[r, z], rtol=0, atol=1e-12
+                )
+
+    def test_residual_is_zero_at_the_critical_shift(self, case):
+        _, _, barrier = case
+        assert barrier.residual == 0.0 and barrier.stable
+
+    def test_rows_are_rows_of_the_full_barrier(self, case):
+        p, graph, barrier = case
+        rows = wk.peierls_barrier(p.kernel, rows=np.array([0, 5]), tight=graph)
+        assert rows.values.tobytes() == barrier.values[[0, 5]].tobytes()
+
+    def test_residual_off_the_shift_is_the_shift_gap(self, case):
+        p, graph, _ = case
+        off = wk.build_kernel(p.grid, p.spec, p.stencil, c=0.9)
+        barrier = wk.peierls_barrier(off, tight=graph)
+        gap = p.stencil.tau * abs(graph.mean + 0.9)
+        assert abs(barrier.residual - gap) <= 1e-15
 
 
 class TestVerifySubsolution:

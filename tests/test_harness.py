@@ -159,6 +159,26 @@ class TestPipeline:
         assert flag_names == expected_keys["flags"]
         assert report.passed is payload["passed"]
 
+    @pytest.mark.parametrize(
+        "pinned, alpha, v_search",
+        [({"alpha": 2.0}, 2.0, 4.0), ({"v_search": 3.0}, 0.5, 3.0),
+         ({"alpha": 2.0, "v_search": 3.0}, 2.0, 3.0), ({}, 0.5, 1.0)],
+        ids=["alpha", "v_search", "both", "neither"],
+    )
+    def test_bounds_report_the_values_in_use(self, pinned, alpha, v_search, tmp_path, capsys):
+        raw = free_config(tmp_path / "out").to_dict()
+        raw["discretization"].update(pinned)
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(raw))
+        run_pipeline(ExperimentConfig.from_dict(raw))
+        bounds = json.loads((tmp_path / "out" / "report.json").read_text())["bounds"]
+        assert (bounds["alpha"], bounds["v_search"]) == (alpha, v_search)
+        # the stencil is built from the alpha in use: 7 offsets at 0.5, 25 at 2
+        assert bounds["stencil_offsets"] == (25 if alpha == 2.0 else 7)
+        assert cli_dispatch(["bounds", "--config", str(path)]) == EXIT_OK
+        line = capsys.readouterr().out
+        assert f" alpha={alpha:g} v_search={v_search:g} " in line
+
     def test_determinism_across_worker_counts(self, tmp_path):
         digests = []
         for threads in (1, 2, 8):
