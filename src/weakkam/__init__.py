@@ -55,8 +55,10 @@ from .mather import (
     VerificationReport,
     closedness_residual,
     compute_u0,
+    cycle_marginals,
     min_mean_cycle,
     solve_mather_lp,
+    u0_critical_cycles,
     u0_mechanical,
     verify_limit,
 )

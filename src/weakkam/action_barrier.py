@@ -157,13 +157,12 @@ class BarrierMatrix:
     made from factors with one row per Mather class (peierls_barrier).
     """
 
-    values: np.ndarray           # (num_rows, num_nodes)
+    values: np.ndarray           # (num_nodes, num_nodes)
     tau: float
     c: float
     steps: int | None = None     # exact horizon n for h_{n tau}, else None
     residual: float | None = None
     stable: bool | None = None
-    row_nodes: np.ndarray | None = None    # None means all nodes, in order
     relax_rounds: int | None = None        # Bellman-Ford rounds of the barrier
     graph: CriticalGraph | None = None     # the critical graph the barrier rests on
 
@@ -171,21 +170,11 @@ class BarrierMatrix:
     def num_nodes(self) -> int:
         return self.values.shape[1]
 
-    def is_square(self) -> bool:
-        return self.row_nodes is None and self.values.shape[0] == self.values.shape[1]
-
     def diagonal(self) -> np.ndarray:
-        if not self.is_square():
-            raise WeakKamError("diagonal requires the full square barrier")
         return np.diag(self.values).copy()
 
     def row(self, y: int) -> np.ndarray:
-        if self.row_nodes is None:
-            return self.values[y]
-        pos = np.nonzero(self.row_nodes == y)[0]
-        if pos.size == 0:
-            raise WeakKamError(f"row {y} was not computed")
-        return self.values[pos[0]]
+        return self.values[y]
 
 
 def minplus_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -455,7 +444,6 @@ def _distances(kernel: ActionKernel, sources: np.ndarray) -> tuple[np.ndarray, i
 def peierls_barrier(
     kernel: ActionKernel,
     tol: float = 1e-9,
-    rows: np.ndarray | None = None,
     tight: CriticalGraph | None = None,
 ) -> BarrierMatrix:
     """Exact Peierls barrier from the critical graph of the action kernel.
@@ -496,11 +484,8 @@ def peierls_barrier(
     )
     from_rep, rounds_from = _distances(reduced, reps)   # d(r, x)
     to_rep, rounds_to = _distances(reverse, reps)       # d(y, r), row r
-    row_nodes = None if rows is None else np.asarray(rows, dtype=np.int64)
-    cols = slice(None) if row_nodes is None else row_nodes
-    to_rows = to_rep[:, cols].T
-    h = minplus_product(to_rows, from_rep)
-    values = minplus_product(to_rows, barrier_step(kernel, from_rep))
+    h = minplus_product(to_rep.T, from_rep)
+    values = minplus_product(to_rep.T, barrier_step(kernel, from_rep))
     gap = np.subtract(values, h, out=h)  # h is not kept: its memory takes the gap
     residual = float(np.max(np.abs(gap, out=gap)))
     return BarrierMatrix(
@@ -509,7 +494,6 @@ def peierls_barrier(
         c=kernel.c,
         residual=residual,
         stable=bool(residual <= tol),
-        row_nodes=row_nodes,
         relax_rounds=rounds_from + rounds_to,
         graph=graph,
     )
@@ -564,22 +548,20 @@ class AubryReport:
     nodes: np.ndarray
     diagonal: np.ndarray        # h(y, y) for y in nodes
     classes: list[list[int]]
-    delta: np.ndarray           # delta_M restricted to the Aubry nodes
-    eps: float
 
 
-def aubry_report(h: BarrierMatrix, eps: float) -> AubryReport:
-    nodes = aubry_set(h, eps)
-    vals = h.values
-    sub = vals[np.ix_(nodes, nodes)]
-    delta = sub + sub.T
-    return AubryReport(
-        nodes=nodes,
-        diagonal=h.diagonal()[nodes],
-        classes=mather_classes(h, nodes, eps),
-        delta=delta,
-        eps=float(eps),
-    )
+def aubry_report(h: BarrierMatrix) -> AubryReport:
+    """The Aubry nodes and Mather classes of h's CriticalGraph, and h's
+    diagonal on them.
+
+    The classes are the graph's cyclic SCCs of tight edges, so no tolerance
+    is read; aubry_set and mather_classes stay as the eps-based oracles that
+    decide these sets from h alone.
+    """
+    if h.graph is None:
+        raise WeakKamError("aubry_report needs a barrier built on a critical graph")
+    nodes = np.array(sorted(y for cls in h.graph.classes for y in cls), dtype=np.int64)
+    return AubryReport(nodes=nodes, diagonal=h.diagonal()[nodes], classes=h.graph.classes)
 
 
 # ---------------------------------------------------------------------------

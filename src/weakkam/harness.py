@@ -35,9 +35,11 @@ from .errors import ConfigError, WeakKamError
 from .mather import (
     CheckResult,
     compute_u0,
+    cycle_marginals,
     min_mean_cycle,
     solve_mather_lp,
-    u0_mechanical,
+    u0_critical_cycles,
+    u0_mechanical,  # not called here: perfbench/tracing.py and the stage-call test getattr it
     verify_limit,
 )
 from .models import (
@@ -74,10 +76,8 @@ EXIT_ERROR = 1
 EXIT_VERIFICATION = 2
 EXIT_USAGE = 64
 
-# fixed thresholds: barrier fixed-point residual for barrier_stable, and the
-# diagonal eps that admits a node to the Aubry set
+# fixed threshold: barrier fixed-point residual for barrier_stable
 _TOL_STABLE = 1e-6
-_EPS_AUBRY = 1e-7
 
 
 # ---------------------------------------------------------------------------
@@ -314,7 +314,7 @@ class RunReport:
     lp_value: float
     lp_vs_cycle: float
     u0_method: str
-    u0_cross_delta: float | None
+    u0_cross_delta: float
     counters: dict           # deterministic solver work: pivots, rounds, sweeps
     convergence: list        # rows (lambda, sup_error, min_neg, max_neg, lipschitz)
     plateau: float
@@ -437,8 +437,9 @@ class _Run:
         Howard's policy iteration and the one criticality test run once, on
         the kernel at shift 0. The CriticalGraph reads only the edge
         Lagrangian and the index tables, which no shift changes, so it is
-        handed on to peierls_barrier (whose barrier passes it to compute_u0)
-        and solve_mather_lp. The critical kernel shares the shift-0 arrays and
+        handed on to peierls_barrier (whose barrier passes it to aubry_report,
+        u0_critical_cycles, compute_u0 and verify_limit), solve_mather_lp and
+        the verify subcommand. The critical kernel shares the shift-0 arrays and
         recomputes only costs, by the expression build_kernel evaluates, so its
         bits are those of a fresh build.
         """
@@ -466,7 +467,7 @@ class _Run:
     @cached_property
     def aubry(self):
         barrier = self.barrier
-        aubry = self._timed("aubry", lambda: aubry_report(barrier, _EPS_AUBRY))
+        aubry = self._timed("aubry", lambda: aubry_report(barrier))
         class_of = {node: cid for cid, cls in enumerate(aubry.classes) for node in cls}
         self.write("aubry.csv", lambda path: io.write_csv(
             path,
@@ -487,29 +488,20 @@ class _Run:
 
     @cached_property
     def u0(self):
-        """(u0 reported, u0 by the LP route, their sup distance or None).
-
-        Both characterizations run when the family allows the rest-point
-        shortcut; otherwise (drifting families) the LP route is authoritative.
-        """
+        """(u0 at every node by the critical cycles, reported on every family;
+        u0 by the LP at the u0_targets, its independent cross-check; their sup
+        distance there)."""
         barrier, kernel = self.barrier, self.critical_graph[0]
-        grid, spec = self.grid, self.spec
-        targets = _u0_target_list(self.config.schedule.u0_targets, grid)
-        # near-Mather budget: mean Lagrangian within 1e-6 of -c
-        u0_lp = self._timed("u0_lp", lambda: compute_u0(barrier, kernel, kernel.c, 1e-6, targets))
-        try:
-            u0 = self._timed(
-                "u0_mechanical", lambda: u0_mechanical(barrier, spec, grid, kernel.c, _EPS_AUBRY)
-            )
-            delta = float(np.abs(u0.values[u0_lp.targets] - u0_lp.values).max())
-        except WeakKamError:
-            u0, delta = u0_lp, None
+        targets = _u0_target_list(self.config.schedule.u0_targets, self.grid)
+        u0 = self._timed("u0", lambda: u0_critical_cycles(barrier))
         self.write("u0.csv", lambda path: io.write_csv(
             path,
             ["node", "value", "method"],
             [(int(t), float(v), u0.method) for t, v in zip(u0.targets, u0.values)],
         ))
-        return u0, u0_lp, delta
+        # near-Mather budget: mean Lagrangian within 1e-6 of -c
+        u0_lp = self._timed("u0_lp", lambda: compute_u0(barrier, kernel, kernel.c, 1e-6, targets))
+        return u0, u0_lp, float(np.abs(u0.values[u0_lp.targets] - u0_lp.values).max())
 
     def discounted(self, lam):
         """u_lambda by value iteration on the critical kernel, solved once per lambda."""
@@ -567,14 +559,11 @@ class _Run:
                 "lp_vs_min_mean_cycle", "pass" if lp_vs_cycle <= 1e-8 else "fail",
                 float(lp_vs_cycle), 1e-8,
             ),
+            CheckResult(
+                "u0_methods_agree", "pass" if u0_cross_delta <= 1e-5 else "fail",
+                u0_cross_delta, 1e-5,
+            ),
         ]
-        if u0_cross_delta is not None:
-            checks.append(
-                CheckResult(
-                    "u0_methods_agree", "pass" if u0_cross_delta <= 1e-5 else "fail",
-                    float(u0_cross_delta), 1e-5,
-                )
-            )
         flags = [asdict(c) for c in checks]
 
         # runtime-only knobs (worker count, target directory) stay out of the
@@ -632,10 +621,10 @@ def run_pipeline(config: ExperimentConfig, out_dir=None) -> RunReport:
     Stage order: stability bounds, stencil, ergodic critical-value estimate
     (exact discounted solutions at shift 0 by policy iteration down
     critical_lambdas), kernel at the critical shift -(minimum cycle mean),
-    Peierls barrier, Aubry set and Mather classes, Mather LP, u0 (both
-    characterizations when the family allows the rest-point shortcut),
-    discounted solves by value iteration down the lambda schedule,
-    verification battery.
+    Peierls barrier, Aubry set and Mather classes from its critical graph,
+    Mather LP, u0 (the least mean barrier row over one critical cycle at
+    every node, cross-checked by the LP at the u0_targets), discounted solves
+    by value iteration down the lambda schedule, verification battery.
     """
     return _Run(config, out_dir).report
 
@@ -733,7 +722,9 @@ def _cmd_verify(run: _Run, args) -> int:
     kernel, grid = run.critical_graph[0], run.grid
     values = io.read_values_binary(args.u0, grid.num_nodes)
     violation = verify_subsolution(GridFunction(grid, values), kernel)
-    integral = float(run.mather.projected @ values)
+    # the worst integral over the LP measure and each critical cycle's uniform measure
+    measures = [run.mather.projected, *cycle_marginals(run.critical_graph[2], grid.num_nodes)]
+    integral = max(float(mu @ values) for mu in measures)
     ok = violation <= 1e-6 and integral <= 1e-6  # verify_limit's constraint tolerance
     print(f"subsolution_violation={io.fmt(violation)} measure_integral={io.fmt(integral)}")
     return EXIT_OK if ok else EXIT_VERIFICATION

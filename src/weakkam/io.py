@@ -71,7 +71,6 @@ def write_barrier(barrier: BarrierMatrix, base_path) -> None:
         "steps": barrier.steps,
         "residual": barrier.residual,
         "stable": barrier.stable,
-        "row_nodes": barrier.row_nodes.tolist() if barrier.row_nodes is not None else None,
         "dtype": "<f8",
         "order": "C",
     }
@@ -90,18 +89,14 @@ def read_barrier(base_path) -> BarrierMatrix:
         steps=meta["steps"],
         residual=meta["residual"],
         stable=meta["stable"],
-        row_nodes=np.asarray(meta["row_nodes"], dtype=np.int64)
-        if meta["row_nodes"] is not None
-        else None,
     )
 
 
 def barrier_to_csv(barrier: BarrierMatrix, path) -> None:
-    rows = barrier.row_nodes if barrier.row_nodes is not None else range(barrier.values.shape[0])
     def gen():
-        for i, y in enumerate(rows):
-            for x in range(barrier.values.shape[1]):
-                yield (int(y), int(x), float(barrier.values[i, x]))
+        for y, row in enumerate(barrier.values):
+            for x, value in enumerate(row):
+                yield (y, x, float(value))
     write_csv(path, ["row_node", "col_node", "value"], gen())
 
 

@@ -5,11 +5,14 @@ outflow at every node; that is the discrete form of asking the average of
 d phi(v) to vanish for all node functions phi. Minimizing the mean edge
 Lagrangian over closed measures recovers -c(H); the minimizers are the
 discrete Mather measures, and u0 is the cheapest mu-average of barrier rows
-over near-minimizing mu.
+over them.
 
-Two independent routes compute the optimal value: the minimum mean cycle by
-Howard's policy iteration and the in-module simplex. They must agree to 1e-8
-on every builtin problem, which is one of the package's acceptance gates.
+Two independent routes compute each quantity. The optimal value is the
+minimum mean cycle by Howard's policy iteration and the simplex, which must
+agree to 1e-8 on every builtin problem, one of the package's acceptance
+gates. u0 is the least mean of the barrier rows over the nodes of one
+critical cycle (the extreme Mather measures are the uniform measures on
+them) and the simplex over near-Mather measures at sampled targets.
 
 Both edge programs start the simplex at the vertex the critical graph
 implies: the extreme Mather measures are uniform measures on critical
@@ -30,7 +33,7 @@ from .action_barrier import (ActionKernel, BarrierMatrix, CriticalGraph, tight_s
                              verify_subsolution)
 from .discounted import DiscountedSolution, EdgeMeasure, discounted_occupation_measure
 from .errors import EmptyAubryError, InfeasibleError, WeakKamError
-from .models import GridFunction, LagrangianSpec, TorusGrid, eval_lagrangian
+from .models import LagrangianSpec, TorusGrid, eval_lagrangian
 from .simplex import CompressedColumns, solve_standard_form
 
 __all__ = [
@@ -42,6 +45,8 @@ __all__ = [
     "min_mean_cycle",
     "solve_mather_lp",
     "closedness_residual",
+    "cycle_marginals",
+    "u0_critical_cycles",
     "compute_u0",
     "u0_mechanical",
     "verify_limit",
@@ -249,11 +254,39 @@ class LimitFunctionResult:
 
     targets: np.ndarray
     values: np.ndarray
-    method: str                       # "lp" or "mechanical-shortcut"
-    certificates: tuple               # per target: OccupationMeasure or node id
+    method: str                       # "critical-cycles", "lp" or "mechanical-shortcut"
+    certificates: tuple               # per target: cycle index, OccupationMeasure or node id
     c_est: float
     eps: float
     pivots: int = 0                   # simplex pivots summed over the targets
+
+
+def cycle_marginals(graph: CriticalGraph, num_nodes: int) -> list[np.ndarray]:
+    """Node marginals of the uniform measures on graph's cycles, one per class."""
+    return [np.bincount(c % num_nodes, minlength=num_nodes) / c.size for c in graph.cycles]
+
+
+def u0_critical_cycles(h: BarrierMatrix) -> LimitFunctionResult:
+    """u0(x) = min over projected Mather measures mu of the mu-average of h(., x).
+
+    The extreme mu are the uniform measures on the critical cycles, one per
+    Mather class, that h.graph holds, so u0(x) is the least mean of h(y, x)
+    over the nodes y of one cycle. Every node is a target; each certificate
+    is the index in h.graph.cycles of the cycle that attains the minimum.
+    """
+    if h.graph is None:
+        raise WeakKamError("u0_critical_cycles needs a barrier built on a critical graph")
+    n = h.num_nodes
+    means = np.array([h.values[c % n].mean(axis=0) for c in h.graph.cycles])
+    best = np.argmin(means, axis=0)
+    return LimitFunctionResult(
+        targets=np.arange(n, dtype=np.int64),
+        values=means[best, np.arange(n)],
+        method="critical-cycles",
+        certificates=tuple(best.tolist()),
+        c_est=float(h.c),
+        eps=0.0,
+    )
 
 
 def compute_u0(
@@ -269,7 +302,7 @@ def compute_u0(
     For each target x this solves: minimize sum_y mu(y) h(y, x) over closed
     unit-mass edge measures whose mean Lagrangian is within eps_c of -c_est,
     where mu is the tail marginal. One LP per target, started at the basis
-    h.graph implies: of its cycles, one per Mather class, the one of least
+    h.graph implies: the cycle of u0_critical_cycles' certificate at x, of
     mean h(., x) = v, a shortest-path in-tree to it under node weights
     h(y, x) - v, and the budget slack; cold when h has no graph (a min-plus
     power). The simplex prices every column from there, so it stays an
@@ -277,23 +310,19 @@ def compute_u0(
     threads is accepted and has no effect (each target is one basis inverse,
     and concurrent threaded LAPACK calls only stalled each other).
     """
-    if not h.is_square():
-        raise WeakKamError("compute_u0 needs the full square barrier")
     targets = np.atleast_1d(np.asarray(targets, dtype=np.int64))
     n = kernel.num_nodes
     m_off = kernel.num_offsets
 
     budget = -float(c_est) + float(eps_c)
     a, b = _u0_columns(kernel, budget)
-    cycles = [] if h.graph is None else h.graph.cycles
-    cycle_means = np.array([h.values[c % n].mean(axis=0) for c in cycles])
+    start = None if h.graph is None else u0_critical_cycles(h)
 
     def basis_for(t: int):
-        if not cycles:
+        if start is None:
             return None
-        best = int(np.argmin(cycle_means[:, t]))
-        weights = np.broadcast_to(h.values[:, t] - cycle_means[best, t], (m_off, n))
-        edges = _spanning_basis(kernel, weights, cycles[best])
+        weights = np.broadcast_to(h.values[:, t] - start.values[t], (m_off, n))
+        edges = _spanning_basis(kernel, weights, h.graph.cycles[start.certificates[t]])
         return None if edges is None else np.append(edges, m_off * n)
 
     def solve_target(t: int):
@@ -349,8 +378,6 @@ def u0_mechanical(
             "u0_mechanical requires argmin_v L(x,.) = 0 for every x; "
             "use compute_u0 for this family"
         )
-    if not h.is_square():
-        raise WeakKamError("u0_mechanical needs the full square barrier")
     coords = grid.coordinates
     l0 = eval_lagrangian(spec, coords, np.zeros_like(coords))
     rest = np.nonzero(np.abs(l0 + c_est) <= eps)[0]
@@ -412,7 +439,9 @@ def verify_limit(
     """Run the convergence-theorem battery and report per-check pass/fail.
 
     Checks: (a) u0 is a discrete critical subsolution; (b) the integral of u0
-    and of each u_lambda against every Mather measure stays below tolerance;
+    and of each u_lambda against every Mather measure stays below tolerance,
+    the measures being those of mather and the uniform measures on the
+    cycles of barrier.graph;
     (c) adding probe_delta to u0 breaks (b), so u0 is maximal among shifted
     candidates; (d) ||u_lambda - u0||_inf is nonincreasing down the schedule;
     (e) the subsolution lower bound through discounted occupation measures
@@ -436,13 +465,13 @@ def verify_limit(
             )
         )
 
-    # (b) measure constraints
-    worst_u0 = -np.inf
-    for res in mather:
-        mu = res.projected
-        if full:
-            worst_u0 = max(worst_u0, float(mu @ u0.values))
-    if full and mather:
+    # (b) measure constraints, against each LP measure and each extreme
+    # Mather measure (the uniform measure on a critical cycle of the barrier)
+    measures = [res.projected for res in mather]
+    if barrier is not None and barrier.graph is not None:
+        measures += cycle_marginals(barrier.graph, grid.num_nodes)
+    worst_u0 = max((float(mu @ u0.values) for mu in measures if full), default=-np.inf)
+    if full and measures:
         checks.append(
             CheckResult(
                 "u0_measure_constraint",
@@ -451,11 +480,10 @@ def verify_limit(
                 tol_constraint,
             )
         )
-    worst_ul = -np.inf
-    for sol in solutions:
-        for res in mather:
-            worst_ul = max(worst_ul, float(res.projected @ sol.values.values))
-    if solutions and mather:
+    worst_ul = max(
+        (float(mu @ sol.values.values) for sol in solutions for mu in measures), default=-np.inf
+    )
+    if solutions and measures:
         checks.append(
             CheckResult(
                 "u_lambda_measure_constraint",
@@ -466,7 +494,7 @@ def verify_limit(
         )
 
     # (c) maximality probe: the shifted candidate must violate (b)
-    if full and mather:
+    if full and measures:
         probe = worst_u0 + probe_delta
         checks.append(
             CheckResult(

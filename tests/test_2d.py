@@ -1,6 +1,7 @@
 """Two-dimensional torus coverage: the solvers share all code paths with 1-D,
 so these tests pin the index arithmetic and re-run the exactly-known cases."""
 
+import json
 import os
 from dataclasses import replace
 
@@ -146,6 +147,20 @@ class TestTable2D:
 
 
 class TestShippedConfig:
+    def test_transport_config_runs_every_check(self, tmp_path):
+        # 2 Mather classes of 32 nodes and no rest point: u0 comes from the
+        # critical cycles at every node, so all ten checks run and pass
+        path = os.path.join(os.path.dirname(__file__), os.pardir, "configs", "transport.json")
+        report = run_pipeline(load_config(path), tmp_path)
+        golden = os.path.join(os.path.dirname(__file__), "data", "report_schema.json")
+        with open(golden) as fh:
+            flags = json.load(fh)["flags"]
+        assert [f["name"] for f in report.flags] == flags and len(flags) == 10
+        assert all(f["status"] == "pass" for f in report.flags)
+        assert report.u0_method == "critical-cycles"
+        assert len(report.mather_classes) == 2
+        assert report.u0_cross_delta <= 1e-9
+
     def test_torus_2d_config_converges(self, tmp_path):
         path = os.path.join(os.path.dirname(__file__), os.pardir, "configs", "torus_2d.json")
         report = run_pipeline(load_config(path), tmp_path)

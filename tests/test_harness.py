@@ -215,7 +215,7 @@ _SETUP = {"stability_bounds": 1, "make_stencil": 1}
 _GRAPH = {**_SETUP, "build_kernel": 1, "min_mean_cycle": 1}
 _FULL = {
     **_GRAPH, "critical_value_estimate": 1, "peierls_barrier": 1, "aubry_report": 1,
-    "solve_mather_lp": 1, "compute_u0": 1, "u0_mechanical": 1, "solve_discounted": 3,
+    "solve_mather_lp": 1, "compute_u0": 1, "solve_discounted": 3,
     "verify_limit": 1,
 }
 STAGE_CALLS = {
@@ -281,6 +281,21 @@ class TestCli:
         (np.arange(32.0) ** 2).tofile(bad)
         assert cli_dispatch(["verify", "--config", path, "--u0", str(good)]) == EXIT_OK
         assert cli_dispatch(["verify", "--config", path, "--u0", str(bad)]) == EXIT_VERIFICATION
+
+    def test_verify_checks_every_mather_class(self, tmp_path, capsys):
+        # two_well has classes [0] and [100] and its LP measure sits on node 0:
+        # the barrier row h(0, .) integrates to h(0, 0) = 0 against it, but to
+        # h(0, 100) > 0 against the uniform measure on the class-{100} cycle
+        path = os.path.join(os.path.dirname(__file__), os.pardir, "configs", "two_well.json")
+        run = _Run(harness.load_config(path), tmp_path / "run")
+        assert run.aubry.classes == [[0], [100]]
+        assert run.mather.projected[0] == 1.0
+        row = tmp_path / "row.bin"
+        run.barrier.row(0).tofile(row)
+        argv = ["verify", "--config", path, "--u0", str(row)]
+        assert cli_dispatch(argv) == EXIT_VERIFICATION
+        line = capsys.readouterr().out
+        assert f"measure_integral={run.barrier.values[0, 100]:.17g}" in line
 
     def test_grid_and_out_overrides(self, tmp_path):
         path = write_config(tmp_path / "cfg.json", free_config(tmp_path / "ignored", n=32))

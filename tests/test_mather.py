@@ -486,6 +486,38 @@ class TestComputeU0:
         np.testing.assert_array_equal(one.values, four.values)
 
 
+class TestU0CriticalCycles:
+    @pytest.mark.parametrize("name", ["pendulum16", "two_well32", "transport8", "cosine4x4"])
+    def test_matches_the_lp_at_every_node(self, name, request):
+        p = problem(name, request)
+        h = wk.peierls_barrier(p.kernel)
+        res = wk.u0_critical_cycles(h)
+        lp = wk.compute_u0(h, p.kernel, p.c_star, 1e-6, np.arange(p.grid.num_nodes))
+        assert res.method == "critical-cycles"
+        np.testing.assert_array_equal(res.targets, lp.targets)
+        assert np.abs(res.values - lp.values).max() <= 1e-9
+
+    @pytest.mark.parametrize("name", ["pendulum16", "two_well32", "cosine4x4"])
+    def test_bit_equal_to_the_rest_points_on_mechanical(self, name, request):
+        p = problem(name, request)
+        h = wk.peierls_barrier(p.kernel)
+        mech = wk.u0_mechanical(h, p.spec, p.grid, p.c_star, 1e-7)
+        assert wk.u0_critical_cycles(h).values.tobytes() == mech.values.tobytes()
+
+    def test_certificate_is_the_cycle_of_least_mean(self):
+        p = BUILT["transport32"]()
+        h = wk.peierls_barrier(p.kernel)
+        res = wk.u0_critical_cycles(h)
+        means = np.array([h.values[c % 32].mean(axis=0) for c in h.graph.cycles])
+        assert len(means) == 2
+        np.testing.assert_array_equal(res.values, means.min(axis=0))
+        np.testing.assert_array_equal(res.certificates, means.argmin(axis=0))
+
+    def test_needs_the_critical_graph(self, pendulum16):
+        with pytest.raises(WeakKamError, match="critical graph"):
+            wk.u0_critical_cycles(wk.minplus_power(pendulum16.kernel, 2))
+
+
 class TestU0Mechanical:
     def test_pendulum_is_well_row(self, pendulum200, pendulum200_barrier, pendulum200_u0):
         np.testing.assert_array_equal(pendulum200_u0.values, pendulum200_barrier.values[0])
