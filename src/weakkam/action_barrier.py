@@ -441,11 +441,11 @@ def _distances(kernel: ActionKernel, sources: np.ndarray) -> tuple[np.ndarray, i
     return d, rounds
 
 
-def peierls_barrier(
-    kernel: ActionKernel,
-    tol: float = 1e-9,
-    tight: CriticalGraph | None = None,
-) -> BarrierMatrix:
+# a barrier is stable when its fixed-point residual is at most this
+TOL_STABLE = 1e-6
+
+
+def peierls_barrier(kernel: ActionKernel, tight: CriticalGraph | None = None) -> BarrierMatrix:
     """Exact Peierls barrier from the critical graph of the action kernel.
 
     Under the reduced costs cost - tau*(mean + c), with mean Howard's minimum
@@ -466,12 +466,15 @@ def peierls_barrier(
     at another shift passes it in instead of running Howard's method again.
 
     values is one barrier step of h at the kernel's own shift, taken on the
-    factor d(r, .), one row per class, and residual is max |values - h|. At
-    the critical shift the factor rows are Bellman-Ford fixed points, which
-    a step gives back bit for bit but at the source (the least cycle through
-    it, 0 up to rounding), so the residual is 0 or rounding; off it,
-    tau*|mean + c|. relax_rounds counts the Bellman-Ford rounds of both
-    distance passes.
+    factor d(r, .), one row per class, and residual is that step's
+    fixed-point defect on the factor rows, max |step(d(r, .)) - d(r, .)| over
+    their finite entries. A min-plus product is 1-Lipschitz in the sup norm,
+    so this bounds max |values - h|. At the critical shift the factor rows
+    are Bellman-Ford fixed points, which a step gives back bit for bit but at
+    the source (the least cycle through it, 0 up to rounding), so the
+    residual is 0 or rounding; off it, tau*|mean + c|. The barrier is stable
+    when the residual is at most TOL_STABLE. relax_rounds counts the
+    Bellman-Ford rounds of both distance passes.
     """
     tau = kernel.stencil.tau
     graph = tight_subgraph(kernel) if tight is None else tight
@@ -484,16 +487,15 @@ def peierls_barrier(
     )
     from_rep, rounds_from = _distances(reduced, reps)   # d(r, x)
     to_rep, rounds_to = _distances(reverse, reps)       # d(y, r), row r
-    h = minplus_product(to_rep.T, from_rep)
-    values = minplus_product(to_rep.T, barrier_step(kernel, from_rep))
-    gap = np.subtract(values, h, out=h)  # h is not kept: its memory takes the gap
-    residual = float(np.max(np.abs(gap, out=gap)))
+    stepped = barrier_step(kernel, from_rep)
+    finite = np.isfinite(from_rep)
+    residual = float(np.abs(stepped[finite] - from_rep[finite]).max())
     return BarrierMatrix(
-        values=values,
+        values=minplus_product(to_rep.T, stepped),
         tau=tau,
         c=kernel.c,
         residual=residual,
-        stable=bool(residual <= tol),
+        stable=bool(residual <= TOL_STABLE),
         relax_rounds=rounds_from + rounds_to,
         graph=graph,
     )

@@ -97,14 +97,14 @@ def solve_discounted(
     c: float,
     tol: float = 1e-8,
     max_iter: int = 5_000_000,
-    init: np.ndarray | None = None,
     kernel: ActionKernel | None = None,
 ) -> DiscountedSolution:
     """Jacobi value iteration until the sup-residual drops below tol*(1-beta).
 
-    The contraction factor of the sweep is beta, so the stopping rule bounds
-    the distance to the true fixed point by tol. Argmin ties go to the lowest
-    stencil index, which makes policies and trajectories reproducible.
+    The iteration starts from zero. The contraction factor of the sweep is
+    beta, so the stopping rule bounds the distance to the true fixed point by
+    tol. Argmin ties go to the lowest stencil index, which makes policies and
+    trajectories reproducible.
     """
     tau = stencil.tau
     beta = math.exp(-lam * tau)
@@ -116,7 +116,7 @@ def solve_discounted(
     cost_in = weight * kernel.costs_by_head()
     pred = kernel.pred_index
 
-    u = np.zeros(grid.num_nodes) if init is None else np.asarray(init, dtype=float).copy()
+    u = np.zeros(grid.num_nodes)
     threshold = tol * (1.0 - beta)
     residual = np.inf
     iterations = 0
@@ -396,24 +396,27 @@ class DiscountedOccupationMeasure(EdgeMeasure):
     final_node: int
 
 
+# the default horizon makes the discarded tail beta^N at most _TAIL_THRESHOLD,
+# capped at _MAX_STEPS steps
+_TAIL_THRESHOLD = 1e-8
+_MAX_STEPS = 20_000_000
+
+
 def discounted_occupation_measure(
-    sol: DiscountedSolution,
-    x0: int,
-    n_steps: int | None = None,
-    tail_threshold: float = 1e-8,
-    max_steps: int = 20_000_000,
+    sol: DiscountedSolution, x0: int, n_steps: int | None = None
 ) -> DiscountedOccupationMeasure:
     """Build the discounted occupation measure of the policy orbit from x0.
 
     By default the horizon is chosen so the geometric tail beta^N falls below
-    tail_threshold; if the cap truncates earlier the measure is flagged. The
+    _TAIL_THRESHOLD (1e-8), at most _MAX_STEPS steps; a measure whose tail
+    stays above the threshold, by the cap or a given n_steps, is flagged. The
     exact discrete identity sum_i w_i (Lbar_i + c) = lambda * (u(x0) -
     beta^N u(x_N)) / (1 - beta^N) holds for the renormalized weights.
     """
     beta = sol.beta
     if n_steps is None:
-        needed = int(math.ceil(math.log(1.0 / tail_threshold) / (sol.lam * sol.tau)))
-        n_steps = min(needed, max_steps)
+        needed = int(math.ceil(math.log(1.0 / _TAIL_THRESHOLD) / (sol.lam * sol.tau)))
+        n_steps = min(needed, _MAX_STEPS)
     tail = beta**n_steps
 
     # walk the orbit x_0 = x0, x_{i+1} = pred[policy[x_i], x_i] until the
@@ -457,6 +460,6 @@ def discounted_occupation_measure(
         weights=weights,
         steps=n_steps,
         tail_bound=float(tail),
-        tail_warning=bool(tail > tail_threshold),
+        tail_warning=bool(tail > _TAIL_THRESHOLD),
         final_node=x,
     )

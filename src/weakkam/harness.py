@@ -24,6 +24,7 @@ import numpy as np
 
 from . import io
 from .action_barrier import (
+    TOL_STABLE,
     aubry_report,
     build_kernel,
     peierls_barrier,
@@ -33,6 +34,7 @@ from .action_barrier import (
 from .discounted import backward_trajectory, critical_value_estimate, solve_discounted
 from .errors import ConfigError, WeakKamError
 from .mather import (
+    TOL_CONSTRAINT,
     CheckResult,
     compute_u0,
     cycle_marginals,
@@ -75,10 +77,6 @@ EXIT_OK = 0
 EXIT_ERROR = 1
 EXIT_VERIFICATION = 2
 EXIT_USAGE = 64
-
-# fixed threshold: barrier fixed-point residual for barrier_stable
-_TOL_STABLE = 1e-6
-
 
 # ---------------------------------------------------------------------------
 # configuration
@@ -161,8 +159,12 @@ class ExperimentConfig:
         for a, b in zip(lam, lam[1:]):
             if f"{a:g}" == f"{b:g}":
                 raise ConfigError(f"schedule.lambdas {a!r} and {b!r} share the label {a:g}")
-        if not s.tol_solve > 0:
-            raise ConfigError("schedule.tol_solve must be positive")
+        if not 0 < s.tol_solve < math.inf:
+            raise ConfigError(
+                f"schedule.tol_solve must be positive and finite, got {s.tol_solve!r}"
+            )
+        if s.max_iter < 1:
+            raise ConfigError(f"schedule.max_iter must be >= 1, got {s.max_iter!r}")
         t, nodes = s.u0_targets, math.prod(p.sizes)
         bad_count = isinstance(t, int) and t < 1
         bad_nodes = isinstance(t, tuple) and not (t and all(0 <= x < nodes for x in t))
@@ -458,9 +460,7 @@ class _Run:
     @cached_property
     def barrier(self):
         kernel, _, graph = self.critical_graph
-        barrier = self._timed(
-            "peierls", lambda: peierls_barrier(kernel, tol=_TOL_STABLE, tight=graph)
-        )
+        barrier = self._timed("peierls", lambda: peierls_barrier(kernel, tight=graph))
         self.write("barrier", lambda path: io.write_barrier(barrier, path))
         return barrier
 
@@ -523,11 +523,9 @@ class _Run:
         kernel, barrier, aubry, lp = self.critical_graph[0], self.barrier, self.aubry, self.mather
         u0, u0_lp, u0_cross_delta = self.u0
         solutions = [self.discounted(lam) for lam in self.config.schedule.lambdas]
-        verification = self._timed("verify", lambda: verify_limit(
-            u0, solutions, [lp], kernel,
-            barrier=barrier, aubry_nodes=aubry.nodes,
-            tol_subsolution=max(10.0 * (barrier.residual or 0.0), 1e-9),
-        ))
+        verification = self._timed(
+            "verify", lambda: verify_limit(u0, solutions, [lp], kernel, barrier)
+        )
 
         err_by_lam = dict(verification.sup_errors)
         convergence = []
@@ -548,7 +546,7 @@ class _Run:
             *verification.checks,
             CheckResult(
                 "barrier_stable", "pass" if barrier.stable else "warn",
-                float(barrier.residual or 0.0), _TOL_STABLE,
+                barrier.residual, TOL_STABLE,
             ),
             CheckResult(
                 "critical_spread", "warn" if table.spread_warning else "pass",
@@ -590,7 +588,7 @@ class _Run:
             c_used=float(kernel.c),
             critical_table=[list(map(float, r)) for r in table.rows()],
             spread_warning=bool(table.spread_warning),
-            barrier_residual=float(barrier.residual or 0.0),
+            barrier_residual=barrier.residual,
             barrier_stable=bool(barrier.stable),
             aubry_nodes=[int(x) for x in aubry.nodes],
             mather_classes=[list(map(int, cls)) for cls in aubry.classes],
@@ -725,7 +723,7 @@ def _cmd_verify(run: _Run, args) -> int:
     # the worst integral over the LP measure and each critical cycle's uniform measure
     measures = [run.mather.projected, *cycle_marginals(run.critical_graph[2], grid.num_nodes)]
     integral = max(float(mu @ values) for mu in measures)
-    ok = violation <= 1e-6 and integral <= 1e-6  # verify_limit's constraint tolerance
+    ok = violation <= TOL_CONSTRAINT and integral <= TOL_CONSTRAINT
     print(f"subsolution_violation={io.fmt(violation)} measure_integral={io.fmt(integral)}")
     return EXIT_OK if ok else EXIT_VERIFICATION
 

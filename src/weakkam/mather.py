@@ -29,8 +29,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .action_barrier import (ActionKernel, BarrierMatrix, CriticalGraph, tight_subgraph,
-                             verify_subsolution)
+from .action_barrier import (ActionKernel, BarrierMatrix, CriticalGraph, aubry_report,
+                             tight_subgraph, verify_subsolution)
 from .discounted import DiscountedSolution, EdgeMeasure, discounted_occupation_measure
 from .errors import EmptyAubryError, InfeasibleError, WeakKamError
 from .models import LagrangianSpec, TorusGrid, eval_lagrangian
@@ -154,9 +154,9 @@ def _u0_columns(kernel: ActionKernel, budget: float):
     return CompressedColumns(rows=rows, vals=vals, num_rows=n + 1), np.append(b_core, budget)
 
 
-def _measure_from_solution(kernel: ActionKernel, x: np.ndarray, weight_tol=1e-12):
+def _measure_from_solution(kernel: ActionKernel, x: np.ndarray):
     n = kernel.num_nodes
-    nz = np.nonzero(x > weight_tol)[0]
+    nz = np.nonzero(x > 1e-12)[0]  # the edges of the support
     return OccupationMeasure(
         grid=kernel.grid,
         stencil=kernel.stencil,
@@ -209,11 +209,7 @@ def _spanning_basis(kernel: ActionKernel, weights: np.ndarray, cycle_edges: np.n
     return choice * n + nodes
 
 
-def solve_mather_lp(
-    kernel: ActionKernel,
-    feas_tol: float = 1e-9,
-    tight: CriticalGraph | None = None,
-) -> MatherSolveResult:
+def solve_mather_lp(kernel: ActionKernel, tight: CriticalGraph | None = None) -> MatherSolveResult:
     """Minimize the mean edge Lagrangian over unit-mass closed edge measures.
 
     The simplex starts at the spanning basis of cycles[0] of the critical
@@ -227,7 +223,7 @@ def solve_mather_lp(
     graph = tight_subgraph(kernel) if tight is None else tight
     basis = _spanning_basis(kernel, kernel.edge_lagrangian - graph.mean, graph.cycles[0])
     try:
-        res = solve_standard_form(a, b, c, basis=basis, feas_tol=feas_tol)
+        res = solve_standard_form(a, b, c, basis=basis)
     except InfeasibleError as exc:
         raise InfeasibleError(
             "closed-measure program infeasible; the uniform measure on any cycle "
@@ -304,11 +300,12 @@ def compute_u0(
     where mu is the tail marginal. One LP per target, started at the basis
     h.graph implies: the cycle of u0_critical_cycles' certificate at x, of
     mean h(., x) = v, a shortest-path in-tree to it under node weights
-    h(y, x) - v, and the budget slack; cold when h has no graph (a min-plus
-    power). The simplex prices every column from there, so it stays an
-    independent certificate. The targets are solved one after another;
-    threads is accepted and has no effect (each target is one basis inverse,
-    and concurrent threaded LAPACK calls only stalled each other).
+    h(y, x) - v, and the budget slack. h must carry its critical graph, so a
+    min-plus power raises WeakKamError. The simplex prices every column from
+    there, so it stays an independent certificate. The targets are solved
+    one after another; threads is accepted and has no effect (each target is
+    one basis inverse, and concurrent threaded LAPACK calls only stalled
+    each other).
     """
     targets = np.atleast_1d(np.asarray(targets, dtype=np.int64))
     n = kernel.num_nodes
@@ -316,11 +313,9 @@ def compute_u0(
 
     budget = -float(c_est) + float(eps_c)
     a, b = _u0_columns(kernel, budget)
-    start = None if h.graph is None else u0_critical_cycles(h)
+    start = u0_critical_cycles(h)
 
     def basis_for(t: int):
-        if start is None:
-            return None
         weights = np.broadcast_to(h.values[:, t] - start.values[t], (m_off, n))
         edges = _spanning_basis(kernel, weights, h.graph.cycles[start.certificates[t]])
         return None if edges is None else np.append(edges, m_off * n)
@@ -423,107 +418,81 @@ class VerificationReport:
         return all(c.status != "fail" for c in self.checks)
 
 
+# verification thresholds: the measure constraint int w dmu <= TOL_CONSTRAINT,
+# the shift _PROBE_DELTA that must break it, and the slack of the primal
+# inequality, checked at _PRIM_SAMPLES evenly spaced nodes
+TOL_CONSTRAINT = 1e-6
+_PROBE_DELTA = 0.01
+_TOL_PRIM = 1e-3
+_PRIM_SAMPLES = 8
+
+
 def verify_limit(
     u0: LimitFunctionResult,
     solutions: list[DiscountedSolution],
     mather: list[MatherSolveResult],
     kernel: ActionKernel,
-    barrier: BarrierMatrix | None = None,
-    aubry_nodes: np.ndarray | None = None,
-    tol_constraint: float = 1e-6,
-    tol_subsolution: float = 1e-6,
-    tol_prim: float = 1e-3,
-    probe_delta: float = 0.01,
-    prim_samples: int = 8,
+    barrier: BarrierMatrix,
 ) -> VerificationReport:
     """Run the convergence-theorem battery and report per-check pass/fail.
 
-    Checks: (a) u0 is a discrete critical subsolution; (b) the integral of u0
-    and of each u_lambda against every Mather measure stays below tolerance,
-    the measures being those of mather and the uniform measures on the
-    cycles of barrier.graph;
-    (c) adding probe_delta to u0 breaks (b), so u0 is maximal among shifted
-    candidates; (d) ||u_lambda - u0||_inf is nonincreasing down the schedule;
-    (e) the subsolution lower bound through discounted occupation measures
-    holds at sampled nodes.
+    Checks: (a) u0 is a discrete critical subsolution, to
+    max(10 * barrier.residual, 1e-9); (b) the integral of u0 and of each
+    u_lambda against every Mather measure is at most TOL_CONSTRAINT, the
+    measures being those of mather and the uniform measures on the cycles of
+    barrier.graph; (c) adding _PROBE_DELTA to u0 breaks (b), so u0 is maximal
+    among shifted candidates; (d) ||u_lambda - u0||_inf is nonincreasing down
+    the schedule; (e) the subsolution lower bound through discounted
+    occupation measures holds, to _TOL_PRIM, for u0 and the barrier rows of
+    the first two Aubry nodes at _PRIM_SAMPLES nodes. u0 must cover every
+    node and barrier must carry its critical graph; WeakKamError otherwise.
     """
-    checks: list[CheckResult] = []
     grid = kernel.grid
-    full = u0.targets.size == grid.num_nodes and np.array_equal(
-        u0.targets, np.arange(grid.num_nodes)
-    )
+    if not np.array_equal(u0.targets, np.arange(grid.num_nodes)):
+        raise WeakKamError("verify_limit needs u0 at every node")
+    aubry = aubry_report(barrier)
+
+    def check(name, ok, measured, threshold, detail=""):
+        return CheckResult(name, "pass" if ok else "fail", measured, threshold, detail)
 
     # (a) subsolution violation
-    if full:
-        violation = verify_subsolution(u0.values, kernel)
-        checks.append(
-            CheckResult(
-                "u0_subsolution",
-                "pass" if violation <= tol_subsolution else "fail",
-                violation,
-                tol_subsolution,
-            )
-        )
+    tol_subsolution = max(10.0 * barrier.residual, 1e-9)
+    violation = verify_subsolution(u0.values, kernel)
+    checks = [check("u0_subsolution", violation <= tol_subsolution, violation, tol_subsolution)]
 
     # (b) measure constraints, against each LP measure and each extreme
     # Mather measure (the uniform measure on a critical cycle of the barrier)
-    measures = [res.projected for res in mather]
-    if barrier is not None and barrier.graph is not None:
-        measures += cycle_marginals(barrier.graph, grid.num_nodes)
-    worst_u0 = max((float(mu @ u0.values) for mu in measures if full), default=-np.inf)
-    if full and measures:
-        checks.append(
-            CheckResult(
-                "u0_measure_constraint",
-                "pass" if worst_u0 <= tol_constraint else "fail",
-                worst_u0,
-                tol_constraint,
-            )
-        )
-    worst_ul = max(
-        (float(mu @ sol.values.values) for sol in solutions for mu in measures), default=-np.inf
-    )
-    if solutions and measures:
-        checks.append(
-            CheckResult(
-                "u_lambda_measure_constraint",
-                "pass" if worst_ul <= tol_constraint else "fail",
-                worst_ul,
-                tol_constraint,
-            )
-        )
+    measures = [res.projected for res in mather] + cycle_marginals(barrier.graph, grid.num_nodes)
+    worst_u0 = max(float(mu @ u0.values) for mu in measures)
+    checks.append(check(
+        "u0_measure_constraint", worst_u0 <= TOL_CONSTRAINT, worst_u0, TOL_CONSTRAINT
+    ))
+    if solutions:
+        worst_ul = max(float(mu @ sol.values.values) for sol in solutions for mu in measures)
+        checks.append(check(
+            "u_lambda_measure_constraint", worst_ul <= TOL_CONSTRAINT, worst_ul, TOL_CONSTRAINT
+        ))
 
     # (c) maximality probe: the shifted candidate must violate (b)
-    if full and measures:
-        probe = worst_u0 + probe_delta
-        checks.append(
-            CheckResult(
-                "maximality_probe",
-                "pass" if probe > tol_constraint else "fail",
-                probe,
-                tol_constraint,
-                detail=f"u0 + {probe_delta} must break the measure constraint",
-            )
-        )
+    probe = worst_u0 + _PROBE_DELTA
+    checks.append(check(
+        "maximality_probe", probe > TOL_CONSTRAINT, probe, TOL_CONSTRAINT,
+        detail=f"u0 + {_PROBE_DELTA} must break the measure constraint",
+    ))
 
     # (d) sup-error table down the lambda schedule
-    sup_errors = []
-    for sol in sorted(solutions, key=lambda s: -s.lam):
-        err = float(np.abs(sol.values.values[u0.targets] - u0.values).max())
-        sup_errors.append((sol.lam, err))
+    sup_errors = [
+        (sol.lam, float(np.abs(sol.values.values - u0.values).max()))
+        for sol in sorted(solutions, key=lambda s: -s.lam)
+    ]
     plateau = sup_errors[-1][1] if sup_errors else float("nan")
-    slack = 2.0 * (solutions[0].tol if solutions else 0.0) + 1e-12
-    monotone = all(b <= a + slack for (_, a), (_, b) in zip(sup_errors, sup_errors[1:]))
-    if sup_errors:
-        checks.append(
-            CheckResult(
-                "sup_error_monotone",
-                "pass" if monotone else "fail",
-                plateau,
-                slack,
-                detail="sup errors must be nonincreasing as lambda decreases",
-            )
-        )
+    if solutions:
+        slack = 2.0 * solutions[0].tol + 1e-12
+        monotone = all(b <= a + slack for (_, a), (_, b) in zip(sup_errors, sup_errors[1:]))
+        checks.append(check(
+            "sup_error_monotone", monotone, plateau, slack,
+            detail="sup errors must be nonincreasing as lambda decreases",
+        ))
 
     # (e) subsolution lower bound via discounted occupation measures: the
     # solver weights step costs by kappa = (1 - beta)/(lambda tau), so summing
@@ -532,36 +501,20 @@ def verify_limit(
     if solutions:
         sol = min(solutions, key=lambda s: s.lam)
         kappa = (1.0 - sol.beta) / (sol.lam * sol.tau)
-        candidates: list[tuple[str, np.ndarray]] = []
-        if full:
-            candidates.append(("u0", u0.values))
-        if barrier is not None and aubry_nodes is not None and len(aubry_nodes):
-            for y in list(np.asarray(aubry_nodes)[:2]):
-                candidates.append((f"h_row_{int(y)}", barrier.row(int(y))))
-        xs = np.linspace(0, grid.num_nodes, prim_samples, endpoint=False).astype(int)
+        candidates = [u0.values] + [barrier.row(int(y)) for y in aubry.nodes[:2]]
+        xs = np.linspace(0, grid.num_nodes, _PRIM_SAMPLES, endpoint=False).astype(int)
         worst_margin = np.inf
         for x in xs:
-            occ = discounted_occupation_measure(sol, int(x))
-            marginal = occ.node_marginal()
-            for name, w in candidates:
-                margin = sol.values.values[x] - kappa * (w[x] - float(marginal @ w)) + tol_prim
+            marginal = discounted_occupation_measure(sol, int(x)).node_marginal()
+            for w in candidates:
+                margin = sol.values.values[x] - kappa * (w[x] - float(marginal @ w)) + _TOL_PRIM
                 worst_margin = min(worst_margin, float(margin))
-        if candidates:
-            checks.append(
-                CheckResult(
-                    "ineq_prim",
-                    "pass" if worst_margin >= 0.0 else "fail",
-                    worst_margin,
-                    0.0,
-                    detail=(
-                        f"u_lambda(x) >= kappa*(w(x) - <w, occupation>) - {tol_prim}, "
-                        "kappa = (1-beta)/(lambda tau)"
-                    ),
-                )
-            )
+        checks.append(check(
+            "ineq_prim", worst_margin >= 0.0, worst_margin, 0.0,
+            detail=(
+                f"u_lambda(x) >= kappa*(w(x) - <w, occupation>) - {_TOL_PRIM}, "
+                "kappa = (1-beta)/(lambda tau)"
+            ),
+        ))
 
-    return VerificationReport(
-        checks=tuple(checks),
-        sup_errors=tuple(sup_errors),
-        plateau=plateau,
-    )
+    return VerificationReport(checks=tuple(checks), sup_errors=tuple(sup_errors), plateau=plateau)

@@ -39,6 +39,7 @@ __all__ = ["CompressedColumns", "SimplexResult", "solve_standard_form"]
 
 _BLAND_TRIGGER = 2000  # degenerate-streak length before the entering rule falls back
 _REFACTOR_EVERY = 64   # rank-one updates between fresh inverses of the basis
+_FEAS_TOL = 1e-9       # reduced-cost, pivot-entry and degenerate-step tolerance
 
 
 @dataclass(frozen=True)
@@ -136,7 +137,7 @@ def _lexico_leave(x_b, d, b_inv, rows, feas_tol):
     return int(tied[0])
 
 
-def _run(a, c, b_vec, basis, allowed, feas_tol, max_iter, b_inv=None):
+def _run(a, c, b_vec, basis, allowed, max_iter, b_inv=None):
     """Phase-agnostic pivot loop; `basis` is updated in place.
 
     Columns past a.shape[1] are artificial: column n + i is the unit vector
@@ -161,7 +162,7 @@ def _run(a, c, b_vec, basis, allowed, feas_tol, max_iter, b_inv=None):
         if n_total > n:
             priced = np.concatenate([priced, y])
         reduced = c - priced
-        candidates = np.nonzero((reduced < -feas_tol) & open_)[0]
+        candidates = np.nonzero((reduced < -_FEAS_TOL) & open_)[0]
         if candidates.size == 0:
             if fresh:
                 return x_b, y, pivots
@@ -180,16 +181,16 @@ def _run(a, c, b_vec, basis, allowed, feas_tol, max_iter, b_inv=None):
             d = b_inv[:, a.rows[:, j]] @ a.vals[:, j]
         else:
             d = b_inv[:, j - n].copy()
-        rows = np.nonzero(d > feas_tol)[0]
+        rows = np.nonzero(d > _FEAS_TOL)[0]
         if rows.size == 0:
             raise UnboundedError("objective unbounded below on the feasible set")
-        leave_row = _lexico_leave(np.maximum(x_b, 0.0), d, b_inv, rows, feas_tol)
+        leave_row = _lexico_leave(np.maximum(x_b, 0.0), d, b_inv, rows, _FEAS_TOL)
         step = max(x_b[leave_row], 0.0) / d[leave_row]
 
         open_[basis[leave_row]] = allowed[basis[leave_row]]
         open_[j] = False
         basis[leave_row] = j
-        degenerate_run = degenerate_run + 1 if step <= feas_tol else 0
+        degenerate_run = degenerate_run + 1 if step <= _FEAS_TOL else 0
         pivots += 1
         if pivots % _REFACTOR_EVERY == 0:
             b_inv = _invert(a, basis)
@@ -222,7 +223,6 @@ def solve_standard_form(
     b: np.ndarray,
     c: np.ndarray,
     basis: np.ndarray | None = None,
-    feas_tol: float = 1e-9,
     max_iter: int = 50_000,
 ) -> SimplexResult:
     """Solve min c.x subject to Ax = b, x >= 0.
@@ -233,7 +233,8 @@ def solve_standard_form(
     pivots when the guess is optimal); a singular or infeasible guess falls
     back to the cold start. Rows are sign-normalized so b >= 0; a redundant
     row surfaces as an artificial variable stuck at zero, which is accepted
-    and barred from re-entering.
+    and barred from re-entering. A column enters when its reduced cost is
+    below -_FEAS_TOL; more than max_iter pivots raise WeakKamError.
     """
     if not isinstance(a, CompressedColumns):
         a = CompressedColumns.from_dense(np.asarray(a, dtype=float))
@@ -262,7 +263,7 @@ def solve_standard_form(
             probe = b_inv @ b
             if np.isfinite(probe).all() and (probe >= -1e-7).all():
                 allowed = np.ones(n, dtype=bool)
-                x_b, y, its = _run(a, c, b, guess, allowed, feas_tol, max_iter, b_inv)
+                x_b, y, its = _run(a, c, b, guess, allowed, max_iter, b_inv)
                 return _package(c, guess, x_b, y, its, n)
         # singular or infeasible guess: fall through to a cold start
 
@@ -270,7 +271,7 @@ def solve_standard_form(
     c1 = np.concatenate([np.zeros(n), np.ones(m)])
     work_basis = np.arange(n, n + m, dtype=np.int64)
     allowed = np.ones(n + m, dtype=bool)
-    x_b, y, its1 = _run(a, c1, b, work_basis, allowed, feas_tol, max_iter)
+    x_b, y, its1 = _run(a, c1, b, work_basis, allowed, max_iter)
     residue = float(x_b[work_basis >= n].sum()) if (work_basis >= n).any() else 0.0
     if residue > 1e-7:
         raise InfeasibleError(f"phase-1 optimum {residue:.3e} > 0: program infeasible")
@@ -289,5 +290,5 @@ def solve_standard_form(
     # phase 2: artificials keep zero cost but may not re-enter
     c2 = np.concatenate([c, np.zeros(m)])
     allowed[n:] = False
-    x_b, y, its2 = _run(a, c2, b, work_basis, allowed, feas_tol, max_iter)
+    x_b, y, its2 = _run(a, c2, b, work_basis, allowed, max_iter)
     return _package(c2, work_basis, x_b, y, its1 + its2, n)

@@ -70,7 +70,7 @@ class TestMechanical2D:
 
 @pytest.fixture(scope="module")
 def cos2d_battery(cos2d):
-    """Barrier, Aubry nodes, u0, Mather LP and u_lambda on the default lambda schedule."""
+    """Barrier, u0, Mather LP and u_lambda on the default lambda schedule."""
     p = cos2d
     h = wk.peierls_barrier(p.kernel)
     sols = [
@@ -79,7 +79,6 @@ def cos2d_battery(cos2d):
     ]
     return dict(
         barrier=h,
-        aubry_nodes=wk.aubry_set(h, 1e-7),
         u0=wk.u0_mechanical(h, p.spec, p.grid, p.c_star, 1e-9),
         solutions=sols,
         mather=[wk.solve_mather_lp(p.kernel)],
@@ -88,8 +87,7 @@ def cos2d_battery(cos2d):
 
 def ineq_prim(battery, kernel, barrier):
     report = wk.verify_limit(
-        battery["u0"], battery["solutions"], battery["mather"], kernel,
-        barrier=barrier, aubry_nodes=battery["aubry_nodes"],
+        battery["u0"], battery["solutions"], battery["mather"], kernel, barrier=barrier,
     )
     return next(c for c in report.checks if c.name == "ineq_prim")
 

@@ -125,15 +125,6 @@ class TestSolveDiscounted:
         slack = 2 * sols[0.2].tol
         assert (sols[0.1].values.values >= sols[0.2].values.values - slack).all()
 
-    def test_contraction_determinism(self, pendulum16):
-        p = pendulum16
-        a = wk.solve_discounted(p.grid, p.spec, 0.3, p.stencil, p.c_star, kernel=p.kernel)
-        b = wk.solve_discounted(
-            p.grid, p.spec, 0.3, p.stencil, p.c_star, kernel=p.kernel,
-            init=np.full(p.grid.num_nodes, 100.0),
-        )
-        assert np.abs(a.values.values - b.values.values).max() <= 2 * a.tol
-
     def test_value_band(self, pendulum16):
         p = pendulum16
         lam = 0.17

@@ -499,6 +499,9 @@ BAD_INPUTS = {
         [], _set("schedule", lambdas=[0.5, 0.4999999, 0.25]), {}, "0.5 and 0.4999999"
     ),
     "threads_zero": (["--threads", "0"], _dump(), {}, "threads must be >= 1"),
+    "max_iter_zero": ([], _set("schedule", max_iter=0), {}, "schedule.max_iter"),
+    # Infinity parses to inf: value iteration would stop after one sweep
+    "tol_solve_inf": ([], _set("schedule", tol_solve=math.inf), {}, "schedule.tol_solve"),
     "grid_zero": (["--grid", "0"], _dump(), {}, "sizes"),
     "malformed_json": ([], lambda raw: json.dumps(raw)[:-1], {}, "JSON"),
     "threads_string": ([], _dump(lambda raw: raw.update(threads="two")), {}, "'two'"),

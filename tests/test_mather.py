@@ -485,6 +485,12 @@ class TestComputeU0:
         four = wk.compute_u0(h, p.kernel, p.c_star, 1e-6, targets, threads=4)
         np.testing.assert_array_equal(one.values, four.values)
 
+    def test_needs_the_critical_graph(self, pendulum16):
+        p = pendulum16
+        power = wk.minplus_power(p.kernel, 2)
+        with pytest.raises(WeakKamError, match="critical graph"):
+            wk.compute_u0(power, p.kernel, p.c_star, 1e-6, [0])
+
 
 class TestU0CriticalCycles:
     @pytest.mark.parametrize("name", ["pendulum16", "two_well32", "transport8", "cosine4x4"])
@@ -583,8 +589,7 @@ class TestVerifyLimit:
             for lam in (0.4, 0.2, 0.1)
         ]
         lp = wk.solve_mather_lp(p.kernel0)
-        aubry = wk.aubry_set(h, 1e-9)
-        report = wk.verify_limit(u0, sols, [lp], p.kernel0, barrier=h, aubry_nodes=aubry)
+        report = wk.verify_limit(u0, sols, [lp], p.kernel0, barrier=h)
         assert report.passed
         assert report.plateau == 0.0
         names = {c.name for c in report.checks}
@@ -606,6 +611,23 @@ class TestVerifyLimit:
             certificates=u0.certificates, c_est=u0.c_est, eps=u0.eps,
         )
         lp = wk.solve_mather_lp(p.kernel)
-        report = wk.verify_limit(shifted, [], [lp], p.kernel)
+        report = wk.verify_limit(shifted, [], [lp], p.kernel, barrier=h)
         failed = {c.name for c in report.checks if c.status == "fail"}
         assert "u0_measure_constraint" in failed
+
+    def test_needs_u0_at_every_node(self, pendulum16):
+        p = pendulum16
+        h = wk.peierls_barrier(p.kernel)
+        partial = wk.compute_u0(h, p.kernel, p.c_star, 1e-6, [0, 5])
+        lp = wk.solve_mather_lp(p.kernel)
+        with pytest.raises(WeakKamError, match="every node"):
+            wk.verify_limit(partial, [], [lp], p.kernel, barrier=h)
+
+    def test_needs_the_critical_graph(self, pendulum16):
+        p = pendulum16
+        h = wk.peierls_barrier(p.kernel)
+        u0 = wk.u0_critical_cycles(h)
+        lp = wk.solve_mather_lp(p.kernel)
+        power = wk.minplus_power(p.kernel, 2)
+        with pytest.raises(WeakKamError, match="critical graph"):
+            wk.verify_limit(u0, [], [lp], p.kernel, barrier=power)
