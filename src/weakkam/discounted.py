@@ -246,6 +246,7 @@ def critical_value_estimate(
     stencil: VelocityStencil,
     lambda_schedule,
     max_iter: int = 5_000_000,
+    kernel: ActionKernel | None = None,
 ) -> tuple[float, CriticalValueTable]:
     """Estimate c(H) from -lambda*u_lambda along a decreasing lambda schedule.
 
@@ -255,7 +256,8 @@ def critical_value_estimate(
     Richardson-extrapolates the midpoint sequence to lambda = 0 (Neville on
     the last three points). The per-lambda spread max - min must shrink along
     the schedule; if it does not, the table carries a warning flag signaling
-    a too-coarse discretization.
+    a too-coarse discretization. kernel, when given, is the kernel at shift
+    0 of grid, spec and stencil; it is built here when None.
     """
     lambdas = [float(l) for l in lambda_schedule]
     if len(lambdas) < 3:
@@ -263,7 +265,8 @@ def critical_value_estimate(
     if any(b >= a for a, b in zip(lambdas, lambdas[1:])):
         raise WeakKamError("the lambda schedule must be strictly decreasing")
 
-    kernel = build_kernel(grid, spec, stencil, c=0.0)
+    if kernel is None:
+        kernel = build_kernel(grid, spec, stencil, c=0.0)
     mins, maxs, mids, spreads, rounds = [], [], [], [], []
     for lam in lambdas:
         u, n_rounds = discounted_policy_iteration(kernel, lam, max_iter)

@@ -360,7 +360,7 @@ class _Run:
         except WeakKamError as exc:
             raise WeakKamError(f"[stage {name}] {exc}") from exc
         finally:
-            self.timings[name] = time.perf_counter() - start
+            self.timings[name] = self.timings.get(name, 0.0) + time.perf_counter() - start
 
     def write(self, name, writer):
         """Call writer(path) for the artifact called name in the output directory."""
@@ -418,11 +418,19 @@ class _Run:
         return self._timed("stencil", build)
 
     @cached_property
+    def kernel0(self):
+        """The kernel at shift 0, built once for the critical table and Howard's run."""
+        grid, spec, stencil = self.grid, self.spec, self.stencil
+        return self._timed("kernel", lambda: build_kernel(grid, spec, stencil, c=0.0))
+
+    @cached_property
     def critical(self):
         """(c_est, table): exact discounted solutions at shift 0 down critical_lambdas."""
-        grid, spec, stencil, s = self.grid, self.spec, self.stencil, self.config.schedule
+        grid, spec, stencil, s, kernel0 = (
+            self.grid, self.spec, self.stencil, self.config.schedule, self.kernel0
+        )
         c_est, table = self._timed("critical", lambda: critical_value_estimate(
-            grid, spec, stencil, s.critical_lambdas, max_iter=s.max_iter
+            grid, spec, stencil, s.critical_lambdas, max_iter=s.max_iter, kernel=kernel0
         ))
         self.write("critical.csv", lambda path: io.write_csv(
             path,
@@ -437,18 +445,17 @@ class _Run:
         it, and the CriticalGraph of Howard's run.
 
         Howard's policy iteration and the one criticality test run once, on
-        the kernel at shift 0. The CriticalGraph reads only the edge
-        Lagrangian and the index tables, which no shift changes, so it is
-        handed on to peierls_barrier (whose barrier passes it to aubry_report,
-        u0_critical_cycles, compute_u0 and verify_limit), solve_mather_lp and
-        the verify subcommand. The critical kernel shares the shift-0 arrays and
-        recomputes only costs, by the expression build_kernel evaluates, so its
-        bits are those of a fresh build.
+        kernel0, which the critical table reads as well. The CriticalGraph
+        reads only the edge Lagrangian and the index tables, which no shift
+        changes, so it is handed on to peierls_barrier (whose barrier passes
+        it to aubry_report, u0_critical_cycles, compute_u0 and verify_limit),
+        solve_mather_lp and the verify subcommand. The critical kernel shares
+        the shift-0 arrays and recomputes only costs, by the expression
+        build_kernel evaluates, so its bits are those of a fresh build.
         """
-        grid, spec, stencil = self.grid, self.spec, self.stencil
+        stencil, kernel0 = self.stencil, self.kernel0
 
         def critical_kernel():
-            kernel0 = build_kernel(grid, spec, stencil, c=0.0)
             graph = tight_subgraph(kernel0)
             mean, cycle = min_mean_cycle(kernel0, tight=graph)
             c = -mean
@@ -600,6 +607,7 @@ class _Run:
                 "barrier_relax_rounds": barrier.relax_rounds,
                 "mather_lp_pivots": lp.iterations,
                 "u0_pivots": u0_lp.pivots,
+                "lp_dense_solves": lp.dense_solves + u0_lp.dense_solves,
                 "critical_policy_rounds": sum(table.rounds),
                 "discounted_sweeps": sum(sol.iterations for sol in solutions),
             },

@@ -14,12 +14,14 @@ gates. u0 is the least mean of the barrier rows over the nodes of one
 critical cycle (the extreme Mather measures are the uniform measures on
 them) and the simplex over near-Mather measures at sampled targets.
 
-Both edge programs start the simplex at the vertex the critical graph
-implies: the extreme Mather measures are uniform measures on critical
-cycles, so a critical cycle plus a shortest-path in-tree to it is a
-spanning basis (network simplex) that is usually optimal. The simplex still
-prices every column on a fresh inverse of that basis, pivots on when it is
-not optimal and starts cold when it is singular or infeasible, so its value
+Both edge programs start at the vertex the critical graph implies: the
+extreme Mather measures are uniform measures on critical cycles, so a
+critical cycle plus a shortest-path in-tree to it is a spanning basis
+(network simplex) that is usually optimal. Its basic solution is the
+uniform measure on the cycle and its duals are the in-tree potentials, both
+in closed form, O(n); `certify_basis` checks them and prices every column,
+and the dense simplex runs from that basis (pivoting on, or starting cold
+when it is singular or infeasible) only when a check fails. So the value
 stays a certificate rather than a copy of the graph route.
 """
 
@@ -34,7 +36,7 @@ from .action_barrier import (ActionKernel, BarrierMatrix, CriticalGraph, aubry_r
 from .discounted import DiscountedSolution, EdgeMeasure, discounted_occupation_measure
 from .errors import EmptyAubryError, InfeasibleError, WeakKamError
 from .models import LagrangianSpec, TorusGrid, eval_lagrangian
-from .simplex import CompressedColumns, solve_standard_form
+from .simplex import CompressedColumns, certify_basis, solve_standard_form
 
 __all__ = [
     "OccupationMeasure",
@@ -115,6 +117,7 @@ class MatherSolveResult:
     projected: np.ndarray       # position marginal over nodes
     basis: np.ndarray           # optimal simplex basis, reusable as warm start
     iterations: int
+    dense_solves: int           # 1 when the tree certificate failed and the dense simplex ran
 
 
 def _edge_columns(kernel: ActionKernel):
@@ -167,7 +170,7 @@ def _measure_from_solution(kernel: ActionKernel, x: np.ndarray):
 
 
 def _spanning_basis(kernel: ActionKernel, weights: np.ndarray, cycle_edges: np.ndarray):
-    """Edge columns of a cycle plus a shortest-path in-tree to it, or None.
+    """(edge columns, potentials) of a cycle plus a shortest-path in-tree to it, or None.
 
     `weights` is (num_offsets, num_nodes) by tail and sums to zero around
     the cycle, whose edges `cycle_edges` (k*n + tail) are listed in walking
@@ -175,7 +178,9 @@ def _spanning_basis(kernel: ActionKernel, weights: np.ndarray, cycle_edges: np.n
     at zero; Bellman-Ford then gives every other node the out-edge of its
     shortest path to the cycle, switching only on strict improvement. Under
     weights with no negative cycle these n columns are an optimal spanning
-    basis of the closed-measure program (network simplex). None when some
+    basis of the closed-measure program (network simplex), and the
+    potentials phi, with phi(tail) = weight + phi(head) on every basis edge
+    but the cycle's first, are its duals up to a constant. None when some
     node does not reach the cycle through its chosen edges.
     """
     n = kernel.num_nodes
@@ -206,24 +211,54 @@ def _spanning_basis(kernel: ActionKernel, weights: np.ndarray, cycle_edges: np.n
         succ = succ[succ]
     if free[succ].any():
         return None
-    return choice * n + nodes
+    return choice * n + nodes, phi
+
+
+def _solve_from_tree(kernel, a, b, c, tree, cycle, value):
+    """Solve an edge program from tree = _spanning_basis(kernel, c - value, cycle).
+
+    The basic solution is the uniform measure on the cycle and, in the u0
+    program (one row more, its budget slack the last column), the slack
+    budget - mean Lbar over the cycle. The duals are phi shifted to 0 at the
+    dropped row n - 1, value on the mass row and 0 on the budget row. When
+    certify_basis refuses them, or tree is None, the dense simplex runs from
+    that basis (cold when None). Returns (SimplexResult, dense simplex ran).
+    """
+    if tree is None:
+        return solve_standard_form(a, b, c), True
+    n = kernel.num_nodes
+    edges, phi = tree
+    x_b = np.zeros(a.num_rows)
+    x_b[cycle % n] = 1.0 / cycle.size
+    y = np.zeros(a.num_rows)
+    y[:n] = phi - phi[n - 1]
+    y[n - 1] = value
+    basis = edges
+    if a.num_rows > n:
+        basis = np.append(edges, c.size - 1)
+        x_b[n] = b[n] - kernel.edge_lagrangian.reshape(-1)[cycle].mean()
+    res = certify_basis(a, b, c, basis, x_b, y)
+    if res is not None:
+        return res, False
+    return solve_standard_form(a, b, c, basis=basis), True
 
 
 def solve_mather_lp(kernel: ActionKernel, tight: CriticalGraph | None = None) -> MatherSolveResult:
     """Minimize the mean edge Lagrangian over unit-mass closed edge measures.
 
-    The simplex starts at the spanning basis of cycles[0] of the critical
-    graph and prices every column from there; when that basis is optimal it
-    takes no pivot, and otherwise it pivots on (or starts cold) as usual.
-    tight is the CriticalGraph of tight_subgraph for this kernel's
-    Lagrangian, computed here when None.
+    The program is closed at the spanning basis of cycles[0] of the critical
+    graph by its tree certificate, which prices every column (no pivot);
+    when that basis is not optimal the dense simplex pivots on from it (or
+    starts cold) as usual. tight is the CriticalGraph of tight_subgraph for
+    this kernel's Lagrangian, computed here when None.
     """
     a, b = _edge_columns(kernel)
     c = kernel.edge_lagrangian.reshape(-1)
     graph = tight_subgraph(kernel) if tight is None else tight
-    basis = _spanning_basis(kernel, kernel.edge_lagrangian - graph.mean, graph.cycles[0])
+    cycle = graph.cycles[0]
+    tree = _spanning_basis(kernel, kernel.edge_lagrangian - graph.mean, cycle)
     try:
-        res = solve_standard_form(a, b, c, basis=basis)
+        res, dense = _solve_from_tree(kernel, a, b, c, tree, cycle, graph.mean)
     except InfeasibleError as exc:
         raise InfeasibleError(
             "closed-measure program infeasible; the uniform measure on any cycle "
@@ -237,6 +272,7 @@ def solve_mather_lp(kernel: ActionKernel, tight: CriticalGraph | None = None) ->
         projected=measure.node_marginal(),
         basis=res.basis,
         iterations=res.iterations,
+        dense_solves=int(dense),
     )
 
 
@@ -255,6 +291,7 @@ class LimitFunctionResult:
     c_est: float
     eps: float
     pivots: int = 0                   # simplex pivots summed over the targets
+    dense_solves: int = 0             # targets the tree certificate did not close
 
 
 def cycle_marginals(graph: CriticalGraph, num_nodes: int) -> list[np.ndarray]:
@@ -301,11 +338,11 @@ def compute_u0(
     h.graph implies: the cycle of u0_critical_cycles' certificate at x, of
     mean h(., x) = v, a shortest-path in-tree to it under node weights
     h(y, x) - v, and the budget slack. h must carry its critical graph, so a
-    min-plus power raises WeakKamError. The simplex prices every column from
-    there, so it stays an independent certificate. The targets are solved
-    one after another; threads is accepted and has no effect (each target is
-    one basis inverse, and concurrent threaded LAPACK calls only stalled
-    each other).
+    min-plus power raises WeakKamError. The tree certificate prices every
+    column there, and the dense simplex runs from that basis when it fails,
+    so the LP stays an independent certificate. The targets are solved one
+    after another; threads is accepted and has no effect (a target costs
+    O(edges) gathers when its tree certificate holds).
     """
     targets = np.atleast_1d(np.asarray(targets, dtype=np.int64))
     n = kernel.num_nodes
@@ -315,23 +352,20 @@ def compute_u0(
     a, b = _u0_columns(kernel, budget)
     start = u0_critical_cycles(h)
 
-    def basis_for(t: int):
-        weights = np.broadcast_to(h.values[:, t] - start.values[t], (m_off, n))
-        edges = _spanning_basis(kernel, weights, h.graph.cycles[start.certificates[t]])
-        return None if edges is None else np.append(edges, m_off * n)
-
     def solve_target(t: int):
-        col = h.values[:, t]
+        col, v = h.values[:, t], start.values[t]
         c = np.concatenate([np.tile(col, m_off), [0.0]])
+        cycle = h.graph.cycles[start.certificates[t]]
+        tree = _spanning_basis(kernel, np.broadcast_to(col - v, (m_off, n)), cycle)
         try:
-            res = solve_standard_form(a, b, c, basis=basis_for(t))
+            res, dense = _solve_from_tree(kernel, a, b, c, tree, cycle, v)
         except InfeasibleError as exc:
             raise InfeasibleError(
                 f"no closed measure meets the near-optimality budget {budget:.6g}; "
                 "increase eps_c (the discretization rarely reaches -c_est exactly)"
             ) from exc
         measure = _measure_from_solution(kernel, res.x[:-1])
-        return float(res.objective), measure, res.iterations
+        return float(res.objective), measure, res.iterations, dense
 
     solved = [solve_target(int(t)) for t in targets]
     values = np.array([s[0] for s in solved])
@@ -344,6 +378,7 @@ def compute_u0(
         c_est=float(c_est),
         eps=float(eps_c),
         pivots=sum(s[2] for s in solved),
+        dense_solves=sum(s[3] for s in solved),
     )
 
 

@@ -9,6 +9,7 @@ import resource
 import subprocess
 import sys
 import tempfile
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -220,7 +221,7 @@ _FULL = {
 }
 STAGE_CALLS = {
     "bounds": {"stability_bounds": 1},
-    "critical": {**_SETUP, "critical_value_estimate": 1},
+    "critical": {**_SETUP, "build_kernel": 1, "critical_value_estimate": 1},
     "peierls": {**_GRAPH, "peierls_barrier": 1},
     "discounted": {**_GRAPH, "solve_discounted": 3},
     "mather": {**_GRAPH, "solve_mather_lp": 1},
@@ -296,6 +297,34 @@ class TestCli:
         assert cli_dispatch(argv) == EXIT_VERIFICATION
         line = capsys.readouterr().out
         assert f"measure_integral={run.barrier.values[0, 100]:.17g}" in line
+
+    @staticmethod
+    def _two_well32(out):
+        path = os.path.join(os.path.dirname(__file__), os.pardir, "configs", "two_well.json")
+        config = harness.load_config(path)
+        return replace(config, problem=replace(config.problem, sizes=(32,)), output_dir=str(out))
+
+    def test_converge_closes_both_lps_without_linalg(self, tmp_path, monkeypatch):
+        # the tree certificates need no basis inverse and no linear solve
+        def refuse(*args, **kwargs):
+            raise AssertionError("np.linalg called on the zero-pivot path")
+
+        monkeypatch.setattr(np.linalg, "inv", refuse)
+        monkeypatch.setattr(np.linalg, "solve", refuse)
+        report = run_pipeline(self._two_well32(tmp_path / "out"))
+        assert report.passed
+        counters = report.counters
+        assert counters["mather_lp_pivots"] == counters["u0_pivots"] == 0
+        assert counters["lp_dense_solves"] == 0
+
+    def test_dense_solves_are_counted(self, tmp_path, monkeypatch):
+        # refusing every tree certificate sends the Mather LP and each of the 16
+        # u0 targets to the dense simplex, which starts at the same basis
+        monkeypatch.setattr(wk.mather, "certify_basis", lambda *args: None)
+        report = run_pipeline(self._two_well32(tmp_path / "out"))
+        assert report.passed
+        assert report.counters["lp_dense_solves"] == 1 + 16
+        assert report.counters["mather_lp_pivots"] == report.counters["u0_pivots"] == 0
 
     def test_grid_and_out_overrides(self, tmp_path):
         path = write_config(tmp_path / "cfg.json", free_config(tmp_path / "ignored", n=32))
@@ -456,14 +485,15 @@ class TestCli:
         assert one == two
 
     def test_pivot_counters_independent_of_blas_threads(self, tmp_path):
-        # at n = 120 LAPACK factors the basis on several threads, which used
-        # to move the pivot path; both programs now start at an optimal basis
-        counters = [
-            json.loads(self._two_well_report(tmp_path / f"b{t}", 120, t))["counters"]
-            for t in (1, 2)
-        ]
-        assert counters[0] == counters[1]
-        assert counters[0]["mather_lp_pivots"] == counters[0]["u0_pivots"] == 0
+        # at n >= 100 LAPACK factored the basis on several threads, which moved
+        # the pivot path and then the last bits of the LP values; the tree
+        # certificates close both programs with no BLAS call
+        for grid in (120, 200):
+            one, two = (self._two_well_report(tmp_path / f"n{grid}b{t}", grid, t) for t in (1, 2))
+            assert one == two
+            counters = json.loads(one)["counters"]
+            assert counters["mather_lp_pivots"] == counters["u0_pivots"] == 0
+            assert counters["lp_dense_solves"] == 0
 
 
 def _dump(edit=lambda raw: None):

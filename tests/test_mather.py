@@ -1,11 +1,13 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 import weakkam as wk
 from weakkam.action_barrier import _min_cycle_mean, tight_subgraph
 from weakkam.errors import ConvergenceError, EmptyAubryError, WeakKamError
-from weakkam.mather import _edge_columns, _spanning_basis, _u0_columns
-from weakkam.simplex import _REFACTOR_EVERY, solve_standard_form
+from weakkam.mather import _edge_columns, _solve_from_tree, _spanning_basis, _u0_columns
+from weakkam.simplex import _REFACTOR_EVERY, _run, certify_basis, solve_standard_form
 
 from conftest import make_problem, pendulum_potential, two_well_potential
 
@@ -211,18 +213,27 @@ def u0_objective(h, kernel, t):
     return np.concatenate([np.tile(h.values[:, t], kernel.num_offsets), [0.0]])
 
 
-def wrong_basis(kernel):
-    """Spanning basis of a non-critical self-loop: a hop-count in-tree to it.
-
-    The loop sits at the node of largest rest Lagrangian; the basis is
-    primal feasible for the Mather program but not optimal.
-    """
-    n = kernel.num_nodes
+def wrong_loop(kernel):
+    """The rest self-loop at the node of largest rest Lagrangian, as an edge id:
+    a cycle that is not critical."""
     zero = kernel.stencil.zero_index
-    y = int(np.argmax(kernel.edge_lagrangian[zero]))
+    return zero * kernel.num_nodes + int(np.argmax(kernel.edge_lagrangian[zero]))
+
+
+def wrong_basis(kernel):
+    """Spanning basis of wrong_loop: a hop-count in-tree to it.
+
+    The basis is primal feasible for the Mather program but not optimal.
+    """
+    loop = wrong_loop(kernel)
     weights = np.ones(kernel.edge_lagrangian.shape)
-    weights[zero, y] = 0.0
-    return _spanning_basis(kernel, weights, np.array([zero * n + y]))
+    weights.reshape(-1)[loop] = 0.0
+    return _spanning_basis(kernel, weights, np.array([loop]))[0]
+
+
+def wrong_graph(kernel):
+    """The kernel's CriticalGraph with wrong_loop as its only cycle."""
+    return replace(tight_subgraph(kernel), cycles=[np.array([wrong_loop(kernel)])])
 
 
 class TestCriticalGraphStart:
@@ -269,7 +280,7 @@ class TestCriticalGraphStart:
         weights = r + psi[None, :] - psi[kernel.head_index]
         a, b = _edge_columns(kernel)
         res = solve_standard_form(
-            a, b, weights.reshape(-1), basis=_spanning_basis(kernel, weights, cycle)
+            a, b, weights.reshape(-1), basis=_spanning_basis(kernel, weights, cycle)[0]
         )
         assert res.iterations == 0
         assert abs(res.objective) <= 1e-12
@@ -310,6 +321,83 @@ class TestCriticalGraphStart:
         assert res.iterations > 0
         expected = wk.compute_u0(h, kernel, p.c_star, 1e-6, [t]).values[0]
         assert abs(res.objective - expected) <= 1e-12
+
+
+def edge_program(p, program):
+    """(a, b, c, spanning tree, cycle, cycle value) of the Mather program, or of
+    the u0 program at target n // 3, as the library builds them."""
+    kernel = p.kernel
+    n, m_off = kernel.num_nodes, kernel.num_offsets
+    if program == "mather":
+        graph = tight_subgraph(kernel)
+        a, b = _edge_columns(kernel)
+        cycle, value, weights = graph.cycles[0], graph.mean, kernel.edge_lagrangian - graph.mean
+        c = kernel.edge_lagrangian.reshape(-1)
+    else:
+        h = wk.peierls_barrier(kernel)
+        start = wk.u0_critical_cycles(h)
+        t = n // 3
+        a, b = _u0_columns(kernel, -p.c_star + 1e-6)
+        cycle, value = h.graph.cycles[start.certificates[t]], start.values[t]
+        weights = np.broadcast_to(h.values[:, t] - value, (m_off, n))
+        c = u0_objective(h, kernel, t)
+    return a, b, c, _spanning_basis(kernel, weights, cycle), cycle, value
+
+
+class TestTreeCertificate:
+    """Both edge programs close at the spanning tree's basis with no factorization."""
+
+    NAMES = ["pendulum16", "two_well32", "transport8", "cosine4x4"]
+
+    @pytest.mark.parametrize("program", ["mather", "u0"])
+    @pytest.mark.parametrize("name", NAMES)
+    def test_matches_the_dense_run_from_the_same_basis(self, name, program, request):
+        p = problem(name, request)
+        a, b, c, tree, cycle, value = edge_program(p, program)
+        res, dense = _solve_from_tree(p.kernel, a, b, c, tree, cycle, value)
+        assert not dense and res.iterations == 0
+        basis = res.basis.copy()
+        x_b, y, pivots = _run(a, c, b, basis, np.ones(c.size, dtype=bool), 1000)
+        assert pivots == 0 and np.array_equal(basis, res.basis)
+        assert np.abs(res.x[basis] - x_b).max() <= 1e-12
+        assert not np.delete(res.x, basis).any()
+        assert np.abs(res.duals - y).max() <= 1e-12
+        assert abs(res.objective - float(c[basis] @ x_b)) <= 1e-12
+
+    @pytest.mark.parametrize("name", NAMES)
+    def test_mather_lp_falls_back_from_a_wrong_cycle(self, name, request):
+        kernel = problem(name, request).kernel
+        lp = wk.solve_mather_lp(kernel, tight=wrong_graph(kernel))
+        assert lp.dense_solves == 1 and lp.iterations > 0
+        right = wk.solve_mather_lp(kernel)
+        assert right.dense_solves == 0
+        assert abs(lp.value - right.value) <= 1e-12
+
+    @pytest.mark.parametrize("name", NAMES)
+    def test_u0_falls_back_from_a_wrong_cycle(self, name, request):
+        p = problem(name, request)
+        h = wk.peierls_barrier(p.kernel)
+        targets = [0, p.kernel.num_nodes // 3]
+        u0 = wk.compute_u0(replace(h, graph=wrong_graph(p.kernel)), p.kernel, p.c_star, 1e-6,
+                           targets)
+        assert u0.dense_solves == len(targets) and u0.pivots > 0
+        right = wk.compute_u0(h, p.kernel, p.c_star, 1e-6, targets)
+        assert right.dense_solves == 0
+        assert np.abs(u0.values - right.values).max() <= 1e-12
+
+    def test_refuses_a_pair_that_misses_a_check(self, pendulum16):
+        a, b, c, tree, cycle, value = edge_program(pendulum16, "mather")
+        res, _ = _solve_from_tree(pendulum16.kernel, a, b, c, tree, cycle, value)
+        basis, x_b, y = res.basis, res.x[res.basis], res.duals
+        assert certify_basis(a, b, c, basis, x_b, y) is not None
+        # each pair below fails exactly one of the four checks
+        assert certify_basis(a, b, c, basis, 2.0 * x_b, y) is None          # B x_B = b
+        assert certify_basis(a, -b, c, basis, -x_b, y) is None              # x_B >= 0
+        assert certify_basis(a, 0.0 * b, c, basis, 0.0 * x_b, y - 1.0) is None  # basic costs 0
+        j = int(np.setdiff1d(np.arange(c.size), basis)[0])
+        priced_in = c.copy()
+        priced_in[j] = a.price(y)[j] - 1e-6
+        assert certify_basis(a, b, priced_in, basis, x_b, y) is None        # pricing
 
 
 class TestMinMeanCycle:
