@@ -6,6 +6,16 @@ verifies at desk scale that the discounted solutions select a single
 critical limit.
 """
 
+import os
+import time
+
+_IMPORT_START = time.perf_counter()
+# every stage runs on one thread: ask OpenBLAS for no worker pool before numpy
+# loads, unless the caller set one of the variables it reads (a process that
+# imported numpy first keeps its pool)
+if not any(map(os.environ.get, ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS"))):
+    os.environ["OPENBLAS_NUM_THREADS"] = "1"
+
 from .action_barrier import (
     ActionKernel,
     AubryReport,
@@ -84,3 +94,5 @@ from .models import (
 )
 
 __version__ = "0.1.0"
+# seconds spent importing the package, numpy and BLAS load included
+import_s = time.perf_counter() - _IMPORT_START

@@ -443,6 +443,35 @@ class TestCli:
         proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
         assert proc.returncode == 0, proc.stderr
 
+    @pytest.mark.parametrize(
+        "given, expected",
+        [({}, "1"), ({"OPENBLAS_NUM_THREADS": "2"}, "2"), ({"OMP_NUM_THREADS": "2"}, None)],
+    )
+    def test_one_blas_thread_unless_the_caller_sets_one(self, tmp_path, given, expected):
+        config = os.path.join(os.path.dirname(__file__), os.pardir, "configs", "free.json")
+        argv = ["converge", "--config", config, "--out", str(tmp_path)]
+        script = (
+            "import json, os, sys\n"
+            "from weakkam.harness import cli_dispatch\n"
+            f"assert cli_dispatch({argv!r}) == 0\n"
+            "tasks = len(os.listdir('/proc/self/task')) if sys.platform == 'linux' else None\n"
+            "print(json.dumps([os.environ.get('OPENBLAS_NUM_THREADS'), tasks]))\n"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", script], capture_output=True, text=True, env=_blas_env(**given)
+        )
+        assert proc.returncode == 0, proc.stderr
+        blas, tasks = json.loads(proc.stdout.splitlines()[-1])
+        assert blas == expected
+        if not given and sys.platform == "linux":
+            assert tasks == 1  # no OpenBLAS worker beside the main thread
+
+    def test_timings_record_the_import_time(self, tmp_path):
+        run_pipeline(free_config(tmp_path / "out"))
+        timings = json.loads((tmp_path / "out" / "timings.json").read_text())
+        assert set(timings) == {"import_s", "stages"}
+        assert timings["import_s"] > 0
+
     def test_out_of_memory_is_one_line_error(self, tmp_path):
         raw = free_config(tmp_path / "out").to_dict()
         raw["problem"]["sizes"] = [400_000_000]
@@ -458,8 +487,9 @@ class TestCli:
             capture_output=True,
             text=True,
             preexec_fn=limit_address_space,
-            # one BLAS thread, so its per-thread buffers fit under the cap on any core count
-            env={**os.environ, "OPENBLAS_NUM_THREADS": "1"},
+            # the default launch starts no BLAS worker, so no per-thread buffers count
+            # against the cap on any core count
+            env=_blas_env(),
         )
         assert proc.returncode == EXIT_ERROR, proc.stderr
         assert "Traceback" not in proc.stderr, proc.stderr
@@ -467,22 +497,41 @@ class TestCli:
         assert proc.stderr.startswith("error: out of memory")
 
     @staticmethod
-    def _two_well_report(out, grid, blas_threads):
-        config = os.path.join(os.path.dirname(__file__), os.pardir, "configs", "two_well.json")
+    def _cli_run(out, blas_threads, cmd, config, *extra):
+        """Run ``weakkam cmd`` on a shipped config into out; blas_threads None
+        is the default launch, with no BLAS thread variable set."""
+        config = os.path.join(os.path.dirname(__file__), os.pardir, "configs", config)
+        given = {} if blas_threads is None else {"OPENBLAS_NUM_THREADS": str(blas_threads)}
         proc = subprocess.run(
-            [sys.executable, "-m", "weakkam", "converge", "--config", config,
-             "--grid", str(grid), "--out", str(out)],
+            [sys.executable, "-m", "weakkam", cmd, "--config", config, *extra, "--out", str(out)],
             capture_output=True,
             text=True,
-            env={**os.environ, "OPENBLAS_NUM_THREADS": str(blas_threads)},
+            env=_blas_env(**given),
         )
         assert proc.returncode == EXIT_OK, proc.stderr
+        return out
+
+    def _two_well_report(self, out, grid, blas_threads):
+        out = self._cli_run(out, blas_threads, "converge", "two_well.json", "--grid", str(grid))
         return (out / "report.json").read_bytes()
 
     def test_report_independent_of_blas_threads(self, tmp_path):
         one = self._two_well_report(tmp_path / "one", 48, 1)
         two = self._two_well_report(tmp_path / "two", 48, 2)
         assert one == two
+
+    @pytest.mark.parametrize(
+        "cmd, config, artifacts",
+        [
+            ("converge", "torus_2d.json", ["report.json"]),
+            ("peierls", "pendulum.json", ["barrier.bin", "barrier.json"]),
+        ],
+    )
+    def test_default_launch_matches_two_blas_threads(self, tmp_path, cmd, config, artifacts):
+        default = self._cli_run(tmp_path / "default", None, cmd, config)
+        two = self._cli_run(tmp_path / "two", 2, cmd, config)
+        for name in artifacts:
+            assert (default / name).read_bytes() == (two / name).read_bytes(), name
 
     def test_pivot_counters_independent_of_blas_threads(self, tmp_path):
         # at n >= 100 LAPACK factored the basis on several threads, which moved
@@ -494,6 +543,12 @@ class TestCli:
             counters = json.loads(one)["counters"]
             assert counters["mather_lp_pivots"] == counters["u0_pivots"] == 0
             assert counters["lp_dense_solves"] == 0
+
+
+def _blas_env(**given):
+    """This process's environment without the BLAS thread variables, plus given."""
+    blas = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
+    return {**{k: v for k, v in os.environ.items() if k not in blas}, **given}
 
 
 def _dump(edit=lambda raw: None):
