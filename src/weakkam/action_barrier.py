@@ -574,11 +574,15 @@ def verify_subsolution(u: GridFunction | np.ndarray, kernel: ActionKernel) -> fl
     """Worst violation of u(head) - u(tail) <= cost over all kernel edges.
 
     A value <= tol certifies a discrete critical subsolution when the kernel
-    carries the critical shift.
+    carries the critical shift. A non-finite u raises WeakKamError: a NaN
+    would drop out of the maximum and pass.
     """
     vals = u.values if isinstance(u, GridFunction) else np.asarray(u, dtype=float)
     if vals.shape != (kernel.num_nodes,):
         raise WeakKamError("u must assign one value per grid node")
+    bad = np.flatnonzero(~np.isfinite(vals))
+    if bad.size:
+        raise WeakKamError(f"u must be finite at every node; u[{bad[0]}] = {vals[bad[0]]}")
     worst = -np.inf
     for k in range(kernel.num_offsets):
         viol = vals[kernel.head_index[k]] - vals - kernel.costs[k]

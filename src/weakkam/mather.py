@@ -17,16 +17,18 @@ them) and the simplex over near-Mather measures at sampled targets.
 Both edge programs start at the vertex the critical graph implies: the
 extreme Mather measures are uniform measures on critical cycles, so a
 critical cycle plus a shortest-path in-tree to it is a spanning basis
-(network simplex) that is usually optimal. Its basic solution is the
-uniform measure on the cycle and its duals are the in-tree potentials, both
-in closed form, O(n); `certify_basis` checks them and prices every column,
-and the dense simplex runs from that basis (pivoting on, or starting cold
-when it is singular or infeasible) only when a check fails. So the value
-stays a certificate rather than a copy of the graph route.
+(network simplex) that is usually optimal. `_tree_certifies` checks that
+uniform measure and the in-tree potentials phi by weak duality on the
+kernel's own arrays, where c - yA of an edge is weights + phi(head) -
+phi(tail); only when a check fails are the columns assembled and the dense
+simplex run from that basis (pivoting on, or starting cold when it is
+singular or infeasible). So the value stays a certificate rather than a
+copy of the graph route.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -36,7 +38,7 @@ from .action_barrier import (ActionKernel, BarrierMatrix, CriticalGraph, aubry_r
 from .discounted import DiscountedSolution, EdgeMeasure, discounted_occupation_measure
 from .errors import EmptyAubryError, InfeasibleError, WeakKamError
 from .models import LagrangianSpec, TorusGrid, eval_lagrangian
-from .simplex import CompressedColumns, certify_basis, solve_standard_form
+from .simplex import _FEAS_TOL, CompressedColumns, solve_standard_form
 
 __all__ = [
     "OccupationMeasure",
@@ -115,18 +117,19 @@ class MatherSolveResult:
     value: float
     support_edges: np.ndarray   # (E, 2) rows of (tail, offset id)
     projected: np.ndarray       # position marginal over nodes
-    basis: np.ndarray           # optimal simplex basis, reusable as warm start
     iterations: int
     dense_solves: int           # 1 when the tree certificate failed and the dense simplex ran
 
 
-def _edge_columns(kernel: ActionKernel):
+def _edge_columns(kernel: ActionKernel, budget: float | None = None):
     """Conservation/mass constraint columns over flattened edges (k*n + tail).
 
     One conservation row per node except the last (rows sum to zero, so the
     last is redundant), then the unit-mass row. Edge k*n + t stores +1 at its
     tail row, -1 at its head row and 1 in the mass row; a self-loop's pair
-    cancels, and an end in the dropped last row is stored with value 0.
+    cancels, and an end in the dropped last row is stored with value 0. With
+    a budget the u0 program's row n follows, sum m Lbar + slack = budget:
+    the slack >= 0 is the last column, its padding entries in row n with 0.
     """
     n = kernel.num_nodes
     tails = np.tile(np.arange(n, dtype=np.int64), kernel.num_offsets)
@@ -137,36 +140,13 @@ def _edge_columns(kernel: ActionKernel):
     )
     b = np.zeros(n)
     b[n - 1] = 1.0
-    return CompressedColumns(rows=rows, vals=vals, num_rows=n), b
-
-
-def _u0_columns(kernel: ActionKernel, budget: float):
-    """_edge_columns plus the budget row n: sum m Lbar + slack = budget.
-
-    The slack >= 0 is the last column; its padding entries sit in row n with
-    value 0.
-    """
-    core, b_core = _edge_columns(kernel)
-    n = kernel.num_nodes
-    rows = np.full((core.rows.shape[0] + 1, core.shape[1] + 1), n)
-    rows[:-1, :-1] = core.rows
-    vals = np.zeros(rows.shape)
-    vals[:-1, :-1] = core.vals
-    vals[-1, :-1] = kernel.edge_lagrangian.reshape(-1)
-    vals[-1, -1] = 1.0
-    return CompressedColumns(rows=rows, vals=vals, num_rows=n + 1), np.append(b_core, budget)
-
-
-def _measure_from_solution(kernel: ActionKernel, x: np.ndarray):
-    n = kernel.num_nodes
-    nz = np.nonzero(x > 1e-12)[0]  # the edges of the support
-    return OccupationMeasure(
-        grid=kernel.grid,
-        stencil=kernel.stencil,
-        tails=(nz % n).astype(np.int64),
-        offset_ids=(nz // n).astype(np.int64),
-        weights=x[nz].copy(),
-    )
+    if budget is not None:
+        rows = np.pad(np.vstack([rows, np.full_like(tails, n)]), ((0, 0), (0, 1)),
+                      constant_values=n)
+        vals = np.pad(np.vstack([vals, kernel.edge_lagrangian.reshape(-1)]), ((0, 0), (0, 1)))
+        vals[-1, -1] = 1.0
+        b = np.append(b, budget)
+    return CompressedColumns(rows=rows, vals=vals, num_rows=b.size), b
 
 
 def _spanning_basis(kernel: ActionKernel, weights: np.ndarray, cycle_edges: np.ndarray):
@@ -214,64 +194,94 @@ def _spanning_basis(kernel: ActionKernel, weights: np.ndarray, cycle_edges: np.n
     return choice * n + nodes, phi
 
 
-def _solve_from_tree(kernel, a, b, c, tree, cycle, value):
-    """Solve an edge program from tree = _spanning_basis(kernel, c - value, cycle).
+def _reduced_costs(kernel: ActionKernel, weights: np.ndarray, phi: np.ndarray) -> np.ndarray:
+    """weights + phi(head) - phi(tail) per edge, (num_offsets, num_nodes) by tail.
 
-    The basic solution is the uniform measure on the cycle and, in the u0
-    program (one row more, its budget slack the last column), the slack
-    budget - mean Lbar over the cycle. The duals are phi shifted to 0 at the
-    dropped row n - 1, value on the mass row and 0 on the budget row. When
-    certify_basis refuses them, or tree is None, the dense simplex runs from
-    that basis (cold when None). Returns (SimplexResult, dense simplex ran).
+    For weights = c - value this is c - yA over the columns of _edge_columns
+    at y = phi - phi[n - 1] on the conservation rows, value on the mass row
+    and 0 on the budget row.
     """
-    if tree is None:
-        return solve_standard_form(a, b, c), True
-    n = kernel.num_nodes
+    return weights + phi[kernel.head_index] - phi
+
+
+def _tree_certifies(kernel: ActionKernel, weights, cycle, tree, slack: float = 0.0) -> bool:
+    """Whether the uniform measure on cycle and tree's potentials prove each other optimal.
+
+    Weak duality: the measure is feasible when the cycle closes (each edge's
+    head is the next edge's tail) and the budget slack is >= 0, and
+    tree = (edges, phi) of _spanning_basis gives optimal duals when every
+    reduced cost is >= -_FEAS_TOL and those of its n edges, the cycle's
+    among them, are within _FEAS_TOL of 0.
+    """
+    cyc_k, cyc_t = np.divmod(cycle, kernel.num_nodes)
+    if not (np.array_equal(kernel.head_index[cyc_k, cyc_t], np.roll(cyc_t, -1)) and slack >= 0.0):
+        return False
     edges, phi = tree
-    x_b = np.zeros(a.num_rows)
-    x_b[cycle % n] = 1.0 / cycle.size
-    y = np.zeros(a.num_rows)
-    y[:n] = phi - phi[n - 1]
-    y[n - 1] = value
-    basis = edges
-    if a.num_rows > n:
-        basis = np.append(edges, c.size - 1)
-        x_b[n] = b[n] - kernel.edge_lagrangian.reshape(-1)[cycle].mean()
-    res = certify_basis(a, b, c, basis, x_b, y)
-    if res is not None:
-        return res, False
-    return solve_standard_form(a, b, c, basis=basis), True
+    reduced = _reduced_costs(kernel, weights, phi).reshape(-1)
+    return bool(np.abs(reduced[edges]).max() <= _FEAS_TOL and reduced.min() >= -_FEAS_TOL)
+
+
+def _solve_edge_program(kernel: ActionKernel, cost, weights, cycle, budget: float | None = None):
+    """(value, measure, pivots, dense simplex ran) of the least cost over closed measures.
+
+    The measures have unit mass, and mean Lbar <= budget when one is given
+    (the u0 program). cost and weights = cost - (the mean cost of cycle) are
+    (num_offsets, num_nodes) by tail; cycle lists its edges in walking order.
+    The answer is the uniform measure on cycle when _tree_certifies accepts
+    it with its spanning tree's potentials; otherwise the dense simplex runs
+    from the tree's basis, cold when _spanning_basis gives none.
+    """
+    cycle = np.asarray(cycle, dtype=np.int64)
+    cyc_k, cyc_t = np.divmod(cycle, kernel.num_nodes)
+    tree = _spanning_basis(kernel, weights, cycle)
+    slack = 0.0 if budget is None else budget - kernel.edge_lagrangian[cyc_k, cyc_t].mean()
+    dense = tree is None or not _tree_certifies(kernel, weights, cycle, tree, slack)
+    if not dense:
+        mass = 1.0 / cycle.size
+        value, pivots = math.fsum(cost[cyc_k, cyc_t] * mass), 0
+        support, x = np.sort(cycle), np.full(cycle.size, mass)
+    else:
+        a, b = _edge_columns(kernel, budget)
+        c = cost.reshape(-1)
+        basis = None if tree is None else tree[0]
+        if budget is not None:
+            c = np.append(c, 0.0)
+            basis = None if tree is None else np.append(basis, c.size - 1)
+        res = solve_standard_form(a, b, c, basis=basis)
+        value, pivots = res.objective, res.iterations
+        support = np.nonzero(res.x[:cost.size] > 1e-12)[0]
+        x = res.x[support]
+    offset_ids, tails = np.divmod(support, kernel.num_nodes)
+    measure = OccupationMeasure(kernel.grid, kernel.stencil, tails, offset_ids, x)
+    return value, measure, pivots, dense
 
 
 def solve_mather_lp(kernel: ActionKernel, tight: CriticalGraph | None = None) -> MatherSolveResult:
     """Minimize the mean edge Lagrangian over unit-mass closed edge measures.
 
-    The program is closed at the spanning basis of cycles[0] of the critical
-    graph by its tree certificate, which prices every column (no pivot);
-    when that basis is not optimal the dense simplex pivots on from it (or
-    starts cold) as usual. tight is the CriticalGraph of tight_subgraph for
-    this kernel's Lagrangian, computed here when None.
+    The program is closed at the uniform measure on cycles[0] of the critical
+    graph by its tree certificate (no pivot); when that fails the dense
+    simplex pivots on from the tree's basis (or starts cold) as usual. tight
+    is the CriticalGraph of tight_subgraph for this kernel's Lagrangian,
+    computed here when None.
     """
-    a, b = _edge_columns(kernel)
-    c = kernel.edge_lagrangian.reshape(-1)
     graph = tight_subgraph(kernel) if tight is None else tight
-    cycle = graph.cycles[0]
-    tree = _spanning_basis(kernel, kernel.edge_lagrangian - graph.mean, cycle)
+    lag = kernel.edge_lagrangian
     try:
-        res, dense = _solve_from_tree(kernel, a, b, c, tree, cycle, graph.mean)
+        value, measure, pivots, dense = _solve_edge_program(
+            kernel, lag, lag - graph.mean, graph.cycles[0]
+        )
     except InfeasibleError as exc:
         raise InfeasibleError(
             "closed-measure program infeasible; the uniform measure on any cycle "
             "is feasible, so the constraint assembly is broken"
         ) from exc
-    measure = _measure_from_solution(kernel, res.x)
     return MatherSolveResult(
         measure=measure,
-        value=res.objective,
+        value=value,
         support_edges=np.stack([measure.tails, measure.offset_ids], axis=1),
         projected=measure.node_marginal(),
-        basis=res.basis,
-        iterations=res.iterations,
+        iterations=pivots,
         dense_solves=int(dense),
     )
 
@@ -338,34 +348,34 @@ def compute_u0(
     h.graph implies: the cycle of u0_critical_cycles' certificate at x, of
     mean h(., x) = v, a shortest-path in-tree to it under node weights
     h(y, x) - v, and the budget slack. h must carry its critical graph, so a
-    min-plus power raises WeakKamError. The tree certificate prices every
-    column there, and the dense simplex runs from that basis when it fails,
-    so the LP stays an independent certificate. The targets are solved one
-    after another; threads is accepted and has no effect (a target costs
-    O(edges) gathers when its tree certificate holds).
+    min-plus power raises WeakKamError, and a target outside [0, n) raises
+    WeakKamError too. The tree certificate checks the uniform measure on the
+    cycle and the tree's potentials on the kernel's edges, and the dense
+    simplex runs from that basis when it fails, so the LP stays an
+    independent certificate. The targets are solved one after another;
+    threads is accepted and has no effect (a target whose certificate holds
+    costs the in-tree's Bellman-Ford rounds and one pass over the edges).
     """
     targets = np.atleast_1d(np.asarray(targets, dtype=np.int64))
-    n = kernel.num_nodes
-    m_off = kernel.num_offsets
-
+    outside = targets[(targets < 0) | (targets >= kernel.num_nodes)]
+    if outside.size:
+        raise WeakKamError(f"u0 target {outside[0]} is not a node in [0, {kernel.num_nodes})")
     budget = -float(c_est) + float(eps_c)
-    a, b = _u0_columns(kernel, budget)
     start = u0_critical_cycles(h)
+    shape = kernel.head_index.shape
 
     def solve_target(t: int):
         col, v = h.values[:, t], start.values[t]
-        c = np.concatenate([np.tile(col, m_off), [0.0]])
         cycle = h.graph.cycles[start.certificates[t]]
-        tree = _spanning_basis(kernel, np.broadcast_to(col - v, (m_off, n)), cycle)
         try:
-            res, dense = _solve_from_tree(kernel, a, b, c, tree, cycle, v)
+            return _solve_edge_program(
+                kernel, np.broadcast_to(col, shape), np.broadcast_to(col - v, shape), cycle, budget
+            )
         except InfeasibleError as exc:
             raise InfeasibleError(
                 f"no closed measure meets the near-optimality budget {budget:.6g}; "
                 "increase eps_c (the discretization rarely reaches -c_est exactly)"
             ) from exc
-        measure = _measure_from_solution(kernel, res.x[:-1])
-        return float(res.objective), measure, res.iterations, dense
 
     solved = [solve_target(int(t)) for t in targets]
     values = np.array([s[0] for s in solved])

@@ -11,8 +11,7 @@ described by a family tag plus parameters; the built-in families are
 H is convex in p, so the stability bounds that size every discretization
 follow exactly from Fenchel duality; only positions are sampled.
 
-Everything here is immutable after construction and free of hidden state, so
-values can be shared freely between worker threads.
+Everything here is immutable after construction and free of hidden state.
 """
 
 from __future__ import annotations

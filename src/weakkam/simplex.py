@@ -11,12 +11,9 @@ nonzeros per column, so pricing is a gather-and-sum over them and a dense
 `a` is converted once on entry. Phase-1 artificials are implicit identity
 columns, and rows with b < 0 are flipped by scaling values.
 
-`certify_basis` closes a program at a basis whose primal and dual solutions
-the caller already holds (the edge programs read both off a spanning tree):
-it checks B x_B = b, x_B >= 0 and the reduced costs by gathers and scatters
-over the stored entries, with no factorization and no BLAS call, and the
-caller falls back to `solve_standard_form` when a check fails. Weak duality
-makes a passing pair a certificate however it was found.
+The edge programs of `mather` close at a spanning tree's basis on the
+action graph itself and call this solver only when that certificate fails,
+so here it is their fallback and their test oracle.
 
 `solve_standard_form` updates the basis inverse by one rank-one
 (product-form) pivot per step, O(m^2), and refactorizes it by a dense
@@ -37,14 +34,13 @@ thread count or scheduling.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import InfeasibleError, UnboundedError, WeakKamError
 
-__all__ = ["CompressedColumns", "SimplexResult", "certify_basis", "solve_standard_form"]
+__all__ = ["CompressedColumns", "SimplexResult", "solve_standard_form"]
 
 _BLAND_TRIGGER = 2000  # degenerate-streak length before the entering rule falls back
 _REFACTOR_EVERY = 64   # rank-one updates between fresh inverses of the basis
@@ -101,38 +97,6 @@ class SimplexResult:
     basis: np.ndarray
     duals: np.ndarray
     iterations: int
-
-
-def certify_basis(
-    a: CompressedColumns,
-    b: np.ndarray,
-    c: np.ndarray,
-    basis: np.ndarray,
-    x_b: np.ndarray,
-    y: np.ndarray,
-) -> SimplexResult | None:
-    """The 0-pivot result at basis when x_b and the duals y prove it optimal, else None.
-
-    The checks: B x_B = b to _FEAS_TOL, x_B >= 0, reduced costs c - y A of
-    the basic columns 0 to _FEAS_TOL, and of every column >= -_FEAS_TOL.
-    The objective sums c x over the basic columns only.
-    """
-    residual = np.bincount(
-        a.rows[:, basis].ravel(), weights=(a.vals[:, basis] * x_b).ravel(), minlength=a.num_rows
-    ) - b
-    reduced = c - a.price(y)
-    if not (np.abs(residual).max() <= _FEAS_TOL and x_b.min() >= 0.0
-            and np.abs(reduced[basis]).max() <= _FEAS_TOL and reduced.min() >= -_FEAS_TOL):
-        return None
-    x = np.zeros(c.size)
-    x[basis] = x_b
-    return SimplexResult(
-        x=x,
-        objective=math.fsum(c[basis] * x_b),
-        basis=basis,
-        duals=y,
-        iterations=0,
-    )
 
 
 def _basis_matrix(a: CompressedColumns, basis: np.ndarray) -> np.ndarray:

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 import weakkam as wk
 from weakkam import action_barrier
 from weakkam.action_barrier import barrier_step
-from weakkam.errors import EmptyAubryError
+from weakkam.errors import EmptyAubryError, WeakKamError
 from weakkam.harness import _Run, load_config
 
 from conftest import make_problem, maupertuis_barrier, pendulum_potential, two_well_potential
@@ -499,6 +499,13 @@ class TestVerifySubsolution:
     def test_doubled_row_violates(self, pendulum200, pendulum200_barrier):
         v = wk.verify_subsolution(2.0 * pendulum200_barrier.values[0], pendulum200.kernel)
         assert v > 0.0
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_u_is_refused(self, pendulum16, value):
+        u = np.zeros(16)
+        u[5] = value
+        with pytest.raises(WeakKamError, match="finite at every node"):
+            wk.verify_subsolution(u, pendulum16.kernel)
 
 
 class TestEquivariance:

@@ -9,6 +9,7 @@ import resource
 import subprocess
 import sys
 import tempfile
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -283,6 +284,21 @@ class TestCli:
         assert cli_dispatch(["verify", "--config", path, "--u0", str(good)]) == EXIT_OK
         assert cli_dispatch(["verify", "--config", path, "--u0", str(bad)]) == EXIT_VERIFICATION
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_verify_refuses_a_non_finite_u0(self, value, tmp_path, capsys):
+        # max(-inf, nan) is -inf, so a NaN must be refused before the maximum is taken
+        path = write_config(tmp_path / "cfg.json", free_config(tmp_path / "out"))
+        u0 = np.zeros(32)
+        u0[5] = value
+        u0.tofile(tmp_path / "u0.bin")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            argv = ["verify", "--config", path, "--u0", str(tmp_path / "u0.bin")]
+            assert cli_dispatch(argv) == EXIT_ERROR
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: u must be finite at every node; u[5] = {value}\n"
+
     def test_verify_checks_every_mather_class(self, tmp_path, capsys):
         # two_well has classes [0] and [100] and its LP measure sits on node 0:
         # the barrier row h(0, .) integrates to h(0, 0) = 0 against it, but to
@@ -320,7 +336,7 @@ class TestCli:
     def test_dense_solves_are_counted(self, tmp_path, monkeypatch):
         # refusing every tree certificate sends the Mather LP and each of the 16
         # u0 targets to the dense simplex, which starts at the same basis
-        monkeypatch.setattr(wk.mather, "certify_basis", lambda *args: None)
+        monkeypatch.setattr(wk.mather, "_tree_certifies", lambda *args: False)
         report = run_pipeline(self._two_well32(tmp_path / "out"))
         assert report.passed
         assert report.counters["lp_dense_solves"] == 1 + 16

@@ -6,8 +6,9 @@ import pytest
 import weakkam as wk
 from weakkam.action_barrier import _min_cycle_mean, tight_subgraph
 from weakkam.errors import ConvergenceError, EmptyAubryError, WeakKamError
-from weakkam.mather import _edge_columns, _solve_from_tree, _spanning_basis, _u0_columns
-from weakkam.simplex import _REFACTOR_EVERY, _run, certify_basis, solve_standard_form
+from weakkam.mather import (_edge_columns, _reduced_costs, _solve_edge_program, _spanning_basis,
+                            _tree_certifies)
+from weakkam.simplex import _REFACTOR_EVERY, _run, solve_standard_form
 
 from conftest import make_problem, pendulum_potential, two_well_potential
 
@@ -139,7 +140,7 @@ class TestAssembly:
         np.testing.assert_array_equal(expand(a), a_ref)
         np.testing.assert_array_equal(b, b_ref)
         budget = -p.c_star + 1e-6
-        u, ub = _u0_columns(kernel, budget)
+        u, ub = _edge_columns(kernel, budget)
         u_ref, ub_ref = dense_u0_columns(kernel, budget)
         assert u.shape == u_ref.shape
         np.testing.assert_array_equal(expand(u), u_ref)
@@ -161,7 +162,7 @@ class TestAssembly:
         budget = -p.c_star + 1e-6
         assert budget < 0
         h = wk.peierls_barrier(p.kernel)
-        u, ub = _u0_columns(p.kernel, budget)
+        u, ub = _edge_columns(p.kernel, budget)
         c = np.concatenate([np.tile(h.values[:, 5], p.kernel.num_offsets), [0.0]])
         res = solve_standard_form(u, ub, c)
         u_ref, _ = dense_u0_columns(p.kernel, budget)
@@ -260,7 +261,7 @@ class TestCriticalGraphStart:
         targets = np.arange(0, n, max(1, n // 8))
         u0 = wk.compute_u0(h, kernel, p.c_star, 1e-6, targets)
         assert u0.pivots == 0
-        a, b = _u0_columns(kernel, -p.c_star + 1e-6)
+        a, b = _edge_columns(kernel, -p.c_star + 1e-6)
         for t, value in zip(targets, u0.values):
             cold = solve_standard_form(a, b, u0_objective(h, kernel, t))
             assert abs(value - cold.objective) <= 1e-12
@@ -314,7 +315,7 @@ class TestCriticalGraphStart:
 
         # in the u0 program its slack is negative: the solve starts cold
         h = wk.peierls_barrier(kernel)
-        u, ub = _u0_columns(kernel, -p.c_star + 1e-6)
+        u, ub = _edge_columns(kernel, -p.c_star + 1e-6)
         t = kernel.num_nodes // 3
         cu = u0_objective(h, kernel, t)
         res = solve_standard_form(u, ub, cu, basis=np.append(basis, c.size))
@@ -324,45 +325,77 @@ class TestCriticalGraphStart:
 
 
 def edge_program(p, program):
-    """(a, b, c, spanning tree, cycle, cycle value) of the Mather program, or of
-    the u0 program at target n // 3, as the library builds them."""
+    """(cost, value, cycle, budget) of the Mather program, or of the u0 program
+    at target n // 3, as the library builds them: cost by tail, the mean cost
+    value of the cycle, and the u0 budget (None for the Mather program)."""
     kernel = p.kernel
-    n, m_off = kernel.num_nodes, kernel.num_offsets
     if program == "mather":
         graph = tight_subgraph(kernel)
-        a, b = _edge_columns(kernel)
-        cycle, value, weights = graph.cycles[0], graph.mean, kernel.edge_lagrangian - graph.mean
-        c = kernel.edge_lagrangian.reshape(-1)
-    else:
-        h = wk.peierls_barrier(kernel)
-        start = wk.u0_critical_cycles(h)
-        t = n // 3
-        a, b = _u0_columns(kernel, -p.c_star + 1e-6)
-        cycle, value = h.graph.cycles[start.certificates[t]], start.values[t]
-        weights = np.broadcast_to(h.values[:, t] - value, (m_off, n))
-        c = u0_objective(h, kernel, t)
-    return a, b, c, _spanning_basis(kernel, weights, cycle), cycle, value
+        return kernel.edge_lagrangian, graph.mean, graph.cycles[0], None
+    h = wk.peierls_barrier(kernel)
+    start = wk.u0_critical_cycles(h)
+    t = kernel.num_nodes // 3
+    cost = np.broadcast_to(h.values[:, t], kernel.head_index.shape)
+    cycle = h.graph.cycles[start.certificates[t]]
+    return cost, start.values[t], cycle, -p.c_star + 1e-6
+
+
+def lp_form(kernel, cost, budget):
+    """(a, b, c) of an edge program over the columns of _edge_columns."""
+    a, b = _edge_columns(kernel, budget)
+    c = cost.reshape(-1)
+    return a, b, (c if budget is None else np.append(c, 0.0))
+
+
+def tree_duals(kernel, phi, value, budget):
+    """The LP duals that tree potentials stand for: phi - phi[n - 1] on the
+    conservation rows, value on the mass row and 0 on the budget row."""
+    n = kernel.num_nodes
+    y = np.zeros(n if budget is None else n + 1)
+    y[:n] = phi - phi[n - 1]
+    y[n - 1] = value
+    return y
 
 
 class TestTreeCertificate:
-    """Both edge programs close at the spanning tree's basis with no factorization."""
+    """Both edge programs close at the spanning tree's basis on the graph's own arrays."""
 
     NAMES = ["pendulum16", "two_well32", "transport8", "cosine4x4"]
 
     @pytest.mark.parametrize("program", ["mather", "u0"])
     @pytest.mark.parametrize("name", NAMES)
+    def test_graph_reduced_costs_are_the_lp_reduced_costs(self, name, program, request):
+        p = problem(name, request)
+        kernel = p.kernel
+        cost, value, cycle, budget = edge_program(p, program)
+        _, phi = _spanning_basis(kernel, cost - value, cycle)
+        a, _, c = lp_form(kernel, cost, budget)
+        lp_reduced = c - a.price(tree_duals(kernel, phi, value, budget))
+        graph_reduced = _reduced_costs(kernel, cost - value, phi).reshape(-1)
+        assert np.abs(lp_reduced[:graph_reduced.size] - graph_reduced).max() <= 1e-12
+        if budget is not None:
+            assert lp_reduced[-1] == 0.0  # the budget slack's column
+
+    @pytest.mark.parametrize("program", ["mather", "u0"])
+    @pytest.mark.parametrize("name", NAMES)
     def test_matches_the_dense_run_from_the_same_basis(self, name, program, request):
         p = problem(name, request)
-        a, b, c, tree, cycle, value = edge_program(p, program)
-        res, dense = _solve_from_tree(p.kernel, a, b, c, tree, cycle, value)
-        assert not dense and res.iterations == 0
-        basis = res.basis.copy()
-        x_b, y, pivots = _run(a, c, b, basis, np.ones(c.size, dtype=bool), 1000)
-        assert pivots == 0 and np.array_equal(basis, res.basis)
-        assert np.abs(res.x[basis] - x_b).max() <= 1e-12
-        assert not np.delete(res.x, basis).any()
-        assert np.abs(res.duals - y).max() <= 1e-12
-        assert abs(res.objective - float(c[basis] @ x_b)) <= 1e-12
+        kernel = p.kernel
+        cost, value, cycle, budget = edge_program(p, program)
+        got, measure, pivots, dense = _solve_edge_program(kernel, cost, cost - value, cycle, budget)
+        assert not dense and pivots == 0
+        a, b, c = lp_form(kernel, cost, budget)
+        edges, phi = _spanning_basis(kernel, cost - value, cycle)
+        basis = edges if budget is None else np.append(edges, c.size - 1)
+        x_b, y, pivots = _run(a, c, b, basis.copy(), np.ones(c.size, dtype=bool), 1000)
+        assert pivots == 0
+        x = np.zeros(c.size)
+        x[basis] = x_b
+        support = measure.offset_ids * kernel.num_nodes + measure.tails
+        assert np.abs(x[support] - measure.weights).max() <= 1e-12
+        assert np.abs(np.delete(x[:cost.size], support)).max(initial=0.0) <= 1e-12
+        assert np.abs(tree_duals(kernel, phi, value, budget) - y).max() <= 1e-12
+        assert abs(got - float(c[basis] @ x_b)) <= 1e-12
 
     @pytest.mark.parametrize("name", NAMES)
     def test_mather_lp_falls_back_from_a_wrong_cycle(self, name, request):
@@ -386,18 +419,23 @@ class TestTreeCertificate:
         assert np.abs(u0.values - right.values).max() <= 1e-12
 
     def test_refuses_a_pair_that_misses_a_check(self, pendulum16):
-        a, b, c, tree, cycle, value = edge_program(pendulum16, "mather")
-        res, _ = _solve_from_tree(pendulum16.kernel, a, b, c, tree, cycle, value)
-        basis, x_b, y = res.basis, res.x[res.basis], res.duals
-        assert certify_basis(a, b, c, basis, x_b, y) is not None
-        # each pair below fails exactly one of the four checks
-        assert certify_basis(a, b, c, basis, 2.0 * x_b, y) is None          # B x_B = b
-        assert certify_basis(a, -b, c, basis, -x_b, y) is None              # x_B >= 0
-        assert certify_basis(a, 0.0 * b, c, basis, 0.0 * x_b, y - 1.0) is None  # basic costs 0
-        j = int(np.setdiff1d(np.arange(c.size), basis)[0])
-        priced_in = c.copy()
-        priced_in[j] = a.price(y)[j] - 1e-6
-        assert certify_basis(a, b, priced_in, basis, x_b, y) is None        # pricing
+        kernel = pendulum16.kernel
+        cost, value, cycle, _ = edge_program(pendulum16, "mather")
+        weights = cost - value
+        tree = _spanning_basis(kernel, weights, cycle)
+        edges, phi = tree
+        assert _tree_certifies(kernel, weights, cycle, tree)
+        # each case below fails exactly one of the four checks
+        off_cycle = int(np.setdiff1d(edges, cycle)[0])  # a tree edge, so not a self-loop
+        assert not _tree_certifies(kernel, weights, np.array([off_cycle]), tree)  # closes
+        assert not _tree_certifies(kernel, weights, cycle, tree, slack=-1e-6)    # slack >= 0
+        raised = weights.copy()
+        raised.reshape(-1)[off_cycle] += 1e-6
+        assert not _tree_certifies(kernel, raised, cycle, tree)                  # basic costs 0
+        j = int(np.setdiff1d(np.arange(weights.size), edges)[0])
+        priced_in = weights.copy()
+        priced_in.reshape(-1)[j] -= _reduced_costs(kernel, weights, phi).reshape(-1)[j] + 1e-6
+        assert not _tree_certifies(kernel, priced_in, cycle, tree)               # pricing
 
 
 class TestMinMeanCycle:
@@ -578,6 +616,13 @@ class TestComputeU0:
         power = wk.minplus_power(p.kernel, 2)
         with pytest.raises(WeakKamError, match="critical graph"):
             wk.compute_u0(power, p.kernel, p.c_star, 1e-6, [0])
+
+    @pytest.mark.parametrize("target", [-1, 16])
+    def test_refuses_a_target_outside_the_grid(self, pendulum16, target):
+        p = pendulum16
+        h = wk.peierls_barrier(p.kernel)
+        with pytest.raises(WeakKamError, match=f"u0 target {target} is not a node"):
+            wk.compute_u0(h, p.kernel, p.c_star, 1e-6, [0, target])
 
 
 class TestU0CriticalCycles:
