@@ -1,7 +1,7 @@
 """One-step action kernels, min-plus matrix algebra, and the Peierls barrier.
 
 The kernel is the single edge-cost graph shared by every solver in the
-package: the Peierls barrier, the discounted value iteration and the
+package: the Peierls barrier, the discounted policy iteration and the
 occupation-measure programs all price the directed edge y -> y + tau*v_k with
 
     cost(y -> head) = tau * (Lbar(y, k) + c),

@@ -1,5 +1,5 @@
-"""The discounted equation on the action graph: value iteration, policy
-iteration for the critical-value table, and occupation measures.
+"""The discounted equation on the action graph: u_lambda by policy iteration,
+the critical-value table, and occupation measures.
 
 All solvers share the action kernel's edge costs: one backward step of
 duration tau from x lands at a stencil predecessor y = x - tau*v_k and pays
@@ -13,11 +13,12 @@ cost is nonnegative; that monotonicity is exact, not approximate, and the
 tests rely on it.
 
 A policy picks one stencil offset per node, so it maps every node to one
-predecessor: a functional graph. The critical-value table therefore uses
-Howard's policy iteration, which evaluates each policy exactly by pointer
-doubling, and an occupation measure is a closed geometric sum over the
-rho (tail plus cycle) shape of one policy orbit. `solve_discounted` keeps
-Jacobi value iteration with its residual stopping rule.
+predecessor: a functional graph. Howard's policy iteration evaluates each
+policy exactly by pointer doubling; its one loop serves the critical-value
+table at shift 0 and the lambda schedule at the critical shift. An
+occupation measure is a closed geometric sum over the rho (tail plus cycle)
+shape of one policy orbit. `discounted_sweeps`, plain Jacobi value
+iteration, stays as the test oracle.
 """
 
 from __future__ import annotations
@@ -48,16 +49,17 @@ __all__ = [
 
 @dataclass(frozen=True)
 class DiscountedSolution:
-    """Converged fixed point of the discounted one-step operator."""
+    """Fixed point of the discounted one-step operator, certified to tol,
+    and the policy whose exact value it is."""
 
     lam: float
     tau: float
     c: float
     values: GridFunction
-    policy: np.ndarray           # per-node argmin stencil offset index
-    iterations: int
-    residual: float              # final sup-norm update
-    tol: float
+    policy: np.ndarray           # terminal policy: stencil offset index per node
+    iterations: int              # policy-iteration rounds
+    residual: float              # final Bellman residual max|Tu - u|
+    tol: float                   # certified bound on max|u - u*|
     kernel: ActionKernel
 
     @property
@@ -77,7 +79,8 @@ def discounted_sweeps(kernel: ActionKernel, lam: float, n_sweeps: int, init=None
     """Apply exactly n_sweeps Jacobi updates and return the iterate.
 
     Starting from zero this is the optimal cost over truncated n-step
-    horizons, which exhaustive path enumeration must reproduce exactly.
+    horizons, which exhaustive path enumeration must reproduce exactly; one
+    sweep from u is the Bellman operator T u.
     """
     tau = kernel.stencil.tau
     beta = math.exp(-lam * tau)
@@ -87,6 +90,67 @@ def discounted_sweeps(kernel: ActionKernel, lam: float, n_sweeps: int, init=None
     for _ in range(n_sweeps):
         u = (cost_in + beta * u[pred]).min(axis=0)
     return u
+
+
+# a node switches offset only when that lowers its value by more than this
+# fraction of sup|u|, well above the rounding of the evaluation below
+_IMPROVE_RTOL = 1e-14
+
+
+def _evaluate_policy(step_cost: np.ndarray, succ: np.ndarray, beta: float) -> np.ndarray:
+    """Exact solution of u = step_cost + beta * u[succ] by pointer doubling.
+
+    After j doublings, a(x) is the sum of the first 2^j discounted step costs
+    along the orbit x, succ(x), succ(succ(x)), ... and the rest of the series
+    is b * u(succ^(2^j)(x)) with b = beta^(2^j); it is dropped once b is
+    below double rounding.
+    """
+    a, p, b = step_cost, succ, beta
+    while b >= 2.0**-53:
+        a = a + b * a[p]
+        p = p[p]
+        b *= b
+    return a
+
+
+def discounted_policy_iteration(
+    kernel: ActionKernel, lam: float, max_iter: int = 5_000_000
+) -> tuple[np.ndarray, np.ndarray, int]:
+    """Exact discounted fixed point by Howard's policy iteration.
+
+    Starts from the per-node cheapest step, evaluates each policy exactly and
+    switches a node to its best offset only when that is strictly better
+    beyond the rounding tolerance, so the iteration terminates and exact ties
+    keep the incumbent; argmin ties go to the lowest stencil index. Returns
+    (u, policy, rounds): the terminal policy, its exact value u, and the
+    rounds, where a round is one evaluation plus one improvement pass and
+    the last round is the one that finds nothing to improve. Raises
+    ConvergenceError after max_iter rounds.
+    """
+    tau = kernel.stencil.tau
+    beta = math.exp(-lam * tau)
+    if not beta < 1.0:
+        raise WeakKamError("discount lambda*tau must be positive and above double rounding")
+    cost_in = (1.0 - beta) / (lam * tau) * kernel.costs_by_head()
+    pred = kernel.pred_index
+    cols = np.arange(kernel.num_nodes)
+    policy = cost_in.argmin(axis=0)
+    gain = np.array([np.inf])   # until the first improvement pass
+    for rounds in range(1, max_iter + 1):
+        u = _evaluate_policy(cost_in[policy, cols], pred[policy, cols], beta)
+        q = cost_in + beta * u[pred]
+        best = q.argmin(axis=0)
+        gain = q[policy, cols] - q[best, cols]
+        better = gain > _IMPROVE_RTOL * np.abs(u).max()
+        if not better.any():
+            return u, policy, rounds
+        policy = np.where(better, best, policy)
+    raise ConvergenceError(
+        f"policy iteration hit max_iter={max_iter} rounds with a node still "
+        f"improving by {gain.max():.3e}",
+        residual=float(gain.max()),
+        iterations=max_iter,
+    )
 
 
 def solve_discounted(
@@ -99,51 +163,33 @@ def solve_discounted(
     max_iter: int = 5_000_000,
     kernel: ActionKernel | None = None,
 ) -> DiscountedSolution:
-    """Jacobi value iteration until the sup-residual drops below tol*(1-beta).
+    """u_lambda on the kernel at shift c by policy iteration, certified to tol.
 
-    The iteration starts from zero. The contraction factor of the sweep is
-    beta, so the stopping rule bounds the distance to the true fixed point by
-    tol. Argmin ties go to the lowest stencil index, which makes policies and
-    trajectories reproducible.
+    Runs `discounted_policy_iteration` (at most max_iter rounds). The Bellman
+    operator T is a beta-contraction, so the residual r = max|Tu - u| bounds
+    the distance to the true fixed point by r/(1-beta); a residual above
+    tol*(1-beta) raises ConvergenceError. The policy is the terminal one,
+    whose exact value is u.
     """
-    tau = stencil.tau
-    beta = math.exp(-lam * tau)
-    if not beta < 1.0:
-        raise WeakKamError("discount lambda*tau must be positive and above double rounding")
     if kernel is None:
         kernel = build_kernel(grid, spec, stencil, c)
-    weight = (1.0 - beta) / (lam * tau)
-    cost_in = weight * kernel.costs_by_head()
-    pred = kernel.pred_index
-
-    u = np.zeros(grid.num_nodes)
-    threshold = tol * (1.0 - beta)
-    residual = np.inf
-    iterations = 0
-    while iterations < max_iter:
-        candidates = cost_in + beta * u[pred]
-        u_new = candidates.min(axis=0)
-        residual = float(np.abs(u_new - u).max())
-        u = u_new
-        iterations += 1
-        if residual <= threshold:
-            break
-    else:
+    u, policy, rounds = discounted_policy_iteration(kernel, lam, max_iter)
+    residual = float(np.abs(discounted_sweeps(kernel, lam, 1, init=u) - u).max())
+    threshold = tol * (1.0 - math.exp(-lam * stencil.tau))
+    if not residual <= threshold:
         raise ConvergenceError(
-            f"value iteration hit max_iter={max_iter} at residual {residual:.3e} "
-            f"(target {threshold:.3e}); lambda*tau may be too small for the budget",
+            f"policy iteration stopped at Bellman residual {residual:.3e} above "
+            f"tol*(1-beta) = {threshold:.3e}; tol is below the rounding of u",
             residual=residual,
-            iterations=iterations,
+            iterations=rounds,
         )
-
-    policy = np.argmin(cost_in + beta * u[pred], axis=0).astype(np.int64)
     return DiscountedSolution(
         lam=float(lam),
-        tau=float(tau),
+        tau=float(stencil.tau),
         c=float(c),
         values=GridFunction(grid, u),
-        policy=policy,
-        iterations=iterations,
+        policy=policy.astype(np.int64),
+        iterations=rounds,
         residual=residual,
         tol=float(tol),
         kernel=kernel,
@@ -181,65 +227,6 @@ def _neville_at_zero(xs: list[float], ys: list[float]) -> float:
     return vals[0]
 
 
-# a node switches offset only when that lowers its value by more than this
-# fraction of sup|u|, well above the rounding of the evaluation below
-_IMPROVE_RTOL = 1e-14
-
-
-def _evaluate_policy(step_cost: np.ndarray, succ: np.ndarray, beta: float) -> np.ndarray:
-    """Exact solution of u = step_cost + beta * u[succ] by pointer doubling.
-
-    After j doublings, a(x) is the sum of the first 2^j discounted step costs
-    along the orbit x, succ(x), succ(succ(x)), ... and the rest of the series
-    is b * u(succ^(2^j)(x)) with b = beta^(2^j); it is dropped once b is
-    below double rounding.
-    """
-    a, p, b = step_cost, succ, beta
-    while b >= 2.0**-53:
-        a = a + b * a[p]
-        p = p[p]
-        b *= b
-    return a
-
-
-def discounted_policy_iteration(
-    kernel: ActionKernel, lam: float, max_iter: int = 5_000_000
-) -> tuple[np.ndarray, int]:
-    """Exact discounted fixed point by Howard's policy iteration.
-
-    Starts from the per-node cheapest step, evaluates each policy exactly and
-    switches a node to its best offset only when that is strictly better
-    beyond the rounding tolerance, so the iteration terminates; argmin ties
-    go to the lowest stencil index. Returns (u, rounds), where a round is one
-    evaluation plus one improvement pass and the last round is the one that
-    finds nothing to improve. Raises ConvergenceError after max_iter rounds.
-    """
-    tau = kernel.stencil.tau
-    beta = math.exp(-lam * tau)
-    if not beta < 1.0:
-        raise WeakKamError("discount lambda*tau must be positive and above double rounding")
-    cost_in = (1.0 - beta) / (lam * tau) * kernel.costs_by_head()
-    pred = kernel.pred_index
-    cols = np.arange(kernel.num_nodes)
-    policy = cost_in.argmin(axis=0)
-    gain = np.array([np.inf])   # until the first improvement pass
-    for rounds in range(1, max_iter + 1):
-        u = _evaluate_policy(cost_in[policy, cols], pred[policy, cols], beta)
-        q = cost_in + beta * u[pred]
-        best = q.argmin(axis=0)
-        gain = q[policy, cols] - q[best, cols]
-        better = gain > _IMPROVE_RTOL * np.abs(u).max()
-        if not better.any():
-            return u, rounds
-        policy = np.where(better, best, policy)
-    raise ConvergenceError(
-        f"policy iteration hit max_iter={max_iter} rounds with a node still "
-        f"improving by {gain.max():.3e}",
-        residual=float(gain.max()),
-        iterations=max_iter,
-    )
-
-
 def critical_value_estimate(
     grid: TorusGrid,
     spec: LagrangianSpec,
@@ -269,7 +256,7 @@ def critical_value_estimate(
         kernel = build_kernel(grid, spec, stencil, c=0.0)
     mins, maxs, mids, spreads, rounds = [], [], [], [], []
     for lam in lambdas:
-        u, n_rounds = discounted_policy_iteration(kernel, lam, max_iter)
+        u, _, n_rounds = discounted_policy_iteration(kernel, lam, max_iter)
         neg = -lam * u
         mins.append(float(neg.min()))
         maxs.append(float(neg.max()))
@@ -330,9 +317,9 @@ def calibration_residual(sol: DiscountedSolution, traj: TrajectorySample) -> flo
     """Signed defect of the discounted calibration identity along a trajectory.
 
     Evaluates beta^N u(gamma(-N tau)) + sum of discounted step costs - u(x0)
-    with the same Horner recursion the solver uses. Policy trajectories give
-    |residual| <= N*tol; arbitrary trajectories give residual >= -N*tol, the
-    discrete domination inequality.
+    by the Horner recursion of one Bellman step. u is the exact value of
+    sol.policy, so policy trajectories telescope to rounding; arbitrary
+    trajectories give residual >= -N*tol, the discrete domination inequality.
     """
     beta = sol.beta
     weight = (1.0 - beta) / (sol.lam * sol.tau)

@@ -26,7 +26,7 @@ class StencilError(WeakKamError):
 
 
 class ConvergenceError(WeakKamError):
-    """Iteration budget exhausted before the residual target was met."""
+    """Iteration budget exhausted, or the final residual above its target."""
 
     def __init__(self, message, residual=None, iterations=None):
         super().__init__(message)

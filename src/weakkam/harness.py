@@ -154,6 +154,11 @@ class ExperimentConfig:
         lam = s.lambdas
         if len(lam) < 1 or any(b >= a for a, b in zip(lam, lam[1:])):
             raise ConfigError("schedule.lambdas must be strictly decreasing")
+        # the critical estimate extrapolates the last three entries to lambda = 0
+        crit = s.critical_lambdas
+        if len(crit) < 3 or any(b >= a for a, b in zip(crit, crit[1:])):
+            raise ConfigError("schedule.critical_lambdas must hold at least 3 strictly "
+                              "decreasing entries")
         # f"{lam:g}" names a stage and the discounted artifacts; %g rounds
         # monotonically, so only neighbours in a decreasing schedule can collide
         for a, b in zip(lam, lam[1:]):
@@ -317,7 +322,7 @@ class RunReport:
     lp_vs_cycle: float
     u0_method: str
     u0_cross_delta: float
-    counters: dict           # deterministic solver work: pivots, rounds, sweeps
+    counters: dict           # deterministic solver work: pivots and rounds
     convergence: list        # rows (lambda, sup_error, min_neg, max_neg, lipschitz)
     plateau: float
     flags: list              # dicts from CheckResult
@@ -511,7 +516,7 @@ class _Run:
         return u0, u0_lp, float(np.abs(u0.values[u0_lp.targets] - u0_lp.values).max())
 
     def discounted(self, lam):
-        """u_lambda by value iteration on the critical kernel, solved once per lambda."""
+        """u_lambda by policy iteration on the critical kernel, solved once per lambda."""
         if lam not in self._solutions:
             grid, spec, stencil, s = self.grid, self.spec, self.stencil, self.config.schedule
             kernel = self.critical_graph[0]
@@ -609,7 +614,7 @@ class _Run:
                 "u0_pivots": u0_lp.pivots,
                 "lp_dense_solves": lp.dense_solves + u0_lp.dense_solves,
                 "critical_policy_rounds": sum(table.rounds),
-                "discounted_sweeps": sum(sol.iterations for sol in solutions),
+                "discounted_policy_rounds": sum(sol.iterations for sol in solutions),
             },
             convergence=[list(map(float, r)) for r in convergence],
             plateau=float(verification.plateau),
@@ -633,7 +638,7 @@ def run_pipeline(config: ExperimentConfig, out_dir=None) -> RunReport:
     Peierls barrier, Aubry set and Mather classes from its critical graph,
     Mather LP, u0 (the least mean barrier row over one critical cycle at
     every node, cross-checked by the LP at the u0_targets), discounted solves
-    by value iteration down the lambda schedule, verification battery.
+    by policy iteration down the lambda schedule, verification battery.
     """
     return _Run(config, out_dir).report
 

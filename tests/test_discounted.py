@@ -143,6 +143,26 @@ class TestSolveDiscounted:
         one_more = discounted_sweeps(p.kernel, 0.25, 1, init=sol.values.values)
         assert np.abs(one_more - sol.values.values).max() <= 1e-10
 
+    @pytest.mark.parametrize("name", ["pendulum16", "pendulum200", "transport8", "cos4x4"])
+    @pytest.mark.parametrize("lam", [0.2, 0.01])
+    def test_values_are_the_policy_value(self, request, name, lam):
+        # u = w*cost(policy) + beta*u(pred(policy)) at every node, to rounding
+        p = request.getfixturevalue(name)
+        sol = wk.solve_discounted(p.grid, p.spec, lam, p.stencil, p.c_star, kernel=p.kernel)
+        k, u, beta = p.kernel, sol.values.values, sol.beta
+        cols = np.arange(k.num_nodes)
+        step = (1.0 - beta) / (lam * sol.tau) * k.costs_by_head()[sol.policy, cols]
+        identity = step + beta * u[k.pred_index[sol.policy, cols]]
+        assert np.abs(identity - u).max() <= 4 * np.spacing(np.abs(u).max())
+
+    def test_uncertifiable_tol_raises(self, pendulum16):
+        # the exact solve leaves a Bellman residual at the rounding of u
+        p = pendulum16
+        with pytest.raises(ConvergenceError) as err:
+            wk.solve_discounted(p.grid, p.spec, 0.05, p.stencil, p.c_star, kernel=p.kernel, tol=1e-30)
+        assert 0.0 < err.value.residual <= 1e-15
+        assert err.value.iterations >= 1
+
     def test_max_iter_raises_with_residual(self, pendulum16):
         p = pendulum16
         with pytest.raises(ConvergenceError) as err:
@@ -172,11 +192,14 @@ class TestPolicyIteration:
     @pytest.mark.parametrize("name", ["pendulum16", "free32", "transport8", "cos4x4"])
     @pytest.mark.parametrize("lam", [0.2, 0.025])
     def test_matches_converged_value_iteration(self, request, name, lam):
-        kernel = request.getfixturevalue(name).kernel0
-        u, rounds = discounted_policy_iteration(kernel, lam)
-        oracle = converged_sweeps(kernel, lam)
+        p = request.getfixturevalue(name)
+        u, _, rounds = discounted_policy_iteration(p.kernel0, lam)
+        oracle = converged_sweeps(p.kernel0, lam)
         assert rounds >= 1
         assert np.abs(u - oracle).max() <= 1e-10
+        # the lambda schedule runs the same loop on the critical kernel
+        sol = wk.solve_discounted(p.grid, p.spec, lam, p.stencil, p.c_star, kernel=p.kernel)
+        assert np.abs(sol.values.values - converged_sweeps(p.kernel, lam)).max() <= 1e-12
 
     def test_max_iter_raises(self, pendulum16):
         p = pendulum16
@@ -272,7 +295,10 @@ class TestCalibration:
         sol = wk.solve_discounted(p.grid, p.spec, 0.05, p.stencil, p.c_star, kernel=p.kernel, tol=1e-10)
         n_steps = 60
         traj = wk.backward_trajectory(sol, 8, n_steps)
-        assert abs(wk.calibration_residual(sol, traj)) <= n_steps * 1e-10
+        # values is the exact value of the policy: each step holds to rounding
+        # (the measured residual is 0.0)
+        ulp = np.spacing(np.abs(sol.values.values).max())
+        assert abs(wk.calibration_residual(sol, traj)) <= n_steps * ulp
 
     def test_perturbed_trajectory_dominates(self, pendulum16):
         p = pendulum16

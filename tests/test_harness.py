@@ -595,13 +595,20 @@ BAD_INPUTS = {
     "critical_lambda_inf": (
         [], _set("schedule", critical_lambdas=[math.inf, 0.1, 0.05]), {}, "critical_lambdas"
     ),
+    # the critical estimate extrapolates three points: too few, or not decreasing
+    "critical_lambdas_two": (
+        [], _set("schedule", critical_lambdas=[0.2, 0.1]), {}, "schedule.critical_lambdas"
+    ),
+    "critical_lambdas_increasing": (
+        [], _set("schedule", critical_lambdas=[0.1, 0.2, 0.05]), {}, "schedule.critical_lambdas"
+    ),
     # both would be written as discounted_0.5.*
     "lambda_labels_collide": (
         [], _set("schedule", lambdas=[0.5, 0.4999999, 0.25]), {}, "0.5 and 0.4999999"
     ),
     "threads_zero": (["--threads", "0"], _dump(), {}, "threads must be >= 1"),
     "max_iter_zero": ([], _set("schedule", max_iter=0), {}, "schedule.max_iter"),
-    # Infinity parses to inf: value iteration would stop after one sweep
+    # Infinity parses to inf: the solve's certificate would hold for any residual
     "tol_solve_inf": ([], _set("schedule", tol_solve=math.inf), {}, "schedule.tol_solve"),
     "grid_zero": (["--grid", "0"], _dump(), {}, "sizes"),
     "malformed_json": ([], lambda raw: json.dumps(raw)[:-1], {}, "JSON"),
