@@ -284,7 +284,7 @@ def _evaluate_cycle_policy(
 
 def _min_cycle_mean(
     lag_in: np.ndarray, pred: np.ndarray, max_rounds: int = _MAX_ROUNDS
-) -> float:
+) -> tuple[float, np.ndarray]:
     """Minimum mean Lbar over cycles by Howard's policy iteration.
 
     A policy picks one in-edge per node (a functional graph), starting from
@@ -294,7 +294,9 @@ def _min_cycle_mean(
     tails of equal mean. A node switches only on a strict improvement beyond
     rounding, and ties go to the lowest stencil index. The last round is the
     one that finds nothing to improve; ConvergenceError after max_rounds.
-    The result is the mean of an actual cycle of the graph.
+    Returns the mean, that of an actual cycle of the graph, and the last
+    round's bias, which then meets bias(head) <= Lbar - mean + bias(tail) on
+    every edge to within _IMPROVE_RTOL * max|bias|.
     """
     cols = np.arange(pred.shape[1])
     policy = lag_in.argmin(axis=0)
@@ -310,7 +312,7 @@ def _min_cycle_mean(
             best = q.argmin(axis=0)
             better = q[policy, cols] - q[best, cols] > _IMPROVE_RTOL * np.abs(bias).max()
             if not better.any():
-                return float(eta.min())
+                return float(eta.min()), bias
         policy = np.where(better, best, policy)
     raise ConvergenceError(
         f"minimum mean cycle: policy iteration hit max_rounds={max_rounds} "
@@ -376,11 +378,12 @@ def tight_subgraph(kernel: ActionKernel) -> CriticalGraph:
     The mean comes from Howard's policy iteration (ConvergenceError when it
     runs out of rounds) and is the mean of a real cycle, so that cycle's
     reduced costs Lbar - mean sum to zero up to rounding, and a self-loop's
-    is exactly zero. An edge is tight when its slack under Bellman-Ford
-    potentials of those reduced costs is at most 1e-9, so every minimum mean
-    cycle runs on tight edges. A class's cycle walks from its lowest node
-    along each node's lowest-offset tight edge inside the class until a node
-    repeats.
+    is exactly zero. An edge is tight when its slack under Howard's terminal
+    bias, Lbar - mean + bias(tail) - bias(head), is at most 1e-9: no slack
+    is below -1e-14 * max|bias|, so every minimum mean cycle runs on tight
+    edges, and every tight cycle has mean within 1e-9 of the minimum. A
+    class's cycle walks from its lowest node along each node's lowest-offset
+    tight edge inside the class until a node repeats.
 
     Only edge_lagrangian and the index tables are read, so the result does
     not depend on the kernel's shift c: one call serves every kernel built
@@ -389,16 +392,8 @@ def tight_subgraph(kernel: ActionKernel) -> CriticalGraph:
     n = kernel.num_nodes
     pred, heads = kernel.pred_index, kernel.head_index
     lag_in = np.take_along_axis(kernel.edge_lagrangian, pred, axis=1)
-    mean = _min_cycle_mean(lag_in, pred)
-
-    reduced = lag_in - mean
-    pi = np.zeros(n)
-    for _ in range(n):
-        nxt = np.minimum(pi, (pi[pred] + reduced).min(axis=0))
-        if np.array_equal(nxt, pi):
-            break
-        pi = nxt
-    tight = pi + (kernel.edge_lagrangian - mean) - pi[heads] <= 1e-9  # by tail
+    mean, bias = _min_cycle_mean(lag_in, pred)
+    tight = bias + (kernel.edge_lagrangian - mean) - bias[heads] <= 1e-9  # by tail
 
     adj: list[list[int]] = [[] for _ in range(n)]
     tails, ks = np.nonzero(tight.T)  # by tail, then offset

@@ -693,9 +693,11 @@ def _cmd_discounted(run: _Run, args) -> int:
     for lam in run.config.schedule.lambdas:
         sol = run.discounted(lam)
         run.write(f"discounted_{lam:g}", lambda path: io.write_solution(sol, path))
-        traj = backward_trajectory(
-            sol, int(np.argmax(sol.values.values)), min(400, 4 * run.grid.num_nodes)
-        )
+        # start at the lowest node that ties the maximum up to rounding, so a
+        # last-bit change in u cannot move the start between symmetric wells
+        u = sol.values.values
+        top = u >= u.max() - 1e-12 * max(1.0, float(np.abs(u).max()))
+        traj = backward_trajectory(sol, int(np.argmax(top)), min(400, 4 * run.grid.num_nodes))
         run.write(
             f"trajectory_{lam:g}.csv", lambda path: io.trajectory_to_csv(traj, run.stencil, path)
         )

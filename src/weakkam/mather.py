@@ -14,16 +14,14 @@ gates. u0 is the least mean of the barrier rows over the nodes of one
 critical cycle (the extreme Mather measures are the uniform measures on
 them) and the simplex over near-Mather measures at sampled targets.
 
-Both edge programs start at the vertex the critical graph implies: the
-extreme Mather measures are uniform measures on critical cycles, so a
-critical cycle plus a shortest-path in-tree to it is a spanning basis
-(network simplex) that is usually optimal. `_tree_certifies` checks that
-uniform measure and the in-tree potentials phi by weak duality on the
+Both edge programs are closed at the vertex the critical graph implies:
+the extreme Mather measures are uniform measures on critical cycles, and
+`_certifies` checks that uniform measure against node potentials phi, the
+cycle's own prices extended by shortest paths to it, by weak duality on the
 kernel's own arrays, where c - yA of an edge is weights + phi(head) -
-phi(tail); only when a check fails are the columns assembled and the dense
-simplex run from that basis (pivoting on, or starting cold when it is
-singular or infeasible). So the value stays a certificate rather than a
-copy of the graph route.
+phi(tail). Only when a check fails are the columns assembled and the dense
+simplex run, from a cold start. So the value stays a certificate rather
+than a copy of the graph route.
 """
 
 from __future__ import annotations
@@ -118,7 +116,7 @@ class MatherSolveResult:
     support_edges: np.ndarray   # (E, 2) rows of (tail, offset id)
     projected: np.ndarray       # position marginal over nodes
     iterations: int
-    dense_solves: int           # 1 when the tree certificate failed and the dense simplex ran
+    dense_solves: int           # 1 when the certificate failed and the dense simplex ran
 
 
 def _edge_columns(kernel: ActionKernel, budget: float | None = None):
@@ -149,49 +147,34 @@ def _edge_columns(kernel: ActionKernel, budget: float | None = None):
     return CompressedColumns(rows=rows, vals=vals, num_rows=b.size), b
 
 
-def _spanning_basis(kernel: ActionKernel, weights: np.ndarray, cycle_edges: np.ndarray):
-    """(edge columns, potentials) of a cycle plus a shortest-path in-tree to it, or None.
+def _cycle_potentials(kernel: ActionKernel, weights: np.ndarray, cycle: np.ndarray) -> np.ndarray:
+    """Node potentials phi pricing the cycle's edges at zero and the rest by shortest paths.
 
     `weights` is (num_offsets, num_nodes) by tail and sums to zero around
-    the cycle, whose edges `cycle_edges` (k*n + tail) are listed in walking
-    order. The cycle nodes take the potentials that price their cycle edges
-    at zero; Bellman-Ford then gives every other node the out-edge of its
-    shortest path to the cycle, switching only on strict improvement. Under
-    weights with no negative cycle these n columns are an optimal spanning
-    basis of the closed-measure program (network simplex), and the
-    potentials phi, with phi(tail) = weight + phi(head) on every basis edge
-    but the cycle's first, are its duals up to a constant. None when some
-    node does not reach the cycle through its chosen edges.
+    the cycle, whose edges `cycle` (k*n + tail) are listed in walking order.
+    phi is 0 at the first edge's tail and phi(tail) = weight + phi(head)
+    walking back along the cycle; Jacobi Bellman-Ford rounds then lower
+    every other node to its least weight + phi(head), on strict improvement
+    only. A node that reaches no cycle node keeps phi = inf. These are the
+    duals of the spanning basis the cycle and a shortest-path in-tree to it
+    form (network simplex); the basis itself is never needed.
     """
     n = kernel.num_nodes
     heads = kernel.head_index
-    nodes = np.arange(n)
-    cyc_k, cyc_t = np.divmod(np.asarray(cycle_edges, dtype=np.int64), n)
+    cyc_k, cyc_t = np.divmod(np.asarray(cycle, dtype=np.int64), n)
     phi = np.full(n, np.inf)
     phi[cyc_t[0]] = 0.0
     for k, t in zip(cyc_k[:0:-1], cyc_t[:0:-1]):
         phi[t] = weights[k, t] + phi[heads[k, t]]
-    choice = np.full(n, -1, dtype=np.int64)
-    choice[cyc_t] = cyc_k
-    free = choice < 0
+    free = np.ones(n, dtype=bool)
+    free[cyc_t] = False
     for _ in range(n):
-        cand = weights + phi[heads]
-        k_best = np.argmin(cand, axis=0)
-        best = cand[k_best, nodes]
+        best = (weights + phi[heads]).min(axis=0)
         better = free & (best < phi)
         if not better.any():
             break
         phi[better] = best[better]
-        choice[better] = k_best[better]
-    if (choice < 0).any():
-        return None
-    # after n steps along the chosen edges every node must sit on the cycle
-    succ = heads[choice, nodes]
-    for _ in range(n.bit_length()):
-        succ = succ[succ]
-    if free[succ].any():
-        return None
-    return choice * n + nodes, phi
+    return phi
 
 
 def _reduced_costs(kernel: ActionKernel, weights: np.ndarray, phi: np.ndarray) -> np.ndarray:
@@ -204,21 +187,22 @@ def _reduced_costs(kernel: ActionKernel, weights: np.ndarray, phi: np.ndarray) -
     return weights + phi[kernel.head_index] - phi
 
 
-def _tree_certifies(kernel: ActionKernel, weights, cycle, tree, slack: float = 0.0) -> bool:
-    """Whether the uniform measure on cycle and tree's potentials prove each other optimal.
+def _certifies(kernel: ActionKernel, weights, cycle, phi, slack: float = 0.0) -> bool:
+    """Whether the uniform measure on cycle and the potentials phi prove each other optimal.
 
     Weak duality: the measure is feasible when the cycle closes (each edge's
-    head is the next edge's tail) and the budget slack is >= 0, and
-    tree = (edges, phi) of _spanning_basis gives optimal duals when every
-    reduced cost is >= -_FEAS_TOL and those of its n edges, the cycle's
-    among them, are within _FEAS_TOL of 0.
+    head is the next edge's tail) and the budget slack is >= 0; phi gives
+    feasible duals when it is finite and every reduced cost is >=
+    -_FEAS_TOL; and the two values, the dual's mass-row value and the
+    primal's that plus the mean reduced cost on the cycle, agree when the
+    cycle's reduced costs are within _FEAS_TOL of 0.
     """
     cyc_k, cyc_t = np.divmod(cycle, kernel.num_nodes)
-    if not (np.array_equal(kernel.head_index[cyc_k, cyc_t], np.roll(cyc_t, -1)) and slack >= 0.0):
+    closes = np.array_equal(kernel.head_index[cyc_k, cyc_t], np.roll(cyc_t, -1))
+    if not (closes and slack >= 0.0 and np.isfinite(phi).all()):
         return False
-    edges, phi = tree
-    reduced = _reduced_costs(kernel, weights, phi).reshape(-1)
-    return bool(np.abs(reduced[edges]).max() <= _FEAS_TOL and reduced.min() >= -_FEAS_TOL)
+    reduced = _reduced_costs(kernel, weights, phi)
+    return bool(np.abs(reduced[cyc_k, cyc_t]).max() <= _FEAS_TOL and reduced.min() >= -_FEAS_TOL)
 
 
 def _solve_edge_program(kernel: ActionKernel, cost, weights, cycle, budget: float | None = None):
@@ -227,15 +211,15 @@ def _solve_edge_program(kernel: ActionKernel, cost, weights, cycle, budget: floa
     The measures have unit mass, and mean Lbar <= budget when one is given
     (the u0 program). cost and weights = cost - (the mean cost of cycle) are
     (num_offsets, num_nodes) by tail; cycle lists its edges in walking order.
-    The answer is the uniform measure on cycle when _tree_certifies accepts
-    it with its spanning tree's potentials; otherwise the dense simplex runs
-    from the tree's basis, cold when _spanning_basis gives none.
+    The answer is the uniform measure on cycle when _certifies accepts it
+    with its _cycle_potentials; otherwise the dense simplex solves the
+    program from a cold start.
     """
     cycle = np.asarray(cycle, dtype=np.int64)
     cyc_k, cyc_t = np.divmod(cycle, kernel.num_nodes)
-    tree = _spanning_basis(kernel, weights, cycle)
+    phi = _cycle_potentials(kernel, weights, cycle)
     slack = 0.0 if budget is None else budget - kernel.edge_lagrangian[cyc_k, cyc_t].mean()
-    dense = tree is None or not _tree_certifies(kernel, weights, cycle, tree, slack)
+    dense = not _certifies(kernel, weights, cycle, phi, slack)
     if not dense:
         mass = 1.0 / cycle.size
         value, pivots = math.fsum(cost[cyc_k, cyc_t] * mass), 0
@@ -243,11 +227,9 @@ def _solve_edge_program(kernel: ActionKernel, cost, weights, cycle, budget: floa
     else:
         a, b = _edge_columns(kernel, budget)
         c = cost.reshape(-1)
-        basis = None if tree is None else tree[0]
         if budget is not None:
             c = np.append(c, 0.0)
-            basis = None if tree is None else np.append(basis, c.size - 1)
-        res = solve_standard_form(a, b, c, basis=basis)
+        res = solve_standard_form(a, b, c)
         value, pivots = res.objective, res.iterations
         support = np.nonzero(res.x[:cost.size] > 1e-12)[0]
         x = res.x[support]
@@ -260,10 +242,9 @@ def solve_mather_lp(kernel: ActionKernel, tight: CriticalGraph | None = None) ->
     """Minimize the mean edge Lagrangian over unit-mass closed edge measures.
 
     The program is closed at the uniform measure on cycles[0] of the critical
-    graph by its tree certificate (no pivot); when that fails the dense
-    simplex pivots on from the tree's basis (or starts cold) as usual. tight
-    is the CriticalGraph of tight_subgraph for this kernel's Lagrangian,
-    computed here when None.
+    graph by its weak-duality certificate (no pivot); when that fails the
+    dense simplex solves it from a cold start. tight is the CriticalGraph of
+    tight_subgraph for this kernel's Lagrangian, computed here when None.
     """
     graph = tight_subgraph(kernel) if tight is None else tight
     lag = kernel.edge_lagrangian
@@ -301,7 +282,7 @@ class LimitFunctionResult:
     c_est: float
     eps: float
     pivots: int = 0                   # simplex pivots summed over the targets
-    dense_solves: int = 0             # targets the tree certificate did not close
+    dense_solves: int = 0             # targets the certificate did not close
 
 
 def cycle_marginals(graph: CriticalGraph, num_nodes: int) -> list[np.ndarray]:
@@ -344,17 +325,17 @@ def compute_u0(
 
     For each target x this solves: minimize sum_y mu(y) h(y, x) over closed
     unit-mass edge measures whose mean Lagrangian is within eps_c of -c_est,
-    where mu is the tail marginal. One LP per target, started at the basis
-    h.graph implies: the cycle of u0_critical_cycles' certificate at x, of
-    mean h(., x) = v, a shortest-path in-tree to it under node weights
-    h(y, x) - v, and the budget slack. h must carry its critical graph, so a
-    min-plus power raises WeakKamError, and a target outside [0, n) raises
-    WeakKamError too. The tree certificate checks the uniform measure on the
-    cycle and the tree's potentials on the kernel's edges, and the dense
-    simplex runs from that basis when it fails, so the LP stays an
-    independent certificate. The targets are solved one after another;
-    threads is accepted and has no effect (a target whose certificate holds
-    costs the in-tree's Bellman-Ford rounds and one pass over the edges).
+    where mu is the tail marginal. One LP per target, closed at the measure
+    h.graph implies: the uniform measure on the cycle of u0_critical_cycles'
+    certificate at x, of mean h(., x) = v, priced by potentials under node
+    weights h(y, x) - v. h must carry its critical graph, so a min-plus power
+    raises WeakKamError, and a target outside [0, n) raises WeakKamError too.
+    The certificate checks that measure and the potentials on the kernel's
+    edges, and the dense simplex runs from a cold start when it fails, so
+    the LP stays an independent certificate. The targets are solved one
+    after another; threads is accepted and has no effect (a target whose
+    certificate holds costs the potentials' Bellman-Ford rounds and one pass
+    over the edges).
     """
     targets = np.atleast_1d(np.asarray(targets, dtype=np.int64))
     outside = targets[(targets < 0) | (targets >= kernel.num_nodes)]

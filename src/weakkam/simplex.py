@@ -11,9 +11,9 @@ nonzeros per column, so pricing is a gather-and-sum over them and a dense
 `a` is converted once on entry. Phase-1 artificials are implicit identity
 columns, and rows with b < 0 are flipped by scaling values.
 
-The edge programs of `mather` close at a spanning tree's basis on the
-action graph itself and call this solver only when that certificate fails,
-so here it is their fallback and their test oracle.
+The edge programs of `mather` are closed by a weak-duality certificate on
+the action graph itself and call this solver, from a cold start, only when
+that certificate fails, so here it is their fallback and their test oracle.
 
 `solve_standard_form` updates the basis inverse by one rank-one
 (product-form) pivot per step, O(m^2), and refactorizes it by a dense
@@ -94,7 +94,6 @@ class CompressedColumns:
 class SimplexResult:
     x: np.ndarray
     objective: float
-    basis: np.ndarray
     duals: np.ndarray
     iterations: int
 
@@ -142,13 +141,12 @@ def _lexico_leave(x_b, d, b_inv, rows, feas_tol):
     return int(tied[0])
 
 
-def _run(a, c, b_vec, basis, allowed, max_iter, b_inv=None):
+def _run(a, c, b_vec, basis, allowed, max_iter):
     """Phase-agnostic pivot loop; `basis` is updated in place.
 
     Columns past a.shape[1] are artificial: column n + i is the unit vector
-    of row i. `b_inv`, when given, is a fresh inverse of the starting basis
-    and is updated in place. Returns x_B, the duals and the pivot count, all
-    from a fresh inverse of the final basis.
+    of row i. Returns x_B, the duals and the pivot count, all from a fresh
+    inverse of the final basis.
     """
     n = a.shape[1]
     n_total = c.size
@@ -156,8 +154,7 @@ def _run(a, c, b_vec, basis, allowed, max_iter, b_inv=None):
     open_[basis] = False
     degenerate_run = 0
     pivots = 0
-    if b_inv is None:
-        b_inv = _invert(a, basis)
+    b_inv = _invert(a, basis)
     fresh = True
     while True:
         x_b = b_inv @ b_vec
@@ -217,7 +214,6 @@ def _package(c, basis, x_b, y, iterations, n_real):
     return SimplexResult(
         x=x,
         objective=float(c[:n_real] @ x),
-        basis=np.asarray(basis, dtype=np.int64).copy(),
         duals=np.asarray(y, dtype=float).copy(),
         iterations=int(iterations),
     )
@@ -227,16 +223,12 @@ def solve_standard_form(
     a: np.ndarray | CompressedColumns,
     b: np.ndarray,
     c: np.ndarray,
-    basis: np.ndarray | None = None,
     max_iter: int = 50_000,
 ) -> SimplexResult:
     """Solve min c.x subject to Ax = b, x >= 0.
 
-    `a` is a dense array or `CompressedColumns`. `basis` is any guess of one
-    real column per row: it is factored once, and if that inverse gives a
-    primal-feasible B^-1 b phase 1 is skipped and pivoting starts there (zero
-    pivots when the guess is optimal); a singular or infeasible guess falls
-    back to the cold start. Rows are sign-normalized so b >= 0; a redundant
+    `a` is a dense array or `CompressedColumns`. Phase 1 starts from the
+    artificial basis. Rows are sign-normalized so b >= 0; a redundant
     row surfaces as an artificial variable stuck at zero, which is accepted
     and barred from re-entering. A column enters when its reduced cost is
     below -_FEAS_TOL; more than max_iter pivots raise WeakKamError.
@@ -255,22 +247,6 @@ def solve_standard_form(
             rows=a.rows, vals=np.where(flip[a.rows], -a.vals, a.vals), num_rows=m
         )
         b[flip] *= -1.0
-
-    if basis is not None and (np.asarray(basis) < n).all():
-        guess = np.asarray(basis, dtype=np.int64).copy()
-        if guess.shape != (m,):
-            raise WeakKamError("basis guess must have one column per row")
-        try:
-            b_inv = _invert(a, guess)
-        except WeakKamError:
-            b_inv = None
-        if b_inv is not None:
-            probe = b_inv @ b
-            if np.isfinite(probe).all() and (probe >= -1e-7).all():
-                allowed = np.ones(n, dtype=bool)
-                x_b, y, its = _run(a, c, b, guess, allowed, max_iter, b_inv)
-                return _package(c, guess, x_b, y, its, n)
-        # singular or infeasible guess: fall through to a cold start
 
     # phase 1: implicit artificial identity block, columns n .. n+m-1
     c1 = np.concatenate([np.zeros(n), np.ones(m)])

@@ -1,3 +1,4 @@
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -6,9 +7,9 @@ import pytest
 import weakkam as wk
 from weakkam.action_barrier import _min_cycle_mean, tight_subgraph
 from weakkam.errors import ConvergenceError, EmptyAubryError, WeakKamError
-from weakkam.mather import (_edge_columns, _reduced_costs, _solve_edge_program, _spanning_basis,
-                            _tree_certifies)
-from weakkam.simplex import _REFACTOR_EVERY, _run, solve_standard_form
+from weakkam.mather import (_certifies, _cycle_potentials, _edge_columns, _reduced_costs,
+                            _solve_edge_program)
+from weakkam.simplex import _FEAS_TOL, _REFACTOR_EVERY, solve_standard_form
 
 from conftest import make_problem, pendulum_potential, two_well_potential
 
@@ -221,24 +222,13 @@ def wrong_loop(kernel):
     return zero * kernel.num_nodes + int(np.argmax(kernel.edge_lagrangian[zero]))
 
 
-def wrong_basis(kernel):
-    """Spanning basis of wrong_loop: a hop-count in-tree to it.
-
-    The basis is primal feasible for the Mather program but not optimal.
-    """
-    loop = wrong_loop(kernel)
-    weights = np.ones(kernel.edge_lagrangian.shape)
-    weights.reshape(-1)[loop] = 0.0
-    return _spanning_basis(kernel, weights, np.array([loop]))[0]
-
-
 def wrong_graph(kernel):
     """The kernel's CriticalGraph with wrong_loop as its only cycle."""
     return replace(tight_subgraph(kernel), cycles=[np.array([wrong_loop(kernel)])])
 
 
 class TestCriticalGraphStart:
-    """Both edge programs start at the basis the critical graph implies."""
+    """Both edge programs close at the measure the critical graph implies."""
 
     NAMES = ["pendulum16", "two_well32", "transport8", "transport32", "cosine4x4"]
 
@@ -269,7 +259,8 @@ class TestCriticalGraphStart:
     def test_spanning_basis_prices_unequal_cycle_weights(self, pendulum16):
         # weights r + psi(tail) - psi(head), r >= 0 random and 0 on the 2-cycle
         # 0 -> 3 -> 0: no cycle is negative, the cycle is optimal, and its two
-        # edges carry unequal weights, so its nodes need distinct potentials
+        # edges carry unequal weights, so its nodes need distinct potentials,
+        # those of the spanning basis the cycle and its in-tree form
         kernel = pendulum16.kernel
         n = kernel.num_nodes
         offsets = kernel.stencil.offsets
@@ -279,18 +270,18 @@ class TestCriticalGraphStart:
         r.reshape(-1)[cycle] = 0.0
         psi = rng.uniform(-1.0, 1.0, n)
         weights = r + psi[None, :] - psi[kernel.head_index]
+        phi = _cycle_potentials(kernel, weights, cycle)
+        assert phi[0] != phi[3]
+        assert _certifies(kernel, weights, cycle, phi)
+        value, _, pivots, dense = _solve_edge_program(kernel, weights, weights, cycle)
+        assert not dense and pivots == 0 and abs(value) <= 1e-12
         a, b = _edge_columns(kernel)
-        res = solve_standard_form(
-            a, b, weights.reshape(-1), basis=_spanning_basis(kernel, weights, cycle)[0]
-        )
-        assert res.iterations == 0
-        assert abs(res.objective) <= 1e-12
         assert abs(solve_standard_form(a, b, weights.reshape(-1)).objective) <= 1e-12
 
     def test_spanning_basis_refuses_a_second_cycle(self, pendulum16):
         # a negative 2-cycle 8 -> 11 -> 8 away from the given cycle: Bellman-Ford
-        # never settles and its chosen edges close a second cycle, which is
-        # no spanning basis
+        # never settles, so the potentials price that cycle's edges below zero
+        # and the dense simplex finds the cheaper cycle
         kernel = pendulum16.kernel
         n = kernel.num_nodes
         offsets = kernel.stencil.offsets
@@ -298,30 +289,10 @@ class TestCriticalGraphStart:
         weights = np.ones(kernel.edge_lagrangian.shape)
         weights[fwd, 0] = weights[back, 3] = 0.0
         weights[fwd, 8] = weights[back, 11] = -0.5
-        assert _spanning_basis(kernel, weights, np.array([fwd * n + 0, back * n + 3])) is None
-
-    @pytest.mark.parametrize("name", NAMES)
-    def test_wrong_basis_still_reaches_the_optimum(self, name, request):
-        p = problem(name, request)
-        kernel = p.kernel
-        basis = wrong_basis(kernel)
-        a, b = _edge_columns(kernel)
-        # primal feasible, so the solve pivots on from it rather than restarting
-        assert (np.linalg.solve(a.dense(basis), b) >= -1e-12).all()
-        c = kernel.edge_lagrangian.reshape(-1)
-        res = solve_standard_form(a, b, c, basis=basis)
-        assert res.iterations > 0
-        assert abs(res.objective - wk.solve_mather_lp(kernel).value) <= 1e-12
-
-        # in the u0 program its slack is negative: the solve starts cold
-        h = wk.peierls_barrier(kernel)
-        u, ub = _edge_columns(kernel, -p.c_star + 1e-6)
-        t = kernel.num_nodes // 3
-        cu = u0_objective(h, kernel, t)
-        res = solve_standard_form(u, ub, cu, basis=np.append(basis, c.size))
-        assert res.iterations > 0
-        expected = wk.compute_u0(h, kernel, p.c_star, 1e-6, [t]).values[0]
-        assert abs(res.objective - expected) <= 1e-12
+        cycle = np.array([fwd * n + 0, back * n + 3])
+        assert not _certifies(kernel, weights, cycle, _cycle_potentials(kernel, weights, cycle))
+        value, _, pivots, dense = _solve_edge_program(kernel, weights, weights, cycle)
+        assert dense and pivots > 0 and abs(value + 0.5) <= 1e-12
 
 
 def edge_program(p, program):
@@ -347,8 +318,8 @@ def lp_form(kernel, cost, budget):
     return a, b, (c if budget is None else np.append(c, 0.0))
 
 
-def tree_duals(kernel, phi, value, budget):
-    """The LP duals that tree potentials stand for: phi - phi[n - 1] on the
+def potential_duals(kernel, phi, value, budget):
+    """The LP duals that node potentials stand for: phi - phi[n - 1] on the
     conservation rows, value on the mass row and 0 on the budget row."""
     n = kernel.num_nodes
     y = np.zeros(n if budget is None else n + 1)
@@ -358,7 +329,7 @@ def tree_duals(kernel, phi, value, budget):
 
 
 class TestTreeCertificate:
-    """Both edge programs close at the spanning tree's basis on the graph's own arrays."""
+    """Both edge programs close by weak duality on the graph's own arrays."""
 
     NAMES = ["pendulum16", "two_well32", "transport8", "cosine4x4"]
 
@@ -368,9 +339,9 @@ class TestTreeCertificate:
         p = problem(name, request)
         kernel = p.kernel
         cost, value, cycle, budget = edge_program(p, program)
-        _, phi = _spanning_basis(kernel, cost - value, cycle)
+        phi = _cycle_potentials(kernel, cost - value, cycle)
         a, _, c = lp_form(kernel, cost, budget)
-        lp_reduced = c - a.price(tree_duals(kernel, phi, value, budget))
+        lp_reduced = c - a.price(potential_duals(kernel, phi, value, budget))
         graph_reduced = _reduced_costs(kernel, cost - value, phi).reshape(-1)
         assert np.abs(lp_reduced[:graph_reduced.size] - graph_reduced).max() <= 1e-12
         if budget is not None:
@@ -384,18 +355,20 @@ class TestTreeCertificate:
         cost, value, cycle, budget = edge_program(p, program)
         got, measure, pivots, dense = _solve_edge_program(kernel, cost, cost - value, cycle, budget)
         assert not dense and pivots == 0
+        # the certified measure and the potentials' duals are an optimal
+        # primal-dual pair of the assembled program
         a, b, c = lp_form(kernel, cost, budget)
-        edges, phi = _spanning_basis(kernel, cost - value, cycle)
-        basis = edges if budget is None else np.append(edges, c.size - 1)
-        x_b, y, pivots = _run(a, c, b, basis.copy(), np.ones(c.size, dtype=bool), 1000)
-        assert pivots == 0
         x = np.zeros(c.size)
-        x[basis] = x_b
-        support = measure.offset_ids * kernel.num_nodes + measure.tails
-        assert np.abs(x[support] - measure.weights).max() <= 1e-12
-        assert np.abs(np.delete(x[:cost.size], support)).max(initial=0.0) <= 1e-12
-        assert np.abs(tree_duals(kernel, phi, value, budget) - y).max() <= 1e-12
-        assert abs(got - float(c[basis] @ x_b)) <= 1e-12
+        x[measure.offset_ids * kernel.num_nodes + measure.tails] = measure.weights
+        if budget is not None:
+            x[-1] = budget - measure.pairing(kernel.edge_lagrangian)  # the budget slack
+        y = potential_duals(kernel, _cycle_potentials(kernel, cost - value, cycle), value, budget)
+        dense_a = expand(a)
+        assert np.abs(dense_a @ x - b).max() <= 1e-12 and x.min() >= 0.0
+        assert (c - y @ dense_a).min() >= -1e-9
+        assert abs(float(c @ x) - float(b @ y)) <= 1e-12
+        assert abs(got - float(c @ x)) <= 1e-12
+        assert abs(got - solve_standard_form(a, b, c).objective) <= 1e-12
 
     @pytest.mark.parametrize("name", NAMES)
     def test_mather_lp_falls_back_from_a_wrong_cycle(self, name, request):
@@ -422,20 +395,52 @@ class TestTreeCertificate:
         kernel = pendulum16.kernel
         cost, value, cycle, _ = edge_program(pendulum16, "mather")
         weights = cost - value
-        tree = _spanning_basis(kernel, weights, cycle)
-        edges, phi = tree
-        assert _tree_certifies(kernel, weights, cycle, tree)
-        # each case below fails exactly one of the four checks
-        off_cycle = int(np.setdiff1d(edges, cycle)[0])  # a tree edge, so not a self-loop
-        assert not _tree_certifies(kernel, weights, np.array([off_cycle]), tree)  # closes
-        assert not _tree_certifies(kernel, weights, cycle, tree, slack=-1e-6)    # slack >= 0
+        phi = _cycle_potentials(kernel, weights, cycle)
+        assert _certifies(kernel, weights, cycle, phi)
+        # each case below fails exactly one of the checks
+        loops = np.arange(weights.size) // kernel.num_nodes == kernel.stencil.zero_index
+        off_cycle = int(np.setdiff1d(np.nonzero(~loops)[0], cycle)[0])  # not a self-loop
+        assert not _certifies(kernel, weights, np.array([off_cycle]), phi)  # closes
+        assert not _certifies(kernel, weights, cycle, phi, slack=-1e-6)    # slack >= 0
         raised = weights.copy()
-        raised.reshape(-1)[off_cycle] += 1e-6
-        assert not _tree_certifies(kernel, raised, cycle, tree)                  # basic costs 0
-        j = int(np.setdiff1d(np.arange(weights.size), edges)[0])
+        raised.reshape(-1)[cycle[0]] += 1e-6
+        assert not _certifies(kernel, raised, cycle, phi)                  # cycle costs 0
         priced_in = weights.copy()
-        priced_in.reshape(-1)[j] -= _reduced_costs(kernel, weights, phi).reshape(-1)[j] + 1e-6
-        assert not _tree_certifies(kernel, priced_in, cycle, tree)               # pricing
+        priced_in.reshape(-1)[off_cycle] -= (
+            _reduced_costs(kernel, weights, phi).reshape(-1)[off_cycle] + 1e-6
+        )
+        assert not _certifies(kernel, priced_in, cycle, phi)               # pricing
+
+    def test_certifies_a_raised_edge_off_the_cycle(self, pendulum16):
+        # a tight edge off the cycle raised by 1e-6 leaves the potentials
+        # feasible and the cycle at zero, so the pair still proves optimality
+        kernel = pendulum16.kernel
+        cost, value, cycle, _ = edge_program(pendulum16, "mather")
+        weights = cost - value
+        phi = _cycle_potentials(kernel, weights, cycle)
+        reduced = _reduced_costs(kernel, weights, phi).reshape(-1)
+        tight = np.setdiff1d(np.nonzero(np.abs(reduced) <= _FEAS_TOL)[0], cycle)
+        raised = weights.copy()
+        raised.reshape(-1)[tight[0]] += 1e-6
+        assert _certifies(kernel, raised, cycle, phi)
+        lifted = cost.copy()
+        lifted.reshape(-1)[tight[0]] += 1e-6
+        got, _, pivots, dense = _solve_edge_program(kernel, lifted, raised, cycle)
+        assert not dense and pivots == 0 and got == wk.solve_mather_lp(kernel).value
+
+    def test_refuses_a_node_that_reaches_no_cycle_without_warning(self, pendulum16):
+        # +inf on every out-edge of a node off the cycle leaves its potential
+        # at +inf; the check must refuse before forming inf - inf
+        kernel = pendulum16.kernel
+        cost, value, cycle, _ = edge_program(pendulum16, "mather")
+        weights = cost - value
+        node = int(np.setdiff1d(np.arange(kernel.num_nodes), cycle % kernel.num_nodes)[0])
+        weights[:, node] = np.inf
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            phi = _cycle_potentials(kernel, weights, cycle)
+            assert phi[node] == np.inf
+            assert not _certifies(kernel, weights, cycle, phi)
 
 
 class TestMinMeanCycle:
@@ -510,7 +515,24 @@ class TestHowardMean:
         lag_in = np.take_along_axis(kernel.edge_lagrangian, pred, axis=1)
         with pytest.raises(ConvergenceError, match="max_rounds=1"):
             _min_cycle_mean(lag_in, pred, max_rounds=1)
-        assert _min_cycle_mean(lag_in, pred, max_rounds=2) == -1.0
+        assert _min_cycle_mean(lag_in, pred, max_rounds=2)[0] == -1.0
+
+    @pytest.mark.parametrize(
+        "name", ["pendulum8", "random_table8", "transport8", "cosine4x4"]
+    )
+    def test_terminal_bias_prices_every_edge(self, name, request):
+        # bias(head) <= Lbar - mean + bias(tail) on every edge up to Howard's
+        # improvement tolerance, so tight_subgraph's tight edges carry every
+        # minimum mean cycle
+        if name == "random_table8":
+            kernel = random_table8_kernel()
+        else:
+            kernel = problem(name, request).kernel0
+        pred = kernel.pred_index
+        lag_in = np.take_along_axis(kernel.edge_lagrangian, pred, axis=1)
+        mean, bias = _min_cycle_mean(lag_in, pred)
+        slack = lag_in - mean + bias[pred] - bias
+        assert slack.min() >= -1e-14 * np.abs(bias).max() - 1e-12
 
 
 class TestMatherLP:

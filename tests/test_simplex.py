@@ -80,16 +80,6 @@ def test_redundant_row_tolerated():
         np.testing.assert_allclose(res.x, [1.0, 0.0], atol=1e-9)
 
 
-def test_warm_start_reuses_basis():
-    for form in FORMS:
-        a = form(np.array([[1.0, 1.0, 1.0, 0.0], [1.0, 3.0, 0.0, 1.0]]))
-        b = np.array([4.0, 6.0])
-        first = solve_standard_form(a, b, np.array([-1.0, -2.0, 0.0, 0.0]))
-        warm = solve_standard_form(a, b, np.array([-2.0, -1.0, 0.0, 0.0]), basis=first.basis)
-        assert warm.objective == pytest.approx(-8.0)
-        assert warm.iterations <= first.iterations + 2
-
-
 @pytest.mark.parametrize("seed", range(30))
 def test_random_programs_match_vertex_enumeration(seed):
     rng = np.random.default_rng(seed)
