@@ -232,12 +232,29 @@ def barrier_step(kernel: ActionKernel, h: np.ndarray) -> np.ndarray:
     return out
 
 
-# a node switches in-edge only when that lowers its cycle mean or bias by
-# more than this fraction of the largest one, well above their rounding
+# a node switches in-edge only when that lowers its value by more than this
+# fraction of the largest one, well above their rounding
 _IMPROVE_RTOL = 1e-14
-# round cap of the minimum-mean-cycle policy iteration, far above the at most
-# 10 rounds it takes on the 1-D problems and the tori up to 32 x 32
+# round cap of every Howard run, read when it starts; the shipped configs take
+# at most 10 rounds, pendulum n=1000 down to lambda = 1e-7 takes 15
 _MAX_ROUNDS = 1000
+
+
+def _howard_rounds(what: str):
+    """Rounds 1, 2, ... of one Howard run; ConvergenceError past _MAX_ROUNDS."""
+    yield from range(1, _MAX_ROUNDS + 1)
+    raise ConvergenceError(f"{what}: policy iteration hit the cap of {_MAX_ROUNDS} rounds "
+                           "with a node still improving", iterations=_MAX_ROUNDS)
+
+
+def _improve(q: np.ndarray, policy: np.ndarray, scale: float) -> np.ndarray | None:
+    """Howard's improvement step on in-edge values q (offset by node): a node
+    moves to its argmin, ties to the lowest index, only on a gain above
+    _IMPROVE_RTOL * scale, so exact ties keep the incumbent; None if none gains."""
+    cols = np.arange(q.shape[1])
+    best = q.argmin(axis=0)
+    better = q[policy, cols] - q[best, cols] > _IMPROVE_RTOL * scale
+    return np.where(better, best, policy) if better.any() else None
 
 
 def _evaluate_cycle_policy(
@@ -282,43 +299,32 @@ def _evaluate_cycle_policy(
     return np.array(eta), np.array(bias)
 
 
-def _min_cycle_mean(
-    lag_in: np.ndarray, pred: np.ndarray, max_rounds: int = _MAX_ROUNDS
-) -> tuple[float, np.ndarray]:
+def _min_cycle_mean(lag_in: np.ndarray, pred: np.ndarray) -> tuple[float, np.ndarray]:
     """Minimum mean Lbar over cycles by Howard's policy iteration.
 
     A policy picks one in-edge per node (a functional graph), starting from
-    each node's cheapest one. A round evaluates it exactly, then improves it:
-    a node first moves to the in-edge whose tail has the least cycle mean,
-    and when no node can lower its mean, to the in-edge of least bias among
-    tails of equal mean. A node switches only on a strict improvement beyond
-    rounding, and ties go to the lowest stencil index. The last round is the
-    one that finds nothing to improve; ConvergenceError after max_rounds.
-    Returns the mean, that of an actual cycle of the graph, and the last
-    round's bias, which then meets bias(head) <= Lbar - mean + bias(tail) on
-    every edge to within _IMPROVE_RTOL * max|bias|.
+    each node's cheapest one. A round evaluates it exactly, then improves it
+    by `_improve`: a node first moves to the in-edge whose tail has the least
+    cycle mean, and when no node can lower its mean, to the in-edge of least
+    bias among tails of equal mean. The last round is the one that finds
+    nothing to improve; ConvergenceError after _MAX_ROUNDS. Returns the mean,
+    that of an actual cycle of the graph, and the last round's bias, which
+    then meets bias(head) <= Lbar - mean + bias(tail) on every edge to within
+    _IMPROVE_RTOL * max|bias|.
     """
-    cols = np.arange(pred.shape[1])
     policy = lag_in.argmin(axis=0)
-    for _ in range(max_rounds):
+    for _ in _howard_rounds("minimum mean cycle"):
         eta, bias = _evaluate_cycle_policy(lag_in, pred, policy)
         # gains are measured against each node's own in-edge, so a cycle's
         # root, whose bias is 0 by definition, never switches on rounding
         eta_in = eta[pred]
-        best = eta_in.argmin(axis=0)
-        better = eta_in[policy, cols] - eta_in[best, cols] > _IMPROVE_RTOL * np.abs(eta).max()
-        if not better.any():
+        improved = _improve(eta_in, policy, np.abs(eta).max())
+        if improved is None:
             q = np.where(eta_in == eta, lag_in - eta + bias[pred], np.inf)
-            best = q.argmin(axis=0)
-            better = q[policy, cols] - q[best, cols] > _IMPROVE_RTOL * np.abs(bias).max()
-            if not better.any():
+            improved = _improve(q, policy, np.abs(bias).max())
+            if improved is None:
                 return float(eta.min()), bias
-        policy = np.where(better, best, policy)
-    raise ConvergenceError(
-        f"minimum mean cycle: policy iteration hit max_rounds={max_rounds} "
-        "with a node still improving",
-        iterations=max_rounds,
-    )
+        policy = improved
 
 
 @dataclass(frozen=True)

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .action_barrier import ActionKernel, build_kernel
+from .action_barrier import ActionKernel, _howard_rounds, _improve, build_kernel
 from .errors import ConvergenceError, WeakKamError
 from .models import GridFunction, LagrangianSpec, TorusGrid, VelocityStencil
 
@@ -92,9 +92,8 @@ def discounted_sweeps(kernel: ActionKernel, lam: float, n_sweeps: int, init=None
     return u
 
 
-# a node switches offset only when that lowers its value by more than this
-# fraction of sup|u|, well above the rounding of the evaluation below
-_IMPROVE_RTOL = 1e-14
+# the error bound max|u - u*| every solve certifies
+_TOL = 1e-8
 
 
 def _evaluate_policy(step_cost: np.ndarray, succ: np.ndarray, beta: float) -> np.ndarray:
@@ -114,18 +113,16 @@ def _evaluate_policy(step_cost: np.ndarray, succ: np.ndarray, beta: float) -> np
 
 
 def discounted_policy_iteration(
-    kernel: ActionKernel, lam: float, max_iter: int = 5_000_000
-) -> tuple[np.ndarray, np.ndarray, int]:
+    kernel: ActionKernel, lam: float
+) -> tuple[np.ndarray, np.ndarray, int, float]:
     """Exact discounted fixed point by Howard's policy iteration.
 
     Starts from the per-node cheapest step, evaluates each policy exactly and
-    switches a node to its best offset only when that is strictly better
-    beyond the rounding tolerance, so the iteration terminates and exact ties
-    keep the incumbent; argmin ties go to the lowest stencil index. Returns
-    (u, policy, rounds): the terminal policy, its exact value u, and the
-    rounds, where a round is one evaluation plus one improvement pass and
-    the last round is the one that finds nothing to improve. Raises
-    ConvergenceError after max_iter rounds.
+    improves it by `_improve`, as the minimum-mean-cycle run does. Returns
+    (u, policy, rounds, residual): the terminal policy, its exact value u,
+    the rounds (one evaluation plus one improvement pass each; the last
+    finds nothing to improve) and the Bellman residual max|Tu - u| of that
+    last pass. ConvergenceError after _MAX_ROUNDS rounds.
     """
     tau = kernel.stencil.tau
     beta = math.exp(-lam * tau)
@@ -135,22 +132,24 @@ def discounted_policy_iteration(
     pred = kernel.pred_index
     cols = np.arange(kernel.num_nodes)
     policy = cost_in.argmin(axis=0)
-    gain = np.array([np.inf])   # until the first improvement pass
-    for rounds in range(1, max_iter + 1):
+    for rounds in _howard_rounds("discounted"):
         u = _evaluate_policy(cost_in[policy, cols], pred[policy, cols], beta)
         q = cost_in + beta * u[pred]
-        best = q.argmin(axis=0)
-        gain = q[policy, cols] - q[best, cols]
-        better = gain > _IMPROVE_RTOL * np.abs(u).max()
-        if not better.any():
-            return u, policy, rounds
-        policy = np.where(better, best, policy)
-    raise ConvergenceError(
-        f"policy iteration hit max_iter={max_iter} rounds with a node still "
-        f"improving by {gain.max():.3e}",
-        residual=float(gain.max()),
-        iterations=max_iter,
-    )
+        improved = _improve(q, policy, np.abs(u).max())
+        if improved is None:
+            # q.min(axis=0) is the Bellman operator T u, one discounted_sweeps step
+            return u, policy, rounds, float(np.abs(q.min(axis=0) - u).max())
+        policy = improved
+
+
+def _check_kernel(kernel: ActionKernel, grid: TorusGrid, stencil: VelocityStencil, c: float):
+    """Refuse a kernel built on another grid, stencil or shift than the arguments."""
+    if kernel.grid != grid:
+        raise WeakKamError(f"the kernel is on grid {kernel.grid.sizes}, not {grid.sizes}")
+    if kernel.stencil.tau != stencil.tau or kernel.stencil.offsets != stencil.offsets:
+        raise WeakKamError("the kernel was built on another stencil (tau or offsets)")
+    if kernel.c != float(c):
+        raise WeakKamError(f"the kernel is at shift c = {kernel.c!r}, not {float(c)!r}")
 
 
 def solve_discounted(
@@ -159,27 +158,26 @@ def solve_discounted(
     lam: float,
     stencil: VelocityStencil,
     c: float,
-    tol: float = 1e-8,
-    max_iter: int = 5_000_000,
     kernel: ActionKernel | None = None,
 ) -> DiscountedSolution:
-    """u_lambda on the kernel at shift c by policy iteration, certified to tol.
+    """u_lambda on the kernel at shift c by policy iteration, certified to _TOL.
 
-    Runs `discounted_policy_iteration` (at most max_iter rounds). The Bellman
-    operator T is a beta-contraction, so the residual r = max|Tu - u| bounds
+    Runs `discounted_policy_iteration`. The Bellman operator T is a
+    beta-contraction, so the residual r = max|Tu - u| of its last pass bounds
     the distance to the true fixed point by r/(1-beta); a residual above
-    tol*(1-beta) raises ConvergenceError. The policy is the terminal one,
-    whose exact value is u.
+    _TOL*(1-beta) raises ConvergenceError. The policy is the terminal one,
+    whose exact value is u. A given kernel must be that of grid and stencil
+    at shift c; it is built here when None.
     """
     if kernel is None:
         kernel = build_kernel(grid, spec, stencil, c)
-    u, policy, rounds = discounted_policy_iteration(kernel, lam, max_iter)
-    residual = float(np.abs(discounted_sweeps(kernel, lam, 1, init=u) - u).max())
-    threshold = tol * (1.0 - math.exp(-lam * stencil.tau))
+    _check_kernel(kernel, grid, stencil, c)
+    u, policy, rounds, residual = discounted_policy_iteration(kernel, lam)
+    threshold = _TOL * (1.0 - math.exp(-lam * stencil.tau))
     if not residual <= threshold:
         raise ConvergenceError(
             f"policy iteration stopped at Bellman residual {residual:.3e} above "
-            f"tol*(1-beta) = {threshold:.3e}; tol is below the rounding of u",
+            f"tol*(1-beta) = {threshold:.3e}; at this lambda tol is below the rounding of u",
             residual=residual,
             iterations=rounds,
         )
@@ -191,7 +189,7 @@ def solve_discounted(
         policy=policy.astype(np.int64),
         iterations=rounds,
         residual=residual,
-        tol=float(tol),
+        tol=_TOL,
         kernel=kernel,
     )
 
@@ -232,19 +230,18 @@ def critical_value_estimate(
     spec: LagrangianSpec,
     stencil: VelocityStencil,
     lambda_schedule,
-    max_iter: int = 5_000_000,
     kernel: ActionKernel | None = None,
 ) -> tuple[float, CriticalValueTable]:
     """Estimate c(H) from -lambda*u_lambda along a decreasing lambda schedule.
 
     For each lambda, finds the exact discounted solution u_lambda at shift
-    c = 0 by policy iteration (at most max_iter rounds, else
+    c = 0 by policy iteration (at most _MAX_ROUNDS rounds, else
     ConvergenceError), records the node range of -lambda*u_lambda, and
     Richardson-extrapolates the midpoint sequence to lambda = 0 (Neville on
     the last three points). The per-lambda spread max - min must shrink along
     the schedule; if it does not, the table carries a warning flag signaling
-    a too-coarse discretization. kernel, when given, is the kernel at shift
-    0 of grid, spec and stencil; it is built here when None.
+    a too-coarse discretization. A given kernel must be that of grid and
+    stencil at shift 0; it is built here when None.
     """
     lambdas = [float(l) for l in lambda_schedule]
     if len(lambdas) < 3:
@@ -254,9 +251,10 @@ def critical_value_estimate(
 
     if kernel is None:
         kernel = build_kernel(grid, spec, stencil, c=0.0)
+    _check_kernel(kernel, grid, stencil, 0.0)
     mins, maxs, mids, spreads, rounds = [], [], [], [], []
     for lam in lambdas:
-        u, _, n_rounds = discounted_policy_iteration(kernel, lam, max_iter)
+        u, _, n_rounds, _ = discounted_policy_iteration(kernel, lam)
         neg = -lam * u
         mins.append(float(neg.min()))
         maxs.append(float(neg.max()))

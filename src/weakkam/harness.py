@@ -104,9 +104,7 @@ class DiscretizationConfig:
 class ScheduleConfig:
     lambdas: tuple[float, ...] = (0.5, 0.25, 0.125, 0.0625)
     critical_lambdas: tuple[float, ...] = (0.2, 0.1, 0.05, 0.025)
-    tol_solve: float = 1e-8
     u0_targets: int | tuple[int, ...] | None = 16
-    max_iter: int = 5_000_000
 
 
 @dataclass(frozen=True)
@@ -164,12 +162,6 @@ class ExperimentConfig:
         for a, b in zip(lam, lam[1:]):
             if f"{a:g}" == f"{b:g}":
                 raise ConfigError(f"schedule.lambdas {a!r} and {b!r} share the label {a:g}")
-        if not 0 < s.tol_solve < math.inf:
-            raise ConfigError(
-                f"schedule.tol_solve must be positive and finite, got {s.tol_solve!r}"
-            )
-        if s.max_iter < 1:
-            raise ConfigError(f"schedule.max_iter must be >= 1, got {s.max_iter!r}")
         t, nodes = s.u0_targets, math.prod(p.sizes)
         bad_count = isinstance(t, int) and t < 1
         bad_nodes = isinstance(t, tuple) and not (t and all(0 <= x < nodes for x in t))
@@ -435,7 +427,7 @@ class _Run:
             self.grid, self.spec, self.stencil, self.config.schedule, self.kernel0
         )
         c_est, table = self._timed("critical", lambda: critical_value_estimate(
-            grid, spec, stencil, s.critical_lambdas, max_iter=s.max_iter, kernel=kernel0
+            grid, spec, stencil, s.critical_lambdas, kernel=kernel0
         ))
         self.write("critical.csv", lambda path: io.write_csv(
             path,
@@ -518,11 +510,10 @@ class _Run:
     def discounted(self, lam):
         """u_lambda by policy iteration on the critical kernel, solved once per lambda."""
         if lam not in self._solutions:
-            grid, spec, stencil, s = self.grid, self.spec, self.stencil, self.config.schedule
+            grid, spec, stencil = self.grid, self.spec, self.stencil
             kernel = self.critical_graph[0]
             self._solutions[lam] = self._timed(f"discounted_{lam:g}", lambda: solve_discounted(
-                grid, spec, lam, stencil, kernel.c,
-                tol=s.tol_solve, max_iter=s.max_iter, kernel=kernel,
+                grid, spec, lam, stencil, kernel.c, kernel=kernel
             ))
         return self._solutions[lam]
 

@@ -122,15 +122,11 @@ def write_solution(sol, base_path) -> None:
 
 
 def trajectory_to_csv(traj, stencil, path) -> None:
-    speeds = traj.speeds
     def gen():
-        for step in range(traj.offsets.size):
-            off = stencil.offsets[int(traj.offsets[step])]
-            yield (step, int(traj.nodes[step]), " ".join(str(o) for o in off), float(speeds[step]))
-    with open(path, "w", newline="") as fh:
-        fh.write("step,node,offset,speed\n")
-        for step, node, off, speed in gen():
-            fh.write(f"{step},{node},{off},{fmt(speed)}\n")
+        for step, (node, k, speed) in enumerate(zip(traj.nodes, traj.offsets, traj.speeds)):
+            off = stencil.offsets[int(k)]
+            yield (step, int(node), " ".join(str(o) for o in off), float(speed))
+    write_csv(path, ["step", "node", "offset", "speed"], gen())
 
 
 def measure_to_csv(measure, path) -> None:

@@ -7,20 +7,18 @@ Lagrangian over closed measures recovers -c(H); the minimizers are the
 discrete Mather measures, and u0 is the cheapest mu-average of barrier rows
 over them.
 
-Two independent routes compute each quantity. The optimal value is the
-minimum mean cycle by Howard's policy iteration and the simplex, which must
-agree to 1e-8 on every builtin problem, one of the package's acceptance
-gates. u0 is the least mean of the barrier rows over the nodes of one
-critical cycle (the extreme Mather measures are the uniform measures on
-them) and the simplex over near-Mather measures at sampled targets.
-
-Both edge programs are closed at the vertex the critical graph implies:
-the extreme Mather measures are uniform measures on critical cycles, and
-`_certifies` checks that uniform measure against node potentials phi, the
-cycle's own prices extended by shortest paths to it, by weak duality on the
-kernel's own arrays, where c - yA of an edge is weights + phi(head) -
-phi(tail). Only when a check fails are the columns assembled and the dense
-simplex run, from a cold start. So the value stays a certificate rather
+Both edge programs, the Mather program (least mean Lbar over closed
+measures) and the u0 program (near-Mather measures at sampled targets),
+are closed at the vertex the critical graph implies: the extreme Mather
+measures are uniform measures on critical cycles, and `_certifies` checks
+that uniform measure against node potentials phi, the cycle's own prices
+extended by shortest paths to it, by weak duality on the kernel's own
+arrays, where c - yA of an edge is weights + phi(head) - phi(tail). The
+Mather value then matches Howard's minimum cycle mean to 1e-8, one of the
+package's acceptance gates, and u0 at the targets matches the least mean
+of the barrier rows over one critical cycle's nodes (`u0_critical_cycles`)
+to 1e-5. Only when a check fails are the columns assembled and the dense
+simplex run, from a cold start, so the value stays a certificate rather
 than a copy of the graph route.
 """
 

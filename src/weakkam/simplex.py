@@ -45,6 +45,7 @@ __all__ = ["CompressedColumns", "SimplexResult", "solve_standard_form"]
 _BLAND_TRIGGER = 2000  # degenerate-streak length before the entering rule falls back
 _REFACTOR_EVERY = 64   # rank-one updates between fresh inverses of the basis
 _FEAS_TOL = 1e-9       # reduced-cost, pivot-entry and degenerate-step tolerance
+_MAX_PIVOTS = 50_000   # pivot cap of each phase
 
 
 @dataclass(frozen=True)
@@ -141,7 +142,7 @@ def _lexico_leave(x_b, d, b_inv, rows, feas_tol):
     return int(tied[0])
 
 
-def _run(a, c, b_vec, basis, allowed, max_iter):
+def _run(a, c, b_vec, basis, allowed):
     """Phase-agnostic pivot loop; `basis` is updated in place.
 
     Columns past a.shape[1] are artificial: column n + i is the unit vector
@@ -171,8 +172,8 @@ def _run(a, c, b_vec, basis, allowed, max_iter):
             b_inv = _invert(a, basis)
             fresh = True
             continue
-        if pivots >= max_iter:
-            raise WeakKamError(f"simplex exceeded {max_iter} pivots")
+        if pivots >= _MAX_PIVOTS:
+            raise WeakKamError(f"simplex exceeded {_MAX_PIVOTS} pivots")
 
         if degenerate_run >= _BLAND_TRIGGER:
             j = int(candidates[0])
@@ -223,7 +224,6 @@ def solve_standard_form(
     a: np.ndarray | CompressedColumns,
     b: np.ndarray,
     c: np.ndarray,
-    max_iter: int = 50_000,
 ) -> SimplexResult:
     """Solve min c.x subject to Ax = b, x >= 0.
 
@@ -231,7 +231,8 @@ def solve_standard_form(
     artificial basis. Rows are sign-normalized so b >= 0; a redundant
     row surfaces as an artificial variable stuck at zero, which is accepted
     and barred from re-entering. A column enters when its reduced cost is
-    below -_FEAS_TOL; more than max_iter pivots raise WeakKamError.
+    below -_FEAS_TOL; more than _MAX_PIVOTS pivots in a phase raise
+    WeakKamError.
     """
     if not isinstance(a, CompressedColumns):
         a = CompressedColumns.from_dense(np.asarray(a, dtype=float))
@@ -252,7 +253,7 @@ def solve_standard_form(
     c1 = np.concatenate([np.zeros(n), np.ones(m)])
     work_basis = np.arange(n, n + m, dtype=np.int64)
     allowed = np.ones(n + m, dtype=bool)
-    x_b, y, its1 = _run(a, c1, b, work_basis, allowed, max_iter)
+    x_b, y, its1 = _run(a, c1, b, work_basis, allowed)
     residue = float(x_b[work_basis >= n].sum()) if (work_basis >= n).any() else 0.0
     if residue > 1e-7:
         raise InfeasibleError(f"phase-1 optimum {residue:.3e} > 0: program infeasible")
@@ -271,5 +272,5 @@ def solve_standard_form(
     # phase 2: artificials keep zero cost but may not re-enter
     c2 = np.concatenate([c, np.zeros(m)])
     allowed[n:] = False
-    x_b, y, its2 = _run(a, c2, b, work_basis, allowed, max_iter)
+    x_b, y, its2 = _run(a, c2, b, work_basis, allowed)
     return _package(c2, work_basis, x_b, y, its1 + its2, n)

@@ -30,11 +30,14 @@ class Problem:
         return self.stencil.tau
 
 
-def make_problem(n, potential=None, level=None, dim=1, drift=None, tau=None, k=None, alpha=None):
+def make_problem(n, potential=None, level=None, dim=1, drift=None, tau=None, k=None, alpha=None,
+                 spec=None):
+    """The problem of a mechanical potential, a transport drift, or a given
+    spec on the n^dim grid."""
     grid = wk.build_grid(dim, [n] * dim)
-    if drift is not None:
+    if spec is None and drift is not None:
         spec = wk.transport(drift, dim=dim)
-    else:
+    elif spec is None:
         spec = wk.mechanical(potential or wk.zero_potential(), dim=dim)
     if level is None:
         coords = grid.coordinates

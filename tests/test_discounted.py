@@ -1,10 +1,12 @@
 import itertools
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 import weakkam as wk
+from weakkam import action_barrier, discounted
 from weakkam.discounted import discounted_policy_iteration, discounted_sweeps
 from weakkam.errors import ConvergenceError, WeakKamError
 
@@ -137,9 +139,10 @@ class TestSolveDiscounted:
         assert (scaled >= lo - 1e-9).all()
         assert (scaled <= stay + 1e-9).all()
 
-    def test_residual_bounds_error(self, pendulum16):
+    def test_residual_bounds_error(self, pendulum16, monkeypatch):
         p = pendulum16
-        sol = wk.solve_discounted(p.grid, p.spec, 0.25, p.stencil, p.c_star, kernel=p.kernel, tol=1e-10)
+        monkeypatch.setattr(discounted, "_TOL", 1e-10)
+        sol = wk.solve_discounted(p.grid, p.spec, 0.25, p.stencil, p.c_star, kernel=p.kernel)
         one_more = discounted_sweeps(p.kernel, 0.25, 1, init=sol.values.values)
         assert np.abs(one_more - sol.values.values).max() <= 1e-10
 
@@ -155,19 +158,33 @@ class TestSolveDiscounted:
         identity = step + beta * u[k.pred_index[sol.policy, cols]]
         assert np.abs(identity - u).max() <= 4 * np.spacing(np.abs(u).max())
 
-    def test_uncertifiable_tol_raises(self, pendulum16):
+    def test_uncertifiable_tol_raises(self, pendulum16, monkeypatch):
         # the exact solve leaves a Bellman residual at the rounding of u
         p = pendulum16
+        monkeypatch.setattr(discounted, "_TOL", 1e-30)
         with pytest.raises(ConvergenceError) as err:
-            wk.solve_discounted(p.grid, p.spec, 0.05, p.stencil, p.c_star, kernel=p.kernel, tol=1e-30)
+            wk.solve_discounted(p.grid, p.spec, 0.05, p.stencil, p.c_star, kernel=p.kernel)
         assert 0.0 < err.value.residual <= 1e-15
         assert err.value.iterations >= 1
 
-    def test_max_iter_raises_with_residual(self, pendulum16):
+    def test_round_cap_raises(self, pendulum16, monkeypatch):
+        # the cap is read when the run starts
         p = pendulum16
-        with pytest.raises(ConvergenceError) as err:
-            wk.solve_discounted(p.grid, p.spec, 0.01, p.stencil, p.c_star, kernel=p.kernel, max_iter=3)
-        assert err.value.residual is not None and err.value.iterations == 3
+        monkeypatch.setattr(action_barrier, "_MAX_ROUNDS", 3)
+        with pytest.raises(ConvergenceError, match="discounted: .* cap of 3 rounds") as err:
+            wk.solve_discounted(p.grid, p.spec, 0.01, p.stencil, p.c_star, kernel=p.kernel)
+        assert err.value.iterations == 3
+
+    def test_residual_is_the_last_pass(self, pendulum16, monkeypatch):
+        # the residual is read off the last improvement pass: no extra Bellman sweep
+        p = pendulum16
+        ref = wk.solve_discounted(p.grid, p.spec, 0.05, p.stencil, p.c_star, kernel=p.kernel)
+        calls = []
+        monkeypatch.setattr(discounted, "discounted_sweeps", lambda *a, **k: calls.append(a))
+        sol = wk.solve_discounted(p.grid, p.spec, 0.05, p.stencil, p.c_star, kernel=p.kernel)
+        assert calls == []
+        one_more = discounted_sweeps(p.kernel, 0.05, 1, init=sol.values.values)
+        assert sol.residual == ref.residual == float(np.abs(one_more - sol.values.values).max())
 
     @pytest.mark.parametrize("lam", [0.0, 1e-300])
     def test_lambda_without_discount_rejected(self, pendulum16, lam):
@@ -188,12 +205,52 @@ class TestSolveDiscounted:
                 assert np.abs(got - oracle).max() <= 1e-12
 
 
+# case -> ((grid, stencil) of pendulum16 with one of them changed, text the error names)
+KERNEL_MISMATCHES = {
+    "grid": (lambda p: (wk.build_grid(1, [32]), p.stencil), "grid"),
+    "tau": (lambda p: (p.grid, replace(p.stencil, tau=0.5 * p.stencil.tau)), "stencil"),
+    "offsets": (lambda p: (p.grid, replace(p.stencil, offsets=p.stencil.offsets[1:])), "stencil"),
+}
+
+
+class TestKernelMismatch:
+    """A given kernel is refused when it was built for other arguments than
+    the ones its solution is recorded under."""
+
+    @pytest.mark.parametrize("case", sorted(KERNEL_MISMATCHES))
+    def test_solve_refuses(self, pendulum16, case):
+        p = pendulum16
+        other, named = KERNEL_MISMATCHES[case]
+        grid, stencil = other(p)
+        with pytest.raises(WeakKamError, match=named):
+            wk.solve_discounted(grid, p.spec, 0.1, stencil, p.c_star, kernel=p.kernel)
+
+    def test_solve_refuses_another_shift(self, pendulum16):
+        p = pendulum16
+        with pytest.raises(WeakKamError, match="shift c = "):
+            wk.solve_discounted(p.grid, p.spec, 0.1, p.stencil, 0.0, kernel=p.kernel)
+
+    @pytest.mark.parametrize("case", sorted(KERNEL_MISMATCHES))
+    def test_table_refuses(self, pendulum16, case):
+        p = pendulum16
+        other, named = KERNEL_MISMATCHES[case]
+        grid, stencil = other(p)
+        with pytest.raises(WeakKamError, match=named):
+            wk.critical_value_estimate(grid, p.spec, stencil, [0.2, 0.1, 0.05], kernel=p.kernel0)
+
+    def test_table_refuses_a_shifted_kernel(self, pendulum16):
+        p = pendulum16
+        assert p.kernel.c != 0.0
+        with pytest.raises(WeakKamError, match="shift c = "):
+            wk.critical_value_estimate(p.grid, p.spec, p.stencil, [0.2, 0.1, 0.05], kernel=p.kernel)
+
+
 class TestPolicyIteration:
     @pytest.mark.parametrize("name", ["pendulum16", "free32", "transport8", "cos4x4"])
     @pytest.mark.parametrize("lam", [0.2, 0.025])
     def test_matches_converged_value_iteration(self, request, name, lam):
         p = request.getfixturevalue(name)
-        u, _, rounds = discounted_policy_iteration(p.kernel0, lam)
+        u, _, rounds, _ = discounted_policy_iteration(p.kernel0, lam)
         oracle = converged_sweeps(p.kernel0, lam)
         assert rounds >= 1
         assert np.abs(u - oracle).max() <= 1e-10
@@ -201,10 +258,11 @@ class TestPolicyIteration:
         sol = wk.solve_discounted(p.grid, p.spec, lam, p.stencil, p.c_star, kernel=p.kernel)
         assert np.abs(sol.values.values - converged_sweeps(p.kernel, lam)).max() <= 1e-12
 
-    def test_max_iter_raises(self, pendulum16):
+    def test_round_cap_raises(self, pendulum16, monkeypatch):
         p = pendulum16
-        with pytest.raises(ConvergenceError) as err:
-            wk.critical_value_estimate(p.grid, p.spec, p.stencil, [0.2, 0.1, 0.05], max_iter=1)
+        monkeypatch.setattr(action_barrier, "_MAX_ROUNDS", 1)
+        with pytest.raises(ConvergenceError, match="cap of 1 rounds") as err:
+            wk.critical_value_estimate(p.grid, p.spec, p.stencil, [0.2, 0.1, 0.05])
         assert err.value.iterations == 1
 
     def test_rounds_recorded_per_lambda(self, pendulum16, free32):
@@ -290,9 +348,10 @@ class TestCalibration:
         traj = wk.backward_trajectory(sol, 3, 25)
         assert wk.calibration_residual(sol, traj) == 0.0
 
-    def test_policy_trajectory_telescopes(self, pendulum16):
+    def test_policy_trajectory_telescopes(self, pendulum16, monkeypatch):
         p = pendulum16
-        sol = wk.solve_discounted(p.grid, p.spec, 0.05, p.stencil, p.c_star, kernel=p.kernel, tol=1e-10)
+        monkeypatch.setattr(discounted, "_TOL", 1e-10)
+        sol = wk.solve_discounted(p.grid, p.spec, 0.05, p.stencil, p.c_star, kernel=p.kernel)
         n_steps = 60
         traj = wk.backward_trajectory(sol, 8, n_steps)
         # values is the exact value of the policy: each step holds to rounding
@@ -300,9 +359,10 @@ class TestCalibration:
         ulp = np.spacing(np.abs(sol.values.values).max())
         assert abs(wk.calibration_residual(sol, traj)) <= n_steps * ulp
 
-    def test_perturbed_trajectory_dominates(self, pendulum16):
+    def test_perturbed_trajectory_dominates(self, pendulum16, monkeypatch):
         p = pendulum16
-        sol = wk.solve_discounted(p.grid, p.spec, 0.05, p.stencil, p.c_star, kernel=p.kernel, tol=1e-10)
+        monkeypatch.setattr(discounted, "_TOL", 1e-10)
+        sol = wk.solve_discounted(p.grid, p.spec, 0.05, p.stencil, p.c_star, kernel=p.kernel)
         n_steps = 12
         traj = wk.backward_trajectory(sol, 8, n_steps)
         # overwrite one step with a deliberately different offset
@@ -338,11 +398,12 @@ class TestOccupationMeasure:
         assert occ.offset_ids.tolist() == [free32.stencil.zero_index]
         assert occ.weights[0] == pytest.approx(1.0, abs=1e-12)
 
-    def test_exact_value_identity(self, pendulum16):
+    def test_exact_value_identity(self, pendulum16, monkeypatch):
         # sum_i w_i (Lbar_i + c) = lambda (u(x0) - beta^N u(x_N)) / (1 - beta^N)
         p = pendulum16
         lam = 0.05
-        sol = wk.solve_discounted(p.grid, p.spec, lam, p.stencil, p.c_star, kernel=p.kernel, tol=1e-12)
+        monkeypatch.setattr(discounted, "_TOL", 1e-12)
+        sol = wk.solve_discounted(p.grid, p.spec, lam, p.stencil, p.c_star, kernel=p.kernel)
         occ = wk.discounted_occupation_measure(sol, 8)
         edge_vals = p.kernel.edge_lagrangian + p.c_star
         lhs = float(np.sum(edge_vals[occ.offset_ids, occ.tails] * occ.weights))

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 import weakkam as wk
+from weakkam import action_barrier
 from weakkam.action_barrier import _min_cycle_mean, tight_subgraph
 from weakkam.errors import ConvergenceError, EmptyAubryError, WeakKamError
 from weakkam.mather import (_certifies, _cycle_potentials, _edge_columns, _reduced_costs,
@@ -443,6 +444,61 @@ class TestTreeCertificate:
             assert not _certifies(kernel, weights, cycle, phi)
 
 
+def drifting_table32():
+    """H = p^2/2 + w(x) p, w = 0.5 + 0.3 cos 2 pi x, tabulated on 32 nodes and
+    481 momenta in [-12, 12]: not reversible, so L(x, v) != L(x, -v)."""
+    grid = wk.build_grid(1, [32])
+    momenta = np.linspace(-12.0, 12.0, 481)
+    w = 0.5 + 0.3 * np.cos(2.0 * np.pi * grid.coordinates[:, 0])
+    return make_problem(32, spec=wk.tabulated(grid, momenta, 0.5 * momenta**2 + np.outer(w, momenta)))
+
+
+class TestDenseFallback:
+    def test_u0_program_on_a_nonreversible_table(self):
+        # with no weight on the budget row the cycle's potentials price some
+        # edge of every target's program below -0.03, so each target runs the
+        # dense simplex (2,368 pivots in all)
+        p = drifting_table32()
+        kernel, n = p.kernel, p.grid.num_nodes
+        h = wk.peierls_barrier(kernel)
+        u0 = wk.compute_u0(h, kernel, p.c_star, 1e-6, np.arange(n))
+        assert u0.dense_solves == n and u0.pivots > 0
+        u_ref, ub_ref = dense_u0_columns(kernel, -p.c_star + 1e-6)
+        for t, value in enumerate(u0.values):
+            assert value == pytest.approx(highs(u_ref, ub_ref, u0_objective(h, kernel, t)), abs=1e-9)
+        assert np.abs(u0.values - wk.u0_critical_cycles(h).values).max() <= 1e-5
+
+
+class TestLargeAmplitude:
+    """Under _certifies' absolute 1e-9, Howard's terminal bias stops being a
+    Mather certificate once max|bias| reaches ~1e9: its reduced costs, summed
+    in another order than Howard's own test, go to -2.4e-7 at cosine 16x16,
+    a = 1e4, and -1.5e-5 at pendulum n=200, a = 1e6. The cycle's potentials
+    still close both edge programs there, and the Mather class stays the
+    potential's maximum."""
+
+    BUILD = {
+        "cosine16x16": lambda: make_problem(16, wk.cosine_potential([1e4, 1e4], [1.0, 1.0]), dim=2),
+        "pendulum200": lambda: make_problem(200, wk.cosine_potential([1e6], [1.0])),
+    }
+
+    @pytest.mark.parametrize("name", sorted(BUILD))
+    def test_potentials_close_where_howards_bias_does_not(self, name):
+        p = self.BUILD[name]()
+        kernel = p.kernel
+        pred = kernel.pred_index
+        mean, bias = _min_cycle_mean(np.take_along_axis(kernel.edge_lagrangian, pred, axis=1), pred)
+        graph = tight_subgraph(kernel)
+        assert not _certifies(kernel, kernel.edge_lagrangian - mean, graph.cycles[0], -bias)
+        assert graph.classes == [[0]]
+        lp = wk.solve_mather_lp(kernel, tight=graph)
+        assert lp.dense_solves == 0 and lp.value == mean
+        h = wk.peierls_barrier(kernel, tight=graph)
+        targets = np.linspace(0, kernel.num_nodes - 1, 8).astype(np.int64)
+        u0 = wk.compute_u0(h, kernel, p.c_star, 1e-6, targets)
+        assert u0.dense_solves == 0 and u0.pivots == 0
+
+
 class TestMinMeanCycle:
     def test_free_particle_self_loop(self, free32):
         mean, cycle = wk.min_mean_cycle(free32.kernel0)
@@ -508,14 +564,16 @@ class TestHowardMean:
         assert mean == kernel.edge_lagrangian[loop].min()
         assert karp_mean(kernel) > mean
 
-    def test_round_cap_raises(self, pendulum8):
+    def test_round_cap_raises(self, pendulum8, monkeypatch):
         # the first policy of pendulum8 is not optimal: one round cannot end
         kernel = pendulum8.kernel0
         pred = kernel.pred_index
         lag_in = np.take_along_axis(kernel.edge_lagrangian, pred, axis=1)
-        with pytest.raises(ConvergenceError, match="max_rounds=1"):
-            _min_cycle_mean(lag_in, pred, max_rounds=1)
-        assert _min_cycle_mean(lag_in, pred, max_rounds=2)[0] == -1.0
+        monkeypatch.setattr(action_barrier, "_MAX_ROUNDS", 1)
+        with pytest.raises(ConvergenceError, match="minimum mean cycle: .* cap of 1 rounds"):
+            _min_cycle_mean(lag_in, pred)
+        monkeypatch.setattr(action_barrier, "_MAX_ROUNDS", 2)
+        assert _min_cycle_mean(lag_in, pred)[0] == -1.0
 
     @pytest.mark.parametrize(
         "name", ["pendulum8", "random_table8", "transport8", "cosine4x4"]
