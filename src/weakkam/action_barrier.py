@@ -117,20 +117,20 @@ def build_kernel(
     coords = grid.coordinates
     idx = np.arange(n, dtype=np.int64)
 
-    lagr_tail = np.empty((m, n))
+    # filled in place, one offset at a time: L at the heads is gathered from L
+    # at the tails, so no (m, n) array of L and no (m, n) temporary is made
+    edge_lagrangian = np.empty((m, n))
     head_index = np.empty((m, n), dtype=np.int64)
-    for k, off in enumerate(stencil.offsets):
-        head_index[k] = grid.shift_indices(idx, off)
-        v = np.broadcast_to(stencil.velocities[k], (n, grid.dim))
-        lagr_tail[k] = eval_lagrangian(spec, coords, v)
-
-    lagr_head = np.take_along_axis(lagr_tail, head_index, axis=1)
-    edge_lagrangian = 0.5 * (lagr_tail + lagr_head)
-    costs = stencil.tau * (edge_lagrangian + c)
-
     pred_index = np.empty((m, n), dtype=np.int64)
     for k, off in enumerate(stencil.offsets):
+        head_index[k] = grid.shift_indices(idx, off)
         pred_index[k] = grid.shift_indices(idx, tuple(-o for o in off))
+        v = np.broadcast_to(stencil.velocities[k], (n, grid.dim))
+        lagr_tail = eval_lagrangian(spec, coords, v)
+        np.add(lagr_tail, lagr_tail[head_index[k]], out=edge_lagrangian[k])
+    edge_lagrangian *= 0.5
+    costs = edge_lagrangian + c
+    costs *= stencil.tau
 
     return ActionKernel(
         grid=grid,
@@ -178,18 +178,22 @@ class BarrierMatrix:
 
 
 def minplus_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """(min, +) matrix product; +inf encodes a missing edge."""
+    """(min, +) matrix product; +inf encodes a missing edge. The result starts
+    as the first term with a finite entry in a's column; later terms share one buffer."""
     n = a.shape[1]
     if b.shape[0] != n:
         raise WeakKamError("inner dimensions do not match")
-    out = np.full((a.shape[0], b.shape[1]), np.inf)
+    out = term = None
     for k in range(n):
         col = a[:, k]
-        finite = np.isfinite(col)
-        if not finite.any():
+        if not np.isfinite(col).any():
             continue
-        np.minimum(out, col[:, None] + b[k, :][None, :], out=out)
-    return out
+        if out is None:
+            out = col[:, None] + b[k, :][None, :]
+        else:
+            term = np.add(col[:, None], b[k, :][None, :], out=term)
+            np.minimum(out, term, out=out)
+    return np.full((a.shape[0], b.shape[1]), np.inf) if out is None else out
 
 
 def minplus_power(kernel: ActionKernel, n: int) -> BarrierMatrix:
@@ -238,6 +242,8 @@ _IMPROVE_RTOL = 1e-14
 # round cap of every Howard run, read when it starts; the shipped configs take
 # at most 10 rounds, pendulum n=1000 down to lambda = 1e-7 takes 15
 _MAX_ROUNDS = 1000
+# columns per block of _argmin, which bounds the transposed copy argmin(axis=0) makes
+_ARGMIN_COLS = 64
 
 
 def _howard_rounds(what: str):
@@ -247,12 +253,20 @@ def _howard_rounds(what: str):
                            "with a node still improving", iterations=_MAX_ROUNDS)
 
 
+def _argmin(q: np.ndarray) -> np.ndarray:
+    """q.argmin(axis=0), ties to the lowest index, one block of columns at a time."""
+    best = np.empty(q.shape[1], dtype=np.intp)
+    for j in range(0, q.shape[1], _ARGMIN_COLS):
+        q[:, j:j + _ARGMIN_COLS].argmin(axis=0, out=best[j:j + _ARGMIN_COLS])
+    return best
+
+
 def _improve(q: np.ndarray, policy: np.ndarray, scale: float) -> np.ndarray | None:
     """Howard's improvement step on in-edge values q (offset by node): a node
     moves to its argmin, ties to the lowest index, only on a gain above
     _IMPROVE_RTOL * scale, so exact ties keep the incumbent; None if none gains."""
     cols = np.arange(q.shape[1])
-    best = q.argmin(axis=0)
+    best = _argmin(q)
     better = q[policy, cols] - q[best, cols] > _IMPROVE_RTOL * scale
     return np.where(better, best, policy) if better.any() else None
 
@@ -310,17 +324,23 @@ def _min_cycle_mean(lag_in: np.ndarray, pred: np.ndarray) -> tuple[float, np.nda
     nothing to improve; ConvergenceError after _MAX_ROUNDS. Returns the mean,
     that of an actual cycle of the graph, and the last round's bias, which
     then meets bias(head) <= Lbar - mean + bias(tail) on every edge to within
-    _IMPROVE_RTOL * max|bias|.
+    _IMPROVE_RTOL * max|bias|. The rounds reuse two (m, n) buffers.
     """
-    policy = lag_in.argmin(axis=0)
+    policy = _argmin(lag_in)
+    gathered, q = np.empty_like(lag_in), np.empty_like(lag_in)
+    off_mean = np.empty(lag_in.shape, dtype=bool)
     for _ in _howard_rounds("minimum mean cycle"):
         eta, bias = _evaluate_cycle_policy(lag_in, pred, policy)
         # gains are measured against each node's own in-edge, so a cycle's
         # root, whose bias is 0 by definition, never switches on rounding
-        eta_in = eta[pred]
+        eta_in = np.take(eta, pred, out=gathered, mode="clip")
         improved = _improve(eta_in, policy, np.abs(eta).max())
         if improved is None:
-            q = np.where(eta_in == eta, lag_in - eta + bias[pred], np.inf)
+            # q = lag_in - eta + bias[pred] on in-edges from tails of equal mean, else inf
+            np.not_equal(eta_in, eta, out=off_mean)
+            np.subtract(lag_in, eta, out=q)
+            q += np.take(bias, pred, out=gathered, mode="clip")
+            np.copyto(q, np.inf, where=off_mean)
             improved = _improve(q, policy, np.abs(bias).max())
             if improved is None:
                 return float(eta.min()), bias
@@ -399,7 +419,11 @@ def tight_subgraph(kernel: ActionKernel) -> CriticalGraph:
     pred, heads = kernel.pred_index, kernel.head_index
     lag_in = np.take_along_axis(kernel.edge_lagrangian, pred, axis=1)
     mean, bias = _min_cycle_mean(lag_in, pred)
-    tight = bias + (kernel.edge_lagrangian - mean) - bias[heads] <= 1e-9  # by tail
+    # the slack, by tail, goes into lag_in, which Howard is done with
+    at_head = np.take(bias, heads, mode="clip")
+    slack = np.subtract(kernel.edge_lagrangian, mean, out=lag_in)
+    slack += bias
+    tight = np.subtract(slack, at_head, out=slack) <= 1e-9
 
     adj: list[list[int]] = [[] for _ in range(n)]
     tails, ks = np.nonzero(tight.T)  # by tail, then offset
@@ -409,10 +433,11 @@ def tight_subgraph(kernel: ActionKernel) -> CriticalGraph:
     if not classes:
         raise WeakKamError("no tight cycle found; potentials failed to stabilize")
 
-    label = np.full(n, -1)
+    label = np.full(n, -1.0)  # class index per node, a float to share at_head
     for i, cls in enumerate(classes):
         label[cls] = i
-    first = np.argmax(tight & (label[heads] == label), axis=0)
+    tight &= np.take(label, heads, out=at_head, mode="clip") == label
+    first = np.argmax(tight, axis=0)
     succ = heads[first, np.arange(n)].tolist()
     cycles = []
     for cls in classes:
@@ -481,13 +506,16 @@ def peierls_barrier(kernel: ActionKernel, tight: CriticalGraph | None = None) ->
     graph = tight_subgraph(kernel) if tight is None else tight
     reps = np.array([cls[0] for cls in graph.classes], dtype=np.int64)
     reduced = replace(kernel, costs=kernel.costs - tau * (graph.mean + kernel.c))
-    # the reversed graph: edge x -> pred_k(x) carries the cost of pred_k(x) -> x
+    # the reversed graph: edge x -> pred_k(x) carries the cost of pred_k(x) -> x,
+    # and as pred_k(head_k(y)) = y its in-edge costs are the reduced costs
     reverse = replace(
         reduced, costs=reduced.costs_by_head(),
         head_index=kernel.pred_index, pred_index=kernel.head_index,
     )
+    reverse.__dict__["_costs_by_head"] = reduced.costs
     from_rep, rounds_from = _distances(reduced, reps)   # d(r, x)
     to_rep, rounds_to = _distances(reverse, reps)       # d(y, r), row r
+    del reduced, reverse  # their cost arrays go before the step and the product
     stepped = barrier_step(kernel, from_rep)
     finite = np.isfinite(from_rep)
     residual = float(np.abs(stepped[finite] - from_rep[finite]).max())

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .action_barrier import ActionKernel, _howard_rounds, _improve, build_kernel
+from .action_barrier import ActionKernel, _argmin, _howard_rounds, _improve, build_kernel
 from .errors import ConvergenceError, WeakKamError
 from .models import GridFunction, LagrangianSpec, TorusGrid, VelocityStencil
 
@@ -131,10 +131,14 @@ def discounted_policy_iteration(
     cost_in = (1.0 - beta) / (lam * tau) * kernel.costs_by_head()
     pred = kernel.pred_index
     cols = np.arange(kernel.num_nodes)
-    policy = cost_in.argmin(axis=0)
+    policy = _argmin(cost_in)
+    q = np.empty_like(cost_in)
     for rounds in _howard_rounds("discounted"):
         u = _evaluate_policy(cost_in[policy, cols], pred[policy, cols], beta)
-        q = cost_in + beta * u[pred]
+        # q = cost_in + beta * u[pred], in one buffer for every round
+        np.take(u, pred, out=q, mode="clip")
+        q *= beta
+        q += cost_in
         improved = _improve(q, policy, np.abs(u).max())
         if improved is None:
             # q.min(axis=0) is the Bellman operator T u, one discounted_sweeps step
@@ -165,19 +169,22 @@ def solve_discounted(
     Runs `discounted_policy_iteration`. The Bellman operator T is a
     beta-contraction, so the residual r = max|Tu - u| of its last pass bounds
     the distance to the true fixed point by r/(1-beta); a residual above
-    _TOL*(1-beta) raises ConvergenceError. The policy is the terminal one,
-    whose exact value is u. A given kernel must be that of grid and stencil
-    at shift c; it is built here when None.
+    tol*(1-beta) raises ConvergenceError. tol is _TOL, or 4 ulps of max(1,
+    max|u|), the rounding of the exact u, over (1-beta) where that is more.
+    The policy is the terminal one, whose exact value is u. A given kernel
+    must be that of grid and stencil at shift c; it is built here when None.
     """
     if kernel is None:
         kernel = build_kernel(grid, spec, stencil, c)
     _check_kernel(kernel, grid, stencil, c)
     u, policy, rounds, residual = discounted_policy_iteration(kernel, lam)
-    threshold = _TOL * (1.0 - math.exp(-lam * stencil.tau))
+    gap = 1.0 - math.exp(-lam * stencil.tau)
+    tol = max(_TOL, 4 * np.finfo(float).eps * max(1.0, float(np.abs(u).max())) / gap)
+    threshold = tol * gap
     if not residual <= threshold:
         raise ConvergenceError(
             f"policy iteration stopped at Bellman residual {residual:.3e} above "
-            f"tol*(1-beta) = {threshold:.3e}; at this lambda tol is below the rounding of u",
+            f"tol*(1-beta) = {threshold:.3e}",
             residual=residual,
             iterations=rounds,
         )
@@ -189,7 +196,7 @@ def solve_discounted(
         policy=policy.astype(np.int64),
         iterations=rounds,
         residual=residual,
-        tol=_TOL,
+        tol=tol,
         kernel=kernel,
     )
 

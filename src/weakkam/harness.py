@@ -15,6 +15,7 @@ import argparse
 import json
 import math
 import os
+import resource
 import sys
 import time
 from dataclasses import asdict, dataclass, field, fields, replace
@@ -348,16 +349,19 @@ class _Run:
         self.config = config.validate()
         self.out = os.fspath(out_dir or self.config.output_dir)
         self.timings: dict[str, float] = {}
+        self.rss_growth: dict[str, float] = {}  # MB each stage raised the peak RSS by
         self._solutions = {}
 
     def _timed(self, name, fn):
-        start = time.perf_counter()
+        start, peak = time.perf_counter(), resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
         try:
             return fn()
         except WeakKamError as exc:
             raise WeakKamError(f"[stage {name}] {exc}") from exc
         finally:
             self.timings[name] = self.timings.get(name, 0.0) + time.perf_counter() - start
+            grown = (resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - peak) / 1024  # KiB
+            self.rss_growth[name] = self.rss_growth.get(name, 0.0) + grown
 
     def write(self, name, writer):
         """Call writer(path) for the artifact called name in the output directory."""
@@ -456,7 +460,8 @@ class _Run:
             graph = tight_subgraph(kernel0)
             mean, cycle = min_mean_cycle(kernel0, tight=graph)
             c = -mean
-            costs = stencil.tau * (kernel0.edge_lagrangian + c)
+            costs = kernel0.edge_lagrangian + c
+            costs *= stencil.tau
             return replace(kernel0, c=float(c), costs=costs), cycle, graph
 
         return self._timed("kernel", critical_kernel)
@@ -615,7 +620,7 @@ class _Run:
         self.write("report.json", lambda path: io.write_json(path, report.to_dict()))
         from . import import_s  # bound once the package has finished loading
 
-        timings = {"import_s": import_s, "stages": self.timings}
+        timings = {"import_s": import_s, "stages": self.timings, "rss_growth_mb": self.rss_growth}
         self.write("timings.json", lambda path: io.write_json(path, timings))
         return report
 

@@ -166,8 +166,11 @@ def _cycle_potentials(kernel: ActionKernel, weights: np.ndarray, cycle: np.ndarr
         phi[t] = weights[k, t] + phi[heads[k, t]]
     free = np.ones(n, dtype=bool)
     free[cyc_t] = False
+    at_head = np.empty(heads.shape)  # weights + phi(head), one buffer for every round
     for _ in range(n):
-        best = (weights + phi[heads]).min(axis=0)
+        np.take(phi, heads, out=at_head, mode="clip")
+        at_head += weights
+        best = at_head.min(axis=0)
         better = free & (best < phi)
         if not better.any():
             break
@@ -182,7 +185,10 @@ def _reduced_costs(kernel: ActionKernel, weights: np.ndarray, phi: np.ndarray) -
     at y = phi - phi[n - 1] on the conservation rows, value on the mass row
     and 0 on the budget row.
     """
-    return weights + phi[kernel.head_index] - phi
+    reduced = np.take(phi, kernel.head_index)
+    reduced += weights
+    reduced -= phi
+    return reduced
 
 
 def _certifies(kernel: ActionKernel, weights, cycle, phi, slack: float = 0.0) -> bool:

@@ -7,6 +7,7 @@ acceptance suite.
 
 from __future__ import annotations
 
+import tracemalloc
 from dataclasses import dataclass
 
 import numpy as np
@@ -55,6 +56,21 @@ def make_problem(n, potential=None, level=None, dim=1, drift=None, tau=None, k=N
         grid=grid, spec=spec, bounds=bounds, stencil=stencil,
         c_star=c_star, kernel=kernel, kernel0=kernel0,
     )
+
+
+# what a peak bound allows beyond its (m, n) arrays: numpy's 64 kB ufunc
+# buffer and the O(n) lists; one (m, n) float array of pendulum200 is 315 kB
+PEAK_SLACK = 96 * 1024
+
+
+def traced_peak(fn, *args) -> int:
+    """Peak bytes allocated while fn(*args) runs, above what was live before."""
+    tracemalloc.start()
+    try:
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 def pendulum_potential():

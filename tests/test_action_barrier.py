@@ -15,7 +15,8 @@ from weakkam.action_barrier import barrier_step
 from weakkam.errors import EmptyAubryError, WeakKamError
 from weakkam.harness import _Run, load_config
 
-from conftest import make_problem, maupertuis_barrier, pendulum_potential, two_well_potential
+from conftest import (PEAK_SLACK, make_problem, maupertuis_barrier, pendulum_potential,
+                      traced_peak, two_well_potential)
 
 
 def brute_force_h(kernel, steps):
@@ -72,6 +73,89 @@ class TestKernel:
         assert not by_head.flags.writeable
 
 
+def kernel_inputs(name, request):
+    """(grid, spec, stencil, c) of a fixture, or of a 3-node torus whose
+    stencil reaches every node and lists the offset +1 twice, so two offsets
+    share every head."""
+    if name != "aliased3":
+        p = request.getfixturevalue(name)
+        return p.grid, p.spec, p.stencil, p.c_star
+    grid = wk.build_grid(1, [3])
+    spec = wk.mechanical(pendulum_potential())
+    s = wk.make_stencil(grid, 0.25, 1.0, k=1)
+    stencil = wk.VelocityStencil(s.tau, s.offsets + ((1,),),
+                                 np.vstack([s.velocities, s.velocities[-1:]]), s.alpha)
+    return grid, spec, stencil, 0.75
+
+
+class TestKernelBuild:
+    @pytest.mark.parametrize("name", ["pendulum16", "cos2d", "aliased3"])
+    def test_matches_the_whole_array_expression_bitwise(self, name, request):
+        # the in-place build, one offset at a time, against Lbar = 0.5*(L(tail) +
+        # L(head)) and costs = tau*(Lbar + c) evaluated on whole (m, n) arrays of L
+        grid, spec, stencil, c = kernel_inputs(name, request)
+        kernel = wk.build_kernel(grid, spec, stencil, c)
+        n, idx, offsets = grid.num_nodes, np.arange(grid.num_nodes), stencil.offsets
+        lagr = np.stack([
+            wk.eval_lagrangian(spec, grid.coordinates, np.broadcast_to(v, (n, grid.dim)))
+            for v in stencil.velocities
+        ])
+        heads = np.stack([grid.shift_indices(idx, off) for off in offsets])
+        preds = np.stack([grid.shift_indices(idx, tuple(-o for o in off)) for off in offsets])
+        lbar = 0.5 * (lagr + np.take_along_axis(lagr, heads, axis=1))
+        assert kernel.edge_lagrangian.tobytes() == lbar.tobytes()
+        assert kernel.costs.tobytes() == (stencil.tau * (lbar + c)).tobytes()
+        np.testing.assert_array_equal(kernel.head_index, heads)
+        np.testing.assert_array_equal(kernel.pred_index, preds)
+        if name == "aliased3":
+            np.testing.assert_array_equal(kernel.head_index[-1], kernel.head_index[-2])
+
+
+class TestArgmin:
+    @pytest.mark.parametrize("cols", [1, 7, 64, 1000])
+    def test_matches_argmin_on_lattice_ties(self, cols, monkeypatch):
+        # values on a lattice of quarters tie in nearly every column; the lowest
+        # index wins, whatever the block size
+        monkeypatch.setattr(action_barrier, "_ARGMIN_COLS", cols)
+        rng = np.random.default_rng(cols)
+        q = rng.integers(-2, 3, size=(9, 150)) / 4.0
+        q[rng.random(q.shape) < 0.1] = np.inf
+        q[:, 5] = 0.25
+        q[:, 7] = np.inf
+        got = action_barrier._argmin(q)
+        assert got.dtype == np.intp
+        np.testing.assert_array_equal(got, q.argmin(axis=0))
+
+
+class TestPeakAllocation:
+    """tracemalloc peaks of the stages that read the kernel, as inputs + outputs
+    + k (m, n) float arrays of 8*m*n bytes: a reintroduced (m, n) temporary
+    fails the bound."""
+
+    def test_build_kernel_allocates_its_four_arrays(self, pendulum200):
+        p = pendulum200
+        m, n = p.kernel.num_offsets, p.kernel.num_nodes
+        peak = traced_peak(wk.build_kernel, p.grid, p.spec, p.stencil, p.c_star)
+        assert peak <= 4 * 8 * m * n + PEAK_SLACK
+
+    def test_tight_subgraph_holds_three_arrays(self, pendulum200):
+        # lag_in and Howard's two buffers, its bool mask and one argmin block
+        kernel = pendulum200.kernel
+        m, n = kernel.num_offsets, kernel.num_nodes
+        bound = 3 * 8 * m * n + m * n + 8 * m * action_barrier._ARGMIN_COLS + PEAK_SLACK
+        assert traced_peak(action_barrier.tight_subgraph, kernel) <= bound
+
+    def test_peierls_barrier_holds_three_arrays(self, pendulum200):
+        # the two reduced cost arrays and barrier_step's buffer; the n x n values
+        # (8 n^2 < 3 arrays here) are made once the cost arrays are released
+        kernel = replace(pendulum200.kernel)  # a fresh cache, filled as an input
+        kernel.costs_by_head()
+        m, n = kernel.num_offsets, kernel.num_nodes
+        graph = action_barrier.tight_subgraph(kernel)
+        assert 8 * n * n < 3 * 8 * m * n
+        assert traced_peak(wk.peierls_barrier, kernel, graph) <= 3 * 8 * m * n + PEAK_SLACK
+
+
 class TestMinPlus:
     def test_power_one_is_kernel(self, pendulum16):
         h1 = wk.minplus_power(pendulum16.kernel, 1)
@@ -110,6 +194,21 @@ class TestMinPlus:
         h2 = wk.minplus_power(k, 2).values
         bound = wk.minplus_product(h1, h1)
         assert (h2 <= bound + 1e-12).all()
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_product_is_the_running_min_from_inf_bitwise(self, seed):
+        # the product starts from its first term with a finite entry in a's column
+        rng = np.random.default_rng(seed)
+        a, b = rng.normal(size=(6, 5)), rng.normal(size=(5, 4))
+        a[rng.random(a.shape) < 0.3] = np.inf
+        a[:, 0] = np.inf
+        b[rng.random(b.shape) < 0.3] = np.inf
+        want = np.full((6, 4), np.inf)
+        for k in range(5):
+            np.minimum(want, a[:, k, None] + b[k], out=want)
+        assert wk.minplus_product(a, b).tobytes() == want.tobytes()
+        nothing = wk.minplus_product(np.full((6, 5), np.inf), b)
+        assert nothing.tobytes() == np.full((6, 4), np.inf).tobytes()
 
     @given(st.integers(0, 1000))
     @settings(max_examples=25, deadline=None)

@@ -10,7 +10,7 @@ from weakkam import action_barrier, discounted
 from weakkam.discounted import discounted_policy_iteration, discounted_sweeps
 from weakkam.errors import ConvergenceError, WeakKamError
 
-from conftest import make_problem, pendulum_potential
+from conftest import PEAK_SLACK, make_problem, pendulum_potential, traced_peak
 
 
 def brute_force_discounted(kernel, lam, steps):
@@ -159,13 +159,30 @@ class TestSolveDiscounted:
         assert np.abs(identity - u).max() <= 4 * np.spacing(np.abs(u).max())
 
     def test_uncertifiable_tol_raises(self, pendulum16, monkeypatch):
-        # the exact solve leaves a Bellman residual at the rounding of u
+        # a Bellman residual above tol*(1-beta) raises; the exact solve's sits at
+        # the rounding of u, so a larger one is planted
         p = pendulum16
-        monkeypatch.setattr(discounted, "_TOL", 1e-30)
-        with pytest.raises(ConvergenceError) as err:
+        solve = discounted_policy_iteration
+        monkeypatch.setattr(discounted, "discounted_policy_iteration",
+                            lambda kernel, lam: (*solve(kernel, lam)[:3], 1e-9))
+        with pytest.raises(ConvergenceError, match="residual 1.000e-09 above") as err:
             wk.solve_discounted(p.grid, p.spec, 0.05, p.stencil, p.c_star, kernel=p.kernel)
-        assert 0.0 < err.value.residual <= 1e-15
+        assert err.value.residual == 1e-9
         assert err.value.iterations >= 1
+
+    @pytest.mark.parametrize("lam", [3e-7, 1e-7])
+    def test_tol_floors_at_the_rounding_of_u(self, pendulum200, lam):
+        # at these lambda 1e-8*(1-beta) is below the residual of the exact solve,
+        # 2.2e-16; tol is then 4 ulps of max(1, max|u|) over (1-beta), still certified
+        p = pendulum200
+        sol = wk.solve_discounted(p.grid, p.spec, lam, p.stencil, p.c_star, kernel=p.kernel)
+        gap = 1.0 - sol.beta
+        assert 0.0 < sol.residual <= sol.tol * gap
+        floor = 4 * np.finfo(float).eps * max(1.0, np.abs(sol.values.values).max())
+        assert sol.tol == floor / gap > discounted._TOL
+
+    def test_tol_is_1e_8_where_the_floor_does_not_bind(self, pendulum200_solutions):
+        assert {sol.tol for sol in pendulum200_solutions} == {1e-8}
 
     def test_round_cap_raises(self, pendulum16, monkeypatch):
         # the cap is read when the run starts
@@ -272,6 +289,17 @@ class TestPolicyIteration:
         # the cheapest step (stay put) is already optimal for the free particle
         _, table = wk.critical_value_estimate(free32.grid, free32.spec, free32.stencil, [0.2, 0.1, 0.05])
         assert table.rounds == (1, 1, 1)
+
+
+class TestPeakAllocation:
+    def test_policy_iteration_holds_two_stencil_arrays(self, pendulum200):
+        # the scaled in-edge costs and the candidate buffer, reused by every round,
+        # and one argmin block; the kernel's costs_by_head is an input
+        kernel = pendulum200.kernel
+        kernel.costs_by_head()
+        m, n = kernel.num_offsets, kernel.num_nodes
+        bound = 2 * 8 * m * n + 8 * m * action_barrier._ARGMIN_COLS + PEAK_SLACK
+        assert traced_peak(discounted_policy_iteration, kernel, 0.05) <= bound
 
 
 class TestCriticalValue:

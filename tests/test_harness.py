@@ -496,8 +496,11 @@ class TestCli:
     def test_timings_record_the_import_time(self, tmp_path):
         run_pipeline(free_config(tmp_path / "out"))
         timings = json.loads((tmp_path / "out" / "timings.json").read_text())
-        assert set(timings) == {"import_s", "stages"}
+        assert set(timings) == {"import_s", "stages", "rss_growth_mb"}
         assert timings["import_s"] > 0
+        # each stage's growth of the peak RSS, next to its seconds
+        assert set(timings["rss_growth_mb"]) == set(timings["stages"])
+        assert min(timings["rss_growth_mb"].values()) >= 0.0
 
     def test_out_of_memory_is_one_line_error(self, tmp_path):
         raw = free_config(tmp_path / "out").to_dict()

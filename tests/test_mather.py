@@ -12,7 +12,7 @@ from weakkam.mather import (_certifies, _cycle_potentials, _edge_columns, _reduc
                             _solve_edge_program)
 from weakkam.simplex import _FEAS_TOL, _REFACTOR_EVERY, solve_standard_form
 
-from conftest import make_problem, pendulum_potential, two_well_potential
+from conftest import PEAK_SLACK, make_problem, pendulum_potential, traced_peak, two_well_potential
 
 
 def cycle_mean_oracle(kernel):
@@ -442,6 +442,18 @@ class TestTreeCertificate:
             phi = _cycle_potentials(kernel, weights, cycle)
             assert phi[node] == np.inf
             assert not _certifies(kernel, weights, cycle, phi)
+
+
+class TestPeakAllocation:
+    def test_certificate_and_potentials_hold_one_stencil_array(self, pendulum200):
+        # _certifies' reduced costs, and _cycle_potentials' buffer reused by every round
+        kernel = pendulum200.kernel
+        graph = tight_subgraph(kernel)
+        weights, cycle = kernel.edge_lagrangian - graph.mean, graph.cycles[0]
+        phi = _cycle_potentials(kernel, weights, cycle)
+        bound = 8 * kernel.num_offsets * kernel.num_nodes + PEAK_SLACK
+        assert traced_peak(_certifies, kernel, weights, cycle, phi) <= bound
+        assert traced_peak(_cycle_potentials, kernel, weights, cycle) <= bound
 
 
 def drifting_table32():
