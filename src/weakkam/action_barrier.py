@@ -55,13 +55,13 @@ __all__ = [
 
 @dataclass(frozen=True)
 class ActionKernel:
-    """Sparse one-step edge costs cost(y -> head(y,k)) = tau*(Lbar(y,k) + c)."""
+    """Sparse one-step edges y -> head(y,k) costing tau*(Lbar(y,k) + c); the
+    kernel at another shift, replace(kernel, c=c2), shares every array."""
 
     grid: TorusGrid
     stencil: VelocityStencil
     c: float
     edge_lagrangian: np.ndarray  # (num_offsets, num_nodes), Lbar indexed by tail
-    costs: np.ndarray            # (num_offsets, num_nodes), tau*(Lbar + c), by tail
     head_index: np.ndarray       # (num_offsets, num_nodes), head of each edge
     pred_index: np.ndarray       # (num_offsets, num_nodes), tail of the edge into x
 
@@ -73,17 +73,27 @@ class ActionKernel:
     def num_offsets(self) -> int:
         return self.stencil.num_offsets
 
+    def _priced(self, lbar: np.ndarray) -> np.ndarray:
+        """tau*(lbar + c) in place, then read-only: the one place c and tau are applied."""
+        lbar += self.c
+        lbar *= self.stencil.tau
+        lbar.flags.writeable = False
+        return lbar
+
+    @cached_property
+    def costs(self) -> np.ndarray:
+        """(num_offsets, num_nodes) costs by tail, derived on first read and read-only."""
+        return self._priced(self.edge_lagrangian.copy())
+
     def costs_by_head(self) -> np.ndarray:
         """(num_offsets, num_nodes) costs of the edge arriving at each node,
-        gathered once per kernel (every Bellman-Ford round reads them) and
+        derived once per kernel (every Bellman-Ford round reads them) and
         read-only."""
         return self._costs_by_head
 
     @cached_property
     def _costs_by_head(self) -> np.ndarray:
-        cost_in = np.take_along_axis(self.costs, self.pred_index, axis=1)
-        cost_in.flags.writeable = False
-        return cost_in
+        return self._priced(np.take_along_axis(self.edge_lagrangian, self.pred_index, axis=1))
 
     def dense(self) -> np.ndarray:
         """Dense (n, n) cost matrix with +inf on non-stencil pairs."""
@@ -103,7 +113,7 @@ def build_kernel(
     stencil: VelocityStencil,
     c: float,
 ) -> ActionKernel:
-    """Assemble the shared edge-cost graph at shift c."""
+    """Assemble the shared edge graph at shift c: Lbar and the index tables."""
     if spec.dim != grid.dim:
         raise WeakKamError("spec dimension does not match the grid")
     for r_axis in range(grid.dim):
@@ -129,15 +139,12 @@ def build_kernel(
         lagr_tail = eval_lagrangian(spec, coords, v)
         np.add(lagr_tail, lagr_tail[head_index[k]], out=edge_lagrangian[k])
     edge_lagrangian *= 0.5
-    costs = edge_lagrangian + c
-    costs *= stencil.tau
 
     return ActionKernel(
         grid=grid,
         stencil=stencil,
         c=float(c),
         edge_lagrangian=edge_lagrangian,
-        costs=costs,
         head_index=head_index,
         pred_index=pred_index,
     )
@@ -217,8 +224,8 @@ def barrier_step(kernel: ActionKernel, h: np.ndarray) -> np.ndarray:
     """One Lax-Oleinik step: h'(y, x) = min_z h(y, z) + cost(z -> x).
 
     Works one row of h at a time: the candidates h(y, pred_k(x)) + cost_in(k, x)
-    of row y fill one reused (num_offsets, num_nodes) buffer, no larger than
-    kernel.costs, and their minimum over k is written straight into the
+    of row y fill one reused (num_offsets, num_nodes) buffer, the size of
+    the kernel's costs, and their minimum over k is written straight into the
     output row. No (rows, num_nodes) temporary is made, and the floats are
     those of a per-offset running minimum: the sums are the same and min is
     exact.
@@ -474,11 +481,12 @@ TOL_STABLE = 1e-6
 def peierls_barrier(kernel: ActionKernel, tight: CriticalGraph | None = None) -> BarrierMatrix:
     """Exact Peierls barrier from the critical graph of the action kernel.
 
-    Under the reduced costs cost - tau*(mean + c), with mean Howard's minimum
-    mean Lbar, no cycle is negative and the critical nodes (those of the
-    CriticalGraph's classes) carry the zero-cost cycles. The liminf of
-    h_{n tau} is then h(y, x) = min over critical z of d(y, z) + d(z, x), d
-    the least cost over paths of any length (max-plus spectral theory).
+    Under the reduced costs tau*(Lbar - mean), the kernel's at shift -mean
+    with mean Howard's minimum mean Lbar, no cycle is negative and the
+    critical nodes (those of the CriticalGraph's classes) carry the
+    zero-cost cycles. The liminf of h_{n tau} is then h(y, x) = min over
+    critical z of d(y, z) + d(z, x), d the least cost over paths of any
+    length (max-plus spectral theory).
 
     Two nodes of one class lie on a zero-cost cycle, so their rows d(z, .)
     and columns d(., z) differ by a constant and give the same term: one
@@ -505,13 +513,10 @@ def peierls_barrier(kernel: ActionKernel, tight: CriticalGraph | None = None) ->
     tau = kernel.stencil.tau
     graph = tight_subgraph(kernel) if tight is None else tight
     reps = np.array([cls[0] for cls in graph.classes], dtype=np.int64)
-    reduced = replace(kernel, costs=kernel.costs - tau * (graph.mean + kernel.c))
+    reduced = replace(kernel, c=-graph.mean)
     # the reversed graph: edge x -> pred_k(x) carries the cost of pred_k(x) -> x,
-    # and as pred_k(head_k(y)) = y its in-edge costs are the reduced costs
-    reverse = replace(
-        reduced, costs=reduced.costs_by_head(),
-        head_index=kernel.pred_index, pred_index=kernel.head_index,
-    )
+    # and as pred_k(head_k(y)) = y its in-edge costs are the reduced costs by tail
+    reverse = replace(reduced, head_index=kernel.pred_index, pred_index=kernel.head_index)
     reverse.__dict__["_costs_by_head"] = reduced.costs
     from_rep, rounds_from = _distances(reduced, reps)   # d(r, x)
     to_rep, rounds_to = _distances(reverse, reps)       # d(y, r), row r
@@ -613,7 +618,9 @@ def verify_subsolution(u: GridFunction | np.ndarray, kernel: ActionKernel) -> fl
     if bad.size:
         raise WeakKamError(f"u must be finite at every node; u[{bad[0]}] = {vals[bad[0]]}")
     worst = -np.inf
+    # edge pred_k(x) -> x, by head: the operands of u(head) - u(tail) - cost by tail
+    cost_in = kernel.costs_by_head()
     for k in range(kernel.num_offsets):
-        viol = vals[kernel.head_index[k]] - vals - kernel.costs[k]
+        viol = vals - vals[kernel.pred_index[k]] - cost_in[k]
         worst = max(worst, float(viol.max()))
     return worst

@@ -329,7 +329,7 @@ def calibration_residual(sol: DiscountedSolution, traj: TrajectorySample) -> flo
     beta = sol.beta
     weight = (1.0 - beta) / (sol.lam * sol.tau)
     u = sol.values.values
-    costs = sol.kernel.costs
+    cost_in = sol.kernel.costs_by_head()
     pred = sol.kernel.pred_index
     n = traj.offsets.size
     acc = u[traj.nodes[n]]
@@ -339,7 +339,7 @@ def calibration_residual(sol: DiscountedSolution, traj: TrajectorySample) -> flo
         tail = traj.nodes[i + 1]
         if pred[k, x] != tail:
             raise WeakKamError("trajectory step does not match its recorded offset")
-        acc = weight * costs[k, tail] + beta * acc
+        acc = weight * cost_in[k, x] + beta * acc
     return float(acc - u[traj.nodes[0]])
 
 

@@ -430,8 +430,9 @@ class _Run:
         grid, spec, stencil, s, kernel0 = (
             self.grid, self.spec, self.stencil, self.config.schedule, self.kernel0
         )
+        # a view of kernel0, so the in-edge costs it caches go with the stage
         c_est, table = self._timed("critical", lambda: critical_value_estimate(
-            grid, spec, stencil, s.critical_lambdas, kernel=kernel0
+            grid, spec, stencil, s.critical_lambdas, kernel=replace(kernel0)
         ))
         self.write("critical.csv", lambda path: io.write_csv(
             path,
@@ -446,23 +447,19 @@ class _Run:
         it, and the CriticalGraph of Howard's run.
 
         Howard's policy iteration and the one criticality test run once, on
-        kernel0, which the critical table reads as well. The CriticalGraph
-        reads only the edge Lagrangian and the index tables, which no shift
-        changes, so it is handed on to peierls_barrier (whose barrier passes
-        it to aubry_report, u0_critical_cycles, compute_u0 and verify_limit),
-        solve_mather_lp and the verify subcommand. The critical kernel shares
-        the shift-0 arrays and recomputes only costs, by the expression
-        build_kernel evaluates, so its bits are those of a fresh build.
+        kernel0. The CriticalGraph reads only the edge Lagrangian and the
+        index tables, which no shift changes, so it is handed on to
+        peierls_barrier (whose barrier passes it to aubry_report,
+        u0_critical_cycles, compute_u0 and verify_limit), solve_mather_lp and
+        the verify subcommand. The critical kernel is kernel0 at shift -mean:
+        it shares those arrays and derives its costs when a stage reads them.
         """
-        stencil, kernel0 = self.stencil, self.kernel0
+        kernel0 = self.kernel0
 
         def critical_kernel():
             graph = tight_subgraph(kernel0)
             mean, cycle = min_mean_cycle(kernel0, tight=graph)
-            c = -mean
-            costs = kernel0.edge_lagrangian + c
-            costs *= stencil.tau
-            return replace(kernel0, c=float(c), costs=costs), cycle, graph
+            return replace(kernel0, c=-mean), cycle, graph
 
         return self._timed("kernel", critical_kernel)
 

@@ -26,10 +26,9 @@ Entering variables are priced by Dantzig's rule (most negative reduced cost,
 lowest index on ties). Leaving variables use the lexicographic ratio test,
 which is immune to cycling and keeps the heavily degenerate circulation
 bases here from stalling; plain Bland's rule was measured to grind tens of
-thousands of zero-step pivots on the same programs. A Bland entering
-fallback remains as a belt-and-suspenders guard after a very long run of
-degenerate steps. Both rules are order-fixed, so results do not depend on
-thread count or scheduling.
+thousands of zero-step pivots on the same programs. _MAX_PIVOTS caps each
+phase. Both rules are order-fixed, so results do not depend on thread count
+or scheduling.
 """
 
 from __future__ import annotations
@@ -42,9 +41,8 @@ from .errors import InfeasibleError, UnboundedError, WeakKamError
 
 __all__ = ["CompressedColumns", "SimplexResult", "solve_standard_form"]
 
-_BLAND_TRIGGER = 2000  # degenerate-streak length before the entering rule falls back
 _REFACTOR_EVERY = 64   # rank-one updates between fresh inverses of the basis
-_FEAS_TOL = 1e-9       # reduced-cost, pivot-entry and degenerate-step tolerance
+_FEAS_TOL = 1e-9       # reduced-cost and pivot-entry tolerance
 _MAX_PIVOTS = 50_000   # pivot cap of each phase
 
 
@@ -153,7 +151,6 @@ def _run(a, c, b_vec, basis, allowed):
     n_total = c.size
     open_ = allowed.copy()  # may enter: allowed and nonbasic
     open_[basis] = False
-    degenerate_run = 0
     pivots = 0
     b_inv = _invert(a, basis)
     fresh = True
@@ -175,10 +172,7 @@ def _run(a, c, b_vec, basis, allowed):
         if pivots >= _MAX_PIVOTS:
             raise WeakKamError(f"simplex exceeded {_MAX_PIVOTS} pivots")
 
-        if degenerate_run >= _BLAND_TRIGGER:
-            j = int(candidates[0])
-        else:
-            j = int(candidates[np.argmin(reduced[candidates])])
+        j = int(candidates[np.argmin(reduced[candidates])])
 
         if j < n:
             d = b_inv[:, a.rows[:, j]] @ a.vals[:, j]
@@ -188,12 +182,10 @@ def _run(a, c, b_vec, basis, allowed):
         if rows.size == 0:
             raise UnboundedError("objective unbounded below on the feasible set")
         leave_row = _lexico_leave(np.maximum(x_b, 0.0), d, b_inv, rows, _FEAS_TOL)
-        step = max(x_b[leave_row], 0.0) / d[leave_row]
 
         open_[basis[leave_row]] = allowed[basis[leave_row]]
         open_[j] = False
         basis[leave_row] = j
-        degenerate_run = degenerate_run + 1 if step <= _FEAS_TOL else 0
         pivots += 1
         if pivots % _REFACTOR_EVERY == 0:
             b_inv = _invert(a, basis)

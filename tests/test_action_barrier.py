@@ -73,6 +73,30 @@ class TestKernel:
         assert not by_head.flags.writeable
 
 
+class TestDerivedCosts:
+    """The kernel stores Lbar and the index tables; its costs are derived at
+    its own shift on first read, so a kernel at another shift is a view."""
+
+    def test_a_shift_allocates_nothing_until_a_cost_is_read(self, pendulum200):
+        p = pendulum200
+        kernel0 = replace(p.kernel0)  # a view with no cache of its own
+        m, n = kernel0.num_offsets, kernel0.num_nodes
+        views = []
+        peak = traced_peak(lambda: views.append(replace(kernel0, c=p.c_star)))
+        assert peak < 8 * m * n
+        (view,) = views
+        assert view.edge_lagrangian is kernel0.edge_lagrangian
+        assert view.pred_index is kernel0.pred_index
+        fresh = wk.build_kernel(p.grid, p.spec, p.stencil, p.c_star)
+        assert view.costs_by_head().tobytes() == fresh.costs_by_head().tobytes()
+        assert view.costs.tobytes() == fresh.costs.tobytes()
+        assert not {"costs", "_costs_by_head"} & kernel0.__dict__.keys()
+
+    def test_kernel_has_no_stored_costs(self, pendulum16):
+        with pytest.raises(TypeError, match="costs"):
+            replace(pendulum16.kernel, costs=pendulum16.kernel.costs)
+
+
 def kernel_inputs(name, request):
     """(grid, spec, stencil, c) of a fixture, or of a 3-node torus whose
     stencil reaches every node and lists the offset +1 twice, so two offsets
@@ -92,7 +116,8 @@ class TestKernelBuild:
     @pytest.mark.parametrize("name", ["pendulum16", "cos2d", "aliased3"])
     def test_matches_the_whole_array_expression_bitwise(self, name, request):
         # the in-place build, one offset at a time, against Lbar = 0.5*(L(tail) +
-        # L(head)) and costs = tau*(Lbar + c) evaluated on whole (m, n) arrays of L
+        # L(head)) evaluated on whole (m, n) arrays of L, and the derived costs
+        # against tau*(Lbar + c) and its gather by head, at shift 0 and at c
         grid, spec, stencil, c = kernel_inputs(name, request)
         kernel = wk.build_kernel(grid, spec, stencil, c)
         n, idx, offsets = grid.num_nodes, np.arange(grid.num_nodes), stencil.offsets
@@ -104,7 +129,12 @@ class TestKernelBuild:
         preds = np.stack([grid.shift_indices(idx, tuple(-o for o in off)) for off in offsets])
         lbar = 0.5 * (lagr + np.take_along_axis(lagr, heads, axis=1))
         assert kernel.edge_lagrangian.tobytes() == lbar.tobytes()
-        assert kernel.costs.tobytes() == (stencil.tau * (lbar + c)).tobytes()
+        for shifted in (replace(kernel, c=0.0), kernel):
+            priced = stencil.tau * (lbar + shifted.c)
+            assert shifted.costs.tobytes() == priced.tobytes()
+            by_head = np.take_along_axis(priced, preds, axis=1)
+            assert shifted.costs_by_head().tobytes() == by_head.tobytes()
+            assert shifted.costs is shifted.costs and not shifted.costs.flags.writeable
         np.testing.assert_array_equal(kernel.head_index, heads)
         np.testing.assert_array_equal(kernel.pred_index, preds)
         if name == "aliased3":
@@ -132,11 +162,12 @@ class TestPeakAllocation:
     + k (m, n) float arrays of 8*m*n bytes: a reintroduced (m, n) temporary
     fails the bound."""
 
-    def test_build_kernel_allocates_its_four_arrays(self, pendulum200):
+    def test_build_kernel_allocates_its_three_arrays(self, pendulum200):
+        # Lbar and the two index tables: no cost array is made
         p = pendulum200
         m, n = p.kernel.num_offsets, p.kernel.num_nodes
         peak = traced_peak(wk.build_kernel, p.grid, p.spec, p.stencil, p.c_star)
-        assert peak <= 4 * 8 * m * n + PEAK_SLACK
+        assert peak <= 3 * 8 * m * n + PEAK_SLACK
 
     def test_tight_subgraph_holds_three_arrays(self, pendulum200):
         # lag_in and Howard's two buffers, its bool mask and one argmin block
@@ -512,19 +543,26 @@ class TestCriticalGraph:
             assert abs(mean - graph.mean) <= 1e-12
 
 
+def dense_distances(costs, sources):
+    """Rows d(s, .) by Bellman-Ford on a dense (n, n) cost matrix: min-plus
+    products with it until a round changes nothing, at most n rounds."""
+    d = np.full((sources.size, costs.shape[0]), np.inf)
+    d[np.arange(sources.size), sources] = 0.0
+    for _ in range(costs.shape[0]):
+        nxt = np.minimum(d, wk.minplus_product(d, costs))
+        if np.array_equal(nxt, d):
+            break
+        d = nxt
+    return d
+
+
 def all_critical_sources(kernel, graph):
-    """The barrier's factors from every critical node, not one per class:
+    """The barrier's factors from every critical node, not one per class, on
+    the dense matrix of the kernel at the reduced shift -mean:
     (crit, from_crit, to_crit), rows of from_crit d(z, .), of to_crit d(., z)."""
-    tau = kernel.stencil.tau
     crit = np.sort(np.concatenate(graph.classes))
-    reduced = replace(kernel, costs=kernel.costs - tau * (graph.mean + kernel.c))
-    reverse = replace(
-        reduced, costs=reduced.costs_by_head(),
-        head_index=kernel.pred_index, pred_index=kernel.head_index,
-    )
-    from_crit, _ = action_barrier._distances(reduced, crit)
-    to_crit, _ = action_barrier._distances(reverse, crit)
-    return crit, from_crit, to_crit
+    reduced = replace(kernel, c=-graph.mean).dense()
+    return crit, dense_distances(reduced, crit), dense_distances(reduced.T, crit)
 
 
 def dense_route_values(kernel, graph):
@@ -532,6 +570,31 @@ def dense_route_values(kernel, graph):
     critical node, then one barrier step on all n of its rows."""
     _, from_crit, to_crit = all_critical_sources(kernel, graph)
     return barrier_step(kernel, wk.minplus_product(to_crit.T, from_crit))
+
+
+class TestReducedCosts:
+    @pytest.mark.parametrize("name", sorted(CRITICAL_GRAPH_PROBLEMS))
+    def test_are_the_shifted_costs_at_the_critical_shift(self, name, monkeypatch):
+        # mean + c is exactly 0.0 there, so the kernel at shift -mean that both
+        # distance passes read carries the bits of costs - tau*(mean + c): by
+        # head forward, by tail as the reversed graph's in-edge costs
+        p = CRITICAL_GRAPH_PROBLEMS[name]()
+        graph = action_barrier.tight_subgraph(p.kernel0)
+        kernel = p.kernel
+        assert graph.mean + kernel.c == 0.0
+        passes = []
+        original = action_barrier._distances
+
+        def recorded(k, sources):
+            passes.append(k.costs_by_head())
+            return original(k, sources)
+
+        monkeypatch.setattr(action_barrier, "_distances", recorded)
+        wk.peierls_barrier(kernel, tight=graph)
+        old = kernel.costs - kernel.stencil.tau * (graph.mean + kernel.c)
+        forward, backward = passes
+        assert forward.tobytes() == np.take_along_axis(old, kernel.pred_index, axis=1).tobytes()
+        assert backward.tobytes() == old.tobytes()
 
 
 class TestFactoredBarrier:

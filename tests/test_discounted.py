@@ -110,6 +110,16 @@ class TestSolveDiscounted:
         np.testing.assert_array_equal(sol.values.values, 0.0)
         assert (sol.policy == free32.stencil.zero_index).all()
 
+    @pytest.mark.parametrize("name", ["pendulum16", "cos2d"])
+    def test_without_a_kernel_builds_the_same_one(self, request, name):
+        p = request.getfixturevalue(name)
+        given = wk.solve_discounted(p.grid, p.spec, 0.1, p.stencil, p.c_star, kernel=p.kernel)
+        built = wk.solve_discounted(p.grid, p.spec, 0.1, p.stencil, p.c_star)
+        assert built.values.values.tobytes() == given.values.values.tobytes()
+        np.testing.assert_array_equal(built.policy, given.policy)
+        assert (built.iterations, built.residual, built.tol, built.c) == (
+            given.iterations, given.residual, given.tol, given.c)
+
     def test_pendulum_zero_at_well(self, pendulum200):
         p = pendulum200
         for lam in (0.5, 0.01):

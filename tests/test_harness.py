@@ -353,6 +353,36 @@ class TestCli:
         assert report.counters["lp_dense_solves"] == 1 + 16
         assert report.counters["mather_lp_pivots"] > 0 and report.counters["u0_pivots"] > 0
 
+    def test_kernel0_keeps_no_costs(self, tmp_path):
+        # the critical table reads a view of kernel0 and the critical kernel is
+        # kernel0 at another shift, so kernel0 never caches a cost array
+        run = _Run(self._two_well32(tmp_path / "out"))
+        run.critical, run.critical_graph
+        assert not {"costs", "_costs_by_head"} & run.kernel0.__dict__.keys()
+        kernel = run.critical_graph[0]
+        assert kernel.edge_lagrangian is run.kernel0.edge_lagrangian
+        assert run.report.passed
+        assert not {"costs", "_costs_by_head"} & run.kernel0.__dict__.keys()
+
+    @pytest.mark.parametrize("option, want", [(None, list(range(32))), ((17, 3, 5), [3, 5, 17])],
+                             ids=["every_node", "listed"])
+    def test_u0_lp_runs_at_the_configured_targets(self, option, want, tmp_path, monkeypatch):
+        solved, original = [], harness.compute_u0
+
+        def recorded(barrier, kernel, c, budget_slack, targets):
+            solved.append(original(barrier, kernel, c, budget_slack, targets))
+            return solved[-1]
+
+        config = self._two_well32(tmp_path / "out")
+        config = replace(config, schedule=replace(config.schedule, u0_targets=option))
+        monkeypatch.setattr(harness, "compute_u0", recorded)
+        report = run_pipeline(config)
+        assert report.passed
+        (u0_lp,) = solved
+        assert u0_lp.targets.tolist() == want
+        u0 = np.loadtxt(tmp_path / "out" / "u0.csv", delimiter=",", skiprows=1, usecols=1)
+        assert report.u0_cross_delta == float(np.abs(u0[want] - u0_lp.values).max())
+
     def test_grid_and_out_overrides(self, tmp_path):
         path = write_config(tmp_path / "cfg.json", free_config(tmp_path / "ignored", n=32))
         out = tmp_path / "redirected"

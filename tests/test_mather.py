@@ -474,7 +474,7 @@ class TestDenseFallback:
         kernel, n = p.kernel, p.grid.num_nodes
         h = wk.peierls_barrier(kernel)
         u0 = wk.compute_u0(h, kernel, p.c_star, 1e-6, np.arange(n))
-        assert u0.dense_solves == n and u0.pivots > 0
+        assert u0.dense_solves == n and u0.pivots == 2368
         u_ref, ub_ref = dense_u0_columns(kernel, -p.c_star + 1e-6)
         for t, value in enumerate(u0.values):
             assert value == pytest.approx(highs(u_ref, ub_ref, u0_objective(h, kernel, t)), abs=1e-9)
