@@ -87,8 +87,8 @@ class ActionKernel:
 
     def costs_by_head(self) -> np.ndarray:
         """(num_offsets, num_nodes) costs of the edge arriving at each node,
-        derived once per kernel (every Bellman-Ford round reads them) and
-        read-only."""
+        derived once per kernel and read-only: the cost_in of _relax for a
+        barrier step or a forward distance pass, and of every policy pass."""
         return self._costs_by_head
 
     @cached_property
@@ -220,20 +220,15 @@ def minplus_power(kernel: ActionKernel, n: int) -> BarrierMatrix:
     return BarrierMatrix(values=acc, tau=kernel.stencil.tau, c=kernel.c, steps=n)
 
 
-def barrier_step(kernel: ActionKernel, h: np.ndarray) -> np.ndarray:
-    """One Lax-Oleinik step: h'(y, x) = min_z h(y, z) + cost(z -> x).
+def _relax(h: np.ndarray, cost_in: np.ndarray, pred: np.ndarray, cand: np.ndarray) -> np.ndarray:
+    """One relaxation on in-edge arrays: out(y, x) = min_k h(y, pred[k, x]) + cost_in[k, x].
 
-    Works one row of h at a time: the candidates h(y, pred_k(x)) + cost_in(k, x)
-    of row y fill one reused (num_offsets, num_nodes) buffer, the size of
-    the kernel's costs, and their minimum over k is written straight into the
-    output row. No (rows, num_nodes) temporary is made, and the floats are
-    those of a per-offset running minimum: the sums are the same and min is
-    exact.
+    Row y's candidates fill the caller's C-ordered (num_offsets, num_nodes)
+    buffer cand (cost_in may be a broadcast view), and their minimum over k
+    goes straight into the output row. No (rows, num_nodes) temporary is
+    made, and the floats are those of a per-offset running minimum.
     """
-    cost_in = kernel.costs_by_head()
-    pred = kernel.pred_index
     out = np.empty_like(h)
-    cand = np.empty_like(cost_in)
     for r in range(h.shape[0]):
         # pred holds valid node indices; "clip" lets take write into cand
         # directly instead of through a bounds-checked buffer
@@ -241,6 +236,11 @@ def barrier_step(kernel: ActionKernel, h: np.ndarray) -> np.ndarray:
         np.add(cand, cost_in, out=cand)
         np.min(cand, axis=0, out=out[r])
     return out
+
+
+def barrier_step(kernel: ActionKernel, h: np.ndarray) -> np.ndarray:
+    """One Lax-Oleinik step h'(y, x) = min_z h(y, z) + cost(z -> x), by _relax."""
+    return _relax(h, kernel.costs_by_head(), kernel.pred_index, np.empty(kernel.pred_index.shape))
 
 
 # a node switches in-edge only when that lowers its value by more than this
@@ -457,20 +457,22 @@ def tight_subgraph(kernel: ActionKernel) -> CriticalGraph:
     return CriticalGraph(mean=mean, classes=classes, cycles=cycles)
 
 
-def _distances(kernel: ActionKernel, sources: np.ndarray) -> tuple[np.ndarray, int]:
-    """Rows d(s, .): least cost over paths of any length, by Bellman-Ford.
+def _distances(cost_in, pred, d: np.ndarray, free=True) -> tuple[np.ndarray, int]:
+    """Bellman-Ford from the rows d, in place: least cost over paths of any length.
 
-    Without negative cycles the rows settle within num_nodes rounds. Returns
-    the rows and the number of relaxation rounds run, the last of which
-    changes nothing unless num_nodes rounds ran out first.
+    Each round is one _relax on the in-edge arrays (cost_in, pred), all
+    rounds sharing one candidate buffer, and a node that free marks takes
+    its relaxed value on strict improvement only. Without negative cycles
+    the rows settle within num_nodes rounds. Returns d and the number of
+    rounds run, the last of which changes nothing unless num_nodes ran out.
     """
-    d = np.full((sources.size, kernel.num_nodes), np.inf)
-    d[np.arange(sources.size), sources] = 0.0
-    for rounds in range(1, kernel.num_nodes + 1):
-        nxt = np.minimum(d, barrier_step(kernel, d))
-        if np.array_equal(nxt, d):
+    cand = np.empty(pred.shape)
+    for rounds in range(1, pred.shape[1] + 1):
+        step = _relax(d, cost_in, pred, cand)
+        better = (step < d) & free
+        if not better.any():
             break
-        d = nxt
+        d[better] = step[better]
     return d, rounds
 
 
@@ -513,14 +515,13 @@ def peierls_barrier(kernel: ActionKernel, tight: CriticalGraph | None = None) ->
     tau = kernel.stencil.tau
     graph = tight_subgraph(kernel) if tight is None else tight
     reps = np.array([cls[0] for cls in graph.classes], dtype=np.int64)
-    reduced = replace(kernel, c=-graph.mean)
-    # the reversed graph: edge x -> pred_k(x) carries the cost of pred_k(x) -> x,
-    # and as pred_k(head_k(y)) = y its in-edge costs are the reduced costs by tail
-    reverse = replace(reduced, head_index=kernel.pred_index, pred_index=kernel.head_index)
-    reverse.__dict__["_costs_by_head"] = reduced.costs
-    from_rep, rounds_from = _distances(reduced, reps)   # d(r, x)
-    to_rep, rounds_to = _distances(reverse, reps)       # d(y, r), row r
-    del reduced, reverse  # their cost arrays go before the step and the product
+    start = np.full((reps.size, kernel.num_nodes), np.inf)
+    start[np.arange(reps.size), reps] = 0.0
+    # each pass prices its own view at shift -mean, released when it returns:
+    # forward d(r, x) on in-edges by head, backward d(y, r) as row r on out-edges by tail
+    from_rep, rounds_from = _distances(
+        replace(kernel, c=-graph.mean).costs_by_head(), kernel.pred_index, start.copy())
+    to_rep, rounds_to = _distances(replace(kernel, c=-graph.mean).costs, kernel.head_index, start)
     stepped = barrier_step(kernel, from_rep)
     finite = np.isfinite(from_rep)
     residual = float(np.abs(stepped[finite] - from_rep[finite]).max())

@@ -13,8 +13,10 @@ are closed at the vertex the critical graph implies: the extreme Mather
 measures are uniform measures on critical cycles, and `_certifies` checks
 that uniform measure against node potentials phi, the cycle's own prices
 extended by shortest paths to it, by weak duality on the kernel's own
-arrays, where c - yA of an edge is weights + phi(head) - phi(tail). The
-Mather value then matches Howard's minimum cycle mean to 1e-8, one of the
+arrays, where c - yA of an edge is weights + phi(head) - phi(tail); the
+shortest paths and the pricing are the barrier's own Bellman-Ford loop and
+step (action_barrier._distances, _relax) on out-edges by tail. The Mather
+value then matches Howard's minimum cycle mean to 1e-8, one of the
 package's acceptance gates, and u0 at the targets matches the least mean
 of the barrier rows over one critical cycle's nodes (`u0_critical_cycles`)
 to 1e-5. Only when a check fails are the columns assembled and the dense
@@ -29,8 +31,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .action_barrier import (ActionKernel, BarrierMatrix, CriticalGraph, aubry_report,
-                             tight_subgraph, verify_subsolution)
+from .action_barrier import (ActionKernel, BarrierMatrix, CriticalGraph, _distances, _relax,
+                             aubry_report, tight_subgraph, verify_subsolution)
 from .discounted import DiscountedSolution, EdgeMeasure, discounted_occupation_measure
 from .errors import EmptyAubryError, InfeasibleError, WeakKamError
 from .models import LagrangianSpec, TorusGrid, eval_lagrangian
@@ -151,11 +153,11 @@ def _cycle_potentials(kernel: ActionKernel, weights: np.ndarray, cycle: np.ndarr
     `weights` is (num_offsets, num_nodes) by tail and sums to zero around
     the cycle, whose edges `cycle` (k*n + tail) are listed in walking order.
     phi is 0 at the first edge's tail and phi(tail) = weight + phi(head)
-    walking back along the cycle; Jacobi Bellman-Ford rounds then lower
-    every other node to its least weight + phi(head), on strict improvement
-    only. A node that reaches no cycle node keeps phi = inf. These are the
-    duals of the spanning basis the cycle and a shortest-path in-tree to it
-    form (network simplex); the basis itself is never needed.
+    walking back along the cycle; the barrier's Bellman-Ford loop _distances
+    then lowers every other node to its least weight + phi(head), on strict
+    improvement only. A node that reaches no cycle node keeps phi = inf.
+    These are the duals of the spanning basis the cycle and a shortest-path
+    in-tree to it form (network simplex); the basis itself is never needed.
     """
     n = kernel.num_nodes
     heads = kernel.head_index
@@ -166,47 +168,30 @@ def _cycle_potentials(kernel: ActionKernel, weights: np.ndarray, cycle: np.ndarr
         phi[t] = weights[k, t] + phi[heads[k, t]]
     free = np.ones(n, dtype=bool)
     free[cyc_t] = False
-    at_head = np.empty(heads.shape)  # weights + phi(head), one buffer for every round
-    for _ in range(n):
-        np.take(phi, heads, out=at_head, mode="clip")
-        at_head += weights
-        best = at_head.min(axis=0)
-        better = free & (best < phi)
-        if not better.any():
-            break
-        phi[better] = best[better]
+    _distances(weights, heads, phi[None], free)
     return phi
-
-
-def _reduced_costs(kernel: ActionKernel, weights: np.ndarray, phi: np.ndarray) -> np.ndarray:
-    """weights + phi(head) - phi(tail) per edge, (num_offsets, num_nodes) by tail.
-
-    For weights = c - value this is c - yA over the columns of _edge_columns
-    at y = phi - phi[n - 1] on the conservation rows, value on the mass row
-    and 0 on the budget row.
-    """
-    reduced = np.take(phi, kernel.head_index)
-    reduced += weights
-    reduced -= phi
-    return reduced
 
 
 def _certifies(kernel: ActionKernel, weights, cycle, phi, slack: float = 0.0) -> bool:
     """Whether the uniform measure on cycle and the potentials phi prove each other optimal.
 
-    Weak duality: the measure is feasible when the cycle closes (each edge's
+    Weak duality, with weights + phi(head) - phi(tail) the reduced cost of
+    an edge: the measure is feasible when the cycle closes (each edge's
     head is the next edge's tail) and the budget slack is >= 0; phi gives
     feasible duals when it is finite and every reduced cost is >=
     -_FEAS_TOL; and the two values, the dual's mass-row value and the
     primal's that plus the mean reduced cost on the cycle, agree when the
-    cycle's reduced costs are within _FEAS_TOL of 0.
+    cycle's reduced costs are within _FEAS_TOL of 0. Rounding is monotone, so
+    one relaxation less phi(tail) is exactly each tail's least reduced cost.
     """
     cyc_k, cyc_t = np.divmod(cycle, kernel.num_nodes)
-    closes = np.array_equal(kernel.head_index[cyc_k, cyc_t], np.roll(cyc_t, -1))
+    heads = kernel.head_index
+    closes = np.array_equal(heads[cyc_k, cyc_t], np.roll(cyc_t, -1))
     if not (closes and slack >= 0.0 and np.isfinite(phi).all()):
         return False
-    reduced = _reduced_costs(kernel, weights, phi)
-    return bool(np.abs(reduced[cyc_k, cyc_t]).max() <= _FEAS_TOL and reduced.min() >= -_FEAS_TOL)
+    on_cycle = np.roll(phi[cyc_t], -1) + weights[cyc_k, cyc_t] - phi[cyc_t]
+    least = _relax(phi[None], weights, heads, np.empty(heads.shape))[0] - phi
+    return bool(np.abs(on_cycle).max() <= _FEAS_TOL and least.min() >= -_FEAS_TOL)
 
 
 def _solve_edge_program(kernel: ActionKernel, cost, weights, cycle, budget: float | None = None):

@@ -176,15 +176,17 @@ class TestPeakAllocation:
         bound = 3 * 8 * m * n + m * n + 8 * m * action_barrier._ARGMIN_COLS + PEAK_SLACK
         assert traced_peak(action_barrier.tight_subgraph, kernel) <= bound
 
-    def test_peierls_barrier_holds_three_arrays(self, pendulum200):
-        # the two reduced cost arrays and barrier_step's buffer; the n x n values
-        # (8 n^2 < 3 arrays here) are made once the cost arrays are released
+    def test_peierls_barrier_holds_two_arrays(self, pendulum200):
+        # a distance pass's reduced cost array and its candidate buffer, each
+        # released with the pass; the factor step's buffer; the n x n values
+        # and the product's term buffer (2 * 8 n^2 < 2 arrays here) are made
+        # once the passes are done
         kernel = replace(pendulum200.kernel)  # a fresh cache, filled as an input
         kernel.costs_by_head()
         m, n = kernel.num_offsets, kernel.num_nodes
         graph = action_barrier.tight_subgraph(kernel)
-        assert 8 * n * n < 3 * 8 * m * n
-        assert traced_peak(wk.peierls_barrier, kernel, graph) <= 3 * 8 * m * n + PEAK_SLACK
+        assert 2 * 8 * n * n < 2 * 8 * m * n + PEAK_SLACK
+        assert traced_peak(wk.peierls_barrier, kernel, graph) <= 2 * 8 * m * n + PEAK_SLACK
 
 
 class TestMinPlus:
@@ -366,27 +368,35 @@ class TestBarrierStep:
         assert peak <= 8 * n * n + 32 * m * n
 
 
-def record_barrier_steps(monkeypatch):
-    """Copies of the h of every barrier_step call peierls_barrier makes."""
-    calls = []
-    original = action_barrier.barrier_step
+def record_relaxations(monkeypatch):
+    """(passes, rows) of a peierls_barrier call: copies of the inputs
+    (cost_in, pred, d, free) of every _distances call, and the row count of
+    every _relax call, the Bellman-Ford rounds and then the factor step."""
+    passes, rows = [], []
+    distances, relax = action_barrier._distances, action_barrier._relax
 
-    def recorded(kernel, h):
-        calls.append(h.copy())
-        return original(kernel, h)
+    def recorded_distances(cost_in, pred, d, free=True):
+        passes.append((cost_in.copy(), pred, d.copy(), free))
+        return distances(cost_in, pred, d, free)
 
-    monkeypatch.setattr(action_barrier, "barrier_step", recorded)
-    return calls
+    def recorded_relax(h, cost_in, pred, cand):
+        rows.append(h.shape[0])
+        return relax(h, cost_in, pred, cand)
+
+    monkeypatch.setattr(action_barrier, "_distances", recorded_distances)
+    monkeypatch.setattr(action_barrier, "_relax", recorded_relax)
+    return passes, rows
 
 
 class TestRelaxRounds:
     def test_counts_bellman_ford_steps(self, pendulum16, monkeypatch):
-        calls = record_barrier_steps(monkeypatch)
+        passes, rows = record_relaxations(monkeypatch)
         barrier = wk.peierls_barrier(pendulum16.kernel)
-        # every call steps one row per class; all but the factor step, the
-        # last, are relaxation rounds
-        assert {h.shape[0] for h in calls} == {len(barrier.graph.classes)}
-        assert barrier.relax_rounds == len(calls) - 1
+        # every relaxation steps one row per class; all but the factor step,
+        # the last, are rounds of the two distance passes
+        assert len(passes) == 2
+        assert set(rows) == {len(barrier.graph.classes)}
+        assert barrier.relax_rounds == len(rows) - 1
         assert 2 <= barrier.relax_rounds <= 2 * pendulum16.kernel.num_nodes
 
     def test_passes_start_from_one_source_per_class(self, monkeypatch):
@@ -395,18 +405,18 @@ class TestRelaxRounds:
         run.out = None  # write nothing
         kernel, _, graph = run.critical_graph
         assert [len(cls) for cls in graph.classes] == [32, 32]
-        calls = record_barrier_steps(monkeypatch)
+        passes, rows = record_relaxations(monkeypatch)
         barrier = wk.peierls_barrier(kernel, tight=graph)
-        assert {h.shape[0] for h in calls} == {2}
-        assert barrier.relax_rounds == len(calls) - 1
+        assert set(rows) == {2}
+        assert barrier.relax_rounds == len(rows) - 1
         # each pass starts from the unit rows of the sources 0 and 1, the
-        # lowest nodes of the classes
-        starts = [h for h in calls if np.isfinite(h).sum() == 2]
-        assert len(starts) == 2
+        # lowest nodes of the classes, and may lower every node
         want = np.full((2, kernel.num_nodes), np.inf)
         want[[0, 1], [0, 1]] = 0.0
-        for start in starts:
+        assert len(passes) == 2
+        for _, _, start, free in passes:
             np.testing.assert_array_equal(start, want)
+            assert free is True
 
     def test_given_tight_subgraph_gives_the_same_barrier(self, pendulum16):
         tight = action_barrier.tight_subgraph(pendulum16.kernel0)
@@ -414,6 +424,69 @@ class TestRelaxRounds:
         own = wk.peierls_barrier(pendulum16.kernel)
         assert given.values.tobytes() == own.values.tobytes()
         assert (given.residual, given.relax_rounds) == (own.residual, own.relax_rounds)
+
+
+@st.composite
+def in_edge_problems(draw):
+    """(cost_in, pred, d, free) of one Bellman-Ford run: n in [3, 12] nodes,
+    m in [1, 5] in-edges per node from a random tail table, costs on the
+    1/4 lattice in [0, 4], one to three start rows of lattice values and
+    inf, and free either True or a random mask. Every sum is exact."""
+    n, m, rows = draw(st.integers(3, 12)), draw(st.integers(1, 5)), draw(st.integers(1, 3))
+    pred = draw(st.lists(st.integers(0, n - 1), min_size=m * n, max_size=m * n))
+    quarters = draw(st.lists(st.integers(0, 16), min_size=m * n, max_size=m * n))
+    start = draw(st.lists(st.sampled_from([np.inf, np.inf, 0.0, 0.25, 1.5, 3.0]),
+                          min_size=rows * n, max_size=rows * n))
+    free = draw(st.one_of(st.just(True), st.lists(st.booleans(), min_size=n, max_size=n)))
+    return (np.array(quarters).reshape(m, n) / 4, np.array(pred, dtype=np.int64).reshape(m, n),
+            np.array(start).reshape(rows, n), free if free is True else np.array(free))
+
+
+def closure_distances(cost_in, pred, d, free):
+    """d times the min-plus closure of the edges pred[k, x] -> x into the free
+    nodes, the closure by repeated squaring of min(I, C) with minplus_product."""
+    m, n = pred.shape
+    c = np.full((n, n), np.inf)
+    np.minimum.at(c, (pred.reshape(-1), np.tile(np.arange(n), m)), cost_in.reshape(-1))
+    c[:, ~np.broadcast_to(free, n)] = np.inf
+    np.fill_diagonal(c, np.minimum(np.diag(c), 0.0))
+    for _ in range(n.bit_length()):
+        c = wk.minplus_product(c, c)
+    return wk.minplus_product(d, c)
+
+
+def reachable(pred, d, free):
+    """Nodes a path from a finite start entry reaches through free nodes."""
+    reach = np.isfinite(d)
+    for _ in range(pred.shape[1]):
+        reach = reach | (reach[:, pred].any(axis=1) & free)
+    return reach
+
+
+class TestDistances:
+    """The one Bellman-Ford loop the barrier's passes and the cycle potentials share."""
+
+    @given(in_edge_problems())
+    @settings(derandomize=True, max_examples=200, deadline=None)
+    def test_matches_the_minplus_closure(self, problem):
+        cost_in, pred, start, free = problem
+        got, rounds = action_barrier._distances(cost_in, pred, start.copy(), free)
+        np.testing.assert_array_equal(got, closure_distances(cost_in, pred, start, free))
+        reach = reachable(pred, start, free)
+        assert np.isinf(got[~reach]).all() and np.isfinite(got[reach]).all()
+        assert 1 <= rounds <= pred.shape[1]
+
+    def test_relax_reads_a_broadcast_cost_like_its_copy(self, pendulum16):
+        # the u0 program's weights are one column broadcast over the offsets
+        kernel = pendulum16.kernel
+        rng = np.random.default_rng(5)
+        broadcast = np.broadcast_to(rng.normal(size=kernel.num_nodes), kernel.head_index.shape)
+        assert broadcast.strides[0] == 0
+        h = rng.normal(size=(3, kernel.num_nodes))
+        cand = np.empty(kernel.head_index.shape)
+        got = action_barrier._relax(h, broadcast, kernel.head_index, cand)
+        want = action_barrier._relax(h, broadcast.copy(), kernel.head_index, cand)
+        assert got.tobytes() == want.tobytes()
 
 
 class TestAubry:
@@ -575,26 +648,20 @@ def dense_route_values(kernel, graph):
 class TestReducedCosts:
     @pytest.mark.parametrize("name", sorted(CRITICAL_GRAPH_PROBLEMS))
     def test_are_the_shifted_costs_at_the_critical_shift(self, name, monkeypatch):
-        # mean + c is exactly 0.0 there, so the kernel at shift -mean that both
-        # distance passes read carries the bits of costs - tau*(mean + c): by
-        # head forward, by tail as the reversed graph's in-edge costs
+        # mean + c is exactly 0.0 there, so the view at shift -mean that each
+        # distance pass prices carries the bits of costs - tau*(mean + c): by
+        # head on the in-edges forward, by tail on the out-edges backward
         p = CRITICAL_GRAPH_PROBLEMS[name]()
         graph = action_barrier.tight_subgraph(p.kernel0)
         kernel = p.kernel
         assert graph.mean + kernel.c == 0.0
-        passes = []
-        original = action_barrier._distances
-
-        def recorded(k, sources):
-            passes.append(k.costs_by_head())
-            return original(k, sources)
-
-        monkeypatch.setattr(action_barrier, "_distances", recorded)
+        passes, _ = record_relaxations(monkeypatch)
         wk.peierls_barrier(kernel, tight=graph)
         old = kernel.costs - kernel.stencil.tau * (graph.mean + kernel.c)
-        forward, backward = passes
+        (forward, fwd_index, _, _), (backward, back_index, _, _) = passes
         assert forward.tobytes() == np.take_along_axis(old, kernel.pred_index, axis=1).tobytes()
         assert backward.tobytes() == old.tobytes()
+        assert fwd_index is kernel.pred_index and back_index is kernel.head_index
 
 
 class TestFactoredBarrier:

@@ -8,11 +8,24 @@ import weakkam as wk
 from weakkam import action_barrier
 from weakkam.action_barrier import _min_cycle_mean, tight_subgraph
 from weakkam.errors import ConvergenceError, EmptyAubryError, WeakKamError
-from weakkam.mather import (_certifies, _cycle_potentials, _edge_columns, _reduced_costs,
-                            _solve_edge_program)
+from weakkam.mather import _certifies, _cycle_potentials, _edge_columns, _solve_edge_program
 from weakkam.simplex import _FEAS_TOL, _REFACTOR_EVERY, solve_standard_form
 
 from conftest import PEAK_SLACK, make_problem, pendulum_potential, traced_peak, two_well_potential
+
+
+def _reduced_costs(kernel, weights, phi):
+    """weights + phi(head) - phi(tail) per edge, (num_offsets, num_nodes) by tail.
+
+    For weights = c - value this is c - yA over the columns of _edge_columns
+    at y = phi - phi[n - 1] on the conservation rows, value on the mass row
+    and 0 on the budget row. The production check takes only its minimum,
+    by one relaxation; this full array is the oracle for it.
+    """
+    reduced = np.take(phi, kernel.head_index)
+    reduced += weights
+    reduced -= phi
+    return reduced
 
 
 def cycle_mean_oracle(kernel):
@@ -329,6 +342,41 @@ def potential_duals(kernel, phi, value, budget):
     return y
 
 
+def jacobi_potentials(kernel, weights, cycle):
+    """_cycle_potentials as its own Jacobi loop, the oracle the shared
+    Bellman-Ford loop must match bit for bit: the cycle walked back from its
+    first tail, then rounds that lower each node off the cycle to its least
+    weights + phi(head), on strict improvement only."""
+    n = kernel.num_nodes
+    heads = kernel.head_index
+    cyc_k, cyc_t = np.divmod(np.asarray(cycle, dtype=np.int64), n)
+    phi = np.full(n, np.inf)
+    phi[cyc_t[0]] = 0.0
+    for k, t in zip(cyc_k[:0:-1], cyc_t[:0:-1]):
+        phi[t] = weights[k, t] + phi[heads[k, t]]
+    free = np.ones(n, dtype=bool)
+    free[cyc_t] = False
+    at_head = np.empty(heads.shape)
+    for _ in range(n):
+        np.take(phi, heads, out=at_head, mode="clip")
+        at_head += weights
+        best = at_head.min(axis=0)
+        better = free & (best < phi)
+        if not better.any():
+            break
+        phi[better] = best[better]
+    return phi
+
+
+def program_weights(p, program):
+    """(weights, cycle) of an edge program as the library passes them: the u0
+    program's weights are its target column broadcast over the offsets."""
+    cost, value, cycle, budget = edge_program(p, program)
+    if budget is None:
+        return cost - value, cycle
+    return np.broadcast_to(cost[0] - value, cost.shape), cycle
+
+
 class TestTreeCertificate:
     """Both edge programs close by weak duality on the graph's own arrays."""
 
@@ -370,6 +418,22 @@ class TestTreeCertificate:
         assert abs(float(c @ x) - float(b @ y)) <= 1e-12
         assert abs(got - float(c @ x)) <= 1e-12
         assert abs(got - solve_standard_form(a, b, c).objective) <= 1e-12
+
+    @pytest.mark.parametrize("program", ["mather", "u0"])
+    @pytest.mark.parametrize("name", NAMES)
+    def test_shared_relaxation_keeps_the_bits(self, name, program, request):
+        # the potentials of the shared Bellman-Ford loop are those of the
+        # Jacobi loop, and one relaxation less phi(tail) has the least of
+        # the full reduced-cost array as its minimum, bit for bit
+        p = problem(name, request)
+        kernel = p.kernel
+        weights, cycle = program_weights(p, program)
+        assert (program == "u0") == (weights.strides[0] == 0)
+        phi = _cycle_potentials(kernel, weights, cycle)
+        assert phi.tobytes() == jacobi_potentials(kernel, weights, cycle).tobytes()
+        heads = kernel.head_index
+        least = action_barrier._relax(phi[None], weights, heads, np.empty(heads.shape))[0]
+        assert (least - phi).min().tobytes() == _reduced_costs(kernel, weights, phi).min().tobytes()
 
     @pytest.mark.parametrize("name", NAMES)
     def test_mather_lp_falls_back_from_a_wrong_cycle(self, name, request):
