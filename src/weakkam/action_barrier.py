@@ -284,8 +284,9 @@ def _evaluate_cycle_policy(
     """Cycle means and biases of the policy x -> pred[policy[x], x], exactly.
 
     Each node's orbit is a rho: a tail into one cycle. A cycle's mean eta is
-    the sum of its Lbar (math.fsum) over its length; the first node reached
-    on it gets bias 0, and every other node of the rho the bias
+    the sum of its Lbar (math.fsum) over its length; its lowest node gets
+    bias 0 (so a cycle that outlives a round keeps its biases, and the
+    rounds cannot loop), and every other node of the rho the bias
     v(x) = Lbar(x) - eta + v(next), walked back from that root.
     """
     n = pred.shape[1]
@@ -305,13 +306,13 @@ def _evaluate_cycle_policy(
         if state[x] == 1:  # the walk closed a new cycle at x
             cut = path.index(x)
             cycle = path[cut:]
+            low = cycle.index(min(cycle))
+            cycle = cycle[low:] + cycle[:low]
             mean = math.fsum(step[y] for y in cycle) / len(cycle)
-            eta[x] = mean
+            for y in cycle:
+                eta[y], state[y] = mean, 2
             for y in reversed(cycle[1:]):
-                eta[y] = mean
                 bias[y] = step[y] - mean + bias[succ[y]]
-                state[y] = 2
-            state[x] = 2
             path = path[:cut]
         for y in reversed(path):
             eta[y] = eta[succ[y]]
@@ -327,11 +328,13 @@ def _min_cycle_mean(lag_in: np.ndarray, pred: np.ndarray) -> tuple[float, np.nda
     each node's cheapest one. A round evaluates it exactly, then improves it
     by `_improve`: a node first moves to the in-edge whose tail has the least
     cycle mean, and when no node can lower its mean, to the in-edge of least
-    bias among tails of equal mean. The last round is the one that finds
-    nothing to improve; ConvergenceError after _MAX_ROUNDS. Returns the mean,
-    that of an actual cycle of the graph, and the last round's bias, which
-    then meets bias(head) <= Lbar - mean + bias(tail) on every edge to within
-    _IMPROVE_RTOL * max|bias|. The rounds reuse two (m, n) buffers.
+    bias among tails of equal mean to within _improve's threshold (lest two
+    cycles whose equal means round apart hide a third below both). The last
+    round finds nothing to improve; ConvergenceError after _MAX_ROUNDS.
+    Returns the mean, that of an actual cycle of the graph, and the last
+    round's bias, which then meets bias(head) <= Lbar - mean + bias(tail) on
+    every edge to within _IMPROVE_RTOL * max|bias|. The rounds reuse two
+    (m, n) buffers.
     """
     policy = _argmin(lag_in)
     gathered, q = np.empty_like(lag_in), np.empty_like(lag_in)
@@ -344,7 +347,8 @@ def _min_cycle_mean(lag_in: np.ndarray, pred: np.ndarray) -> tuple[float, np.nda
         improved = _improve(eta_in, policy, np.abs(eta).max())
         if improved is None:
             # q = lag_in - eta + bias[pred] on in-edges from tails of equal mean, else inf
-            np.not_equal(eta_in, eta, out=off_mean)
+            np.greater(np.subtract(eta_in, eta, out=q), _IMPROVE_RTOL * np.abs(eta).max(),
+                       out=off_mean)
             np.subtract(lag_in, eta, out=q)
             q += np.take(bias, pred, out=gathered, mode="clip")
             np.copyto(q, np.inf, where=off_mean)

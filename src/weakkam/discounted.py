@@ -128,8 +128,12 @@ def discounted_policy_iteration(
     beta = math.exp(-lam * tau)
     if not beta < 1.0:
         raise WeakKamError("discount lambda*tau must be positive and above double rounding")
-    cost_in = (1.0 - beta) / (lam * tau) * kernel.costs_by_head()
+    # weight * costs_by_head() in _priced's order in one fresh array; the kernel caches none
     pred = kernel.pred_index
+    cost_in = np.take_along_axis(kernel.edge_lagrangian, pred, axis=1)
+    cost_in += kernel.c
+    cost_in *= tau
+    cost_in *= (1.0 - beta) / (lam * tau)
     cols = np.arange(kernel.num_nodes)
     policy = _argmin(cost_in)
     q = np.empty_like(cost_in)

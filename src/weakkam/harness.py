@@ -315,7 +315,7 @@ class RunReport:
     lp_vs_cycle: float
     u0_method: str
     u0_cross_delta: float
-    counters: dict           # deterministic solver work: pivots and rounds
+    counters: dict           # deterministic solver work: rounds and LP fallbacks
     convergence: list        # rows (lambda, sup_error, min_neg, max_neg, lipschitz)
     plateau: float
     flags: list              # dicts from CheckResult
@@ -603,9 +603,8 @@ class _Run:
             u0_cross_delta=u0_cross_delta,
             counters={
                 "barrier_relax_rounds": barrier.relax_rounds,
-                "mather_lp_pivots": lp.iterations,
-                "u0_pivots": u0_lp.pivots,
-                "lp_dense_solves": lp.dense_solves + u0_lp.dense_solves,
+                "lp_fallbacks": int(lp.iterations > 0) + u0_lp.fallbacks,
+                "lp_fallback_howard_runs": lp.iterations + u0_lp.howard_runs,
                 "critical_policy_rounds": sum(table.rounds),
                 "discounted_policy_rounds": sum(sol.iterations for sol in solutions),
             },

@@ -8,35 +8,36 @@ discrete Mather measures, and u0 is the cheapest mu-average of barrier rows
 over them.
 
 Both edge programs, the Mather program (least mean Lbar over closed
-measures) and the u0 program (near-Mather measures at sampled targets),
-are closed at the vertex the critical graph implies: the extreme Mather
-measures are uniform measures on critical cycles, and `_certifies` checks
-that uniform measure against node potentials phi, the cycle's own prices
-extended by shortest paths to it, by weak duality on the kernel's own
-arrays, where c - yA of an edge is weights + phi(head) - phi(tail); the
-shortest paths and the pricing are the barrier's own Bellman-Ford loop and
-step (action_barrier._distances, _relax) on out-edges by tail. The Mather
-value then matches Howard's minimum cycle mean to 1e-8, one of the
-package's acceptance gates, and u0 at the targets matches the least mean
-of the barrier rows over one critical cycle's nodes (`u0_critical_cycles`)
-to 1e-5. Only when a check fails are the columns assembled and the dense
-simplex run, from a cold start, so the value stays a certificate rather
-than a copy of the graph route.
+measures) and the u0 program (near-Mather measures at sampled targets), are
+closed at the vertex the critical graph implies: `_certifies` checks the
+uniform measure on a critical cycle against node potentials phi, the
+cycle's own prices extended by shortest paths to it (the barrier's
+Bellman-Ford loop and step, action_barrier._distances and _relax), by weak
+duality on the kernel's own arrays, where the reduced cost of an edge is
+weights + phi(head) - phi(tail). The Mather value then matches Howard's
+minimum cycle mean to 1e-8, and u0 at the targets the least mean of the
+barrier rows over one critical cycle (`u0_critical_cycles`) to 1e-5. When
+that check fails, `_graph_search` runs Howard's method on the program's own
+costs, once for the Mather program, and along a Newton search on the budget
+multiplier for the u0 program (Dinkelbach; Megiddo 1979), and `_certifies`
+must accept its end, one cycle or a mix of two, or the program raises. No
+LP solver is called; `weakkam.simplex` is the tests' oracle for both.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .action_barrier import (ActionKernel, BarrierMatrix, CriticalGraph, _distances, _relax,
                              aubry_report, tight_subgraph, verify_subsolution)
 from .discounted import DiscountedSolution, EdgeMeasure, discounted_occupation_measure
-from .errors import EmptyAubryError, InfeasibleError, WeakKamError
+from .errors import ConvergenceError, EmptyAubryError, InfeasibleError, WeakKamError
 from .models import LagrangianSpec, TorusGrid, eval_lagrangian
-from .simplex import _FEAS_TOL, CompressedColumns, solve_standard_form
+# solve_standard_form is not called here: perfbench/tracing.py getattr's it
+from .simplex import _FEAS_TOL, solve_standard_form
 
 __all__ = [
     "OccupationMeasure",
@@ -76,12 +77,8 @@ class OccupationMeasure(EdgeMeasure):
 
 def closedness_residual(measure, grid: TorusGrid | None = None) -> float:
     """Max over nodes of |inflow - outflow|; zero characterizes closed measures."""
-    grid = grid or measure.grid
-    outflow = np.zeros(grid.num_nodes)
-    inflow = np.zeros(grid.num_nodes)
-    np.add.at(outflow, measure.tails, measure.weights)
-    np.add.at(inflow, measure.heads(), measure.weights)
-    return float(np.abs(inflow - outflow).max())
+    n, w = (grid or measure.grid).num_nodes, measure.weights
+    return float(abs(np.bincount(measure.heads(), w, n) - np.bincount(measure.tails, w, n)).max())
 
 
 # ---------------------------------------------------------------------------
@@ -115,36 +112,7 @@ class MatherSolveResult:
     value: float
     support_edges: np.ndarray   # (E, 2) rows of (tail, offset id)
     projected: np.ndarray       # position marginal over nodes
-    iterations: int
-    dense_solves: int           # 1 when the certificate failed and the dense simplex ran
-
-
-def _edge_columns(kernel: ActionKernel, budget: float | None = None):
-    """Conservation/mass constraint columns over flattened edges (k*n + tail).
-
-    One conservation row per node except the last (rows sum to zero, so the
-    last is redundant), then the unit-mass row. Edge k*n + t stores +1 at its
-    tail row, -1 at its head row and 1 in the mass row; a self-loop's pair
-    cancels, and an end in the dropped last row is stored with value 0. With
-    a budget the u0 program's row n follows, sum m Lbar + slack = budget:
-    the slack >= 0 is the last column, its padding entries in row n with 0.
-    """
-    n = kernel.num_nodes
-    tails = np.tile(np.arange(n, dtype=np.int64), kernel.num_offsets)
-    heads = kernel.head_index.reshape(-1)  # [k*n + tail] -> head
-    rows = np.stack([tails, heads, np.full_like(tails, n - 1)])
-    vals = np.stack(
-        [(tails < n - 1).astype(float), -(heads < n - 1).astype(float), np.ones(tails.size)]
-    )
-    b = np.zeros(n)
-    b[n - 1] = 1.0
-    if budget is not None:
-        rows = np.pad(np.vstack([rows, np.full_like(tails, n)]), ((0, 0), (0, 1)),
-                      constant_values=n)
-        vals = np.pad(np.vstack([vals, kernel.edge_lagrangian.reshape(-1)]), ((0, 0), (0, 1)))
-        vals[-1, -1] = 1.0
-        b = np.append(b, budget)
-    return CompressedColumns(rows=rows, vals=vals, num_rows=b.size), b
+    iterations: int             # Howard runs of the fallback: 0 when the certificate closes
 
 
 def _cycle_potentials(kernel: ActionKernel, weights: np.ndarray, cycle: np.ndarray) -> np.ndarray:
@@ -172,87 +140,126 @@ def _cycle_potentials(kernel: ActionKernel, weights: np.ndarray, cycle: np.ndarr
     return phi
 
 
-def _certifies(kernel: ActionKernel, weights, cycle, phi, slack: float = 0.0) -> bool:
-    """Whether the uniform measure on cycle and the potentials phi prove each other optimal.
+def _certifies(kernel: ActionKernel, weights, cycles, phi, slack: float = 0.0) -> bool:
+    """Whether a measure on cycles and the potentials phi prove each other optimal.
 
     Weak duality, with weights + phi(head) - phi(tail) the reduced cost of
-    an edge: the measure is feasible when the cycle closes (each edge's
-    head is the next edge's tail) and the budget slack is >= 0; phi gives
-    feasible duals when it is finite and every reduced cost is >=
-    -_FEAS_TOL; and the two values, the dual's mass-row value and the
-    primal's that plus the mean reduced cost on the cycle, agree when the
-    cycle's reduced costs are within _FEAS_TOL of 0. Rounding is monotone, so
-    one relaxation less phi(tail) is exactly each tail's least reduced cost.
+    an edge: the measure is feasible when each cycle closes (each edge's
+    head is the next edge's tail) and the budget slack is >= -_FEAS_TOL; phi
+    is dual feasible when finite with no reduced cost below -_FEAS_TOL; and
+    the two values agree when every cycle edge's reduced cost is within
+    _FEAS_TOL of 0. Rounding is monotone, so one relaxation less phi(tail)
+    is exactly each tail's least reduced cost.
     """
-    cyc_k, cyc_t = np.divmod(cycle, kernel.num_nodes)
     heads = kernel.head_index
-    closes = np.array_equal(heads[cyc_k, cyc_t], np.roll(cyc_t, -1))
-    if not (closes and slack >= 0.0 and np.isfinite(phi).all()):
+    if not (slack >= -_FEAS_TOL and np.isfinite(phi).all()):
         return False
-    on_cycle = np.roll(phi[cyc_t], -1) + weights[cyc_k, cyc_t] - phi[cyc_t]
+    for cycle in cycles:
+        cyc_k, cyc_t = np.divmod(cycle, kernel.num_nodes)
+        on_cycle = np.roll(phi[cyc_t], -1) + weights[cyc_k, cyc_t] - phi[cyc_t]
+        closes = np.array_equal(heads[cyc_k, cyc_t], np.roll(cyc_t, -1))
+        if not (closes and np.abs(on_cycle).max() <= _FEAS_TOL):
+            return False
     least = _relax(phi[None], weights, heads, np.empty(heads.shape))[0] - phi
-    return bool(np.abs(on_cycle).max() <= _FEAS_TOL and least.min() >= -_FEAS_TOL)
+    return bool(least.min() >= -_FEAS_TOL)
+
+
+_LINE_RTOL = 1e-12  # the Newton search stops within this * max(1, |line|) of the line
+_MAX_NEWTON = 100   # Newton steps before ConvergenceError
+
+
+def _graph_search(kernel: ActionKernel, cost, cycle, budget: float | None):
+    """(weights, cycles, masses, Howard runs) of an optimal closed measure.
+
+    A run at multiplier s is tight_subgraph on w_s = cost + s Lbar (weights
+    is w_s less its mean), and its cycle C is the critical cycle of least
+    Lbar mean l_C, h_C being its cost mean. Without a budget B, or when
+    l_C <= B, C at s = 0 is the answer. Otherwise C is I, and F is cycle if
+    it meets B, else tight_subgraph(kernel)'s; each Newton step runs where
+    the lines h + s l of I and F meet, and C replaces I or F by the sign of
+    l_C - B, until C is not below that line: the answer is then the mix of
+    I and F whose mean Lbar is B.
+    """
+    n, lag = kernel.num_nodes, kernel.edge_lagrangian
+
+    def means(c):
+        cyc_k, cyc_t = np.divmod(c, n)
+        return math.fsum(cost[cyc_k, cyc_t]) / c.size, math.fsum(lag[cyc_k, cyc_t]) / c.size
+
+    def howard(s):
+        w = cost + s * lag if s else cost
+        graph = tight_subgraph(replace(kernel, edge_lagrangian=w))
+        best = min(graph.cycles, key=lambda c: means(c)[1])
+        return w - graph.mean, best, means(best)
+
+    weights, low, (h_i, l_i) = howard(0.0)
+    if budget is None or l_i <= budget:
+        return weights, (low,), (1.0,), 1
+    high = cycle if means(cycle)[1] <= budget else tight_subgraph(kernel).cycles[0]
+    h_f, l_f = means(high)
+    if l_f > budget:
+        raise InfeasibleError(f"no critical cycle meets the budget {budget:.6g}; increase eps_c")
+    for runs in range(2, _MAX_NEWTON + 2):
+        s = max(0.0, (h_f - h_i) / (l_i - l_f))
+        weights, found, (h_c, l_c) = howard(s)
+        line = h_f + s * l_f
+        if h_c + s * l_c >= line - _LINE_RTOL * max(1.0, abs(line)):
+            theta = (budget - l_f) / (l_i - l_f)
+            return weights, (low, high), (theta, 1.0 - theta), runs
+        if l_c > budget:
+            low, h_i, l_i = found, h_c, l_c
+        else:
+            high, h_f, l_f = found, h_c, l_c
+    raise ConvergenceError(f"u0 multiplier search hit the cap of {_MAX_NEWTON} Newton steps",
+                           iterations=_MAX_NEWTON)
 
 
 def _solve_edge_program(kernel: ActionKernel, cost, weights, cycle, budget: float | None = None):
-    """(value, measure, pivots, dense simplex ran) of the least cost over closed measures.
+    """(value, measure, Howard runs) of the least cost over closed measures.
 
     The measures have unit mass, and mean Lbar <= budget when one is given
     (the u0 program). cost and weights = cost - (the mean cost of cycle) are
     (num_offsets, num_nodes) by tail; cycle lists its edges in walking order.
-    The answer is the uniform measure on cycle when _certifies accepts it
-    with its _cycle_potentials; otherwise the dense simplex solves the
-    program from a cold start.
+    The answer is the uniform measure on cycle when _certifies accepts it,
+    else the end of _graph_search, which it must accept, or WeakKamError.
     """
-    cycle = np.asarray(cycle, dtype=np.int64)
-    cyc_k, cyc_t = np.divmod(cycle, kernel.num_nodes)
-    phi = _cycle_potentials(kernel, weights, cycle)
-    slack = 0.0 if budget is None else budget - kernel.edge_lagrangian[cyc_k, cyc_t].mean()
-    dense = not _certifies(kernel, weights, cycle, phi, slack)
-    if not dense:
-        mass = 1.0 / cycle.size
-        value, pivots = math.fsum(cost[cyc_k, cyc_t] * mass), 0
-        support, x = np.sort(cycle), np.full(cycle.size, mass)
-    else:
-        a, b = _edge_columns(kernel, budget)
-        c = cost.reshape(-1)
-        if budget is not None:
-            c = np.append(c, 0.0)
-        res = solve_standard_form(a, b, c)
-        value, pivots = res.objective, res.iterations
-        support = np.nonzero(res.x[:cost.size] > 1e-12)[0]
-        x = res.x[support]
-    offset_ids, tails = np.divmod(support, kernel.num_nodes)
-    measure = OccupationMeasure(kernel.grid, kernel.stencil, tails, offset_ids, x)
-    return value, measure, pivots, dense
+    n, lag = kernel.num_nodes, kernel.edge_lagrangian
+
+    def certified(weights, ends, masses):
+        spent = sum(m * lag[np.divmod(c, n)].mean() for m, c in zip(masses, ends))
+        slack = 0.0 if budget is None else budget - spent
+        return _certifies(kernel, weights, ends, _cycle_potentials(kernel, weights, ends[0]), slack)
+
+    ends, masses, runs = (np.asarray(cycle, dtype=np.int64),), (1.0,), 0
+    if not certified(weights, ends, masses):
+        weights, ends, masses, runs = _graph_search(kernel, cost, ends[0], budget)
+        if not certified(weights, ends, masses):
+            raise WeakKamError(f"the graph search's measure ({runs} Howard runs) fails its "
+                               "weak-duality certificate")
+    support, inverse = np.unique(np.concatenate(ends), return_inverse=True)
+    x = np.bincount(inverse, np.concatenate([np.full(c.size, m / c.size)
+                                             for m, c in zip(masses, ends)]))
+    offset_ids, tails = np.divmod(support[x > 0], n)
+    measure = OccupationMeasure(kernel.grid, kernel.stencil, tails, offset_ids, x[x > 0])
+    return math.fsum(cost[offset_ids, tails] * measure.weights), measure, runs
 
 
 def solve_mather_lp(kernel: ActionKernel, tight: CriticalGraph | None = None) -> MatherSolveResult:
     """Minimize the mean edge Lagrangian over unit-mass closed edge measures.
 
-    The program is closed at the uniform measure on cycles[0] of the critical
-    graph by its weak-duality certificate (no pivot); when that fails the
-    dense simplex solves it from a cold start. tight is the CriticalGraph of
-    tight_subgraph for this kernel's Lagrangian, computed here when None.
+    The program is closed at the uniform measure on cycles[0] of tight, the
+    CriticalGraph of tight_subgraph for this kernel (computed when None), or
+    else at the cycle of one Howard run on the Lagrangian.
     """
     graph = tight_subgraph(kernel) if tight is None else tight
     lag = kernel.edge_lagrangian
-    try:
-        value, measure, pivots, dense = _solve_edge_program(
-            kernel, lag, lag - graph.mean, graph.cycles[0]
-        )
-    except InfeasibleError as exc:
-        raise InfeasibleError(
-            "closed-measure program infeasible; the uniform measure on any cycle "
-            "is feasible, so the constraint assembly is broken"
-        ) from exc
+    value, measure, runs = _solve_edge_program(kernel, lag, lag - graph.mean, graph.cycles[0])
     return MatherSolveResult(
         measure=measure,
         value=value,
         support_edges=np.stack([measure.tails, measure.offset_ids], axis=1),
         projected=measure.node_marginal(),
-        iterations=pivots,
-        dense_solves=int(dense),
+        iterations=runs,
     )
 
 
@@ -270,8 +277,8 @@ class LimitFunctionResult:
     certificates: tuple               # per target: cycle index, OccupationMeasure or node id
     c_est: float
     eps: float
-    pivots: int = 0                   # simplex pivots summed over the targets
-    dense_solves: int = 0             # targets the certificate did not close
+    fallbacks: int = 0                # targets the start pair did not close
+    howard_runs: int = 0              # Howard runs of those targets' graph search
 
 
 def cycle_marginals(graph: CriticalGraph, num_nodes: int) -> list[np.ndarray]:
@@ -315,50 +322,40 @@ def compute_u0(
     For each target x this solves: minimize sum_y mu(y) h(y, x) over closed
     unit-mass edge measures whose mean Lagrangian is within eps_c of -c_est,
     where mu is the tail marginal. One LP per target, closed at the measure
-    h.graph implies: the uniform measure on the cycle of u0_critical_cycles'
+    h.graph implies, the uniform measure on the cycle of u0_critical_cycles'
     certificate at x, of mean h(., x) = v, priced by potentials under node
-    weights h(y, x) - v. h must carry its critical graph, so a min-plus power
-    raises WeakKamError, and a target outside [0, n) raises WeakKamError too.
-    The certificate checks that measure and the potentials on the kernel's
-    edges, and the dense simplex runs from a cold start when it fails, so
-    the LP stays an independent certificate. The targets are solved one
-    after another; threads is accepted and has no effect (a target whose
-    certificate holds costs the potentials' Bellman-Ford rounds and one pass
-    over the edges).
+    weights h(y, x) - v, or else by the graph search of _solve_edge_program,
+    so the LP stays an independent certificate. Before any target is solved,
+    h without its critical graph (a min-plus power) and a target that is not
+    an int in [0, n), a bool or a float included, raise WeakKamError, and a
+    budget below h.graph's mean InfeasibleError. threads is accepted and has
+    no effect: the targets are solved one after another.
     """
-    targets = np.atleast_1d(np.asarray(targets, dtype=np.int64))
-    outside = targets[(targets < 0) | (targets >= kernel.num_nodes)]
-    if outside.size:
-        raise WeakKamError(f"u0 target {outside[0]} is not a node in [0, {kernel.num_nodes})")
+    given = np.atleast_1d(np.asarray(targets, dtype=object)).tolist()
+    bad = [t for t in given if isinstance(t, bool) or not isinstance(t, (int, np.integer))
+           or not 0 <= t < kernel.num_nodes]
+    if bad:
+        raise WeakKamError(f"u0 target {bad[0]} is not a node in [0, {kernel.num_nodes})")
+    targets = np.array(given, dtype=np.int64)
     budget = -float(c_est) + float(eps_c)
     start = u0_critical_cycles(h)
+    if budget < h.graph.mean:
+        raise InfeasibleError(f"no closed measure meets the near-optimality budget {budget:.6g}; "
+                              "increase eps_c (the discretization rarely reaches -c_est exactly)")
     shape = kernel.head_index.shape
-
-    def solve_target(t: int):
-        col, v = h.values[:, t], start.values[t]
-        cycle = h.graph.cycles[start.certificates[t]]
-        try:
-            return _solve_edge_program(
-                kernel, np.broadcast_to(col, shape), np.broadcast_to(col - v, shape), cycle, budget
-            )
-        except InfeasibleError as exc:
-            raise InfeasibleError(
-                f"no closed measure meets the near-optimality budget {budget:.6g}; "
-                "increase eps_c (the discretization rarely reaches -c_est exactly)"
-            ) from exc
-
-    solved = [solve_target(int(t)) for t in targets]
-    values = np.array([s[0] for s in solved])
-    certificates = tuple(s[1] for s in solved)
+    solved = [_solve_edge_program(kernel, np.broadcast_to(h.values[:, t], shape),
+                                  np.broadcast_to(h.values[:, t] - start.values[t], shape),
+                                  h.graph.cycles[start.certificates[t]], budget)
+              for t in targets.tolist()]
     return LimitFunctionResult(
         targets=targets,
-        values=values,
+        values=np.array([s[0] for s in solved]),
         method="lp",
-        certificates=certificates,
+        certificates=tuple(s[1] for s in solved),
         c_est=float(c_est),
         eps=float(eps_c),
-        pivots=sum(s[2] for s in solved),
-        dense_solves=sum(s[3] for s in solved),
+        fallbacks=sum(s[2] > 0 for s in solved),
+        howard_runs=sum(s[2] for s in solved),
     )
 
 

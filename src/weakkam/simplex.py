@@ -1,8 +1,8 @@
 """Sparse revised simplex for standard-form programs min c.x, Ax = b, x >= 0.
 
-The solver is self-contained on purpose: the occupation-measure programs it
-backs act as a correctness oracle for the rest of the package, so we want
-full control over pivoting and tolerances rather than an external solver.
+No subcommand calls it: the edge programs of `mather` close on the action
+graph itself, and the tests solve them here as their oracle, self-contained
+on purpose for full control over pivoting and tolerances.
 
 The constraint matrix is held as compressed columns (`CompressedColumns`):
 per column, the row indices and values of its nonzeros, padded with zero
@@ -10,10 +10,6 @@ values to the largest column count. The edge programs have at most four
 nonzeros per column, so pricing is a gather-and-sum over them and a dense
 `a` is converted once on entry. Phase-1 artificials are implicit identity
 columns, and rows with b < 0 are flipped by scaling values.
-
-The edge programs of `mather` are closed by a weak-duality certificate on
-the action graph itself and call this solver, from a cold start, only when
-that certificate fails, so here it is their fallback and their test oracle.
 
 `solve_standard_form` updates the basis inverse by one rank-one
 (product-form) pivot per step, O(m^2), and refactorizes it by a dense

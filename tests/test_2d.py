@@ -164,7 +164,7 @@ class TestShippedConfig:
         report = run_pipeline(load_config(path), tmp_path)
         assert report.passed
         assert report.c_cross == 2.0
-        assert report.counters["mather_lp_pivots"] == report.counters["u0_pivots"] == 0
+        assert report.counters["lp_fallbacks"] == 0
 
     def test_transport_2d_config_converges(self, tmp_path):
         path = os.path.join(os.path.dirname(__file__), os.pardir, "configs", "transport_2d.json")
@@ -173,4 +173,4 @@ class TestShippedConfig:
         assert report.barrier_residual == 0.0
         # 144 critical nodes in 12 classes of 12, the rows of the torus
         assert report.mather_classes == [list(range(i, i + 12)) for i in range(0, 144, 12)]
-        assert report.counters["mather_lp_pivots"] == report.counters["u0_pivots"] == 0
+        assert report.counters["lp_fallbacks"] == 0

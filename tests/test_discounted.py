@@ -304,12 +304,19 @@ class TestPolicyIteration:
 class TestPeakAllocation:
     def test_policy_iteration_holds_two_stencil_arrays(self, pendulum200):
         # the scaled in-edge costs and the candidate buffer, reused by every round,
-        # and one argmin block; the kernel's costs_by_head is an input
-        kernel = pendulum200.kernel
-        kernel.costs_by_head()
+        # and one argmin block
+        kernel = replace(pendulum200.kernel)
         m, n = kernel.num_offsets, kernel.num_nodes
         bound = 2 * 8 * m * n + 8 * m * action_barrier._ARGMIN_COLS + PEAK_SLACK
         assert traced_peak(discounted_policy_iteration, kernel, 0.05) <= bound
+
+    def test_policy_iteration_leaves_the_by_head_cache_unfilled(self, pendulum16):
+        # the scaled in-edge costs are one fresh array, formed in _priced's
+        # order, so the kernel holds no by-head copy beside them
+        kernel = replace(pendulum16.kernel)
+        assert "_costs_by_head" not in kernel.__dict__
+        discounted_policy_iteration(kernel, 0.05)
+        assert "_costs_by_head" not in kernel.__dict__
 
 
 class TestCriticalValue:

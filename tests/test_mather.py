@@ -1,15 +1,19 @@
+import itertools
 import warnings
 from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import weakkam as wk
-from weakkam import action_barrier
+from weakkam import action_barrier, mather
 from weakkam.action_barrier import _min_cycle_mean, tight_subgraph
 from weakkam.errors import ConvergenceError, EmptyAubryError, WeakKamError
-from weakkam.mather import _certifies, _cycle_potentials, _edge_columns, _solve_edge_program
-from weakkam.simplex import _FEAS_TOL, _REFACTOR_EVERY, solve_standard_form
+from weakkam.mather import _certifies, _cycle_potentials, _solve_edge_program
+from weakkam.models import VelocityStencil
+from weakkam.simplex import _FEAS_TOL, _REFACTOR_EVERY, CompressedColumns, solve_standard_form
 
 from conftest import PEAK_SLACK, make_problem, pendulum_potential, traced_peak, two_well_potential
 
@@ -17,7 +21,7 @@ from conftest import PEAK_SLACK, make_problem, pendulum_potential, traced_peak, 
 def _reduced_costs(kernel, weights, phi):
     """weights + phi(head) - phi(tail) per edge, (num_offsets, num_nodes) by tail.
 
-    For weights = c - value this is c - yA over the columns of _edge_columns
+    For weights = c - value this is c - yA over the columns of edge_columns
     at y = phi - phi[n - 1] on the conservation rows, value on the mass row
     and 0 on the budget row. The production check takes only its minimum,
     by one relaxation; this full array is the oracle for it.
@@ -92,6 +96,35 @@ def random_table8_kernel():
     return wk.build_kernel(grid, spec, stencil, c=0.0)
 
 
+def edge_columns(kernel, budget=None):
+    """The oracle's column assembly: conservation/mass constraint columns over
+    flattened edges (k*n + tail), for solve_standard_form.
+
+    One conservation row per node except the last (rows sum to zero, so the
+    last is redundant), then the unit-mass row. Edge k*n + t stores +1 at its
+    tail row, -1 at its head row and 1 in the mass row; a self-loop's pair
+    cancels, and an end in the dropped last row is stored with value 0. With
+    a budget the u0 program's row n follows, sum m Lbar + slack = budget:
+    the slack >= 0 is the last column, its padding entries in row n with 0.
+    """
+    n = kernel.num_nodes
+    tails = np.tile(np.arange(n, dtype=np.int64), kernel.num_offsets)
+    heads = kernel.head_index.reshape(-1)  # [k*n + tail] -> head
+    rows = np.stack([tails, heads, np.full_like(tails, n - 1)])
+    vals = np.stack(
+        [(tails < n - 1).astype(float), -(heads < n - 1).astype(float), np.ones(tails.size)]
+    )
+    b = np.zeros(n)
+    b[n - 1] = 1.0
+    if budget is not None:
+        rows = np.pad(np.vstack([rows, np.full_like(tails, n)]), ((0, 0), (0, 1)),
+                      constant_values=n)
+        vals = np.pad(np.vstack([vals, kernel.edge_lagrangian.reshape(-1)]), ((0, 0), (0, 1)))
+        vals[-1, -1] = 1.0
+        b = np.append(b, budget)
+    return CompressedColumns(rows=rows, vals=vals, num_rows=b.size), b
+
+
 def dense_edge_columns(kernel):
     """Reference assembly: the closed-measure constraints as a dense matrix.
 
@@ -149,13 +182,13 @@ class TestAssembly:
     def test_compressed_matches_dense_oracle(self, name, request):
         p = problem(name, request)
         kernel = p.kernel
-        a, b = _edge_columns(kernel)
+        a, b = edge_columns(kernel)
         a_ref, b_ref = dense_edge_columns(kernel)
         assert a.shape == a_ref.shape
         np.testing.assert_array_equal(expand(a), a_ref)
         np.testing.assert_array_equal(b, b_ref)
         budget = -p.c_star + 1e-6
-        u, ub = _edge_columns(kernel, budget)
+        u, ub = edge_columns(kernel, budget)
         u_ref, ub_ref = dense_u0_columns(kernel, budget)
         assert u.shape == u_ref.shape
         np.testing.assert_array_equal(expand(u), u_ref)
@@ -164,7 +197,7 @@ class TestAssembly:
 
     def test_free_self_loops_vanish_from_conservation_rows(self, free32):
         kernel = free32.kernel
-        a, _ = _edge_columns(kernel)
+        a, _ = edge_columns(kernel)
         tails = np.tile(np.arange(32), kernel.num_offsets)
         loops = np.nonzero(kernel.head_index.reshape(-1) == tails)[0]
         assert loops.size == 32
@@ -177,7 +210,7 @@ class TestAssembly:
         budget = -p.c_star + 1e-6
         assert budget < 0
         h = wk.peierls_barrier(p.kernel)
-        u, ub = _edge_columns(p.kernel, budget)
+        u, ub = edge_columns(p.kernel, budget)
         c = np.concatenate([np.tile(h.values[:, 5], p.kernel.num_offsets), [0.0]])
         res = solve_standard_form(u, ub, c)
         u_ref, _ = dense_u0_columns(p.kernel, budget)
@@ -216,7 +249,7 @@ class TestLPCertificates:
     def test_refactorized_solve_certifies_itself(self):
         # enough pivots to pass several refactorization points
         kernel = make_problem(60, two_well_potential()).kernel
-        a, b = _edge_columns(kernel)
+        a, b = edge_columns(kernel)
         c = kernel.edge_lagrangian.reshape(-1)
         res = solve_standard_form(a, b, c)
         assert res.iterations > _REFACTOR_EVERY
@@ -251,7 +284,7 @@ class TestCriticalGraphStart:
         kernel = problem(name, request).kernel
         lp = wk.solve_mather_lp(kernel)
         assert lp.iterations == 0
-        a, b = _edge_columns(kernel)
+        a, b = edge_columns(kernel)
         cold = solve_standard_form(a, b, kernel.edge_lagrangian.reshape(-1))
         assert cold.iterations > 0
         assert abs(lp.value - cold.objective) <= 1e-12
@@ -264,8 +297,8 @@ class TestCriticalGraphStart:
         n = kernel.num_nodes
         targets = np.arange(0, n, max(1, n // 8))
         u0 = wk.compute_u0(h, kernel, p.c_star, 1e-6, targets)
-        assert u0.pivots == 0
-        a, b = _edge_columns(kernel, -p.c_star + 1e-6)
+        assert u0.fallbacks == u0.howard_runs == 0
+        a, b = edge_columns(kernel, -p.c_star + 1e-6)
         for t, value in zip(targets, u0.values):
             cold = solve_standard_form(a, b, u0_objective(h, kernel, t))
             assert abs(value - cold.objective) <= 1e-12
@@ -286,16 +319,17 @@ class TestCriticalGraphStart:
         weights = r + psi[None, :] - psi[kernel.head_index]
         phi = _cycle_potentials(kernel, weights, cycle)
         assert phi[0] != phi[3]
-        assert _certifies(kernel, weights, cycle, phi)
-        value, _, pivots, dense = _solve_edge_program(kernel, weights, weights, cycle)
-        assert not dense and pivots == 0 and abs(value) <= 1e-12
-        a, b = _edge_columns(kernel)
+        assert _certifies(kernel, weights, (cycle,), phi)
+        value, _, runs = _solve_edge_program(kernel, weights, weights, cycle)
+        assert runs == 0 and abs(value) <= 1e-12
+        a, b = edge_columns(kernel)
         assert abs(solve_standard_form(a, b, weights.reshape(-1)).objective) <= 1e-12
 
+    @pytest.mark.usefixtures("no_simplex")
     def test_spanning_basis_refuses_a_second_cycle(self, pendulum16):
         # a negative 2-cycle 8 -> 11 -> 8 away from the given cycle: Bellman-Ford
         # never settles, so the potentials price that cycle's edges below zero
-        # and the dense simplex finds the cheaper cycle
+        # and one Howard run on the weights finds the cheaper cycle
         kernel = pendulum16.kernel
         n = kernel.num_nodes
         offsets = kernel.stencil.offsets
@@ -304,9 +338,12 @@ class TestCriticalGraphStart:
         weights[fwd, 0] = weights[back, 3] = 0.0
         weights[fwd, 8] = weights[back, 11] = -0.5
         cycle = np.array([fwd * n + 0, back * n + 3])
-        assert not _certifies(kernel, weights, cycle, _cycle_potentials(kernel, weights, cycle))
-        value, _, pivots, dense = _solve_edge_program(kernel, weights, weights, cycle)
-        assert dense and pivots > 0 and abs(value + 0.5) <= 1e-12
+        assert not _certifies(kernel, weights, (cycle,), _cycle_potentials(kernel, weights, cycle))
+        value, measure, runs = _solve_edge_program(kernel, weights, weights, cycle)
+        assert runs == 1 and abs(value + 0.5) <= 1e-12
+        assert sorted(measure.tails.tolist()) == [8, 11]
+        a, b = edge_columns(kernel)
+        assert abs(solve_standard_form(a, b, weights.reshape(-1)).objective - value) <= 1e-12
 
 
 def edge_program(p, program):
@@ -326,8 +363,8 @@ def edge_program(p, program):
 
 
 def lp_form(kernel, cost, budget):
-    """(a, b, c) of an edge program over the columns of _edge_columns."""
-    a, b = _edge_columns(kernel, budget)
+    """(a, b, c) of an edge program over the columns of edge_columns."""
+    a, b = edge_columns(kernel, budget)
     c = cost.reshape(-1)
     return a, b, (c if budget is None else np.append(c, 0.0))
 
@@ -402,8 +439,8 @@ class TestTreeCertificate:
         p = problem(name, request)
         kernel = p.kernel
         cost, value, cycle, budget = edge_program(p, program)
-        got, measure, pivots, dense = _solve_edge_program(kernel, cost, cost - value, cycle, budget)
-        assert not dense and pivots == 0
+        got, measure, runs = _solve_edge_program(kernel, cost, cost - value, cycle, budget)
+        assert runs == 0
         # the certified measure and the potentials' duals are an optimal
         # primal-dual pair of the assembled program
         a, b, c = lp_form(kernel, cost, budget)
@@ -435,25 +472,29 @@ class TestTreeCertificate:
         least = action_barrier._relax(phi[None], weights, heads, np.empty(heads.shape))[0]
         assert (least - phi).min().tobytes() == _reduced_costs(kernel, weights, phi).min().tobytes()
 
-    @pytest.mark.parametrize("name", NAMES)
+    @pytest.mark.usefixtures("no_simplex")
+    @pytest.mark.parametrize("name", TestCriticalGraphStart.NAMES)
     def test_mather_lp_falls_back_from_a_wrong_cycle(self, name, request):
         kernel = problem(name, request).kernel
         lp = wk.solve_mather_lp(kernel, tight=wrong_graph(kernel))
-        assert lp.dense_solves == 1 and lp.iterations > 0
+        assert lp.iterations == 1  # one Howard run on the Lagrangian
         right = wk.solve_mather_lp(kernel)
-        assert right.dense_solves == 0
+        assert right.iterations == 0
         assert abs(lp.value - right.value) <= 1e-12
 
-    @pytest.mark.parametrize("name", NAMES)
+    @pytest.mark.usefixtures("no_simplex")
+    @pytest.mark.parametrize("name", TestCriticalGraphStart.NAMES)
     def test_u0_falls_back_from_a_wrong_cycle(self, name, request):
         p = problem(name, request)
         h = wk.peierls_barrier(p.kernel)
         targets = [0, p.kernel.num_nodes // 3]
         u0 = wk.compute_u0(replace(h, graph=wrong_graph(p.kernel)), p.kernel, p.c_star, 1e-6,
                            targets)
-        assert u0.dense_solves == len(targets) and u0.pivots > 0
+        # the wrong loop does not meet the budget, so the search's feasible
+        # cycle is tight_subgraph's own
+        assert u0.fallbacks == len(targets) and u0.howard_runs >= len(targets)
         right = wk.compute_u0(h, p.kernel, p.c_star, 1e-6, targets)
-        assert right.dense_solves == 0
+        assert right.fallbacks == right.howard_runs == 0
         assert np.abs(u0.values - right.values).max() <= 1e-12
 
     def test_refuses_a_pair_that_misses_a_check(self, pendulum16):
@@ -461,20 +502,22 @@ class TestTreeCertificate:
         cost, value, cycle, _ = edge_program(pendulum16, "mather")
         weights = cost - value
         phi = _cycle_potentials(kernel, weights, cycle)
-        assert _certifies(kernel, weights, cycle, phi)
+        assert _certifies(kernel, weights, (cycle,), phi)
         # each case below fails exactly one of the checks
         loops = np.arange(weights.size) // kernel.num_nodes == kernel.stencil.zero_index
         off_cycle = int(np.setdiff1d(np.nonzero(~loops)[0], cycle)[0])  # not a self-loop
-        assert not _certifies(kernel, weights, np.array([off_cycle]), phi)  # closes
-        assert not _certifies(kernel, weights, cycle, phi, slack=-1e-6)    # slack >= 0
+        assert not _certifies(kernel, weights, (np.array([off_cycle]),), phi)   # closes
+        assert not _certifies(kernel, weights, (cycle, np.array([off_cycle])), phi)
+        assert not _certifies(kernel, weights, (cycle,), phi, slack=-1e-6)      # slack >= -tol
+        assert _certifies(kernel, weights, (cycle,), phi, slack=-_FEAS_TOL)
         raised = weights.copy()
         raised.reshape(-1)[cycle[0]] += 1e-6
-        assert not _certifies(kernel, raised, cycle, phi)                  # cycle costs 0
+        assert not _certifies(kernel, raised, (cycle,), phi)                    # cycle costs 0
         priced_in = weights.copy()
         priced_in.reshape(-1)[off_cycle] -= (
             _reduced_costs(kernel, weights, phi).reshape(-1)[off_cycle] + 1e-6
         )
-        assert not _certifies(kernel, priced_in, cycle, phi)               # pricing
+        assert not _certifies(kernel, priced_in, (cycle,), phi)                 # pricing
 
     def test_certifies_a_raised_edge_off_the_cycle(self, pendulum16):
         # a tight edge off the cycle raised by 1e-6 leaves the potentials
@@ -487,11 +530,11 @@ class TestTreeCertificate:
         tight = np.setdiff1d(np.nonzero(np.abs(reduced) <= _FEAS_TOL)[0], cycle)
         raised = weights.copy()
         raised.reshape(-1)[tight[0]] += 1e-6
-        assert _certifies(kernel, raised, cycle, phi)
+        assert _certifies(kernel, raised, (cycle,), phi)
         lifted = cost.copy()
         lifted.reshape(-1)[tight[0]] += 1e-6
-        got, _, pivots, dense = _solve_edge_program(kernel, lifted, raised, cycle)
-        assert not dense and pivots == 0 and got == wk.solve_mather_lp(kernel).value
+        got, _, runs = _solve_edge_program(kernel, lifted, raised, cycle)
+        assert runs == 0 and got == wk.solve_mather_lp(kernel).value
 
     def test_refuses_a_node_that_reaches_no_cycle_without_warning(self, pendulum16):
         # +inf on every out-edge of a node off the cycle leaves its potential
@@ -505,7 +548,7 @@ class TestTreeCertificate:
             warnings.simplefilter("error")
             phi = _cycle_potentials(kernel, weights, cycle)
             assert phi[node] == np.inf
-            assert not _certifies(kernel, weights, cycle, phi)
+            assert not _certifies(kernel, weights, (cycle,), phi)
 
 
 class TestPeakAllocation:
@@ -516,8 +559,40 @@ class TestPeakAllocation:
         weights, cycle = kernel.edge_lagrangian - graph.mean, graph.cycles[0]
         phi = _cycle_potentials(kernel, weights, cycle)
         bound = 8 * kernel.num_offsets * kernel.num_nodes + PEAK_SLACK
-        assert traced_peak(_certifies, kernel, weights, cycle, phi) <= bound
+        assert traced_peak(_certifies, kernel, weights, (cycle,), phi) <= bound
         assert traced_peak(_cycle_potentials, kernel, weights, cycle) <= bound
+
+
+def permutation_kernel(lag, heads):
+    """A kernel whose offset k sends node t to heads[k, t], a permutation,
+    with edge Lagrangian lag; its stencil only counts the offsets."""
+    m, n = heads.shape
+    stencil = VelocityStencil(tau=1.0, offsets=tuple((k,) for k in range(m)),
+                              velocities=np.zeros((m, 1)), alpha=1.0)
+    return wk.ActionKernel(grid=wk.build_grid(1, [n]), stencil=stencil, c=0.0,
+                           edge_lagrangian=lag, head_index=heads,
+                           pred_index=np.argsort(heads, axis=1))
+
+
+@st.composite
+def edge_programs(draw):
+    """(kernel, node weights, budget) of a random edge program: n in [3, 12]
+    nodes and m in [1, 4] offsets, each offset a random permutation of the
+    nodes as head_index with its inverse as pred_index, offset 0 one n-cycle
+    so that every node reaches every other as on a torus; Lbar and the node
+    weights on the 1/4 lattice in [-2, 2], and a budget the minimum mean Lbar
+    plus a lattice value in [0, 2]. Every cycle sum is exact."""
+    n, m = draw(st.integers(3, 12)), draw(st.integers(1, 4))
+    order = draw(st.permutations(range(n)))
+    heads = np.empty((m, n), dtype=np.int64)
+    heads[0, order] = np.roll(order, -1)
+    for k in range(1, m):
+        heads[k] = draw(st.permutations(range(n)))
+    quarters = draw(st.lists(st.integers(-8, 8), min_size=(m + 1) * n, max_size=(m + 1) * n))
+    lattice = np.array(quarters, dtype=float).reshape(m + 1, n) / 4
+    kernel = permutation_kernel(lattice[:m], heads)
+    budget = tight_subgraph(kernel).mean + draw(st.integers(0, 8)) / 4
+    return kernel, lattice[m], budget
 
 
 def drifting_table32():
@@ -529,20 +604,91 @@ def drifting_table32():
     return make_problem(32, spec=wk.tabulated(grid, momenta, 0.5 * momenta**2 + np.outer(w, momenta)))
 
 
-class TestDenseFallback:
+@pytest.fixture
+def no_simplex(monkeypatch):
+    """Both names of solve_standard_form in the package patched to raise: the
+    edge programs must close on the action graph alone."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("an edge program called the simplex")
+
+    monkeypatch.setattr(wk.simplex, "solve_standard_form", refuse)
+    monkeypatch.setattr(wk.mather, "solve_standard_form", refuse)
+
+
+def refusing_the_start(monkeypatch):
+    """_certifies refusing every first call and deciding every second one: the
+    start pair of each edge program is refused, its graph search's end pair
+    is checked as before."""
+    calls = itertools.count()
+    real = mather._certifies
+    monkeypatch.setattr(mather, "_certifies",
+                        lambda *args, **kwargs: next(calls) % 2 == 1 and real(*args, **kwargs))
+
+
+@pytest.mark.usefixtures("no_simplex")
+class TestGraphFallback:
     def test_u0_program_on_a_nonreversible_table(self):
         # with no weight on the budget row the cycle's potentials price some
         # edge of every target's program below -0.03, so each target runs the
-        # dense simplex (2,368 pivots in all)
+        # graph search: 96 Howard runs in all, where the dense simplex took
+        # 2,368 pivots
         p = drifting_table32()
         kernel, n = p.kernel, p.grid.num_nodes
         h = wk.peierls_barrier(kernel)
         u0 = wk.compute_u0(h, kernel, p.c_star, 1e-6, np.arange(n))
-        assert u0.dense_solves == n and u0.pivots == 2368
+        assert u0.fallbacks == n and u0.howard_runs == 96
+        a, b = edge_columns(kernel, -p.c_star + 1e-6)
         u_ref, ub_ref = dense_u0_columns(kernel, -p.c_star + 1e-6)
         for t, value in enumerate(u0.values):
-            assert value == pytest.approx(highs(u_ref, ub_ref, u0_objective(h, kernel, t)), abs=1e-9)
+            c = u0_objective(h, kernel, t)
+            assert abs(value - solve_standard_form(a, b, c).objective) <= 1e-12
+            assert value == pytest.approx(highs(u_ref, ub_ref, c), abs=1e-9)
         assert np.abs(u0.values - wk.u0_critical_cycles(h).values).max() <= 1e-5
+
+    @pytest.mark.parametrize("name", TestCriticalGraphStart.NAMES)
+    def test_forced_fallback_matches_the_certificate(self, name, request, monkeypatch):
+        # every start pair refused: both programs at every target close by the
+        # graph search, at the certificate path's values
+        p = problem(name, request)
+        kernel = p.kernel
+        h = wk.peierls_barrier(kernel)
+        targets = np.arange(kernel.num_nodes)
+        right_lp = wk.solve_mather_lp(kernel)
+        right = wk.compute_u0(h, kernel, p.c_star, 1e-6, targets)
+        refusing_the_start(monkeypatch)
+        lp = wk.solve_mather_lp(kernel)
+        u0 = wk.compute_u0(h, kernel, p.c_star, 1e-6, targets)
+        assert lp.iterations == 1 and abs(lp.value - right_lp.value) <= 1e-12
+        assert u0.fallbacks == targets.size and u0.howard_runs >= targets.size
+        assert np.abs(u0.values - right.values).max() <= 1e-12
+
+    def test_refused_end_pair_raises(self, pendulum16, monkeypatch):
+        monkeypatch.setattr(mather, "_certifies", lambda *args: False)
+        with pytest.raises(WeakKamError, match=r"Howard runs\) fails its weak-duality certificate"):
+            wk.solve_mather_lp(pendulum16.kernel)
+
+    @given(edge_programs())
+    @settings(derandomize=True, max_examples=150, deadline=None)
+    def test_battery_matches_the_simplex_and_highs(self, program):
+        kernel, nodes, budget = program
+        lag, shape = kernel.edge_lagrangian, kernel.head_index.shape
+        cycle = tight_subgraph(kernel).cycles[0]
+        with pytest.MonkeyPatch.context() as patch:
+            refusing_the_start(patch)
+            for cost, bound in ((lag, None), (np.broadcast_to(nodes, shape), budget)):
+                value, measure, runs = _solve_edge_program(kernel, cost, cost - 0.0, cycle, bound)
+                assert runs >= 1
+                # closed on the kernel's own head_index, which no stencil offset describes here
+                n, w = kernel.num_nodes, measure.weights
+                heads = kernel.head_index[measure.offset_ids, measure.tails]
+                net = np.bincount(heads, w, n) - np.bincount(measure.tails, w, n)
+                assert np.abs(net).max() <= 1e-12
+                assert abs(measure.mass - 1.0) <= 1e-12 and measure.weights.min() > 0.0
+                if bound is not None:
+                    assert measure.pairing(lag) <= bound + 1e-12
+                a, b, c = lp_form(kernel, cost, bound)
+                assert abs(value - solve_standard_form(a, b, c).objective) <= 1e-9
+                assert abs(value - highs(expand(a), b, c)) <= 1e-9
 
 
 class TestLargeAmplitude:
@@ -565,14 +711,14 @@ class TestLargeAmplitude:
         pred = kernel.pred_index
         mean, bias = _min_cycle_mean(np.take_along_axis(kernel.edge_lagrangian, pred, axis=1), pred)
         graph = tight_subgraph(kernel)
-        assert not _certifies(kernel, kernel.edge_lagrangian - mean, graph.cycles[0], -bias)
+        assert not _certifies(kernel, kernel.edge_lagrangian - mean, (graph.cycles[0],), -bias)
         assert graph.classes == [[0]]
         lp = wk.solve_mather_lp(kernel, tight=graph)
-        assert lp.dense_solves == 0 and lp.value == mean
+        assert lp.iterations == 0 and lp.value == mean
         h = wk.peierls_barrier(kernel, tight=graph)
         targets = np.linspace(0, kernel.num_nodes - 1, 8).astype(np.int64)
         u0 = wk.compute_u0(h, kernel, p.c_star, 1e-6, targets)
-        assert u0.dense_solves == 0 and u0.pivots == 0
+        assert u0.fallbacks == u0.howard_runs == 0
 
 
 class TestMinMeanCycle:
@@ -639,6 +785,29 @@ class TestHowardMean:
         mean = tight_subgraph(kernel).mean
         assert mean == kernel.edge_lagrangian[loop].min()
         assert karp_mean(kernel) > mean
+
+    def test_means_that_round_apart_hide_no_lower_cycle(self):
+        # the cycles 0 -> 5 -> 0 and 2 -> 6 -> 2 both have mean -0.3, but their
+        # sums round apart by an ulp; 6 -> 5 -> 0 -> 1 -> 6 runs through both at
+        # mean -0.3375, so the equal-mean pass must look across the two (an
+        # exact-equality test there stopped at -0.30000000000000004)
+        heads = np.array([[1, 6, 0, 4, 5, 2, 3], [5, 1, 6, 3, 4, 0, 2], [0, 1, 2, 3, 4, 6, 5]])
+        lag = np.zeros(heads.shape)
+        lag[1, 5], lag[1, 6] = -1.5, -0.25
+        nodes = np.array([0.0, -0.25, 0.0, 0.0, 0.0, 0.0, -0.5])
+        kernel = permutation_kernel(nodes + 0.4 * lag, heads)
+        assert tight_subgraph(kernel).mean == -0.3375 == closed_walk_mean_oracle(kernel)
+
+    def test_a_kept_cycle_keeps_its_root(self):
+        # rooting each cycle where the first walk met it moved the root of a
+        # cycle that outlived a round, shifted its basin's biases up, and the
+        # equal-mean rounds then went around a loop of policies until the cap
+        heads = np.array([[1, 3, 4, 2, 5, 6, 7, 8, 9, 0], [0, 1, 3, 2, 6, 5, 4, 7, 8, 9],
+                          [0, 1, 2, 5, 4, 3, 6, 7, 8, 9], [0, 1, 2, 5, 4, 3, 6, 7, 8, 9]])
+        lag = np.tile([0.0, 0.0, 0.0, -1.0, -0.5, -0.25, 0.0, 0.0, 0.0, 0.0], (4, 1))
+        lag[2, 4] = -0.625
+        kernel = permutation_kernel(lag, heads)
+        assert tight_subgraph(kernel).mean == -0.625 == closed_walk_mean_oracle(kernel)
 
     def test_round_cap_raises(self, pendulum8, monkeypatch):
         # the first policy of pendulum8 is not optimal: one round cannot end
@@ -773,8 +942,9 @@ class TestComputeU0:
         with pytest.raises(WeakKamError, match="critical graph"):
             wk.compute_u0(power, p.kernel, p.c_star, 1e-6, [0])
 
-    @pytest.mark.parametrize("target", [-1, 16])
+    @pytest.mark.parametrize("target", [-1, 16, 1.5, True])
     def test_refuses_a_target_outside_the_grid(self, pendulum16, target):
+        # a float or a bool is refused by name, not cast to a node
         p = pendulum16
         h = wk.peierls_barrier(p.kernel)
         with pytest.raises(WeakKamError, match=f"u0 target {target} is not a node"):
