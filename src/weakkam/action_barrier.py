@@ -220,27 +220,49 @@ def minplus_power(kernel: ActionKernel, n: int) -> BarrierMatrix:
     return BarrierMatrix(values=acc, tau=kernel.stencil.tau, c=kernel.c, steps=n)
 
 
+# offsets per block of every pass over the in-edges: a pass holds blocks of
+# (_BLOCK_ROWS, num_nodes) values, never the whole (num_offsets, num_nodes) array
+_BLOCK_ROWS = 64
+
+
+def _blocks(m: int):
+    """(lo, hi) of each block of at most _BLOCK_ROWS of m offsets, in order."""
+    return [(lo, min(lo + _BLOCK_ROWS, m)) for lo in range(0, m, _BLOCK_ROWS)]
+
+
+def _block_buffer(shape: tuple[int, int], dtype=float) -> np.ndarray:
+    """A C-ordered buffer for one block of an (offsets, nodes) array of this shape."""
+    return np.empty((min(_BLOCK_ROWS, shape[0]), shape[1]), dtype=dtype)
+
+
 def _relax(h: np.ndarray, cost_in: np.ndarray, pred: np.ndarray, cand: np.ndarray) -> np.ndarray:
     """One relaxation on in-edge arrays: out(y, x) = min_k h(y, pred[k, x]) + cost_in[k, x].
 
-    Row y's candidates fill the caller's C-ordered (num_offsets, num_nodes)
-    buffer cand (cost_in may be a broadcast view), and their minimum over k
-    goes straight into the output row. No (rows, num_nodes) temporary is
-    made, and the floats are those of a per-offset running minimum.
+    Row y's candidates fill the caller's C-ordered buffer cand, of at least
+    min(_BLOCK_ROWS, num_offsets) rows, one block of offsets at a time
+    (cost_in may be a broadcast view), and a running minimum over the blocks
+    goes straight into the output row. min is exact, so the floats are those
+    of a per-offset running minimum whatever the block size.
     """
-    out = np.empty_like(h)
+    out, low, blocks = np.empty_like(h), np.empty(pred.shape[1]), _blocks(pred.shape[0])
     for r in range(h.shape[0]):
-        # pred holds valid node indices; "clip" lets take write into cand
-        # directly instead of through a bounds-checked buffer
-        np.take(h[r], pred, out=cand, mode="clip")
-        np.add(cand, cost_in, out=cand)
-        np.min(cand, axis=0, out=out[r])
+        for lo, hi in blocks:
+            block = cand[:hi - lo]
+            # pred holds valid node indices; "clip" lets take write into the
+            # block directly instead of through a bounds-checked buffer
+            np.take(h[r], pred[lo:hi], out=block, mode="clip")
+            np.add(block, cost_in[lo:hi], out=block)
+            if lo:
+                np.minimum(out[r], np.min(block, axis=0, out=low), out=out[r])
+            else:
+                np.min(block, axis=0, out=out[r])
     return out
 
 
 def barrier_step(kernel: ActionKernel, h: np.ndarray) -> np.ndarray:
     """One Lax-Oleinik step h'(y, x) = min_z h(y, z) + cost(z -> x), by _relax."""
-    return _relax(h, kernel.costs_by_head(), kernel.pred_index, np.empty(kernel.pred_index.shape))
+    pred = kernel.pred_index
+    return _relax(h, kernel.costs_by_head(), pred, _block_buffer(pred.shape))
 
 
 # a node switches in-edge only when that lowers its value by more than this
@@ -249,8 +271,6 @@ _IMPROVE_RTOL = 1e-14
 # round cap of every Howard run, read when it starts; the shipped configs take
 # at most 10 rounds, pendulum n=1000 down to lambda = 1e-7 takes 15
 _MAX_ROUNDS = 1000
-# columns per block of _argmin, which bounds the transposed copy argmin(axis=0) makes
-_ARGMIN_COLS = 64
 
 
 def _howard_rounds(what: str):
@@ -260,22 +280,43 @@ def _howard_rounds(what: str):
                            "with a node still improving", iterations=_MAX_ROUNDS)
 
 
-def _argmin(q: np.ndarray) -> np.ndarray:
-    """q.argmin(axis=0), ties to the lowest index, one block of columns at a time."""
-    best = np.empty(q.shape[1], dtype=np.intp)
-    for j in range(0, q.shape[1], _ARGMIN_COLS):
-        q[:, j:j + _ARGMIN_COLS].argmin(axis=0, out=best[j:j + _ARGMIN_COLS])
-    return best
+def _reduce(fill, shape: tuple[int, int], policy: np.ndarray | None = None):
+    """(low, best, held) over an (offsets, nodes) array q of this shape that
+    is never formed: fill(lo, hi) gives its rows lo:hi, one block at a time.
+
+    low is q.min(axis=0), a running minimum, which is exact; best is
+    q.argmin(axis=0), a running argmin that moves on a strict < only, so
+    ties go to the lowest offset across blocks as within one; held is
+    q[policy, cols], each node's value at its policy offset, read as that
+    offset's block passes (None without a policy).
+    """
+    n = shape[1]
+    cols = np.arange(n)
+    low, best = np.full(n, np.inf), np.zeros(n, dtype=np.intp)
+    held = None if policy is None else np.empty(n)
+    block_best = np.empty(n, dtype=np.intp)
+    for lo, hi in _blocks(shape[0]):
+        q = fill(lo, hi)
+        q.argmin(axis=0, out=block_best)
+        block_low = q[block_best, cols]
+        lower = block_low < low
+        np.copyto(low, block_low, where=lower)
+        np.copyto(best, block_best + lo, where=lower)
+        if policy is not None:
+            mine = (policy >= lo) & (policy < hi)
+            held[mine] = q[policy[mine] - lo, cols[mine]]
+    return low, best, held
 
 
-def _improve(q: np.ndarray, policy: np.ndarray, scale: float) -> np.ndarray | None:
-    """Howard's improvement step on in-edge values q (offset by node): a node
-    moves to its argmin, ties to the lowest index, only on a gain above
-    _IMPROVE_RTOL * scale, so exact ties keep the incumbent; None if none gains."""
-    cols = np.arange(q.shape[1])
-    best = _argmin(q)
-    better = q[policy, cols] - q[best, cols] > _IMPROVE_RTOL * scale
-    return np.where(better, best, policy) if better.any() else None
+def _improve(fill, shape: tuple[int, int], policy: np.ndarray, scale: float):
+    """Howard's improvement step on in-edge values q (offset by node), given
+    block by block as _reduce takes them: a node moves to its argmin, ties
+    to the lowest index, only on a gain above _IMPROVE_RTOL * scale, so
+    exact ties keep the incumbent. Returns the improved policy, None if no
+    node gains, and q.min(axis=0)."""
+    low, best, held = _reduce(fill, shape, policy)
+    better = held - low > _IMPROVE_RTOL * scale
+    return (np.where(better, best, policy) if better.any() else None), low
 
 
 def _evaluate_cycle_policy(
@@ -321,7 +362,7 @@ def _evaluate_cycle_policy(
     return np.array(eta), np.array(bias)
 
 
-def _min_cycle_mean(lag_in: np.ndarray, pred: np.ndarray) -> tuple[float, np.ndarray]:
+def _min_cycle_mean(lag_in: np.ndarray, pred: np.ndarray) -> tuple[float, np.ndarray, int]:
     """Minimum mean Lbar over cycles by Howard's policy iteration.
 
     A policy picks one in-edge per node (a functional graph), starting from
@@ -331,30 +372,38 @@ def _min_cycle_mean(lag_in: np.ndarray, pred: np.ndarray) -> tuple[float, np.nda
     bias among tails of equal mean to within _improve's threshold (lest two
     cycles whose equal means round apart hide a third below both). The last
     round finds nothing to improve; ConvergenceError after _MAX_ROUNDS.
-    Returns the mean, that of an actual cycle of the graph, and the last
-    round's bias, which then meets bias(head) <= Lbar - mean + bias(tail) on
-    every edge to within _IMPROVE_RTOL * max|bias|. The rounds reuse two
-    (m, n) buffers.
+    Returns the mean, that of an actual cycle of the graph, the last round's
+    bias, which then meets bias(head) <= Lbar - mean + bias(tail) on every
+    edge to within _IMPROVE_RTOL * max|bias|, and the number of rounds. The
+    improvement passes run block by block in two float buffers and a mask
+    of one block each, which every round reuses.
     """
-    policy = _argmin(lag_in)
-    gathered, q = np.empty_like(lag_in), np.empty_like(lag_in)
-    off_mean = np.empty(lag_in.shape, dtype=bool)
-    for _ in _howard_rounds("minimum mean cycle"):
+    shape = lag_in.shape
+    policy = _reduce(lambda lo, hi: lag_in[lo:hi], shape)[1]
+    gathered, q = _block_buffer(shape), _block_buffer(shape)
+    off_mean = _block_buffer(shape, dtype=bool)
+    for rounds in _howard_rounds("minimum mean cycle"):
         eta, bias = _evaluate_cycle_policy(lag_in, pred, policy)
+        eta_tol = _IMPROVE_RTOL * np.abs(eta).max()
+
+        def eta_in(lo, hi):  # the cycle mean at each in-edge's tail
+            return np.take(eta, pred[lo:hi], out=gathered[:hi - lo], mode="clip")
+
+        def reduced(lo, hi):  # lag_in - eta + bias[pred] from tails of equal mean, else inf
+            off = np.greater(np.subtract(eta_in(lo, hi), eta, out=q[:hi - lo]), eta_tol,
+                             out=off_mean[:hi - lo])
+            block = np.subtract(lag_in[lo:hi], eta, out=q[:hi - lo])
+            block += np.take(bias, pred[lo:hi], out=gathered[:hi - lo], mode="clip")
+            np.copyto(block, np.inf, where=off)
+            return block
+
         # gains are measured against each node's own in-edge, so a cycle's
         # root, whose bias is 0 by definition, never switches on rounding
-        eta_in = np.take(eta, pred, out=gathered, mode="clip")
-        improved = _improve(eta_in, policy, np.abs(eta).max())
+        improved = _improve(eta_in, shape, policy, np.abs(eta).max())[0]
         if improved is None:
-            # q = lag_in - eta + bias[pred] on in-edges from tails of equal mean, else inf
-            np.greater(np.subtract(eta_in, eta, out=q), _IMPROVE_RTOL * np.abs(eta).max(),
-                       out=off_mean)
-            np.subtract(lag_in, eta, out=q)
-            q += np.take(bias, pred, out=gathered, mode="clip")
-            np.copyto(q, np.inf, where=off_mean)
-            improved = _improve(q, policy, np.abs(bias).max())
+            improved = _improve(reduced, shape, policy, np.abs(bias).max())[0]
             if improved is None:
-                return float(eta.min()), bias
+                return float(eta.min()), bias, rounds
         policy = improved
 
 
@@ -364,12 +413,14 @@ class CriticalGraph:
 
     classes are the strongly connected components of the tight edges that
     carry a cycle (the Mather classes), each sorted, ordered by lowest node;
-    cycles[i] is a cycle of classes[i] as edge ids k*n + tail in walking order.
+    cycles[i] is a cycle of classes[i] as edge ids k*n + tail in walking order;
+    howard_rounds counts the rounds of the Howard run that gave the mean.
     """
 
     mean: float
     classes: list[list[int]]
     cycles: list[np.ndarray]
+    howard_rounds: int
 
 
 def _cyclic_components(adj: list[list[int]]) -> list[list[int]]:
@@ -420,57 +471,59 @@ def tight_subgraph(kernel: ActionKernel) -> CriticalGraph:
     is below -1e-14 * max|bias|, so every minimum mean cycle runs on tight
     edges, and every tight cycle has mean within 1e-9 of the minimum. A
     class's cycle walks from its lowest node along each node's lowest-offset
-    tight edge inside the class until a node repeats.
+    tight edge inside the class until a node repeats. Howard's gathered Lbar
+    is freed before the slack test, which runs one block of offsets at a
+    time into an (m, n) mask; the class test reads the tight edges alone.
 
     Only edge_lagrangian and the index tables are read, so the result does
     not depend on the kernel's shift c: one call serves every kernel built
     on the same grid, Lagrangian and stencil.
     """
-    n = kernel.num_nodes
+    (m, n), lag = kernel.pred_index.shape, kernel.edge_lagrangian
     pred, heads = kernel.pred_index, kernel.head_index
-    lag_in = np.take_along_axis(kernel.edge_lagrangian, pred, axis=1)
-    mean, bias = _min_cycle_mean(lag_in, pred)
-    # the slack, by tail, goes into lag_in, which Howard is done with
-    at_head = np.take(bias, heads, mode="clip")
-    slack = np.subtract(kernel.edge_lagrangian, mean, out=lag_in)
-    slack += bias
-    tight = np.subtract(slack, at_head, out=slack) <= 1e-9
+    mean, bias, rounds = _min_cycle_mean(np.take_along_axis(lag, pred, axis=1), pred)
+    # the slack by tail, one block of offsets at a time, once Howard's gathered Lbar is freed
+    tight = np.empty((m, n), dtype=bool)
+    slack, at_head = _block_buffer((m, n)), _block_buffer((m, n))
+    for lo, hi in _blocks(m):
+        block = np.subtract(lag[lo:hi], mean, out=slack[:hi - lo])
+        block += bias
+        block -= np.take(bias, heads[lo:hi], out=at_head[:hi - lo], mode="clip")
+        np.less_equal(block, 1e-9, out=tight[lo:hi])
 
-    adj: list[list[int]] = [[] for _ in range(n)]
+    out: list[list[tuple[int, int]]] = [[] for _ in range(n)]  # (offset, head) by tail
     tails, ks = np.nonzero(tight.T)  # by tail, then offset
-    for tail, head in zip(tails.tolist(), heads[ks, tails].tolist()):
-        adj[tail].append(head)
-    classes = _cyclic_components(adj)
+    for tail, k, head in zip(tails.tolist(), ks.tolist(), heads[ks, tails].tolist()):
+        out[tail].append((k, head))
+    classes = _cyclic_components([[head for _, head in edges] for edges in out])
     if not classes:
         raise WeakKamError("no tight cycle found; potentials failed to stabilize")
 
-    label = np.full(n, -1.0)  # class index per node, a float to share at_head
+    label = [-1] * n
     for i, cls in enumerate(classes):
-        label[cls] = i
-    tight &= np.take(label, heads, out=at_head, mode="clip") == label
-    first = np.argmax(tight, axis=0)
-    succ = heads[first, np.arange(n)].tolist()
+        for x in cls:
+            label[x] = i
     cycles = []
     for cls in classes:
-        seen, x = {}, cls[0]  # node -> step of the walk, in walking order
+        seen, x = {}, cls[0]  # node -> offset of its step, in walking order
         while x not in seen:
-            seen[x] = len(seen)
-            x = succ[x]
-        loop = np.array(list(seen)[seen[x]:], dtype=np.int64)
-        cycles.append(first[loop] * n + loop)
-    return CriticalGraph(mean=mean, classes=classes, cycles=cycles)
+            seen[x], head = next((k, head) for k, head in out[x] if label[head] == label[x])
+            x = head
+        walk = list(seen)
+        cycles.append(np.array([seen[y] * n + y for y in walk[walk.index(x):]], dtype=np.int64))
+    return CriticalGraph(mean=mean, classes=classes, cycles=cycles, howard_rounds=rounds)
 
 
 def _distances(cost_in, pred, d: np.ndarray, free=True) -> tuple[np.ndarray, int]:
     """Bellman-Ford from the rows d, in place: least cost over paths of any length.
 
     Each round is one _relax on the in-edge arrays (cost_in, pred), all
-    rounds sharing one candidate buffer, and a node that free marks takes
+    rounds sharing one block of candidates, and a node that free marks takes
     its relaxed value on strict improvement only. Without negative cycles
     the rows settle within num_nodes rounds. Returns d and the number of
     rounds run, the last of which changes nothing unless num_nodes ran out.
     """
-    cand = np.empty(pred.shape)
+    cand = _block_buffer(pred.shape)
     for rounds in range(1, pred.shape[1] + 1):
         step = _relax(d, cost_in, pred, cand)
         better = (step < d) & free
@@ -526,7 +579,8 @@ def peierls_barrier(kernel: ActionKernel, tight: CriticalGraph | None = None) ->
     from_rep, rounds_from = _distances(
         replace(kernel, c=-graph.mean).costs_by_head(), kernel.pred_index, start.copy())
     to_rep, rounds_to = _distances(replace(kernel, c=-graph.mean).costs, kernel.head_index, start)
-    stepped = barrier_step(kernel, from_rep)
+    # on a fresh view, so the by-head costs it prices go with the step
+    stepped = barrier_step(replace(kernel), from_rep)
     finite = np.isfinite(from_rep)
     residual = float(np.abs(stepped[finite] - from_rep[finite]).max())
     return BarrierMatrix(

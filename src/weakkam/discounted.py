@@ -28,7 +28,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .action_barrier import ActionKernel, _argmin, _howard_rounds, _improve, build_kernel
+from .action_barrier import (ActionKernel, _block_buffer, _howard_rounds, _improve, _reduce,
+                             build_kernel)
 from .errors import ConvergenceError, WeakKamError
 from .models import GridFunction, LagrangianSpec, TorusGrid, VelocityStencil
 
@@ -122,7 +123,9 @@ def discounted_policy_iteration(
     (u, policy, rounds, residual): the terminal policy, its exact value u,
     the rounds (one evaluation plus one improvement pass each; the last
     finds nothing to improve) and the Bellman residual max|Tu - u| of that
-    last pass. ConvergenceError after _MAX_ROUNDS rounds.
+    last pass. ConvergenceError after _MAX_ROUNDS rounds. Beside the scaled
+    in-edge costs, the passes hold one block of offsets, which every round
+    reuses.
     """
     tau = kernel.stencil.tau
     beta = math.exp(-lam * tau)
@@ -135,18 +138,21 @@ def discounted_policy_iteration(
     cost_in *= tau
     cost_in *= (1.0 - beta) / (lam * tau)
     cols = np.arange(kernel.num_nodes)
-    policy = _argmin(cost_in)
-    q = np.empty_like(cost_in)
+    policy = _reduce(lambda lo, hi: cost_in[lo:hi], pred.shape)[1]
+    q = _block_buffer(pred.shape)
     for rounds in _howard_rounds("discounted"):
         u = _evaluate_policy(cost_in[policy, cols], pred[policy, cols], beta)
-        # q = cost_in + beta * u[pred], in one buffer for every round
-        np.take(u, pred, out=q, mode="clip")
-        q *= beta
-        q += cost_in
-        improved = _improve(q, policy, np.abs(u).max())
+
+        def step(lo, hi):  # cost_in + beta * u[pred] on one block of offsets
+            block = np.take(u, pred[lo:hi], out=q[:hi - lo], mode="clip")
+            block *= beta
+            block += cost_in[lo:hi]
+            return block
+
+        improved, tu = _improve(step, pred.shape, policy, np.abs(u).max())
         if improved is None:
-            # q.min(axis=0) is the Bellman operator T u, one discounted_sweeps step
-            return u, policy, rounds, float(np.abs(q.min(axis=0) - u).max())
+            # tu is the Bellman operator T u, one discounted_sweeps step
+            return u, policy, rounds, float(np.abs(tu - u).max())
         policy = improved
 
 

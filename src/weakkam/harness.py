@@ -430,9 +430,8 @@ class _Run:
         grid, spec, stencil, s, kernel0 = (
             self.grid, self.spec, self.stencil, self.config.schedule, self.kernel0
         )
-        # a view of kernel0, so the in-edge costs it caches go with the stage
         c_est, table = self._timed("critical", lambda: critical_value_estimate(
-            grid, spec, stencil, s.critical_lambdas, kernel=replace(kernel0)
+            grid, spec, stencil, s.critical_lambdas, kernel=kernel0
         ))
         self.write("critical.csv", lambda path: io.write_csv(
             path,
@@ -525,7 +524,8 @@ class _Run:
         convergence.csv, report.json and timings.json."""
         bounds, stencil = self.bounds, self.stencil
         c_est, table = self.critical
-        kernel, barrier, aubry, lp = self.critical_graph[0], self.barrier, self.aubry, self.mather
+        (kernel, _, graph), barrier = self.critical_graph, self.barrier
+        aubry, lp = self.aubry, self.mather
         u0, u0_lp, u0_cross_delta = self.u0
         solutions = [self.discounted(lam) for lam in self.config.schedule.lambdas]
         verification = self._timed(
@@ -602,6 +602,7 @@ class _Run:
             u0_method=u0.method,
             u0_cross_delta=u0_cross_delta,
             counters={
+                "howard_rounds": graph.howard_rounds,
                 "barrier_relax_rounds": barrier.relax_rounds,
                 "lp_fallbacks": int(lp.iterations > 0) + u0_lp.fallbacks,
                 "lp_fallback_howard_runs": lp.iterations + u0_lp.howard_runs,

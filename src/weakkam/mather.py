@@ -31,8 +31,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .action_barrier import (ActionKernel, BarrierMatrix, CriticalGraph, _distances, _relax,
-                             aubry_report, tight_subgraph, verify_subsolution)
+from .action_barrier import (ActionKernel, BarrierMatrix, CriticalGraph, _block_buffer, _distances,
+                             _relax, aubry_report, tight_subgraph, verify_subsolution)
 from .discounted import DiscountedSolution, EdgeMeasure, discounted_occupation_measure
 from .errors import ConvergenceError, EmptyAubryError, InfeasibleError, WeakKamError
 from .models import LagrangianSpec, TorusGrid, eval_lagrangian
@@ -160,7 +160,7 @@ def _certifies(kernel: ActionKernel, weights, cycles, phi, slack: float = 0.0) -
         closes = np.array_equal(heads[cyc_k, cyc_t], np.roll(cyc_t, -1))
         if not (closes and np.abs(on_cycle).max() <= _FEAS_TOL):
             return False
-    least = _relax(phi[None], weights, heads, np.empty(heads.shape))[0] - phi
+    least = _relax(phi[None], weights, heads, _block_buffer(heads.shape))[0] - phi
     return bool(least.min() >= -_FEAS_TOL)
 
 

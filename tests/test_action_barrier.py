@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 import weakkam as wk
 from weakkam import action_barrier
 from weakkam.action_barrier import barrier_step
+from weakkam.discounted import discounted_policy_iteration
 from weakkam.errors import EmptyAubryError, WeakKamError
 from weakkam.harness import _Run, load_config
 
@@ -142,25 +143,41 @@ class TestKernelBuild:
 
 
 class TestArgmin:
-    @pytest.mark.parametrize("cols", [1, 7, 64, 1000])
-    def test_matches_argmin_on_lattice_ties(self, cols, monkeypatch):
-        # values on a lattice of quarters tie in nearly every column; the lowest
-        # index wins, whatever the block size
-        monkeypatch.setattr(action_barrier, "_ARGMIN_COLS", cols)
-        rng = np.random.default_rng(cols)
+    @pytest.mark.parametrize("rows", [1, 7, 64, 1000])
+    def test_matches_argmin_on_lattice_ties(self, rows, monkeypatch):
+        # values on a lattice of quarters tie in nearly every column, across
+        # the block boundaries too; the lowest index wins, whatever the block size
+        monkeypatch.setattr(action_barrier, "_BLOCK_ROWS", rows)
+        rng = np.random.default_rng(rows)
         q = rng.integers(-2, 3, size=(9, 150)) / 4.0
         q[rng.random(q.shape) < 0.1] = np.inf
         q[:, 5] = 0.25
         q[:, 7] = np.inf
-        got = action_barrier._argmin(q)
-        assert got.dtype == np.intp
-        np.testing.assert_array_equal(got, q.argmin(axis=0))
+        policy = rng.integers(0, 9, size=150)
+        blocks = []
+
+        def fill(lo, hi):
+            blocks.append(hi - lo)
+            return q[lo:hi]
+
+        low, best, held = action_barrier._reduce(fill, q.shape, policy)
+        assert blocks == [min(rows, 9 - lo) for lo in range(0, 9, rows)]
+        assert best.dtype == np.intp
+        np.testing.assert_array_equal(best, q.argmin(axis=0))
+        assert low.tobytes() == q.min(axis=0).tobytes()
+        assert held.tobytes() == q[policy, np.arange(150)].tobytes()
+        assert action_barrier._reduce(fill, q.shape)[2] is None
+
+
+def block_bytes(kernel):
+    """Bytes of one block of offsets, the scratch unit of every in-edge pass."""
+    return 8 * min(action_barrier._BLOCK_ROWS, kernel.num_offsets) * kernel.num_nodes
 
 
 class TestPeakAllocation:
     """tracemalloc peaks of the stages that read the kernel, as inputs + outputs
-    + k (m, n) float arrays of 8*m*n bytes: a reintroduced (m, n) temporary
-    fails the bound."""
+    + k (m, n) float arrays of 8*m*n bytes + the blocks of offsets the passes
+    hold: a reintroduced (m, n) temporary fails the bound."""
 
     def test_build_kernel_allocates_its_three_arrays(self, pendulum200):
         # Lbar and the two index tables: no cost array is made
@@ -169,24 +186,60 @@ class TestPeakAllocation:
         peak = traced_peak(wk.build_kernel, p.grid, p.spec, p.stencil, p.c_star)
         assert peak <= 3 * 8 * m * n + PEAK_SLACK
 
-    def test_tight_subgraph_holds_three_arrays(self, pendulum200):
-        # lag_in and Howard's two buffers, its bool mask and one argmin block
+    def test_tight_subgraph_holds_one_array_and_its_mask(self, pendulum200):
+        # Howard's gathered Lbar, its two float blocks and the block argmin's
+        # transposed copy; then the m*n-byte tight mask
         kernel = pendulum200.kernel
         m, n = kernel.num_offsets, kernel.num_nodes
-        bound = 3 * 8 * m * n + m * n + 8 * m * action_barrier._ARGMIN_COLS + PEAK_SLACK
+        bound = 8 * m * n + m * n + 3 * block_bytes(kernel) + PEAK_SLACK
         assert traced_peak(action_barrier.tight_subgraph, kernel) <= bound
 
-    def test_peierls_barrier_holds_two_arrays(self, pendulum200):
-        # a distance pass's reduced cost array and its candidate buffer, each
-        # released with the pass; the factor step's buffer; the n x n values
-        # and the product's term buffer (2 * 8 n^2 < 2 arrays here) are made
-        # once the passes are done
+    def test_peierls_barrier_holds_one_array(self, pendulum200):
+        # one priced array at a time, each distance pass's and the factor
+        # step's, released with it, beside one block of candidates; the
+        # n x n values (8 n^2 < 8 m n + one block here, and one class needs
+        # no term buffer) are made once the passes are done
         kernel = replace(pendulum200.kernel)  # a fresh cache, filled as an input
         kernel.costs_by_head()
         m, n = kernel.num_offsets, kernel.num_nodes
         graph = action_barrier.tight_subgraph(kernel)
-        assert 2 * 8 * n * n < 2 * 8 * m * n + PEAK_SLACK
-        assert traced_peak(wk.peierls_barrier, kernel, graph) <= 2 * 8 * m * n + PEAK_SLACK
+        assert len(graph.classes) == 1 and 8 * n * n < 8 * m * n + block_bytes(kernel)
+        bound = 8 * m * n + block_bytes(kernel) + PEAK_SLACK
+        assert traced_peak(wk.peierls_barrier, kernel, graph) <= bound
+
+
+def in_edge_results(p):
+    """The bits of everything the in-edge passes decide on problem p: Howard's
+    mean, bias and rounds, the CriticalGraph, the barrier, one discounted
+    solve, the Mather program and u0 at every third node, with certificates."""
+    kernel0, kernel = replace(p.kernel0), replace(p.kernel)
+    pred = kernel0.pred_index
+    howard = action_barrier._min_cycle_mean(
+        np.take_along_axis(kernel0.edge_lagrangian, pred, axis=1), pred)
+    graph = action_barrier.tight_subgraph(kernel0)
+    barrier = wk.peierls_barrier(kernel, tight=graph)
+    lp = wk.solve_mather_lp(kernel, tight=graph)
+    u0 = wk.compute_u0(barrier, kernel, kernel.c, 1e-6, list(range(0, kernel.num_nodes, 3)))
+    measures = [lp.measure, *u0.certificates]
+    return [np.asarray(x).tobytes() for x in (
+        *howard, graph.mean, *graph.cycles, graph.howard_rounds,
+        barrier.values, barrier.residual, barrier.relax_rounds,
+        *discounted_policy_iteration(kernel, 0.05), lp.value, u0.values,
+        *(a for mu in measures for a in (mu.tails, mu.offset_ids, mu.weights)),
+    )] + [graph.classes]
+
+
+class TestBlockSize:
+    """The block of offsets every in-edge pass holds changes no bit: min is
+    exact, and the running argmin keeps ties at the lowest offset."""
+
+    @pytest.mark.parametrize("name", ["pendulum16", "cos2d"])
+    @pytest.mark.parametrize("rows", [1, 7, 1000])
+    def test_changes_no_result(self, name, rows, request, monkeypatch):
+        p = request.getfixturevalue(name)
+        want = in_edge_results(p)
+        monkeypatch.setattr(action_barrier, "_BLOCK_ROWS", rows)
+        assert in_edge_results(p) == want
 
 
 class TestMinPlus:

@@ -302,12 +302,13 @@ class TestPolicyIteration:
 
 
 class TestPeakAllocation:
-    def test_policy_iteration_holds_two_stencil_arrays(self, pendulum200):
-        # the scaled in-edge costs and the candidate buffer, reused by every round,
-        # and one argmin block
+    def test_policy_iteration_holds_one_stencil_array(self, pendulum200):
+        # the scaled in-edge costs, the block of candidates every round reuses
+        # and the block argmin's transposed copy
         kernel = replace(pendulum200.kernel)
         m, n = kernel.num_offsets, kernel.num_nodes
-        bound = 2 * 8 * m * n + 8 * m * action_barrier._ARGMIN_COLS + PEAK_SLACK
+        block = 8 * min(action_barrier._BLOCK_ROWS, m) * n
+        bound = 8 * m * n + 2 * block + PEAK_SLACK
         assert traced_peak(discounted_policy_iteration, kernel, 0.05) <= bound
 
     def test_policy_iteration_leaves_the_by_head_cache_unfilled(self, pendulum16):

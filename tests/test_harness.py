@@ -368,8 +368,9 @@ class TestCli:
         assert "weak-duality certificate" in err
 
     def test_kernel0_keeps_no_costs(self, tmp_path):
-        # the critical table reads a view of kernel0 and the critical kernel is
-        # kernel0 at another shift, so kernel0 never caches a cost array
+        # the critical table forms its own in-edge costs from kernel0 and the
+        # critical kernel is kernel0 at another shift, so kernel0 never caches
+        # a cost array
         run = _Run(self._two_well32(tmp_path / "out"))
         run.critical, run.critical_graph
         assert not {"costs", "_costs_by_head"} & run.kernel0.__dict__.keys()

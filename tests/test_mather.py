@@ -562,6 +562,16 @@ class TestPeakAllocation:
         assert traced_peak(_certifies, kernel, weights, (cycle,), phi) <= bound
         assert traced_peak(_cycle_potentials, kernel, weights, cycle) <= bound
 
+    def test_one_u0_target_holds_blocks_only(self, pendulum200, pendulum200_barrier):
+        # the target's weights are broadcast views of one barrier column, so
+        # its potentials and certificate hold a block of candidates each
+        kernel = pendulum200.kernel
+        m, n = kernel.num_offsets, kernel.num_nodes
+        bound = 2 * 8 * min(action_barrier._BLOCK_ROWS, m) * n + PEAK_SLACK
+        assert bound < 8 * m * n
+        peak = traced_peak(wk.compute_u0, pendulum200_barrier, kernel, kernel.c, 1e-6, [17])
+        assert peak <= bound
+
 
 def permutation_kernel(lag, heads):
     """A kernel whose offset k sends node t to heads[k, t], a permutation,
@@ -709,7 +719,8 @@ class TestLargeAmplitude:
         p = self.BUILD[name]()
         kernel = p.kernel
         pred = kernel.pred_index
-        mean, bias = _min_cycle_mean(np.take_along_axis(kernel.edge_lagrangian, pred, axis=1), pred)
+        lag_in = np.take_along_axis(kernel.edge_lagrangian, pred, axis=1)
+        mean, bias, _ = _min_cycle_mean(lag_in, pred)
         graph = tight_subgraph(kernel)
         assert not _certifies(kernel, kernel.edge_lagrangian - mean, (graph.cycles[0],), -bias)
         assert graph.classes == [[0]]
@@ -833,7 +844,7 @@ class TestHowardMean:
             kernel = problem(name, request).kernel0
         pred = kernel.pred_index
         lag_in = np.take_along_axis(kernel.edge_lagrangian, pred, axis=1)
-        mean, bias = _min_cycle_mean(lag_in, pred)
+        mean, bias, _ = _min_cycle_mean(lag_in, pred)
         slack = lag_in - mean + bias[pred] - bias
         assert slack.min() >= -1e-14 * np.abs(bias).max() - 1e-12
 
