@@ -56,7 +56,6 @@ from .models import (
     read_potential_table,
     stability_bounds,
     table_potential,
-    transport,
     zero_potential,
 )
 
@@ -128,13 +127,13 @@ class ExperimentConfig:
         if any(size < 2 for size in p.sizes):
             raise ConfigError("problem.sizes must be at least 2")
         _check_potential(p)
+        if p.drift is not None and len(p.drift) != p.dim:
+            raise ConfigError("problem.drift must be a vector of length dim")
         if p.family == "transport":
-            if p.drift is None or len(p.drift) != p.dim:
-                raise ConfigError("transport family needs a drift vector of length dim")
+            if p.drift is None:
+                raise ConfigError("transport family needs a problem.drift")
             if p.potential.get("name", "zero") != "zero":
                 raise ConfigError("transport family takes no problem.potential other than zero")
-        elif p.drift is not None:
-            raise ConfigError("problem.drift is only read by the transport family")
         if d.tau_rule not in ("sqrt_h", "explicit"):
             raise ConfigError(f"unknown tau rule {d.tau_rule!r}")
         if d.tau_rule == "explicit" and d.tau is None:
@@ -279,17 +278,16 @@ def load_config(path) -> ExperimentConfig:
 
 
 def _build_spec(cfg: ProblemConfig, grid):
-    if cfg.family == "transport":
-        return transport(cfg.drift, dim=cfg.dim)
     name = cfg.potential.get("name", "zero")
     if name == "cosine":
         amps = cfg.potential.get("amplitudes", [cfg.potential.get("amplitude", 1.0)])
         freqs = cfg.potential.get("frequencies", [cfg.potential.get("frequency", 1.0)])
-        return mechanical(cosine_potential(amps, freqs), dim=cfg.dim)
-    if name == "table":
-        values = read_potential_table(cfg.potential["path"], grid)
-        return mechanical(table_potential(grid, values), dim=cfg.dim)
-    return mechanical(zero_potential(), dim=cfg.dim)
+        potential = cosine_potential(amps, freqs)
+    elif name == "table":
+        potential = table_potential(grid, read_potential_table(cfg.potential["path"], grid))
+    else:
+        potential = zero_potential()
+    return mechanical(potential, dim=cfg.dim, drift=cfg.drift)
 
 
 # ---------------------------------------------------------------------------

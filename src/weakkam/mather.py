@@ -360,9 +360,7 @@ def compute_u0(
 
 
 def _zero_minimizes_velocity(spec: LagrangianSpec) -> bool:
-    if spec.family == "mechanical":
-        return True
-    return spec.family == "transport" and all(abs(w) < 1e-15 for w in spec.drift)
+    return spec.family == "mechanical" and all(abs(w) < 1e-15 for w in spec.drift)
 
 
 def u0_mechanical(
@@ -372,13 +370,13 @@ def u0_mechanical(
     c_est: float,
     eps: float,
 ) -> LimitFunctionResult:
-    """Shortcut for families minimized at v = 0: u0 = min over rest points of h rows.
+    """Shortcut for a spec minimized at v = 0: u0 = min over rest points of h rows.
 
     When the constants are critical subsolutions the projected Mather and
     Aubry sets are both {y : L(y,0) + c = 0}, and u0(x) = min over that set
-    of h(y, x). Guarded: mechanical specs and zero-drift transport only;
-    drifting transport, whose fiber minimum sits away from v = 0, and
-    tabulated specs must go through the LP route instead.
+    of h(y, x). Guarded: mechanical specs without drift only; a drifting
+    spec, whose fiber minimum sits at v = w, and tabulated specs must go
+    through the LP route instead.
     """
     if not _zero_minimizes_velocity(spec):
         raise WeakKamError(

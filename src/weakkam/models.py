@@ -3,8 +3,9 @@
 Positions live on the flat torus [0,1)^d with d in {1, 2}. A Lagrangian is
 described by a family tag plus parameters; the built-in families are
 
-* ``mechanical``  L(x,v) = |v|^2/2 - V(x),    H(x,p) = |p|^2/2 + V(x)
-* ``transport``   L(x,v) = |v - w|^2/2,       H(x,p) = p.w + |p|^2/2
+* ``mechanical``  L(x,v) = |v - w|^2/2 - V(x),  H(x,p) = |p|^2/2 + w.p + V(x),
+  with a constant drift w (zero unless given); ``transport`` is the
+  mechanical family with V = 0.
 * ``tabulated``   H sampled on nodes x a momentum grid; L via the numerical
   convex conjugate (1-D only).
 
@@ -215,15 +216,16 @@ class LagrangianSpec:
         return replace(self, v_search=float(v_search))
 
 
-def mechanical(potential: Callable, dim: int = 1) -> LagrangianSpec:
-    return LagrangianSpec(family="mechanical", dim=dim, potential=potential)
+def mechanical(potential: Callable, dim: int = 1, drift=None) -> LagrangianSpec:
+    """H = |p|^2/2 + w.p + V(x); the drift w is zero when none is given."""
+    drift = (0.0,) * dim if drift is None else tuple(float(w) for w in np.atleast_1d(drift))
+    if len(drift) != dim:
+        raise WeakKamError("drift vector length must match dim")
+    return LagrangianSpec(family="mechanical", dim=dim, potential=potential, drift=drift)
 
 
 def transport(drift, dim: int = 1) -> LagrangianSpec:
-    drift = tuple(float(w) for w in np.atleast_1d(drift))
-    if len(drift) != dim:
-        raise WeakKamError("drift vector length must match dim")
-    return LagrangianSpec(family="transport", dim=dim, drift=drift)
+    return mechanical(zero_potential(), dim, drift)
 
 
 def tabulated(grid: TorusGrid, momentum_grid, hamiltonian_table) -> LagrangianSpec:
@@ -274,10 +276,7 @@ def eval_hamiltonian(spec: LagrangianSpec, x, p) -> np.ndarray:
     x = _as_points(x, spec.dim)
     p = _as_points(p, spec.dim)
     if spec.family == "mechanical":
-        return 0.5 * np.sum(p * p, axis=1) + spec.potential(x)
-    if spec.family == "transport":
-        w = np.asarray(spec.drift)
-        return p @ w + 0.5 * np.sum(p * p, axis=1)
+        return 0.5 * np.sum(p * p, axis=1) + p @ np.asarray(spec.drift) + spec.potential(x)
     if spec.family == "tabulated":
         rows = _interp_table_rows(spec, x)
         pg = spec.momentum_grid
@@ -299,10 +298,8 @@ def eval_lagrangian(spec: LagrangianSpec, x, v) -> np.ndarray:
             "the stencil is misconfigured for these bounds"
         )
     if spec.family == "mechanical":
-        return 0.5 * speed**2 - spec.potential(x)
-    if spec.family == "transport":
         dv = v - np.asarray(spec.drift)
-        return 0.5 * np.sum(dv * dv, axis=1)
+        return 0.5 * np.sum(dv * dv, axis=1) - spec.potential(x)
     if spec.family == "tabulated":
         rows = _interp_table_rows(spec, x)
         return _conjugate_rows(rows, spec.momentum_grid, v[:, 0])
@@ -401,8 +398,8 @@ def stability_bounds(
     momenta and velocities are not. Fenchel duality gives the bounds
     (Rockafellar, Convex Analysis, 1970, section 26):
 
-    * kappa_c = sup{|p| : H(x,p) <= c}. For |p|^2/2 + w.p + V(x) (the
-      mechanical and transport families) this is
+    * kappa_c = sup{|p| : H(x,p) <= c}. For the mechanical family
+      |p|^2/2 + w.p + V(x) this is
       |w| + sqrt(|w|^2 + 2(c - min_x H(x,0))); for a table it is the
       outermost crossing of level c by the rows, linear between momenta.
     * A_kappa = sup (kappa+1)|v| - L(x,v) = max_x H(x, +-(kappa+1)e), with
@@ -431,7 +428,7 @@ def stability_bounds(
             )
         e = np.ones(1)
     else:
-        w = np.asarray(spec.drift if spec.drift is not None else (0.0,) * spec.dim)
+        w = np.asarray(spec.drift)
         speed = float(np.linalg.norm(w))
         kappa = speed + math.sqrt(max(speed**2 + 2.0 * (c - float(h_at_zero.min())), 0.0))
         e = w / speed if speed > 0 else np.eye(spec.dim)[0]

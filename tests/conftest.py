@@ -33,13 +33,11 @@ class Problem:
 
 def make_problem(n, potential=None, level=None, dim=1, drift=None, tau=None, k=None, alpha=None,
                  spec=None):
-    """The problem of a mechanical potential, a transport drift, or a given
-    spec on the n^dim grid."""
+    """The problem of a mechanical potential and drift, or of a given spec, on
+    the n^dim grid."""
     grid = wk.build_grid(dim, [n] * dim)
-    if spec is None and drift is not None:
-        spec = wk.transport(drift, dim=dim)
-    elif spec is None:
-        spec = wk.mechanical(potential or wk.zero_potential(), dim=dim)
+    if spec is None:
+        spec = wk.mechanical(potential or wk.zero_potential(), dim=dim, drift=drift)
     if level is None:
         coords = grid.coordinates
         level = float(np.abs(wk.eval_hamiltonian(spec, coords, np.zeros_like(coords))).max())

@@ -696,7 +696,7 @@ BAD_INPUTS = {
     "tau_without_discount": (
         [], _discretization(tau_rule="explicit", tau=1e-300), {}, "discretization.tau"
     ),
-    "drift_on_mechanical": ([], _set("problem", drift=[0.5]), {}, "drift"),
+    "drift_wrong_length": ([], _set("problem", drift=[0.5, 0.5]), {}, "drift"),
     "potential_on_transport": (
         [],
         _set("problem", family="transport", drift=[0.5],

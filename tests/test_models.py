@@ -87,6 +87,10 @@ class TestEvalLagrangian:
         spec = wk.transport([1.0])
         assert wk.eval_lagrangian(spec, 0.3, 1.0)[0] == 0.0
 
+    def test_drift_length_must_match_dim(self):
+        with pytest.raises(WeakKamError, match="drift"):
+            wk.mechanical(wk.cosine_potential([1.0], [1.0]), dim=2, drift=[0.5])
+
     def test_velocity_outside_search_box(self):
         spec = wk.mechanical(wk.zero_potential()).with_v_search(2.0)
         with pytest.raises(VelocityBoundError):
@@ -130,7 +134,9 @@ class TestEvalLagrangian:
 
     def test_fenchel_inequality_analytic_families(self):
         rng = np.random.default_rng(7)
-        for spec in (wk.mechanical(wk.cosine_potential([1.0], [1.0])), wk.transport([0.4])):
+        cosine = wk.cosine_potential([1.0], [1.0])
+        for spec in (wk.mechanical(cosine), wk.transport([0.4]),
+                     wk.mechanical(cosine, drift=[-0.6])):
             x = rng.uniform(0, 1, (200, 1))
             v = rng.uniform(-3, 3, (200, 1))
             p = rng.uniform(-3, 3, (200, 1))
@@ -195,10 +201,12 @@ class TestStabilityBounds:
         assert b.kappa >= 0 and b.alpha > 0
 
 
-def _transport_bounds(w, c):
+def _drift_bounds(w, c, v_min=0.0, v_max=0.0):
+    # H = |p|^2/2 + w.p + V with V in [v_min, v_max], both attained
     speed = float(np.linalg.norm(w))
-    kappa = speed + np.sqrt(speed**2 + 2 * c)
-    return kappa, (kappa + 1) * speed + (kappa + 1) ** 2 / 2, max(c, speed**2 / 2 + c)
+    kappa = speed + np.sqrt(speed**2 + 2 * (c - v_min))
+    a_kappa = (kappa + 1) * speed + (kappa + 1) ** 2 / 2 + v_max
+    return kappa, a_kappa, max(abs(c - v_max), speed**2 / 2 - v_min + c)
 
 
 # name -> (spec, level, grid, closed-form (kappa, A_kappa, C0))
@@ -211,12 +219,16 @@ CLOSED_FORMS = {
         wk.mechanical(wk.cosine_potential([1.0, 1.0], [1.0, 1.0]), dim=2), 2.0,
         wk.build_grid(2, [8, 8]), (np.sqrt(8), (1 + np.sqrt(8)) ** 2 / 2 + 2, 4.0),
     ),
+    "pendulum_drift": (
+        wk.mechanical(wk.cosine_potential([1.0], [1.0]), drift=[0.5]), 1.0,
+        wk.build_grid(1, [200]), _drift_bounds([0.5], 1.0, -1.0, 1.0),
+    ),
     "transport_1d": (
-        wk.transport([0.7]), 0.3, wk.build_grid(1, [32]), _transport_bounds([0.7], 0.3),
+        wk.transport([0.7]), 0.3, wk.build_grid(1, [32]), _drift_bounds([0.7], 0.3),
     ),
     "transport_2d": (
         wk.transport([0.3, -0.4], dim=2), 0.5, wk.build_grid(2, [8, 8]),
-        _transport_bounds([0.3, -0.4], 0.5),
+        _drift_bounds([0.3, -0.4], 0.5),
     ),
 }
 
