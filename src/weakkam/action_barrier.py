@@ -12,6 +12,12 @@ action free of the O(tau * osc V) telescoping bias a one-sided rule carries,
 while every cross-solver identity stays exact because all modules read the
 same arrays.
 
+The kernel stores Lbar alone. On the torus the graph is a Cayley graph, an
+edge's head its tail plus the stencil offset, so every pass reads the ends
+of its edges by offset arithmetic: `ActionKernel.gather` copies a block of
+offsets from windows of a wrap-padded vector, `ActionKernel.neighbors`
+shifts given nodes, and no (offsets, nodes) index table is stored.
+
 The Peierls barrier is exact on this graph: the minimum mean cycle, by
 Howard's policy iteration, gives the critical shift and the CriticalGraph
 (critical nodes, Mather classes, one cycle per class), and the barrier is
@@ -55,15 +61,15 @@ __all__ = [
 
 @dataclass(frozen=True)
 class ActionKernel:
-    """Sparse one-step edges y -> head(y,k) costing tau*(Lbar(y,k) + c); the
-    kernel at another shift, replace(kernel, c=c2), shares every array."""
+    """Sparse one-step edges y -> y + o_k costing tau*(Lbar(y,k) + c), stored
+    as Lbar alone: every pass reads the ends of the edges by offset
+    arithmetic, through `gather` or `neighbors`. The kernel at another shift,
+    replace(kernel, c=c2), shares every array."""
 
     grid: TorusGrid
     stencil: VelocityStencil
     c: float
     edge_lagrangian: np.ndarray  # (num_offsets, num_nodes), Lbar indexed by tail
-    head_index: np.ndarray       # (num_offsets, num_nodes), head of each edge
-    pred_index: np.ndarray       # (num_offsets, num_nodes), tail of the edge into x
 
     @property
     def num_nodes(self) -> int:
@@ -74,36 +80,88 @@ class ActionKernel:
         return self.stencil.num_offsets
 
     def _priced(self, lbar: np.ndarray) -> np.ndarray:
-        """tau*(lbar + c) in place, then read-only: the one place c and tau are applied."""
+        """tau*(lbar + c) in place: the one place c and tau are applied."""
         lbar += self.c
         lbar *= self.stencil.tau
-        lbar.flags.writeable = False
         return lbar
 
     @cached_property
     def costs(self) -> np.ndarray:
         """(num_offsets, num_nodes) costs by tail, derived on first read and read-only."""
-        return self._priced(self.edge_lagrangian.copy())
+        costs = self._priced(self.edge_lagrangian.copy())
+        costs.flags.writeable = False
+        return costs
 
     def costs_by_head(self) -> np.ndarray:
-        """(num_offsets, num_nodes) costs of the edge arriving at each node,
-        derived once per kernel and read-only: the cost_in of _relax for a
-        barrier step or a forward distance pass, and of every policy pass."""
-        return self._costs_by_head
+        """(num_offsets, num_nodes) costs of the edge into each node, a fresh
+        array on every call: the cost_in of every pass over the in-edges."""
+        return self._priced(self.lagrangian_by_head())
+
+    def lagrangian_by_head(self) -> np.ndarray:
+        """(num_offsets, num_nodes) Lbar of the edge into each node, a fresh
+        array: row k is Lbar[k] gathered at the tails x - o_k."""
+        out = np.empty_like(self.edge_lagrangian)
+        for k in range(self.num_offsets):
+            self.gather(self.edge_lagrangian[k], -1, k, k + 1, out[k:])
+        return out
 
     @cached_property
-    def _costs_by_head(self) -> np.ndarray:
-        return self._priced(np.take_along_axis(self.edge_lagrangian, self.pred_index, axis=1))
+    def _layout(self):
+        """The offsets as a (num_offsets, dim) array; the node indices of the
+        grid wrap-padded by the stencil radius R per axis, node 0's flat
+        position R there, each offset's flat shift there, and the end of the
+        run of offsets, shifts stepping by one, that each offset is in."""
+        steps = np.array(self.stencil.offsets, dtype=np.int64).reshape(self.num_offsets, -1)
+        radius = np.abs(steps).max(axis=0)
+        axes = [np.arange(-r, n + r) % n for r, n in zip(radius.tolist(), self.grid.sizes)]
+        pad_index = np.ravel_multi_index(np.ix_(*axes), self.grid.sizes)
+        strides = np.array(pad_index.strides) // pad_index.itemsize
+        shifts = steps @ strides
+        ends = np.append(np.flatnonzero(np.diff(shifts) != 1) + 1, self.num_offsets)
+        return (steps, pad_index, int(radius @ strides), shifts.tolist(),
+                np.repeat(ends, np.diff(ends, prepend=0)).tolist())
+
+    def gather(self, values: np.ndarray, sign: int, lo: int, hi: int, out: np.ndarray):
+        """out[j, x] = values[x + sign*o_k] for the offsets k = lo + j < hi, in
+        the C-ordered buffer out, returned as out[:hi - lo]: the values at the
+        tails of the in-edges (sign -1) or the heads of the out-edges (+1),
+        copied from values wrap-padded by the stencil radius, one strided
+        window per run of offsets, so no index array is formed."""
+        _, pad_index, center, shifts, ends = self._layout
+        padded, block = values[pad_index], out[:hi - lo]
+        windows, item = block.reshape(hi - lo, *self.grid.sizes), padded.itemsize
+        a = lo
+        while a < hi:
+            b = min(ends[a], hi)
+            windows[a - lo:b - lo] = np.ndarray(
+                (b - a, *self.grid.sizes), padded.dtype, padded,
+                (center + sign * shifts[a]) * item, (sign * item, *padded.strides))
+            a = b
+        return block
+
+    def neighbors(self, sign: int, ks, nodes) -> np.ndarray:
+        """node + sign*o_k of each (offset k, node) pair, ks and nodes
+        broadcast: the head of out-edge k at a tail (sign +1), or the tail of
+        in-edge k at a head (-1), by index arithmetic."""
+        steps = sign * self._layout[0][np.asarray(ks)]
+        return self.grid.shift_indices(nodes, np.moveaxis(steps, -1, 0))
+
+    def _table(self, sign: int) -> np.ndarray:
+        table = self.neighbors(sign, *np.ogrid[:self.num_offsets, :self.num_nodes])
+        table.flags.writeable = False
+        return table
+
+    # (num_offsets, num_nodes) head of each edge by tail, and tail of each edge
+    # by head: derived read-only on first read, for dense() and the tests
+    head_index = cached_property(lambda self: self._table(1))
+    pred_index = cached_property(lambda self: self._table(-1))
 
     def dense(self) -> np.ndarray:
-        """Dense (n, n) cost matrix with +inf on non-stencil pairs."""
-        n = self.num_nodes
-        mat = np.full((n, n), np.inf)
-        tails = np.arange(n)
-        for k in range(self.num_offsets):
-            # later offsets may alias earlier heads on tiny grids; keep the min
-            heads = self.head_index[k]
-            np.minimum.at(mat, (tails, heads), self.costs[k])
+        """Dense (n, n) cost matrix with +inf on non-stencil pairs; offsets
+        that alias one head on a tiny grid keep the least cost."""
+        mat = np.full((self.num_nodes, self.num_nodes), np.inf)
+        tails = np.broadcast_to(np.arange(self.num_nodes), self.head_index.shape)
+        np.minimum.at(mat, (tails, self.head_index), self.costs)
         return mat
 
 
@@ -113,41 +171,23 @@ def build_kernel(
     stencil: VelocityStencil,
     c: float,
 ) -> ActionKernel:
-    """Assemble the shared edge graph at shift c: Lbar and the index tables."""
+    """Assemble the shared edge graph at shift c: its Lbar."""
     if spec.dim != grid.dim:
         raise WeakKamError("spec dimension does not match the grid")
-    for r_axis in range(grid.dim):
-        max_off = max(abs(off[r_axis]) for off in stencil.offsets)
-        if max_off * grid.spacing[r_axis] >= 0.5:
-            raise WeakKamError(
-                "stencil displacement exceeds half the torus: wrap is ambiguous"
-            )
-    n = grid.num_nodes
-    m = stencil.num_offsets
-    coords = grid.coordinates
-    idx = np.arange(n, dtype=np.int64)
-
+    if any(max(abs(off[a]) for off in stencil.offsets) * h >= 0.5
+           for a, h in enumerate(grid.spacing)):
+        raise WeakKamError("stencil displacement exceeds half the torus: wrap is ambiguous")
+    n, coords, idx = grid.num_nodes, grid.coordinates, np.arange(grid.num_nodes)
     # filled in place, one offset at a time: L at the heads is gathered from L
     # at the tails, so no (m, n) array of L and no (m, n) temporary is made
-    edge_lagrangian = np.empty((m, n))
-    head_index = np.empty((m, n), dtype=np.int64)
-    pred_index = np.empty((m, n), dtype=np.int64)
+    edge_lagrangian = np.empty((stencil.num_offsets, n))
     for k, off in enumerate(stencil.offsets):
-        head_index[k] = grid.shift_indices(idx, off)
-        pred_index[k] = grid.shift_indices(idx, tuple(-o for o in off))
         v = np.broadcast_to(stencil.velocities[k], (n, grid.dim))
         lagr_tail = eval_lagrangian(spec, coords, v)
-        np.add(lagr_tail, lagr_tail[head_index[k]], out=edge_lagrangian[k])
+        np.add(lagr_tail, lagr_tail[grid.shift_indices(idx, off)], out=edge_lagrangian[k])
     edge_lagrangian *= 0.5
 
-    return ActionKernel(
-        grid=grid,
-        stencil=stencil,
-        c=float(c),
-        edge_lagrangian=edge_lagrangian,
-        head_index=head_index,
-        pred_index=pred_index,
-    )
+    return ActionKernel(grid=grid, stencil=stencil, c=float(c), edge_lagrangian=edge_lagrangian)
 
 
 # ---------------------------------------------------------------------------
@@ -235,22 +275,21 @@ def _block_buffer(shape: tuple[int, int], dtype=float) -> np.ndarray:
     return np.empty((min(_BLOCK_ROWS, shape[0]), shape[1]), dtype=dtype)
 
 
-def _relax(h: np.ndarray, cost_in: np.ndarray, pred: np.ndarray, cand: np.ndarray) -> np.ndarray:
-    """One relaxation on in-edge arrays: out(y, x) = min_k h(y, pred[k, x]) + cost_in[k, x].
+def _relax(h: np.ndarray, cost_in: np.ndarray, kernel: ActionKernel, sign: int,
+           cand: np.ndarray) -> np.ndarray:
+    """One relaxation: out(y, x) = min_k h(y, x + sign*o_k) + cost_in[k, x],
+    over the in-edges of x (sign -1) or its out-edges (+1).
 
     Row y's candidates fill the caller's C-ordered buffer cand, of at least
-    min(_BLOCK_ROWS, num_offsets) rows, one block of offsets at a time
-    (cost_in may be a broadcast view), and a running minimum over the blocks
-    goes straight into the output row. min is exact, so the floats are those
-    of a per-offset running minimum whatever the block size.
+    min(_BLOCK_ROWS, num_offsets) rows, one block of offsets at a time by
+    kernel.gather (cost_in may be a broadcast view), and a running minimum
+    over the blocks goes straight into the output row. min is exact, so the
+    floats are those of a per-offset running minimum whatever the block size.
     """
-    out, low, blocks = np.empty_like(h), np.empty(pred.shape[1]), _blocks(pred.shape[0])
+    out, low, blocks = np.empty_like(h), np.empty(h.shape[1]), _blocks(kernel.num_offsets)
     for r in range(h.shape[0]):
         for lo, hi in blocks:
-            block = cand[:hi - lo]
-            # pred holds valid node indices; "clip" lets take write into the
-            # block directly instead of through a bounds-checked buffer
-            np.take(h[r], pred[lo:hi], out=block, mode="clip")
+            block = kernel.gather(h[r], sign, lo, hi, cand)
             np.add(block, cost_in[lo:hi], out=block)
             if lo:
                 np.minimum(out[r], np.min(block, axis=0, out=low), out=out[r])
@@ -261,8 +300,8 @@ def _relax(h: np.ndarray, cost_in: np.ndarray, pred: np.ndarray, cand: np.ndarra
 
 def barrier_step(kernel: ActionKernel, h: np.ndarray) -> np.ndarray:
     """One Lax-Oleinik step h'(y, x) = min_z h(y, z) + cost(z -> x), by _relax."""
-    pred = kernel.pred_index
-    return _relax(h, kernel.costs_by_head(), pred, _block_buffer(pred.shape))
+    cost_in = kernel.costs_by_head()
+    return _relax(h, cost_in, kernel, -1, _block_buffer(cost_in.shape))
 
 
 # a node switches in-edge only when that lowers its value by more than this
@@ -320,9 +359,9 @@ def _improve(fill, shape: tuple[int, int], policy: np.ndarray, scale: float):
 
 
 def _evaluate_cycle_policy(
-    lag_in: np.ndarray, pred: np.ndarray, policy: np.ndarray
+    kernel: ActionKernel, lag_in: np.ndarray, policy: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Cycle means and biases of the policy x -> pred[policy[x], x], exactly.
+    """Cycle means and biases of the policy x -> x - o_policy[x], exactly.
 
     Each node's orbit is a rho: a tail into one cycle. A cycle's mean eta is
     the sum of its Lbar (math.fsum) over its length; its lowest node gets
@@ -330,9 +369,9 @@ def _evaluate_cycle_policy(
     rounds cannot loop), and every other node of the rho the bias
     v(x) = Lbar(x) - eta + v(next), walked back from that root.
     """
-    n = pred.shape[1]
+    n = kernel.num_nodes
     cols = np.arange(n)
-    succ = pred[policy, cols].tolist()
+    succ = kernel.neighbors(-1, policy, cols).tolist()
     step = lag_in[policy, cols].tolist()
     eta = [0.0] * n
     bias = [0.0] * n
@@ -362,8 +401,9 @@ def _evaluate_cycle_policy(
     return np.array(eta), np.array(bias)
 
 
-def _min_cycle_mean(lag_in: np.ndarray, pred: np.ndarray) -> tuple[float, np.ndarray, int]:
-    """Minimum mean Lbar over cycles by Howard's policy iteration.
+def _min_cycle_mean(kernel: ActionKernel, lag_in: np.ndarray) -> tuple[float, np.ndarray, int]:
+    """Minimum mean Lbar over cycles by Howard's policy iteration, on the
+    kernel's in-edges with Lbar lag_in by head.
 
     A policy picks one in-edge per node (a functional graph), starting from
     each node's cheapest one. A round evaluates it exactly, then improves it
@@ -383,17 +423,17 @@ def _min_cycle_mean(lag_in: np.ndarray, pred: np.ndarray) -> tuple[float, np.nda
     gathered, q = _block_buffer(shape), _block_buffer(shape)
     off_mean = _block_buffer(shape, dtype=bool)
     for rounds in _howard_rounds("minimum mean cycle"):
-        eta, bias = _evaluate_cycle_policy(lag_in, pred, policy)
+        eta, bias = _evaluate_cycle_policy(kernel, lag_in, policy)
         eta_tol = _IMPROVE_RTOL * np.abs(eta).max()
 
         def eta_in(lo, hi):  # the cycle mean at each in-edge's tail
-            return np.take(eta, pred[lo:hi], out=gathered[:hi - lo], mode="clip")
+            return kernel.gather(eta, -1, lo, hi, gathered)
 
-        def reduced(lo, hi):  # lag_in - eta + bias[pred] from tails of equal mean, else inf
+        def reduced(lo, hi):  # lag_in - eta + bias(tail) from tails of equal mean, else inf
             off = np.greater(np.subtract(eta_in(lo, hi), eta, out=q[:hi - lo]), eta_tol,
                              out=off_mean[:hi - lo])
             block = np.subtract(lag_in[lo:hi], eta, out=q[:hi - lo])
-            block += np.take(bias, pred[lo:hi], out=gathered[:hi - lo], mode="clip")
+            block += kernel.gather(bias, -1, lo, hi, gathered)
             np.copyto(block, np.inf, where=off)
             return block
 
@@ -475,25 +515,24 @@ def tight_subgraph(kernel: ActionKernel) -> CriticalGraph:
     is freed before the slack test, which runs one block of offsets at a
     time into an (m, n) mask; the class test reads the tight edges alone.
 
-    Only edge_lagrangian and the index tables are read, so the result does
-    not depend on the kernel's shift c: one call serves every kernel built
-    on the same grid, Lagrangian and stencil.
+    Only edge_lagrangian and the offsets are read, so the result does not
+    depend on the kernel's shift c: one call serves every kernel built on
+    the same grid, Lagrangian and stencil.
     """
-    (m, n), lag = kernel.pred_index.shape, kernel.edge_lagrangian
-    pred, heads = kernel.pred_index, kernel.head_index
-    mean, bias, rounds = _min_cycle_mean(np.take_along_axis(lag, pred, axis=1), pred)
+    (m, n), lag = kernel.edge_lagrangian.shape, kernel.edge_lagrangian
+    mean, bias, rounds = _min_cycle_mean(kernel, kernel.lagrangian_by_head())
     # the slack by tail, one block of offsets at a time, once Howard's gathered Lbar is freed
     tight = np.empty((m, n), dtype=bool)
     slack, at_head = _block_buffer((m, n)), _block_buffer((m, n))
     for lo, hi in _blocks(m):
         block = np.subtract(lag[lo:hi], mean, out=slack[:hi - lo])
         block += bias
-        block -= np.take(bias, heads[lo:hi], out=at_head[:hi - lo], mode="clip")
+        block -= kernel.gather(bias, 1, lo, hi, at_head)
         np.less_equal(block, 1e-9, out=tight[lo:hi])
 
     out: list[list[tuple[int, int]]] = [[] for _ in range(n)]  # (offset, head) by tail
     tails, ks = np.nonzero(tight.T)  # by tail, then offset
-    for tail, k, head in zip(tails.tolist(), ks.tolist(), heads[ks, tails].tolist()):
+    for tail, k, head in zip(tails.tolist(), ks.tolist(), kernel.neighbors(1, ks, tails).tolist()):
         out[tail].append((k, head))
     classes = _cyclic_components([[head for _, head in edges] for edges in out])
     if not classes:
@@ -514,18 +553,20 @@ def tight_subgraph(kernel: ActionKernel) -> CriticalGraph:
     return CriticalGraph(mean=mean, classes=classes, cycles=cycles, howard_rounds=rounds)
 
 
-def _distances(cost_in, pred, d: np.ndarray, free=True) -> tuple[np.ndarray, int]:
+def _distances(cost_in, kernel: ActionKernel, sign: int, d: np.ndarray,
+               free=True) -> tuple[np.ndarray, int]:
     """Bellman-Ford from the rows d, in place: least cost over paths of any length.
 
-    Each round is one _relax on the in-edge arrays (cost_in, pred), all
-    rounds sharing one block of candidates, and a node that free marks takes
-    its relaxed value on strict improvement only. Without negative cycles
-    the rows settle within num_nodes rounds. Returns d and the number of
-    rounds run, the last of which changes nothing unless num_nodes ran out.
+    Each round is one _relax of d by cost_in on the kernel's in-edges (sign
+    -1) or out-edges (+1), all rounds sharing one block of candidates, and a
+    node that free marks takes its relaxed value on strict improvement only.
+    Without negative cycles the rows settle within num_nodes rounds. Returns
+    d and the number of rounds run, the last of which changes nothing unless
+    num_nodes ran out.
     """
-    cand = _block_buffer(pred.shape)
-    for rounds in range(1, pred.shape[1] + 1):
-        step = _relax(d, cost_in, pred, cand)
+    cand = _block_buffer(cost_in.shape)
+    for rounds in range(1, kernel.num_nodes + 1):
+        step = _relax(d, cost_in, kernel, sign, cand)
         better = (step < d) & free
         if not better.any():
             break
@@ -577,21 +618,14 @@ def peierls_barrier(kernel: ActionKernel, tight: CriticalGraph | None = None) ->
     # each pass prices its own view at shift -mean, released when it returns:
     # forward d(r, x) on in-edges by head, backward d(y, r) as row r on out-edges by tail
     from_rep, rounds_from = _distances(
-        replace(kernel, c=-graph.mean).costs_by_head(), kernel.pred_index, start.copy())
-    to_rep, rounds_to = _distances(replace(kernel, c=-graph.mean).costs, kernel.head_index, start)
-    # on a fresh view, so the by-head costs it prices go with the step
-    stepped = barrier_step(replace(kernel), from_rep)
+        replace(kernel, c=-graph.mean).costs_by_head(), kernel, -1, start.copy())
+    to_rep, rounds_to = _distances(replace(kernel, c=-graph.mean).costs, kernel, 1, start)
+    stepped = barrier_step(kernel, from_rep)
     finite = np.isfinite(from_rep)
     residual = float(np.abs(stepped[finite] - from_rep[finite]).max())
-    return BarrierMatrix(
-        values=minplus_product(to_rep.T, stepped),
-        tau=tau,
-        c=kernel.c,
-        residual=residual,
-        stable=bool(residual <= TOL_STABLE),
-        relax_rounds=rounds_from + rounds_to,
-        graph=graph,
-    )
+    return BarrierMatrix(values=minplus_product(to_rep.T, stepped), tau=tau, c=kernel.c,
+                         residual=residual, stable=bool(residual <= TOL_STABLE),
+                         relax_rounds=rounds_from + rounds_to, graph=graph)
 
 
 # ---------------------------------------------------------------------------
@@ -677,9 +711,11 @@ def verify_subsolution(u: GridFunction | np.ndarray, kernel: ActionKernel) -> fl
     if bad.size:
         raise WeakKamError(f"u must be finite at every node; u[{bad[0]}] = {vals[bad[0]]}")
     worst = -np.inf
-    # edge pred_k(x) -> x, by head: the operands of u(head) - u(tail) - cost by tail
+    # the edges into each node, by head, one block of offsets at a time
     cost_in = kernel.costs_by_head()
-    for k in range(kernel.num_offsets):
-        viol = vals - vals[kernel.pred_index[k]] - cost_in[k]
+    tails = _block_buffer(cost_in.shape)
+    for lo, hi in _blocks(kernel.num_offsets):
+        viol = np.subtract(vals, kernel.gather(vals, -1, lo, hi, tails), out=tails[:hi - lo])
+        viol -= cost_in[lo:hi]
         worst = max(worst, float(viol.max()))
     return worst

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .action_barrier import (ActionKernel, _block_buffer, _howard_rounds, _improve, _reduce,
-                             build_kernel)
+                             _relax, build_kernel)
 from .errors import ConvergenceError, WeakKamError
 from .models import GridFunction, LagrangianSpec, TorusGrid, VelocityStencil
 
@@ -86,10 +86,10 @@ def discounted_sweeps(kernel: ActionKernel, lam: float, n_sweeps: int, init=None
     tau = kernel.stencil.tau
     beta = math.exp(-lam * tau)
     cost_in = (1.0 - beta) / (lam * tau) * kernel.costs_by_head()
-    pred = kernel.pred_index
     u = np.zeros(kernel.num_nodes) if init is None else np.asarray(init, dtype=float).copy()
+    cand = _block_buffer(cost_in.shape)
     for _ in range(n_sweeps):
-        u = (cost_in + beta * u[pred]).min(axis=0)
+        u = _relax(beta * u[None], cost_in, kernel, -1, cand)[0]
     return u
 
 
@@ -131,25 +131,21 @@ def discounted_policy_iteration(
     beta = math.exp(-lam * tau)
     if not beta < 1.0:
         raise WeakKamError("discount lambda*tau must be positive and above double rounding")
-    # weight * costs_by_head() in _priced's order in one fresh array; the kernel caches none
-    pred = kernel.pred_index
-    cost_in = np.take_along_axis(kernel.edge_lagrangian, pred, axis=1)
-    cost_in += kernel.c
-    cost_in *= tau
+    cost_in = kernel.costs_by_head()
     cost_in *= (1.0 - beta) / (lam * tau)
-    cols = np.arange(kernel.num_nodes)
-    policy = _reduce(lambda lo, hi: cost_in[lo:hi], pred.shape)[1]
-    q = _block_buffer(pred.shape)
+    cols, shape = np.arange(kernel.num_nodes), cost_in.shape
+    policy = _reduce(lambda lo, hi: cost_in[lo:hi], shape)[1]
+    q = _block_buffer(shape)
     for rounds in _howard_rounds("discounted"):
-        u = _evaluate_policy(cost_in[policy, cols], pred[policy, cols], beta)
+        u = _evaluate_policy(cost_in[policy, cols], kernel.neighbors(-1, policy, cols), beta)
+        beta_u = beta * u
 
-        def step(lo, hi):  # cost_in + beta * u[pred] on one block of offsets
-            block = np.take(u, pred[lo:hi], out=q[:hi - lo], mode="clip")
-            block *= beta
+        def step(lo, hi):  # cost_in + beta * u(tail) on one block of offsets
+            block = kernel.gather(beta_u, -1, lo, hi, q)
             block += cost_in[lo:hi]
             return block
 
-        improved, tu = _improve(step, pred.shape, policy, np.abs(u).max())
+        improved, tu = _improve(step, shape, policy, np.abs(u).max())
         if improved is None:
             # tu is the Bellman operator T u, one discounted_sweeps step
             return u, policy, rounds, float(np.abs(tu - u).max())
@@ -199,16 +195,9 @@ def solve_discounted(
             iterations=rounds,
         )
     return DiscountedSolution(
-        lam=float(lam),
-        tau=float(stencil.tau),
-        c=float(c),
-        values=GridFunction(grid, u),
-        policy=policy.astype(np.int64),
-        iterations=rounds,
-        residual=residual,
-        tol=tol,
-        kernel=kernel,
-    )
+        lam=float(lam), tau=float(stencil.tau), c=float(c), values=GridFunction(grid, u),
+        policy=policy.astype(np.int64), iterations=rounds, residual=residual, tol=tol,
+        kernel=kernel)
 
 
 # ---------------------------------------------------------------------------
@@ -283,15 +272,8 @@ def critical_value_estimate(
     c_est = _neville_at_zero(lambdas[-tail:], mids[-tail:])
     warn = any(s2 > s1 * 1.1 + 1e-12 for s1, s2 in zip(spreads, spreads[1:]))
     table = CriticalValueTable(
-        lambdas=tuple(lambdas),
-        mins=tuple(mins),
-        maxs=tuple(maxs),
-        mids=tuple(mids),
-        spreads=tuple(spreads),
-        c_est=float(c_est),
-        spread_warning=warn,
-        rounds=tuple(rounds),
-    )
+        lambdas=tuple(lambdas), mins=tuple(mins), maxs=tuple(maxs), mids=tuple(mids),
+        spreads=tuple(spreads), c_est=float(c_est), spread_warning=warn, rounds=tuple(rounds))
     return float(c_est), table
 
 
@@ -311,21 +293,14 @@ class TrajectorySample:
 
 def backward_trajectory(sol: DiscountedSolution, x0: int, n_steps: int) -> TrajectorySample:
     """Follow sol.policy backward n_steps steps from x0."""
-    pred = sol.kernel.pred_index
-    speeds_all = sol.stencil.speeds()
+    succ = sol.kernel.neighbors(-1, sol.policy, np.arange(sol.grid.num_nodes))
     nodes = np.empty(n_steps + 1, dtype=np.int64)
-    offsets = np.empty(n_steps, dtype=np.int64)
     nodes[0] = int(x0) % sol.grid.num_nodes
     for i in range(n_steps):
-        k = sol.policy[nodes[i]]
-        offsets[i] = k
-        nodes[i + 1] = pred[k, nodes[i]]
-    return TrajectorySample(
-        start=int(x0),
-        nodes=nodes,
-        offsets=offsets,
-        speeds=speeds_all[offsets],
-    )
+        nodes[i + 1] = succ[nodes[i]]
+    offsets = sol.policy[nodes[:-1]].astype(np.int64)
+    return TrajectorySample(start=int(x0), nodes=nodes, offsets=offsets,
+                            speeds=sol.stencil.speeds()[offsets])
 
 
 def calibration_residual(sol: DiscountedSolution, traj: TrajectorySample) -> float:
@@ -339,17 +314,13 @@ def calibration_residual(sol: DiscountedSolution, traj: TrajectorySample) -> flo
     beta = sol.beta
     weight = (1.0 - beta) / (sol.lam * sol.tau)
     u = sol.values.values
-    cost_in = sol.kernel.costs_by_head()
-    pred = sol.kernel.pred_index
+    costs = sol.kernel.costs
     n = traj.offsets.size
+    if not np.array_equal(sol.kernel.neighbors(-1, traj.offsets, traj.nodes[:n]), traj.nodes[1:]):
+        raise WeakKamError("trajectory step does not match its recorded offset")
     acc = u[traj.nodes[n]]
     for i in range(n - 1, -1, -1):
-        k = traj.offsets[i]
-        x = traj.nodes[i]
-        tail = traj.nodes[i + 1]
-        if pred[k, x] != tail:
-            raise WeakKamError("trajectory step does not match its recorded offset")
-        acc = weight * cost_in[k, x] + beta * acc
+        acc = weight * costs[traj.offsets[i], traj.nodes[i + 1]] + beta * acc
     return float(acc - u[traj.nodes[0]])
 
 
@@ -366,16 +337,11 @@ class EdgeMeasure:
         return float(self.weights.sum())
 
     def node_marginal(self) -> np.ndarray:
-        out = np.zeros(self.grid.num_nodes)
-        np.add.at(out, self.tails, self.weights)
-        return out
+        return np.bincount(self.tails, self.weights, self.grid.num_nodes)
 
     def heads(self) -> np.ndarray:
-        head = np.empty_like(self.tails)
-        for k in sorted(set(self.offset_ids.tolist())):
-            mask = self.offset_ids == k
-            head[mask] = self.grid.shift_indices(self.tails[mask], self.stencil.offsets[k])
-        return head
+        steps = np.array(self.stencil.offsets, dtype=np.int64).reshape(self.stencil.num_offsets, -1)
+        return self.grid.shift_indices(self.tails, steps[self.offset_ids].T)
 
 
 @dataclass(frozen=True)
@@ -424,10 +390,10 @@ def discounted_occupation_measure(
         n_steps = min(needed, _MAX_STEPS)
     tail = beta**n_steps
 
-    # walk the orbit x_0 = x0, x_{i+1} = pred[policy[x_i], x_i] until the
+    # walk the orbit x_0 = x0, x_{i+1} = x_i - o_policy[x_i] until the
     # horizon or the first repeat x_L = x_mu; step i is fixed by x_i alone
     n = sol.grid.num_nodes
-    succ = sol.kernel.pred_index[sol.policy, np.arange(n)].tolist()
+    succ = sol.kernel.neighbors(-1, sol.policy, np.arange(n)).tolist()
     first_visit: dict[int, int] = {}
     x = int(x0) % n
     while len(first_visit) < n_steps and x not in first_visit:
@@ -449,7 +415,7 @@ def discounted_occupation_measure(
     raw /= 1.0 - tail
 
     offsets = sol.policy[nodes]
-    tails = sol.kernel.pred_index[offsets, nodes]
+    tails = sol.kernel.neighbors(-1, offsets, nodes)
     order = np.argsort(tails * sol.stencil.num_offsets + offsets)
     tails = tails[order].astype(np.int64)
     offset_ids = offsets[order].astype(np.int64)

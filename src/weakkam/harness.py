@@ -167,6 +167,9 @@ class ExperimentConfig:
         bad_nodes = isinstance(t, tuple) and not (t and all(0 <= x < nodes for x in t))
         if bad_count or bad_nodes:
             raise ConfigError(f"schedule.u0_targets must be a count >= 1 or nodes in [0, {nodes})")
+        if isinstance(t, tuple) and len(set(t)) < len(t):
+            twice = next(x for i, x in enumerate(t) if x in t[:i])
+            raise ConfigError(f"schedule.u0_targets lists node {twice} more than once")
         if self.threads < 1:
             raise ConfigError("threads must be >= 1")
         if "\0" in self.output_dir:
@@ -445,7 +448,7 @@ class _Run:
 
         Howard's policy iteration and the one criticality test run once, on
         kernel0. The CriticalGraph reads only the edge Lagrangian and the
-        index tables, which no shift changes, so it is handed on to
+        stencil offsets, which no shift changes, so it is handed on to
         peierls_barrier (whose barrier passes it to aubry_report,
         u0_critical_cycles, compute_u0 and verify_limit), solve_mather_lp and
         the verify subcommand. The critical kernel is kernel0 at shift -mean:

@@ -128,15 +128,14 @@ def _cycle_potentials(kernel: ActionKernel, weights: np.ndarray, cycle: np.ndarr
     in-tree to it form (network simplex); the basis itself is never needed.
     """
     n = kernel.num_nodes
-    heads = kernel.head_index
     cyc_k, cyc_t = np.divmod(np.asarray(cycle, dtype=np.int64), n)
     phi = np.full(n, np.inf)
     phi[cyc_t[0]] = 0.0
-    for k, t in zip(cyc_k[:0:-1], cyc_t[:0:-1]):
-        phi[t] = weights[k, t] + phi[heads[k, t]]
+    for k, t, head in zip(cyc_k[:0:-1], cyc_t[:0:-1], np.roll(cyc_t, -1)[:0:-1]):
+        phi[t] = weights[k, t] + phi[head]
     free = np.ones(n, dtype=bool)
     free[cyc_t] = False
-    _distances(weights, heads, phi[None], free)
+    _distances(weights, kernel, 1, phi[None], free)
     return phi
 
 
@@ -151,16 +150,15 @@ def _certifies(kernel: ActionKernel, weights, cycles, phi, slack: float = 0.0) -
     _FEAS_TOL of 0. Rounding is monotone, so one relaxation less phi(tail)
     is exactly each tail's least reduced cost.
     """
-    heads = kernel.head_index
     if not (slack >= -_FEAS_TOL and np.isfinite(phi).all()):
         return False
     for cycle in cycles:
         cyc_k, cyc_t = np.divmod(cycle, kernel.num_nodes)
         on_cycle = np.roll(phi[cyc_t], -1) + weights[cyc_k, cyc_t] - phi[cyc_t]
-        closes = np.array_equal(heads[cyc_k, cyc_t], np.roll(cyc_t, -1))
+        closes = np.array_equal(kernel.neighbors(1, cyc_k, cyc_t), np.roll(cyc_t, -1))
         if not (closes and np.abs(on_cycle).max() <= _FEAS_TOL):
             return False
-    least = _relax(phi[None], weights, heads, _block_buffer(heads.shape))[0] - phi
+    least = _relax(phi[None], weights, kernel, 1, _block_buffer(weights.shape))[0] - phi
     return bool(least.min() >= -_FEAS_TOL)
 
 
@@ -342,7 +340,7 @@ def compute_u0(
     if budget < h.graph.mean:
         raise InfeasibleError(f"no closed measure meets the near-optimality budget {budget:.6g}; "
                               "increase eps_c (the discretization rarely reaches -c_est exactly)")
-    shape = kernel.head_index.shape
+    shape = kernel.edge_lagrangian.shape
     solved = [_solve_edge_program(kernel, np.broadcast_to(h.values[:, t], shape),
                                   np.broadcast_to(h.values[:, t] - start.values[t], shape),
                                   h.graph.cycles[start.certificates[t]], budget)

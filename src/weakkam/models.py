@@ -98,21 +98,17 @@ class TorusGrid:
         return float(np.linalg.norm(self.wrap_displacement(y, x)))
 
     def shift_indices(self, flat: np.ndarray, offset) -> np.ndarray:
-        """Flat indices of node + offset (per-axis integer steps, wrapped)."""
+        """Flat indices of node + offset (per-axis integer steps, wrapped); a
+        step may be an integer array broadcast with flat, one step per element."""
         multi = np.unravel_index(np.asarray(flat, dtype=np.int64), self.sizes)
-        shifted = tuple((m + int(k)) % n for m, k, n in zip(multi, offset, self.sizes))
+        shifted = tuple((m + k) % n for m, k, n in zip(multi, offset, self.sizes))
         return np.ravel_multi_index(shifted, self.sizes).astype(np.int64)
 
     def neighbor_pairs(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """All nearest-neighbor (node, node, distance) pairs, one per axis direction."""
-        idx = np.arange(self.num_nodes, dtype=np.int64)
-        tails, heads, dists = [], [], []
-        for axis in range(self.dim):
-            offset = tuple(1 if a == axis else 0 for a in range(self.dim))
-            tails.append(idx)
-            heads.append(self.shift_indices(idx, offset))
-            dists.append(np.full(self.num_nodes, self.spacing[axis]))
-        return np.concatenate(tails), np.concatenate(heads), np.concatenate(dists)
+        tails = np.tile(np.arange(self.num_nodes, dtype=np.int64), self.dim)
+        steps = np.repeat(np.eye(self.dim, dtype=np.int64), self.num_nodes, axis=0)
+        return tails, self.shift_indices(tails, steps.T), np.repeat(self.spacing, self.num_nodes)
 
 
 def build_grid(dim: int, sizes) -> TorusGrid:

@@ -56,6 +56,35 @@ def make_problem(n, potential=None, level=None, dim=1, drift=None, tau=None, k=N
     )
 
 
+@dataclass(frozen=True)
+class TableKernel(wk.ActionKernel):
+    """An action kernel on explicit edge tables, for the random graphs no
+    stencil describes: heads[k, t] is the head of edge k at tail t and
+    preds[k, x] the tail of edge k into x. It overrides the block gather and
+    the per-edge lookup, so head_index and pred_index derive from the tables;
+    a table no pass of the test reads may be None."""
+
+    heads: np.ndarray | None
+    preds: np.ndarray | None
+
+    def gather(self, values, sign, lo, hi, out):
+        table = self.heads if sign > 0 else self.preds
+        return np.take(values, table[lo:hi], out=out[:hi - lo])
+
+    def neighbors(self, sign, ks, nodes):
+        return (self.heads if sign > 0 else self.preds)[ks, nodes]
+
+
+def table_kernel(lag, heads=None, preds=None):
+    """A TableKernel with edge Lagrangian lag, an (offsets, nodes) array, on
+    the 1-D grid of its nodes; its stencil only counts the offsets."""
+    m, n = lag.shape
+    stencil = wk.VelocityStencil(tau=1.0, offsets=tuple((k,) for k in range(m)),
+                                 velocities=np.zeros((m, 1)), alpha=1.0)
+    return TableKernel(grid=wk.build_grid(1, [n]), stencil=stencil, c=0.0,
+                       edge_lagrangian=lag, heads=heads, preds=preds)
+
+
 # what a peak bound allows beyond its (m, n) arrays: numpy's 64 kB ufunc
 # buffer and the O(n) lists; one (m, n) float array of pendulum200 is 315 kB
 PEAK_SLACK = 96 * 1024

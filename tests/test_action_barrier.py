@@ -2,7 +2,7 @@ import itertools
 import math
 import os
 import tracemalloc
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -17,7 +17,7 @@ from weakkam.errors import EmptyAubryError, WeakKamError
 from weakkam.harness import _Run, load_config
 
 from conftest import (PEAK_SLACK, make_problem, maupertuis_barrier, pendulum_potential,
-                      traced_peak, two_well_potential)
+                      table_kernel, traced_peak, two_well_potential)
 
 
 def brute_force_h(kernel, steps):
@@ -69,14 +69,14 @@ class TestKernel:
         by_head = k.costs_by_head()
         for kk in range(k.num_offsets):
             np.testing.assert_array_equal(by_head[kk], k.costs[kk][k.pred_index[kk]])
-        # gathered once per kernel, and shared read-only
-        assert k.costs_by_head() is by_head
-        assert not by_head.flags.writeable
+        # a fresh array on every read, which the kernel does not keep
+        assert k.costs_by_head() is not by_head and by_head.flags.writeable
+        assert "costs_by_head" not in vars(k)
 
 
 class TestDerivedCosts:
-    """The kernel stores Lbar and the index tables; its costs are derived at
-    its own shift on first read, so a kernel at another shift is a view."""
+    """The kernel stores Lbar alone; its costs are derived at its own shift
+    on first read, so a kernel at another shift is a view."""
 
     def test_a_shift_allocates_nothing_until_a_cost_is_read(self, pendulum200):
         p = pendulum200
@@ -87,21 +87,33 @@ class TestDerivedCosts:
         assert peak < 8 * m * n
         (view,) = views
         assert view.edge_lagrangian is kernel0.edge_lagrangian
-        assert view.pred_index is kernel0.pred_index
         fresh = wk.build_kernel(p.grid, p.spec, p.stencil, p.c_star)
         assert view.costs_by_head().tobytes() == fresh.costs_by_head().tobytes()
         assert view.costs.tobytes() == fresh.costs.tobytes()
-        assert not {"costs", "_costs_by_head"} & kernel0.__dict__.keys()
+        assert not {"costs", "head_index", "pred_index"} & kernel0.__dict__.keys()
 
     def test_kernel_has_no_stored_costs(self, pendulum16):
         with pytest.raises(TypeError, match="costs"):
             replace(pendulum16.kernel, costs=pendulum16.kernel.costs)
 
+    def test_kernel_stores_only_its_lagrangian(self, pendulum16):
+        # the edge index tables are offset arithmetic, derived read-only when read
+        kernel = replace(pendulum16.kernel)
+        assert [f.name for f in fields(kernel)] == ["grid", "stencil", "c", "edge_lagrangian"]
+        with pytest.raises(TypeError, match="head_index"):
+            replace(kernel, head_index=kernel.head_index)
+        assert not (kernel.head_index.flags.writeable or kernel.pred_index.flags.writeable)
+
 
 def kernel_inputs(name, request):
-    """(grid, spec, stencil, c) of a fixture, or of a 3-node torus whose
-    stencil reaches every node and lists the offset +1 twice, so two offsets
-    share every head."""
+    """(grid, spec, stencil, c) of a fixture; of a 6x10 torus with stencil
+    radii (1, 2), whose padded rows differ in length from its windows; or of
+    a 3-node torus whose stencil reaches every node and lists the offset +1
+    twice, so two offsets share every head."""
+    if name == "rect6x10":
+        grid = wk.build_grid(2, [6, 10])
+        spec = wk.mechanical(wk.cosine_potential([1.0, 0.5], [1.0, 2.0]), dim=2)
+        return grid, spec, wk.make_stencil(grid, 0.1, 1.0, k=(1, 2)), 0.5
     if name != "aliased3":
         p = request.getfixturevalue(name)
         return p.grid, p.spec, p.stencil, p.c_star
@@ -114,7 +126,7 @@ def kernel_inputs(name, request):
 
 
 class TestKernelBuild:
-    @pytest.mark.parametrize("name", ["pendulum16", "cos2d", "aliased3"])
+    @pytest.mark.parametrize("name", ["pendulum16", "cos2d", "rect6x10", "aliased3"])
     def test_matches_the_whole_array_expression_bitwise(self, name, request):
         # the in-place build, one offset at a time, against Lbar = 0.5*(L(tail) +
         # L(head)) evaluated on whole (m, n) arrays of L, and the derived costs
@@ -140,6 +152,31 @@ class TestKernelBuild:
         np.testing.assert_array_equal(kernel.pred_index, preds)
         if name == "aliased3":
             np.testing.assert_array_equal(kernel.head_index[-1], kernel.head_index[-2])
+
+
+class TestGather:
+    """The block gather and the per-edge lookup against np.take and fancy
+    indexing on the derived tables, in both directions, for every block of
+    7 offsets: the blocks cross the stencil's rows and its runs."""
+
+    @pytest.mark.parametrize("name", ["pendulum16", "cos2d", "rect6x10", "aliased3"])
+    def test_matches_the_tables(self, name, request, monkeypatch):
+        monkeypatch.setattr(action_barrier, "_BLOCK_ROWS", 7)
+        kernel = wk.build_kernel(*kernel_inputs(name, request))
+        (m, n), rng = kernel.edge_lagrangian.shape, np.random.default_rng(7)
+        values = rng.normal(size=n)
+        buffer = action_barrier._block_buffer((m, n))
+        ks, nodes = np.divmod(rng.permutation(m * n), n)  # every edge, in a random order
+        for sign, table in ((-1, kernel.pred_index), (1, kernel.head_index)):
+            blocks = action_barrier._blocks(m)
+            assert len(blocks) == -(-m // 7)
+            for lo, hi in blocks:
+                got = kernel.gather(values, sign, lo, hi, buffer)
+                assert np.shares_memory(got, buffer) and got.shape == (hi - lo, n)
+                assert got.tobytes() == np.take(values, table[lo:hi]).tobytes()
+            np.testing.assert_array_equal(kernel.neighbors(sign, ks, nodes), table[ks, nodes])
+        assert kernel.lagrangian_by_head().tobytes() == np.take_along_axis(
+            kernel.edge_lagrangian, kernel.pred_index, axis=1).tobytes()
 
 
 class TestArgmin:
@@ -179,12 +216,12 @@ class TestPeakAllocation:
     + k (m, n) float arrays of 8*m*n bytes + the blocks of offsets the passes
     hold: a reintroduced (m, n) temporary fails the bound."""
 
-    def test_build_kernel_allocates_its_three_arrays(self, pendulum200):
-        # Lbar and the two index tables: no cost array is made
+    def test_build_kernel_allocates_its_one_array(self, pendulum200):
+        # Lbar alone: no cost array and no index table is made
         p = pendulum200
         m, n = p.kernel.num_offsets, p.kernel.num_nodes
         peak = traced_peak(wk.build_kernel, p.grid, p.spec, p.stencil, p.c_star)
-        assert peak <= 3 * 8 * m * n + PEAK_SLACK
+        assert peak <= 8 * m * n + PEAK_SLACK
 
     def test_tight_subgraph_holds_one_array_and_its_mask(self, pendulum200):
         # Howard's gathered Lbar, its two float blocks and the block argmin's
@@ -199,8 +236,7 @@ class TestPeakAllocation:
         # step's, released with it, beside one block of candidates; the
         # n x n values (8 n^2 < 8 m n + one block here, and one class needs
         # no term buffer) are made once the passes are done
-        kernel = replace(pendulum200.kernel)  # a fresh cache, filled as an input
-        kernel.costs_by_head()
+        kernel = replace(pendulum200.kernel)
         m, n = kernel.num_offsets, kernel.num_nodes
         graph = action_barrier.tight_subgraph(kernel)
         assert len(graph.classes) == 1 and 8 * n * n < 8 * m * n + block_bytes(kernel)
@@ -213,9 +249,7 @@ def in_edge_results(p):
     mean, bias and rounds, the CriticalGraph, the barrier, one discounted
     solve, the Mather program and u0 at every third node, with certificates."""
     kernel0, kernel = replace(p.kernel0), replace(p.kernel)
-    pred = kernel0.pred_index
-    howard = action_barrier._min_cycle_mean(
-        np.take_along_axis(kernel0.edge_lagrangian, pred, axis=1), pred)
+    howard = action_barrier._min_cycle_mean(kernel0, kernel0.lagrangian_by_head())
     graph = action_barrier.tight_subgraph(kernel0)
     barrier = wk.peierls_barrier(kernel, tight=graph)
     lp = wk.solve_mather_lp(kernel, tight=graph)
@@ -423,18 +457,18 @@ class TestBarrierStep:
 
 def record_relaxations(monkeypatch):
     """(passes, rows) of a peierls_barrier call: copies of the inputs
-    (cost_in, pred, d, free) of every _distances call, and the row count of
+    (cost_in, sign, d, free) of every _distances call, and the row count of
     every _relax call, the Bellman-Ford rounds and then the factor step."""
     passes, rows = [], []
     distances, relax = action_barrier._distances, action_barrier._relax
 
-    def recorded_distances(cost_in, pred, d, free=True):
-        passes.append((cost_in.copy(), pred, d.copy(), free))
-        return distances(cost_in, pred, d, free)
+    def recorded_distances(cost_in, kernel, sign, d, free=True):
+        passes.append((cost_in.copy(), sign, d.copy(), free))
+        return distances(cost_in, kernel, sign, d, free)
 
-    def recorded_relax(h, cost_in, pred, cand):
+    def recorded_relax(h, cost_in, kernel, sign, cand):
         rows.append(h.shape[0])
-        return relax(h, cost_in, pred, cand)
+        return relax(h, cost_in, kernel, sign, cand)
 
     monkeypatch.setattr(action_barrier, "_distances", recorded_distances)
     monkeypatch.setattr(action_barrier, "_relax", recorded_relax)
@@ -523,7 +557,8 @@ class TestDistances:
     @settings(derandomize=True, max_examples=200, deadline=None)
     def test_matches_the_minplus_closure(self, problem):
         cost_in, pred, start, free = problem
-        got, rounds = action_barrier._distances(cost_in, pred, start.copy(), free)
+        kernel = table_kernel(cost_in, preds=pred)
+        got, rounds = action_barrier._distances(cost_in, kernel, -1, start.copy(), free)
         np.testing.assert_array_equal(got, closure_distances(cost_in, pred, start, free))
         reach = reachable(pred, start, free)
         assert np.isinf(got[~reach]).all() and np.isfinite(got[reach]).all()
@@ -533,12 +568,13 @@ class TestDistances:
         # the u0 program's weights are one column broadcast over the offsets
         kernel = pendulum16.kernel
         rng = np.random.default_rng(5)
-        broadcast = np.broadcast_to(rng.normal(size=kernel.num_nodes), kernel.head_index.shape)
+        shape = kernel.edge_lagrangian.shape
+        broadcast = np.broadcast_to(rng.normal(size=kernel.num_nodes), shape)
         assert broadcast.strides[0] == 0
         h = rng.normal(size=(3, kernel.num_nodes))
-        cand = np.empty(kernel.head_index.shape)
-        got = action_barrier._relax(h, broadcast, kernel.head_index, cand)
-        want = action_barrier._relax(h, broadcast.copy(), kernel.head_index, cand)
+        cand = np.empty(shape)
+        got = action_barrier._relax(h, broadcast, kernel, 1, cand)
+        want = action_barrier._relax(h, broadcast.copy(), kernel, 1, cand)
         assert got.tobytes() == want.tobytes()
 
 
@@ -711,10 +747,10 @@ class TestReducedCosts:
         passes, _ = record_relaxations(monkeypatch)
         wk.peierls_barrier(kernel, tight=graph)
         old = kernel.costs - kernel.stencil.tau * (graph.mean + kernel.c)
-        (forward, fwd_index, _, _), (backward, back_index, _, _) = passes
+        (forward, fwd_sign, _, _), (backward, back_sign, _, _) = passes
         assert forward.tobytes() == np.take_along_axis(old, kernel.pred_index, axis=1).tobytes()
         assert backward.tobytes() == old.tobytes()
-        assert fwd_index is kernel.pred_index and back_index is kernel.head_index
+        assert (fwd_sign, back_sign) == (-1, 1)
 
 
 class TestFactoredBarrier:

@@ -312,12 +312,11 @@ class TestPeakAllocation:
         assert traced_peak(discounted_policy_iteration, kernel, 0.05) <= bound
 
     def test_policy_iteration_leaves_the_by_head_cache_unfilled(self, pendulum16):
-        # the scaled in-edge costs are one fresh array, formed in _priced's
-        # order, so the kernel holds no by-head copy beside them
+        # the scaled in-edge costs are the fresh array costs_by_head gives, so
+        # the kernel keeps no cost array and no index table beside them
         kernel = replace(pendulum16.kernel)
-        assert "_costs_by_head" not in kernel.__dict__
         discounted_policy_iteration(kernel, 0.05)
-        assert "_costs_by_head" not in kernel.__dict__
+        assert not {"costs", "head_index", "pred_index"} & kernel.__dict__.keys()
 
 
 class TestCriticalValue:

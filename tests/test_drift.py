@@ -74,18 +74,30 @@ def drift200():
     return _rotating(200)
 
 
+@pytest.fixture(scope="module")
+def drift400():
+    return _rotating(400)
+
+
 class TestClosedForms:
-    def test_rotating_orbit(self, drift100, drift200):
+    def test_rotating_orbit(self, drift100, drift200, drift400):
         c_exact = _alpha(DRIFT) - DRIFT**2 / 2
         assert abs(c_exact - 0.0637954) <= 1e-7
-        # measured: c - c_exact = -2.29e-2 and -4.52e-3, sup|u0 - u0_exact| = 1.36e-3
-        # and 6.1e-4 at n = 100 and 200; the bounds sit 5% above
+        # measured: c - c_exact = -2.29e-2, -4.52e-3 and -1.18e-3, sup|u0 - u0_exact|
+        # = 1.36e-3, 6.1e-4 and 2.8e-4 at n = 100, 200 and 400; the bounds sit 5% above
+        errors = []
         for (p, h), c_err, u0_err in ((drift100, 2.29e-2, 1.36e-3),
-                                      (drift200, 4.52e-3, 6.1e-4)):
+                                      (drift200, 4.52e-3, 6.1e-4),
+                                      (drift400, 1.18e-3, 2.8e-4)):
             u0 = wk.u0_critical_cycles(h)
             err = float(np.abs(u0.values - _u0_exact(p.grid.coordinates[:, 0], DRIFT)).max())
             assert -1.05 * c_err <= p.c_star - c_exact < 0
             assert err <= 1.05 * u0_err
+            errors.append((c_exact - p.c_star, err))
+        # observed orders per halving of h: c at 2.34 then 1.93, u0 at 1.16 then 1.13
+        for coarse, fine in zip(errors, errors[1:]):
+            c_order, u0_order = np.log2(np.divide(coarse, fine))
+            assert 1.9 <= c_order <= 2.4 and 1.1 <= u0_order <= 1.2
 
     def test_fixed_point_below_p0(self):
         # w = 0.8 < 4/pi: the Mather measure stays the Dirac mass at max V
@@ -124,3 +136,17 @@ class TestCrossRouteGap:
                 for eps in (1e-6, 1e-7)]
         np.testing.assert_allclose(gaps[0], 3.8448e-6, rtol=1e-4)
         assert np.abs(gaps[0] / gaps[1] - 10).max() <= 1e-6
+
+    def test_gap_at_n400_exceeds_the_cross_check(self, drift400):
+        # s = 12.1424 at n = 400, two classes of 35 nodes: at the harness's eps_c = 1e-6
+        # the gap is above u0_methods_agree's 1e-5, so that flag would fail there though
+        # neither route is wrong. Both targets take the graph search, ten Howard runs
+        # each, and _certifies then reads the gather on all 397 offsets
+        p, h = drift400
+        assert p.kernel.num_offsets == 397 and len(h.graph.classes) == 2
+        nodes = [0, 200]
+        u0 = wk.u0_critical_cycles(h).values[nodes]
+        for eps in (1e-6, 1e-7):
+            lp = wk.compute_u0(h, p.kernel, p.kernel.c, eps, nodes)
+            np.testing.assert_allclose(u0 - lp.values, 12.1424 * eps, rtol=1e-5)
+            assert lp.fallbacks == 2 and lp.howard_runs == 20

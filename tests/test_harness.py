@@ -370,14 +370,14 @@ class TestCli:
     def test_kernel0_keeps_no_costs(self, tmp_path):
         # the critical table forms its own in-edge costs from kernel0 and the
         # critical kernel is kernel0 at another shift, so kernel0 never caches
-        # a cost array
+        # a cost array or derives an index table
         run = _Run(self._two_well32(tmp_path / "out"))
         run.critical, run.critical_graph
-        assert not {"costs", "_costs_by_head"} & run.kernel0.__dict__.keys()
+        assert not {"costs", "head_index", "pred_index"} & run.kernel0.__dict__.keys()
         kernel = run.critical_graph[0]
         assert kernel.edge_lagrangian is run.kernel0.edge_lagrangian
         assert run.report.passed
-        assert not {"costs", "_costs_by_head"} & run.kernel0.__dict__.keys()
+        assert not {"costs", "head_index", "pred_index"} & run.kernel0.__dict__.keys()
 
     @pytest.mark.parametrize("option, want", [(None, list(range(32))), ((17, 3, 5), [3, 5, 17])],
                              ids=["every_node", "listed"])
@@ -674,6 +674,10 @@ BAD_INPUTS = {
     "burn_in_key": ([], _dump(lambda raw: raw["schedule"].update(burn_in=10)), {}, "burn_in"),
     "u0_targets_out_of_range": (
         [], _dump(lambda raw: raw["schedule"].update(u0_targets=[999])), {}, "u0_targets"
+    ),
+    # a repeated node would be solved twice and counted twice in lp_fallbacks
+    "u0_targets_repeated": (
+        [], _dump(lambda raw: raw["schedule"].update(u0_targets=[5, 5, 7])), {}, "node 5"
     ),
     "potential_amplitudes_string": (
         [], _potential({"name": "cosine", "amplitudes": "x"}), {}, "amplitudes"

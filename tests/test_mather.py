@@ -12,10 +12,10 @@ from weakkam import action_barrier, mather
 from weakkam.action_barrier import _min_cycle_mean, tight_subgraph
 from weakkam.errors import ConvergenceError, EmptyAubryError, WeakKamError
 from weakkam.mather import _certifies, _cycle_potentials, _solve_edge_program
-from weakkam.models import VelocityStencil
 from weakkam.simplex import _FEAS_TOL, _REFACTOR_EVERY, CompressedColumns, solve_standard_form
 
-from conftest import PEAK_SLACK, make_problem, pendulum_potential, traced_peak, two_well_potential
+from conftest import (PEAK_SLACK, make_problem, pendulum_potential, table_kernel, traced_peak,
+                      two_well_potential)
 
 
 def _reduced_costs(kernel, weights, phi):
@@ -468,8 +468,7 @@ class TestTreeCertificate:
         assert (program == "u0") == (weights.strides[0] == 0)
         phi = _cycle_potentials(kernel, weights, cycle)
         assert phi.tobytes() == jacobi_potentials(kernel, weights, cycle).tobytes()
-        heads = kernel.head_index
-        least = action_barrier._relax(phi[None], weights, heads, np.empty(heads.shape))[0]
+        least = action_barrier._relax(phi[None], weights, kernel, 1, np.empty(weights.shape))[0]
         assert (least - phi).min().tobytes() == _reduced_costs(kernel, weights, phi).min().tobytes()
 
     @pytest.mark.usefixtures("no_simplex")
@@ -575,21 +574,17 @@ class TestPeakAllocation:
 
 def permutation_kernel(lag, heads):
     """A kernel whose offset k sends node t to heads[k, t], a permutation,
-    with edge Lagrangian lag; its stencil only counts the offsets."""
-    m, n = heads.shape
-    stencil = VelocityStencil(tau=1.0, offsets=tuple((k,) for k in range(m)),
-                              velocities=np.zeros((m, 1)), alpha=1.0)
-    return wk.ActionKernel(grid=wk.build_grid(1, [n]), stencil=stencil, c=0.0,
-                           edge_lagrangian=lag, head_index=heads,
-                           pred_index=np.argsort(heads, axis=1))
+    with edge Lagrangian lag: an explicit-table kernel, the inverse
+    permutations its tails."""
+    return table_kernel(lag, heads, np.argsort(heads, axis=1))
 
 
 @st.composite
 def edge_programs(draw):
     """(kernel, node weights, budget) of a random edge program: n in [3, 12]
     nodes and m in [1, 4] offsets, each offset a random permutation of the
-    nodes as head_index with its inverse as pred_index, offset 0 one n-cycle
-    so that every node reaches every other as on a torus; Lbar and the node
+    nodes as its heads table with its inverse as its tails, offset 0 one
+    n-cycle so that every node reaches every other as on a torus; Lbar and the node
     weights on the 1/4 lattice in [-2, 2], and a budget the minimum mean Lbar
     plus a lattice value in [0, 2]. Every cycle sum is exact."""
     n, m = draw(st.integers(3, 12)), draw(st.integers(1, 4))
@@ -720,7 +715,7 @@ class TestLargeAmplitude:
         kernel = p.kernel
         pred = kernel.pred_index
         lag_in = np.take_along_axis(kernel.edge_lagrangian, pred, axis=1)
-        mean, bias, _ = _min_cycle_mean(lag_in, pred)
+        mean, bias, _ = _min_cycle_mean(kernel, lag_in)
         graph = tight_subgraph(kernel)
         assert not _certifies(kernel, kernel.edge_lagrangian - mean, (graph.cycles[0],), -bias)
         assert graph.classes == [[0]]
@@ -827,9 +822,9 @@ class TestHowardMean:
         lag_in = np.take_along_axis(kernel.edge_lagrangian, pred, axis=1)
         monkeypatch.setattr(action_barrier, "_MAX_ROUNDS", 1)
         with pytest.raises(ConvergenceError, match="minimum mean cycle: .* cap of 1 rounds"):
-            _min_cycle_mean(lag_in, pred)
+            _min_cycle_mean(kernel, lag_in)
         monkeypatch.setattr(action_barrier, "_MAX_ROUNDS", 2)
-        assert _min_cycle_mean(lag_in, pred)[0] == -1.0
+        assert _min_cycle_mean(kernel, lag_in)[0] == -1.0
 
     @pytest.mark.parametrize(
         "name", ["pendulum8", "random_table8", "transport8", "cosine4x4"]
@@ -844,7 +839,7 @@ class TestHowardMean:
             kernel = problem(name, request).kernel0
         pred = kernel.pred_index
         lag_in = np.take_along_axis(kernel.edge_lagrangian, pred, axis=1)
-        mean, bias, _ = _min_cycle_mean(lag_in, pred)
+        mean, bias, _ = _min_cycle_mean(kernel, lag_in)
         slack = lag_in - mean + bias[pred] - bias
         assert slack.min() >= -1e-14 * np.abs(bias).max() - 1e-12
 
