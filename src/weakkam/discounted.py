@@ -14,8 +14,9 @@ tests rely on it.
 
 A policy picks one stencil offset per node, so it maps every node to one
 predecessor: a functional graph. Howard's policy iteration evaluates each
-policy exactly by pointer doubling; its one loop serves the critical-value
-table at shift 0 and the lambda schedule at the critical shift. An
+policy exactly by pointer doubling; `solve_discounted` runs it and certifies
+the result, for the critical-value table at shift 0 and the lambda schedule
+at the critical shift alike. An
 occupation measure is a closed geometric sum over the rho (tail plus cycle)
 shape of one policy orbit. `discounted_sweeps`, plain Jacobi value
 iteration, stays as the test oracle.
@@ -240,14 +241,14 @@ def critical_value_estimate(
 ) -> tuple[float, CriticalValueTable]:
     """Estimate c(H) from -lambda*u_lambda along a decreasing lambda schedule.
 
-    For each lambda, finds the exact discounted solution u_lambda at shift
-    c = 0 by policy iteration (at most _MAX_ROUNDS rounds, else
-    ConvergenceError), records the node range of -lambda*u_lambda, and
-    Richardson-extrapolates the midpoint sequence to lambda = 0 (Neville on
-    the last three points). The per-lambda spread max - min must shrink along
-    the schedule; if it does not, the table carries a warning flag signaling
-    a too-coarse discretization. A given kernel must be that of grid and
-    stencil at shift 0; it is built here when None.
+    For each lambda, solves u_lambda at shift c = 0 by `solve_discounted`
+    (certified to its tol, else ConvergenceError), records the node range of
+    -lambda*u_lambda, and Richardson-extrapolates the midpoint sequence to
+    lambda = 0 (Neville on the last three points). The per-lambda spread
+    max - min must shrink along the schedule; if it does not, the table
+    carries a warning flag signaling a too-coarse discretization. A given
+    kernel must be that of grid and stencil at shift 0; it is built here
+    when None.
     """
     lambdas = [float(l) for l in lambda_schedule]
     if len(lambdas) < 3:
@@ -257,16 +258,15 @@ def critical_value_estimate(
 
     if kernel is None:
         kernel = build_kernel(grid, spec, stencil, c=0.0)
-    _check_kernel(kernel, grid, stencil, 0.0)
     mins, maxs, mids, spreads, rounds = [], [], [], [], []
     for lam in lambdas:
-        u, _, n_rounds, _ = discounted_policy_iteration(kernel, lam)
-        neg = -lam * u
+        sol = solve_discounted(grid, spec, lam, stencil, 0.0, kernel=kernel)
+        neg = -lam * sol.values.values
         mins.append(float(neg.min()))
         maxs.append(float(neg.max()))
         mids.append(0.5 * (mins[-1] + maxs[-1]))
         spreads.append(maxs[-1] - mins[-1])
-        rounds.append(n_rounds)
+        rounds.append(sol.iterations)
 
     tail = min(3, len(lambdas))
     c_est = _neville_at_zero(lambdas[-tail:], mids[-tail:])

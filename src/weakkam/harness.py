@@ -1,9 +1,12 @@
 """Experiment configuration, the end-to-end pipeline, and the CLI.
 
-A single JSON document describes the problem, the discretization, and the
-lambda schedule; ``run_pipeline`` executes bounds -> stencil -> ergodic
-critical-value estimate -> kernel at the exact critical shift -(minimum cycle
-mean) -> barrier -> Aubry/classes -> Mather LP -> u0 -> discounted solves ->
+A single JSON document describes the problem and the lambda schedules. The
+discretization follows from the problem: the stability bounds give the
+velocity bound alpha, which sets the search box 2 alpha, the time step
+tau = sqrt(h) clamped by alpha, and the stencil radius ceil(alpha tau / h).
+``run_pipeline`` executes bounds -> stencil -> ergodic critical-value
+estimate -> kernel at the exact critical shift -(minimum cycle mean) ->
+barrier -> Aubry/classes -> Mather LP -> u0 -> discounted solves ->
 verification, writing every artifact to the output directory as it is
 produced so failures keep their partial results. Timings go to their own
 file so report.json stays byte-identical across reruns and worker counts.
@@ -93,18 +96,15 @@ class ProblemConfig:
 
 @dataclass(frozen=True)
 class DiscretizationConfig:
-    tau_rule: str = "sqrt_h"       # or "explicit"
-    tau: float | None = None
-    stencil_k: int | None = None
-    alpha: float | None = None     # override the computed velocity bound
-    v_search: float | None = None
+    # tau = sqrt(h), clamped by the stability bounds' alpha; the only rule
+    tau_rule: str = "sqrt_h"
 
 
 @dataclass(frozen=True)
 class ScheduleConfig:
     lambdas: tuple[float, ...] = (0.5, 0.25, 0.125, 0.0625)
     critical_lambdas: tuple[float, ...] = (0.2, 0.1, 0.05, 0.025)
-    u0_targets: int | tuple[int, ...] | None = 16
+    u0_targets: int | tuple[int, ...] = 16
 
 
 @dataclass(frozen=True)
@@ -127,23 +127,16 @@ class ExperimentConfig:
         if any(size < 2 for size in p.sizes):
             raise ConfigError("problem.sizes must be at least 2")
         _check_potential(p)
-        if p.drift is not None and len(p.drift) != p.dim:
-            raise ConfigError("problem.drift must be a vector of length dim")
+        if p.drift is not None and (len(p.drift) != p.dim or not all(map(_finite, p.drift))):
+            raise ConfigError(f"problem.drift must hold dim = {p.dim} finite numbers, "
+                              f"got {list(p.drift)!r}")
         if p.family == "transport":
             if p.drift is None:
                 raise ConfigError("transport family needs a problem.drift")
             if p.potential.get("name", "zero") != "zero":
                 raise ConfigError("transport family takes no problem.potential other than zero")
-        if d.tau_rule not in ("sqrt_h", "explicit"):
-            raise ConfigError(f"unknown tau rule {d.tau_rule!r}")
-        if d.tau_rule == "explicit" and d.tau is None:
-            raise ConfigError("explicit tau rule needs a positive tau")
-        if d.tau_rule != "explicit" and d.tau is not None:
-            raise ConfigError("discretization.tau is only read when tau_rule is 'explicit'")
-        for name in ("alpha", "v_search", "tau", "stencil_k"):
-            value = getattr(d, name)
-            if value is not None and not 0 < value < math.inf:
-                raise ConfigError(f"discretization.{name} must be positive, got {value!r}")
+        if d.tau_rule != "sqrt_h":
+            raise ConfigError(f"discretization.tau_rule must be 'sqrt_h', got {d.tau_rule!r}")
         for name in ("lambdas", "critical_lambdas"):
             bad = [l for l in getattr(s, name) if not 0 < l < math.inf]
             if bad:
@@ -236,7 +229,7 @@ def _check_types(block, prefix: str) -> None:
 # potential name -> the keys its block may set besides "name"
 _POTENTIAL_KEYS = {
     "zero": (),
-    "cosine": ("amplitudes", "frequencies", "amplitude", "frequency"),
+    "cosine": ("amplitudes", "frequencies"),
     "table": ("path",),
 }
 
@@ -257,16 +250,12 @@ def _check_potential(p: ProblemConfig) -> None:
     path = block.get("path")
     if name == "table" and not (isinstance(path, str) and "\0" not in path):
         raise ConfigError(f"problem.potential.path must be a file path, got {path!r}")
-    for key in ("amplitude", "frequency"):
-        if key in block and key + "s" in block:
-            raise ConfigError(f"problem.potential sets both {key} and {key}s")
-        one, many = block.get(key, 1.0), block.get(key + "s", [1.0])
-        if not _finite(one):
-            raise ConfigError(f"problem.potential.{key} must be a finite number, got {one!r}")
+    for key in ("amplitudes", "frequencies"):
+        many = block.get(key, [1.0])
         if not (isinstance(many, (list, tuple)) and len(many) in (1, p.dim)
                 and all(map(_finite, many))):
             raise ConfigError(
-                f"problem.potential.{key}s must be a list of 1 or {p.dim} finite numbers, "
+                f"problem.potential.{key} must be a list of 1 or {p.dim} finite numbers, "
                 f"got {many!r}"
             )
 
@@ -283,9 +272,8 @@ def load_config(path) -> ExperimentConfig:
 def _build_spec(cfg: ProblemConfig, grid):
     name = cfg.potential.get("name", "zero")
     if name == "cosine":
-        amps = cfg.potential.get("amplitudes", [cfg.potential.get("amplitude", 1.0)])
-        freqs = cfg.potential.get("frequencies", [cfg.potential.get("frequency", 1.0)])
-        potential = cosine_potential(amps, freqs)
+        potential = cosine_potential(cfg.potential.get("amplitudes", [1.0]),
+                                     cfg.potential.get("frequencies", [1.0]))
     elif name == "table":
         potential = table_potential(grid, read_potential_table(cfg.potential["path"], grid))
     else:
@@ -327,8 +315,6 @@ class RunReport:
 
 
 def _u0_target_list(option, grid):
-    if option is None:
-        return np.arange(grid.num_nodes, dtype=np.int64)
     if isinstance(option, int):
         count = min(option, grid.num_nodes)
         spaced = np.linspace(0, grid.num_nodes, count, endpoint=False).astype(np.int64)
@@ -382,40 +368,44 @@ class _Run:
 
     @cached_property
     def bounds(self):
-        """Stability bounds at the level max |H(x, 0)| over the nodes."""
+        """Stability bounds at the level max |H(x, 0)| over the nodes; the
+        velocity bound alpha and the search box v_search = 2 alpha are theirs."""
         grid, spec = self.grid, self._spec0
 
         def at_level():
             coords = grid.coordinates
-            level = float(np.abs(eval_hamiltonian(spec, coords, np.zeros_like(coords))).max())
-            return stability_bounds(spec, level, grid=grid)
+            # a problem too large for doubles overflows here, and is refused below
+            with np.errstate(over="ignore", invalid="ignore"):
+                level = float(np.abs(eval_hamiltonian(spec, coords, np.zeros_like(coords))).max())
+                b = stability_bounds(spec, level, grid=grid)
+            if not all(map(math.isfinite, (b.kappa, b.A_kappa, b.C0, b.v_search))):
+                raise ConfigError(
+                    f"the problem's stability bounds are not finite: kappa={b.kappa:.3g} "
+                    f"A_kappa={b.A_kappa:.3g} C0={b.C0:.3g} v_search={b.v_search:.3g}"
+                )
+            return b
 
         return self._timed("bounds", at_level)
 
     @cached_property
-    def alpha(self):
-        """The velocity bound: discretization.alpha, else the stability bounds'."""
-        bounds, alpha = self.bounds, self.config.discretization.alpha
-        return alpha if alpha is not None else bounds.alpha
-
-    @cached_property
     def spec(self):
-        """The spec with its velocity search box: v_search, else 2 alpha."""
-        v_search = self.config.discretization.v_search
-        return self._spec0.with_v_search(v_search if v_search is not None else 2.0 * self.alpha)
+        """The spec with its velocity search box, the bounds' v_search."""
+        return self._spec0.with_v_search(self.bounds.v_search)
 
     @cached_property
     def stencil(self):
-        d, s, grid, alpha = self.config.discretization, self.config.schedule, self.grid, self.alpha
+        """Time step tau = sqrt(h), clamped by alpha, and the stencil of radius
+        ceil(alpha tau / h)."""
+        s, grid, alpha = self.config.schedule, self.grid, self.bounds.alpha
 
         def build():
-            tau = d.tau if d.tau_rule == "explicit" else default_time_step(grid, alpha)
+            tau = default_time_step(grid, alpha)
             lam = min(s.lambdas + s.critical_lambdas)
             if math.exp(-lam * tau) == 1.0:  # no discount at any lambda of the run
-                key = "tau" if d.tau_rule == "explicit" else "alpha"
-                raise ConfigError(f"discretization.{key} gives tau = {tau:.3g}, too small to "
-                                  f"discount: exp(-lambda*tau) rounds to 1 at lambda = {lam:g}")
-            return make_stencil(grid, tau, alpha, k=d.stencil_k)
+                raise ConfigError(f"the velocity bound alpha = {alpha:.3g} gives tau = "
+                                  f"{tau:.3g}, too small to discount: exp(-lambda*tau) "
+                                  f"rounds to 1 at lambda = {lam:g}")
+            return make_stencil(grid, tau, alpha)
 
         return self._timed("stencil", build)
 
@@ -582,8 +572,8 @@ class _Run:
                 "kappa": bounds.kappa,
                 "A_kappa": bounds.A_kappa,
                 "C0": bounds.C0,
-                "alpha": self.alpha,
-                "v_search": self.spec.v_search,
+                "alpha": bounds.alpha,
+                "v_search": bounds.v_search,
                 "c": bounds.c,
                 "tau": stencil.tau,
                 "stencil_offsets": stencil.num_offsets,
@@ -666,7 +656,7 @@ def _cmd_bounds(run: _Run, args) -> int:
     b = run.bounds
     print(
         f"kappa={io.fmt(b.kappa)} A_kappa={io.fmt(b.A_kappa)} C0={io.fmt(b.C0)} "
-        f"alpha={io.fmt(run.alpha)} v_search={io.fmt(run.spec.v_search)} c={io.fmt(b.c)}"
+        f"alpha={io.fmt(b.alpha)} v_search={io.fmt(b.v_search)} c={io.fmt(b.c)}"
     )
     return EXIT_OK
 

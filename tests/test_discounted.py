@@ -300,6 +300,22 @@ class TestPolicyIteration:
         _, table = wk.critical_value_estimate(free32.grid, free32.spec, free32.stencil, [0.2, 0.1, 0.05])
         assert table.rounds == (1, 1, 1)
 
+    def test_table_solves_through_solve_discounted(self, pendulum16, monkeypatch):
+        # each lambda of the table is a certified solve at shift 0 on the given kernel
+        p, solved, original = pendulum16, [], discounted.solve_discounted
+
+        def recorded(*args, **kwargs):
+            solved.append(original(*args, **kwargs))
+            return solved[-1]
+
+        monkeypatch.setattr(discounted, "solve_discounted", recorded)
+        lambdas = [0.2, 0.1, 0.05]
+        _, table = wk.critical_value_estimate(p.grid, p.spec, p.stencil, lambdas, kernel=p.kernel0)
+        assert [sol.lam for sol in solved] == lambdas
+        assert all(sol.c == 0.0 and sol.kernel is p.kernel0 for sol in solved)
+        assert table.rounds == tuple(sol.iterations for sol in solved)
+        assert table.mins == tuple(float((-sol.lam * sol.values.values).min()) for sol in solved)
+
 
 class TestPeakAllocation:
     def test_policy_iteration_holds_one_stencil_array(self, pendulum200):

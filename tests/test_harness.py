@@ -163,25 +163,16 @@ class TestPipeline:
         assert flag_names == expected_keys["flags"]
         assert report.passed is payload["passed"]
 
-    @pytest.mark.parametrize(
-        "pinned, alpha, v_search",
-        [({"alpha": 2.0}, 2.0, 4.0), ({"v_search": 3.0}, 0.5, 3.0),
-         ({"alpha": 2.0, "v_search": 3.0}, 2.0, 3.0), ({}, 0.5, 1.0)],
-        ids=["alpha", "v_search", "both", "neither"],
-    )
-    def test_bounds_report_the_values_in_use(self, pinned, alpha, v_search, tmp_path, capsys):
-        raw = free_config(tmp_path / "out").to_dict()
-        raw["discretization"].update(pinned)
-        path = tmp_path / "cfg.json"
-        path.write_text(json.dumps(raw))
-        run_pipeline(ExperimentConfig.from_dict(raw))
+    def test_bounds_report_the_values_in_use(self, tmp_path, capsys):
+        config = free_config(tmp_path / "out")
+        path = write_config(tmp_path / "cfg.json", config)
+        run_pipeline(config)
         bounds = json.loads((tmp_path / "out" / "report.json").read_text())["bounds"]
-        assert (bounds["alpha"], bounds["v_search"]) == (alpha, v_search)
-        # the stencil is built from the alpha in use: 7 offsets at 0.5, 25 at 2
-        assert bounds["stencil_offsets"] == (25 if alpha == 2.0 else 7)
-        assert cli_dispatch(["bounds", "--config", str(path)]) == EXIT_OK
-        line = capsys.readouterr().out
-        assert f" alpha={alpha:g} v_search={v_search:g} " in line
+        assert (bounds["alpha"], bounds["v_search"]) == (0.5, 1.0)
+        # the stencil is built from the derived alpha: 7 offsets at 0.5
+        assert bounds["stencil_offsets"] == 7
+        assert cli_dispatch(["bounds", "--config", path]) == EXIT_OK
+        assert " alpha=0.5 v_search=1 " in capsys.readouterr().out
 
     def test_determinism_across_worker_counts(self, tmp_path):
         digests = []
@@ -379,7 +370,7 @@ class TestCli:
         assert run.report.passed
         assert not {"costs", "head_index", "pred_index"} & run.kernel0.__dict__.keys()
 
-    @pytest.mark.parametrize("option, want", [(None, list(range(32))), ((17, 3, 5), [3, 5, 17])],
+    @pytest.mark.parametrize("option, want", [(32, list(range(32))), ((17, 3, 5), [3, 5, 17])],
                              ids=["every_node", "listed"])
     def test_u0_lp_runs_at_the_configured_targets(self, option, want, tmp_path, monkeypatch):
         solved, original = [], harness.compute_u0
@@ -688,17 +679,48 @@ BAD_INPUTS = {
     "potential_unknown_key": (
         [], _potential({"name": "zero", "amplitude": 3}), {}, "amplitude"
     ),
-    "alpha_zero": ([], _discretization(alpha=0), {}, "alpha"),
-    "alpha_negative": ([], _discretization(alpha=-1), {}, "alpha"),
-    "v_search_zero": ([], _discretization(v_search=0), {}, "v_search"),
-    "tau_zero": ([], _discretization(tau_rule="explicit", tau=0), {}, "tau"),
-    "stencil_k_zero": ([], _discretization(stencil_k=0), {}, "stencil_k"),
-    "tau_without_explicit_rule": ([], _discretization(tau=0.05), {}, "tau"),
-    # tau so small that exp(-lambda*tau) rounds to 1: the stencil stage refuses it
-    "alpha_overflows_speeds": ([], _discretization(alpha=1e200), {}, "discretization.alpha"),
-    "alpha_without_discount": ([], _discretization(alpha=1e150), {}, "discretization.alpha"),
+    # alpha, v_search, tau and the stencil radius follow from the stability
+    # bounds: a config that sets one, as earlier versions could, names an unknown key
+    "alpha_zero": ([], _discretization(alpha=0), {}, "unknown config keys ['alpha']"),
+    "alpha_negative": ([], _discretization(alpha=-1), {}, "unknown config keys ['alpha']"),
+    "v_search_zero": ([], _discretization(v_search=0), {}, "unknown config keys ['v_search']"),
+    "tau_zero": (
+        [], _discretization(tau_rule="explicit", tau=0), {}, "unknown config keys ['tau']"
+    ),
+    "stencil_k_zero": ([], _discretization(stencil_k=0), {}, "unknown config keys ['stencil_k']"),
+    "tau_without_explicit_rule": ([], _discretization(tau=0.05), {}, "unknown config keys ['tau']"),
+    "tau_rule_explicit": ([], _discretization(tau_rule="explicit"), {}, "tau_rule"),
+    # the cosine potential takes only the list forms, and u0_targets a count or nodes
+    "potential_amplitude_key": (
+        [], _potential({"name": "cosine", "amplitude": 2.0}), {}, "unknown keys ['amplitude']"
+    ),
+    "potential_frequency_key": (
+        [], _potential({"name": "cosine", "frequency": 2.0}), {}, "unknown keys ['frequency']"
+    ),
+    "u0_targets_null": ([], _set("schedule", u0_targets=None), {}, "schedule.u0_targets"),
+    # a large potential gives an alpha whose tau = O(1/alpha) is so small that
+    # exp(-lambda*tau) rounds to 1: the stencil stage refuses it
+    "alpha_overflows_speeds": (
+        [], _potential({"name": "cosine", "amplitudes": [1e200]}), {},
+        "velocity bound alpha = 5e+200",
+    ),
+    "alpha_without_discount": (
+        [], _potential({"name": "cosine", "amplitudes": [1e150]}), {},
+        "velocity bound alpha = 5e+150",
+    ),
     "tau_without_discount": (
-        [], _discretization(tau_rule="explicit", tau=1e-300), {}, "discretization.tau"
+        [], _potential({"name": "cosine", "amplitudes": [1e300]}), {},
+        "alpha = 5e+300 gives tau = 8.75e-302",
+    ),
+    # stability bounds beyond double range: the bounds stage refuses them
+    "drift_overflows_bounds": ([], _set("problem", drift=[1e200]), {}, "not finite"),
+    "amplitude_overflows_bounds": (
+        [], _potential({"name": "cosine", "amplitudes": [1e308]}), {}, "not finite"
+    ),
+    "drift_nan": ([], _set("problem", drift=[math.nan]), {}, "problem.drift"),
+    "drift_infinite": ([], _set("problem", drift=[math.inf]), {}, "problem.drift"),
+    "transport_drift_nan": (
+        [], _set("problem", family="transport", drift=[math.nan]), {}, "problem.drift"
     ),
     "drift_wrong_length": ([], _set("problem", drift=[0.5, 0.5]), {}, "drift"),
     "potential_on_transport": (
