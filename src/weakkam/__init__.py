@@ -48,7 +48,6 @@ from .errors import (
     StencilError,
     TruncationError,
     UnboundedError,
-    VelocityBoundError,
     WeakKamError,
 )
 from .harness import (
@@ -89,7 +88,6 @@ from .models import (
     stability_bounds,
     table_potential,
     tabulated,
-    transport,
     zero_potential,
 )
 

@@ -17,10 +17,6 @@ class TruncationError(WeakKamError):
     """A numerical conjugate attained its max on the momentum-box boundary."""
 
 
-class VelocityBoundError(WeakKamError):
-    """A velocity outside the configured search box was requested."""
-
-
 class StencilError(WeakKamError):
     """A velocity stencil is inconsistent with the grid or bounds."""
 

@@ -2,8 +2,10 @@
 
 A single JSON document describes the problem and the lambda schedules. The
 discretization follows from the problem: the stability bounds give the
-velocity bound alpha, which sets the search box 2 alpha, the time step
-tau = sqrt(h) clamped by alpha, and the stencil radius ceil(alpha tau / h).
+velocity bound alpha, which sets the time step tau = sqrt(h) clamped by
+alpha and the stencil radius ceil(alpha tau / h), so that the stencil
+reaches alpha along every axis. The family is ``mechanical``,
+H = |p|^2/2 + w.p + V(x), with an optional drift w and potential V.
 ``run_pipeline`` executes bounds -> stencil -> ergodic critical-value
 estimate -> kernel at the exact critical shift -(minimum cycle mean) ->
 barrier -> Aubry/classes -> Mather LP -> u0 -> discounted solves ->
@@ -120,7 +122,7 @@ class ExperimentConfig:
         for block, prefix in ((self, ""), (p, "problem."), (d, "discretization."),
                               (s, "schedule.")):
             _check_types(block, prefix)
-        if p.family not in ("mechanical", "transport"):
+        if p.family != "mechanical":
             raise ConfigError(f"unknown family {p.family!r}")
         if p.dim not in (1, 2) or len(p.sizes) != p.dim:
             raise ConfigError("dim must be 1 or 2 with matching sizes")
@@ -130,11 +132,6 @@ class ExperimentConfig:
         if p.drift is not None and (len(p.drift) != p.dim or not all(map(_finite, p.drift))):
             raise ConfigError(f"problem.drift must hold dim = {p.dim} finite numbers, "
                               f"got {list(p.drift)!r}")
-        if p.family == "transport":
-            if p.drift is None:
-                raise ConfigError("transport family needs a problem.drift")
-            if p.potential.get("name", "zero") != "zero":
-                raise ConfigError("transport family takes no problem.potential other than zero")
         if d.tau_rule != "sqrt_h":
             raise ConfigError(f"discretization.tau_rule must be 'sqrt_h', got {d.tau_rule!r}")
         for name in ("lambdas", "critical_lambdas"):
@@ -258,6 +255,10 @@ def _check_potential(p: ProblemConfig) -> None:
                 f"problem.potential.{key} must be a list of 1 or {p.dim} finite numbers, "
                 f"got {many!r}"
             )
+    # cos(2 pi f x) is 1-periodic only for integer f: any other V jumps across the wrap
+    freqs = block.get("frequencies", [1.0])
+    if not all(float(f).is_integer() for f in freqs):
+        raise ConfigError(f"problem.potential.frequencies must be integers, got {freqs!r}")
 
 
 def load_config(path) -> ExperimentConfig:
@@ -362,15 +363,15 @@ class _Run:
         return self._timed("grid", lambda: build_grid(p.dim, p.sizes))
 
     @cached_property
-    def _spec0(self):  # the spec before its velocity search box is set
+    def spec(self):
         grid = self.grid
         return self._timed("spec", lambda: _build_spec(self.config.problem, grid))
 
     @cached_property
     def bounds(self):
-        """Stability bounds at the level max |H(x, 0)| over the nodes; the
-        velocity bound alpha and the search box v_search = 2 alpha are theirs."""
-        grid, spec = self.grid, self._spec0
+        """Stability bounds at the level max |H(x, 0)| over the nodes, with
+        the velocity bound alpha that sizes the stencil."""
+        grid, spec = self.grid, self.spec
 
         def at_level():
             coords = grid.coordinates
@@ -378,19 +379,14 @@ class _Run:
             with np.errstate(over="ignore", invalid="ignore"):
                 level = float(np.abs(eval_hamiltonian(spec, coords, np.zeros_like(coords))).max())
                 b = stability_bounds(spec, level, grid=grid)
-            if not all(map(math.isfinite, (b.kappa, b.A_kappa, b.C0, b.v_search))):
+            if not all(map(math.isfinite, (b.kappa, b.A_kappa, b.C0, b.alpha))):
                 raise ConfigError(
                     f"the problem's stability bounds are not finite: kappa={b.kappa:.3g} "
-                    f"A_kappa={b.A_kappa:.3g} C0={b.C0:.3g} v_search={b.v_search:.3g}"
+                    f"A_kappa={b.A_kappa:.3g} C0={b.C0:.3g} alpha={b.alpha:.3g}"
                 )
             return b
 
         return self._timed("bounds", at_level)
-
-    @cached_property
-    def spec(self):
-        """The spec with its velocity search box, the bounds' v_search."""
-        return self._spec0.with_v_search(self.bounds.v_search)
 
     @cached_property
     def stencil(self):
@@ -573,7 +569,6 @@ class _Run:
                 "A_kappa": bounds.A_kappa,
                 "C0": bounds.C0,
                 "alpha": bounds.alpha,
-                "v_search": bounds.v_search,
                 "c": bounds.c,
                 "tau": stencil.tau,
                 "stencil_offsets": stencil.num_offsets,
@@ -656,7 +651,7 @@ def _cmd_bounds(run: _Run, args) -> int:
     b = run.bounds
     print(
         f"kappa={io.fmt(b.kappa)} A_kappa={io.fmt(b.A_kappa)} C0={io.fmt(b.C0)} "
-        f"alpha={io.fmt(b.alpha)} v_search={io.fmt(b.v_search)} c={io.fmt(b.c)}"
+        f"alpha={io.fmt(b.alpha)} c={io.fmt(b.c)}"
     )
     return EXIT_OK
 

@@ -4,13 +4,13 @@ Positions live on the flat torus [0,1)^d with d in {1, 2}. A Lagrangian is
 described by a family tag plus parameters; the built-in families are
 
 * ``mechanical``  L(x,v) = |v - w|^2/2 - V(x),  H(x,p) = |p|^2/2 + w.p + V(x),
-  with a constant drift w (zero unless given); ``transport`` is the
-  mechanical family with V = 0.
+  with a constant drift w (zero unless given); L is exact at every v.
 * ``tabulated``   H sampled on nodes x a momentum grid; L via the numerical
   convex conjugate (1-D only).
 
-H is convex in p, so the stability bounds that size every discretization
-follow exactly from Fenchel duality; only positions are sampled.
+H is convex in p, so the stability bounds follow exactly from Fenchel
+duality; only positions are sampled. Their velocity bound alpha sizes the
+stencil, the one bound on the velocities the scheme evaluates L at.
 
 Everything here is immutable after construction and free of hidden state.
 """
@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable
 
@@ -29,7 +29,6 @@ from .errors import (
     NoSublevelError,
     StencilError,
     TruncationError,
-    VelocityBoundError,
     WeakKamError,
 )
 
@@ -50,7 +49,6 @@ __all__ = [
     "table_potential",
     "read_potential_table",
     "mechanical",
-    "transport",
     "tabulated",
     "GridFunction",
 ]
@@ -206,10 +204,6 @@ class LagrangianSpec:
     momentum_grid: np.ndarray | None = None
     hamiltonian_table: np.ndarray | None = None  # (nodes, momenta), 1-D only
     table_grid: TorusGrid | None = None
-    v_search: float | None = None
-
-    def with_v_search(self, v_search: float) -> "LagrangianSpec":
-        return replace(self, v_search=float(v_search))
 
 
 def mechanical(potential: Callable, dim: int = 1, drift=None) -> LagrangianSpec:
@@ -218,10 +212,6 @@ def mechanical(potential: Callable, dim: int = 1, drift=None) -> LagrangianSpec:
     if len(drift) != dim:
         raise WeakKamError("drift vector length must match dim")
     return LagrangianSpec(family="mechanical", dim=dim, potential=potential, drift=drift)
-
-
-def transport(drift, dim: int = 1) -> LagrangianSpec:
-    return mechanical(zero_potential(), dim, drift)
 
 
 def tabulated(grid: TorusGrid, momentum_grid, hamiltonian_table) -> LagrangianSpec:
@@ -284,15 +274,10 @@ def eval_hamiltonian(spec: LagrangianSpec, x, p) -> np.ndarray:
 
 
 def eval_lagrangian(spec: LagrangianSpec, x, v) -> np.ndarray:
-    """Evaluate L(x, v); velocities must stay inside the configured search box."""
+    """Evaluate L(x, v); a table raises TruncationError where its momentum
+    grid is too narrow for v."""
     x = _as_points(x, spec.dim)
     v = _as_points(v, spec.dim)
-    speed = np.sqrt(np.sum(v * v, axis=1))
-    if spec.v_search is not None and np.any(speed > spec.v_search * (1 + 1e-12)):
-        raise VelocityBoundError(
-            f"velocity {speed.max():.6g} exceeds search box {spec.v_search:.6g}; "
-            "the stencil is misconfigured for these bounds"
-        )
     if spec.family == "mechanical":
         dv = v - np.asarray(spec.drift)
         return 0.5 * np.sum(dv * dv, axis=1) - spec.potential(x)
@@ -349,7 +334,6 @@ class StabilityBounds:
     A_kappa: float     # superlinearity offset: L >= (kappa+1)||v|| - A_kappa
     C0: float          # bound on ||lambda u_lambda||_inf
     alpha: float       # velocity bound for optimal trajectories
-    v_search: float    # half-width of the velocity search box
     c: float           # level the bounds were computed at
 
 
@@ -402,8 +386,7 @@ def stability_bounds(
       e = w/|w|, or the first axis when there is no drift.
     * min L = -max_x H(x, 0).
 
-    alpha = A_kappa + C0 bounds the speeds of optimal discrete trajectories,
-    and the default search box is v_search = 2*alpha.
+    alpha = A_kappa + C0 bounds the speeds of optimal discrete trajectories.
     """
     xs = _sample_points(spec, grid)
     zeros = np.zeros_like(xs)
@@ -437,10 +420,8 @@ def stability_bounds(
     min_l = -float(h_at_zero.max())
     max_l_rest = float(eval_lagrangian(spec, xs, zeros).max())
     c0 = max(abs(min_l + c), max_l_rest + c)
-    alpha = float(a_kappa + c0)
-    return StabilityBounds(
-        kappa=kappa, A_kappa=a_kappa, C0=c0, alpha=alpha, v_search=2.0 * alpha, c=float(c)
-    )
+    return StabilityBounds(kappa=kappa, A_kappa=a_kappa, C0=c0, alpha=float(a_kappa + c0),
+                           c=float(c))
 
 
 # ---------------------------------------------------------------------------
@@ -454,15 +435,10 @@ class VelocityStencil:
     tau: float
     offsets: tuple[tuple[int, ...], ...]  # canonical lexicographic order
     velocities: np.ndarray                # (num_offsets, dim), k*h/tau
-    alpha: float                          # speed bound this stencil was sized for
 
     @property
     def num_offsets(self) -> int:
         return len(self.offsets)
-
-    @property
-    def max_speed(self) -> float:
-        return float(np.sqrt(np.sum(self.velocities**2, axis=1)).max())
 
     @property
     def zero_index(self) -> int:
@@ -494,6 +470,7 @@ def make_stencil(
 ) -> VelocityStencil:
     """Build the velocity stencil with per-axis radius K_i = ceil(alpha tau / h_i).
 
+    Every axis must reach alpha, K_i h_i / tau >= alpha, whatever radii k gives.
     Offsets are ordered lexicographically; ties in downstream argmins resolve
     to the lowest index in this order.
     """
@@ -515,6 +492,10 @@ def make_stencil(
             )
         if 2 * r + 1 > n:
             raise StencilError(f"stencil radius {r} too large for {n} nodes")
+        if r * h / tau < alpha * (1 - 1e-12):
+            raise StencilError(
+                f"stencil reach {r}*{h:.4g}/tau = {r * h / tau:.4g} is below alpha={alpha:.4g}"
+            )
     offsets = tuple(
         sorted(
             tuple(o - r for o, r in zip(off, radii))
@@ -524,12 +505,7 @@ def make_stencil(
     vel = np.array(
         [[o * h / tau for o, h in zip(off, grid.spacing)] for off in offsets]
     )
-    stencil = VelocityStencil(tau=float(tau), offsets=offsets, velocities=vel, alpha=float(alpha))
-    if alpha > 0 and stencil.max_speed < alpha * (1 - 1e-12):
-        raise StencilError(
-            f"stencil max speed {stencil.max_speed:.4g} is below alpha={alpha:.4g}"
-        )
-    return stencil
+    return VelocityStencil(tau=float(tau), offsets=offsets, velocities=vel)
 
 
 # ---------------------------------------------------------------------------

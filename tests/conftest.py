@@ -43,7 +43,6 @@ def make_problem(n, potential=None, level=None, dim=1, drift=None, tau=None, k=N
         level = float(np.abs(wk.eval_hamiltonian(spec, coords, np.zeros_like(coords))).max())
     bounds = wk.stability_bounds(spec, level, grid=grid)
     use_alpha = alpha or bounds.alpha
-    spec = spec.with_v_search(max(bounds.v_search, 2 * use_alpha))
     tau = tau or wk.default_time_step(grid, use_alpha)
     stencil = wk.make_stencil(grid, tau, use_alpha, k=k)
     kernel0 = wk.build_kernel(grid, spec, stencil, c=0.0)
@@ -80,7 +79,7 @@ def table_kernel(lag, heads=None, preds=None):
     the 1-D grid of its nodes; its stencil only counts the offsets."""
     m, n = lag.shape
     stencil = wk.VelocityStencil(tau=1.0, offsets=tuple((k,) for k in range(m)),
-                                 velocities=np.zeros((m, 1)), alpha=1.0)
+                                 velocities=np.zeros((m, 1)))
     return TableKernel(grid=wk.build_grid(1, [n]), stencil=stencil, c=0.0,
                        edge_lagrangian=lag, heads=heads, preds=preds)
 

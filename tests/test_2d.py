@@ -107,8 +107,9 @@ class TestIneqPrim2D:
 
 @pytest.fixture(scope="module")
 def drift2d():
-    # drift (h/tau, 0): one-node step along axis 0 each tick
-    return make_problem(6, dim=2, drift=[1 / 6 / 0.25, 0.0], tau=0.25, k=1, alpha=0.8)
+    # drift (h/tau, 0): one-node step along axis 0 each tick; the radius-1
+    # stencil reaches h/tau along each axis, so that is its speed bound
+    return make_problem(6, dim=2, drift=[1 / 6 / 0.25, 0.0], tau=0.25, k=1, alpha=1 / 6 / 0.25)
 
 
 class TestTransport2D:
@@ -174,3 +175,23 @@ class TestShippedConfig:
         # 144 critical nodes in 12 classes of 12, the rows of the torus
         assert report.mather_classes == [list(range(i, i + 12)) for i in range(0, 144, 12)]
         assert report.counters["lp_fallbacks"] == 0
+
+
+class TestCoarse2DGrids:
+    """The stencil reaches alpha along each axis and its diagonal velocities
+    are faster still: every velocity it holds is evaluated, and each of
+    these grids converges with all ten checks passing."""
+
+    @pytest.mark.parametrize("name,n", [
+        ("free.json", 5), ("free.json", 7), ("free.json", 17),
+        ("torus_2d.json", 5), ("transport_2d.json", 5),
+    ])
+    def test_converges_with_every_check_passing(self, name, n, tmp_path):
+        cfg = load_config(os.path.join(os.path.dirname(__file__), os.pardir, "configs", name))
+        cfg = replace(cfg, problem=replace(cfg.problem, dim=2, sizes=(n, n)))
+        report = run_pipeline(cfg, tmp_path)
+        assert len(report.flags) == 10
+        assert all(f["status"] == "pass" for f in report.flags), report.flags
+        assert report.counters["lp_fallbacks"] == 0
+        if name == "torus_2d.json":
+            assert report.c_cross == 2.0  # max V

@@ -121,7 +121,7 @@ def kernel_inputs(name, request):
     spec = wk.mechanical(pendulum_potential())
     s = wk.make_stencil(grid, 0.25, 1.0, k=1)
     stencil = wk.VelocityStencil(s.tau, s.offsets + ((1,),),
-                                 np.vstack([s.velocities, s.velocities[-1:]]), s.alpha)
+                                 np.vstack([s.velocities, s.velocities[-1:]]))
     return grid, spec, stencil, 0.75
 
 
@@ -284,7 +284,7 @@ class TestMinPlus:
     def test_two_step_free_particle_example(self):
         # n=4 grid, K=1, tau=1, c=0: two steps from 0 to 0.5 cost 2 * (0.25^2)/2
         grid = wk.build_grid(1, [4])
-        spec = wk.mechanical(wk.zero_potential(), dim=1).with_v_search(2.0)
+        spec = wk.mechanical(wk.zero_potential(), dim=1)
         stencil = wk.make_stencil(grid, 1.0, 0.25, k=1)
         kernel = wk.build_kernel(grid, spec, stencil, c=0.0)
         h2 = wk.minplus_power(kernel, 2)

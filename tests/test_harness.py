@@ -92,10 +92,19 @@ class TestConfig:
         with pytest.raises(ConfigError):
             ExperimentConfig.from_dict(raw)
 
-    def test_transport_needs_drift(self):
-        with pytest.raises(ConfigError):
+    @pytest.mark.parametrize("frequencies", [[2.0], [2], [1.0, -3.0]])
+    def test_integer_valued_frequencies_accepted(self, tmp_path, frequencies):
+        raw = free_config(tmp_path).to_dict()
+        raw["problem"].update(dim=2, sizes=[4, 4])
+        raw["problem"]["potential"] = {"name": "cosine", "amplitudes": [1.0],
+                                       "frequencies": frequencies}
+        assert ExperimentConfig.from_dict(raw).problem.potential["frequencies"] == frequencies
+
+    def test_transport_family_is_unknown(self):
+        # transport is the mechanical family with a drift and no potential
+        with pytest.raises(ConfigError, match="unknown family 'transport'"):
             ExperimentConfig.from_dict(
-                {"problem": {"family": "transport", "dim": 1, "sizes": [8]}}
+                {"problem": {"family": "transport", "dim": 1, "sizes": [8], "drift": [0.3]}}
             )
 
     def test_table_potential_reads_csv(self, tmp_path):
@@ -168,11 +177,11 @@ class TestPipeline:
         path = write_config(tmp_path / "cfg.json", config)
         run_pipeline(config)
         bounds = json.loads((tmp_path / "out" / "report.json").read_text())["bounds"]
-        assert (bounds["alpha"], bounds["v_search"]) == (0.5, 1.0)
+        assert bounds["alpha"] == 0.5 and "v_search" not in bounds
         # the stencil is built from the derived alpha: 7 offsets at 0.5
         assert bounds["stencil_offsets"] == 7
         assert cli_dispatch(["bounds", "--config", path]) == EXIT_OK
-        assert " alpha=0.5 v_search=1 " in capsys.readouterr().out
+        assert " alpha=0.5 c=0\n" in capsys.readouterr().out
 
     def test_determinism_across_worker_counts(self, tmp_path):
         digests = []
@@ -719,16 +728,15 @@ BAD_INPUTS = {
     ),
     "drift_nan": ([], _set("problem", drift=[math.nan]), {}, "problem.drift"),
     "drift_infinite": ([], _set("problem", drift=[math.inf]), {}, "problem.drift"),
-    "transport_drift_nan": (
-        [], _set("problem", family="transport", drift=[math.nan]), {}, "problem.drift"
-    ),
     "drift_wrong_length": ([], _set("problem", drift=[0.5, 0.5]), {}, "drift"),
-    "potential_on_transport": (
-        [],
-        _set("problem", family="transport", drift=[0.5],
-             potential={"name": "cosine", "amplitudes": [5.0]}),
-        {},
-        "potential",
+    # transport is spelt as the mechanical family with a drift
+    "family_transport": (
+        [], _set("problem", family="transport", drift=[0.5]), {}, "unknown family 'transport'"
+    ),
+    # cos(2 pi f x) with f = 0.5 jumps across the torus wrap
+    "frequency_not_integer": (
+        [], _potential({"name": "cosine", "amplitudes": [1.0], "frequencies": [0.5]}), {},
+        "problem.potential.frequencies must be integers",
     ),
     # keys of earlier versions: each is now an unknown key
     "critical_shift_key": (

@@ -91,7 +91,7 @@ def random_table8_kernel():
     rng = np.random.default_rng(3)
     grid = wk.build_grid(1, [8])
     values = rng.uniform(-1.0, 1.0, 8)
-    spec = wk.mechanical(wk.table_potential(grid, values), dim=1).with_v_search(4.0)
+    spec = wk.mechanical(wk.table_potential(grid, values), dim=1)
     stencil = wk.make_stencil(grid, 0.25, 1.0, k=2)
     return wk.build_kernel(grid, spec, stencil, c=0.0)
 

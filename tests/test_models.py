@@ -1,10 +1,12 @@
+from dataclasses import fields
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import weakkam as wk
-from weakkam.errors import NoSublevelError, TruncationError, VelocityBoundError, WeakKamError
+from weakkam.errors import NoSublevelError, StencilError, TruncationError, WeakKamError
 
 
 class TestBuildGrid:
@@ -84,17 +86,12 @@ class TestEvalLagrangian:
         assert wk.eval_lagrangian(spec, 0.5, 2.0)[0] == pytest.approx(3.0)
 
     def test_transport_drift_annihilates(self):
-        spec = wk.transport([1.0])
+        spec = wk.mechanical(wk.zero_potential(), drift=[1.0])
         assert wk.eval_lagrangian(spec, 0.3, 1.0)[0] == 0.0
 
     def test_drift_length_must_match_dim(self):
         with pytest.raises(WeakKamError, match="drift"):
             wk.mechanical(wk.cosine_potential([1.0], [1.0]), dim=2, drift=[0.5])
-
-    def test_velocity_outside_search_box(self):
-        spec = wk.mechanical(wk.zero_potential()).with_v_search(2.0)
-        with pytest.raises(VelocityBoundError):
-            wk.eval_lagrangian(spec, 0.0, 3.0)
 
     def test_mechanical_minimum_exact(self):
         spec = wk.mechanical(wk.cosine_potential([0.7], [2.0]))
@@ -112,7 +109,7 @@ class TestEvalLagrangian:
         p = np.linspace(-6, 6, 1201)
         specs = [
             wk.mechanical(wk.cosine_potential([1.0], [1.0])),
-            wk.transport([0.7]),
+            wk.mechanical(wk.zero_potential(), drift=[0.7]),
             wk.tabulated(grid, p, np.broadcast_to(np.abs(p) ** 1.7, (16, p.size)).copy()),
         ]
         for spec in specs:
@@ -124,10 +121,11 @@ class TestEvalLagrangian:
             assert (mid <= avg + 1e-9).all()
 
     def test_superlinearity_surrogate_on_search_box(self):
+        # L >= (kappa+1)|v| - A_kappa on |v| <= 2 alpha, twice the stencil's reach
         spec = wk.mechanical(wk.cosine_potential([1.0], [1.0]))
         b = wk.stability_bounds(spec, 1.0)
         xs = np.linspace(0, 1, 101)[:, None]
-        vs = np.linspace(-b.v_search, b.v_search, 201)
+        vs = np.linspace(-2 * b.alpha, 2 * b.alpha, 201)
         for v in vs:
             lv = wk.eval_lagrangian(spec, xs, np.full_like(xs, v))
             assert (lv >= (b.kappa + 1) * abs(v) - b.A_kappa - 1e-9).all()
@@ -135,7 +133,7 @@ class TestEvalLagrangian:
     def test_fenchel_inequality_analytic_families(self):
         rng = np.random.default_rng(7)
         cosine = wk.cosine_potential([1.0], [1.0])
-        for spec in (wk.mechanical(cosine), wk.transport([0.4]),
+        for spec in (wk.mechanical(cosine), wk.mechanical(wk.zero_potential(), drift=[0.4]),
                      wk.mechanical(cosine, drift=[-0.6])):
             x = rng.uniform(0, 1, (200, 1))
             v = rng.uniform(-3, 3, (200, 1))
@@ -197,7 +195,6 @@ class TestStabilityBounds:
         spec = wk.mechanical(wk.cosine_potential([1.0], [1.0]))
         b = wk.stability_bounds(spec, 1.0)
         assert b.alpha == pytest.approx(b.A_kappa + b.C0)
-        assert b.v_search == pytest.approx(2 * b.alpha)
         assert b.kappa >= 0 and b.alpha > 0
 
 
@@ -224,10 +221,12 @@ CLOSED_FORMS = {
         wk.build_grid(1, [200]), _drift_bounds([0.5], 1.0, -1.0, 1.0),
     ),
     "transport_1d": (
-        wk.transport([0.7]), 0.3, wk.build_grid(1, [32]), _drift_bounds([0.7], 0.3),
+        wk.mechanical(wk.zero_potential(), drift=[0.7]), 0.3, wk.build_grid(1, [32]),
+        _drift_bounds([0.7], 0.3),
     ),
     "transport_2d": (
-        wk.transport([0.3, -0.4], dim=2), 0.5, wk.build_grid(2, [8, 8]),
+        wk.mechanical(wk.zero_potential(), dim=2, drift=[0.3, -0.4]), 0.5,
+        wk.build_grid(2, [8, 8]),
         _drift_bounds([0.3, -0.4], 0.5),
     ),
 }
@@ -246,7 +245,7 @@ class TestExactBounds:
         assert abs(b.kappa - kappa) <= 1e-12
         assert abs(b.A_kappa - a_kappa) <= 1e-12
         assert abs(b.C0 - c0) <= 1e-12
-        assert b.alpha == b.A_kappa + b.C0 and b.v_search == 2 * b.alpha
+        assert b.alpha == b.A_kappa + b.C0
 
     @pytest.mark.parametrize("name", sorted(CLOSED_FORMS))
     def test_dense_grid_oracle(self, name):
@@ -301,7 +300,7 @@ class TestStencil:
         assert zero in st.offsets
         offs = set(st.offsets)
         assert all(tuple(-o for o in off) in offs for off in offs)
-        assert st.max_speed >= 1.0
+        assert st.speeds().max() >= 1.0
 
     def test_wrap_guard(self):
         grid = wk.build_grid(1, [8])
@@ -321,6 +320,22 @@ class TestStencil:
         st = wk.make_stencil(grid, 0.25, 1.0)
         assert st.velocities.shape[1] == 2
         assert (0, 0) in st.offsets
+
+    @pytest.mark.parametrize("sizes", [[8], [8, 8]])
+    def test_every_axis_reaches_alpha(self, sizes):
+        # radius 1 reaches 0.125 / 0.25 = 0.5 < 0.6 along each axis; the 2-D
+        # corner speed 0.707 exceeds 0.6 but no axis does
+        grid = wk.build_grid(len(sizes), sizes)
+        with pytest.raises(StencilError, match="below alpha=0.6"):
+            wk.make_stencil(grid, 0.25, 0.6, k=1)
+        assert wk.make_stencil(grid, 0.25, 0.5, k=1).num_offsets == 3 ** len(sizes)
+
+    def test_fields(self):
+        # alpha sizes the stencil and is kept nowhere else: no search box on
+        # the spec, no speed bound on the stencil
+        assert [f.name for f in fields(wk.VelocityStencil)] == ["tau", "offsets", "velocities"]
+        assert "v_search" not in {f.name for f in fields(wk.LagrangianSpec)}
+        assert "v_search" not in {f.name for f in fields(wk.StabilityBounds)}
 
 
 class TestGridFunction:
