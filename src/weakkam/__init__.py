@@ -30,8 +30,8 @@ from .action_barrier import (
     verify_subsolution,
 )
 from .discounted import (
-    DiscountedOccupationMeasure,
     DiscountedSolution,
+    OccupationMeasure,
     TrajectorySample,
     backward_trajectory,
     calibration_residual,
@@ -60,7 +60,6 @@ from .harness import (
 from .mather import (
     LimitFunctionResult,
     MatherSolveResult,
-    OccupationMeasure,
     VerificationReport,
     closedness_residual,
     compute_u0,

@@ -16,10 +16,10 @@ A policy picks one stencil offset per node, so it maps every node to one
 predecessor: a functional graph. Howard's policy iteration evaluates each
 policy exactly by pointer doubling; `solve_discounted` runs it and certifies
 the result, for the critical-value table at shift 0 and the lambda schedule
-at the critical shift alike. An
-occupation measure is a closed geometric sum over the rho (tail plus cycle)
-shape of one policy orbit. `discounted_sweeps`, plain Jacobi value
-iteration, stays as the test oracle.
+at the critical shift alike. The discounted occupation measure of a policy
+orbit is exact: the orbit is a rho (a tail into one cycle), so its infinite
+geometric series has a closed form, with no horizon. `discounted_sweeps`,
+plain Jacobi value iteration, stays as the test oracle.
 """
 
 from __future__ import annotations
@@ -37,7 +37,7 @@ from .models import GridFunction, LagrangianSpec, TorusGrid, VelocityStencil
 __all__ = [
     "DiscountedSolution",
     "TrajectorySample",
-    "DiscountedOccupationMeasure",
+    "OccupationMeasure",
     "CriticalValueTable",
     "discounted_sweeps",
     "discounted_policy_iteration",
@@ -325,12 +325,24 @@ def calibration_residual(sol: DiscountedSolution, traj: TrajectorySample) -> flo
 
 
 # ---------------------------------------------------------------------------
-# discounted occupation measures
+# occupation measures
 
 
-class EdgeMeasure:
-    """Weights on stencil edges keyed by (tail node, offset id); subclasses are
-    dataclasses with fields grid, stencil, tails, offset_ids and weights."""
+@dataclass(frozen=True)
+class OccupationMeasure:
+    """Nonnegative weights on stencil edges keyed by (tail node, offset id).
+
+    Edge i runs from tails[i] (the earlier point) by stencil offset
+    offset_ids[i] and carries weights[i]. The discounted measures of a
+    policy orbit and the closed measures of the Mather and u0 programs are
+    both of this type.
+    """
+
+    grid: TorusGrid
+    stencil: VelocityStencil
+    tails: np.ndarray
+    offset_ids: np.ndarray
+    weights: np.ndarray
 
     @property
     def mass(self) -> float:
@@ -343,94 +355,40 @@ class EdgeMeasure:
         steps = np.array(self.stencil.offsets, dtype=np.int64).reshape(self.stencil.num_offsets, -1)
         return self.grid.shift_indices(self.tails, steps[self.offset_ids].T)
 
-
-@dataclass(frozen=True)
-class DiscountedOccupationMeasure(EdgeMeasure):
-    """Geometric edge weights along a backward policy trajectory.
-
-    Edge i runs from tails[i] (the earlier point) with stencil offset
-    offset_ids[i]; its raw weight is (1-beta)*beta^i, renormalized to total
-    mass one after truncation at N steps. The tail of the discarded series,
-    beta^N, is reported so callers can judge the truncation.
-    """
-
-    grid: TorusGrid
-    stencil: VelocityStencil
-    lam: float
-    x0: int
-    tails: np.ndarray
-    offset_ids: np.ndarray
-    weights: np.ndarray
-    steps: int
-    tail_bound: float
-    tail_warning: bool
-    final_node: int
+    def pairing(self, edge_values: np.ndarray) -> float:
+        """Integrate a per-edge quantity given as an (offsets, nodes) array."""
+        return float(np.sum(edge_values[self.offset_ids, self.tails] * self.weights))
 
 
-# the default horizon makes the discarded tail beta^N at most _TAIL_THRESHOLD,
-# capped at _MAX_STEPS steps
-_TAIL_THRESHOLD = 1e-8
-_MAX_STEPS = 20_000_000
+def discounted_occupation_measure(sol: DiscountedSolution, x0: int) -> OccupationMeasure:
+    """The discounted occupation measure of the whole backward policy orbit from x0.
 
-
-def discounted_occupation_measure(
-    sol: DiscountedSolution, x0: int, n_steps: int | None = None
-) -> DiscountedOccupationMeasure:
-    """Build the discounted occupation measure of the policy orbit from x0.
-
-    By default the horizon is chosen so the geometric tail beta^N falls below
-    _TAIL_THRESHOLD (1e-8), at most _MAX_STEPS steps; a measure whose tail
-    stays above the threshold, by the cap or a given n_steps, is flagged. The
-    exact discrete identity sum_i w_i (Lbar_i + c) = lambda * (u(x0) -
-    beta^N u(x_N)) / (1 - beta^N) holds for the renormalized weights.
+    Step i of the orbit x_0 = x0, x_{i+1} = x_i - o_policy(x_i) carries
+    (1-beta)*beta^i, for every i >= 0. The orbit is a rho: a tail x_0 ..
+    x_{mu-1} into a cycle x_mu .. x_{L-1} of period P = L - mu, with L at
+    most the node count. A tail step occurs once; a cycle step recurs at
+    i + P, i + 2P, ..., so the infinite series sums to (1-beta)*beta^i /
+    (1-beta^P) there. The measure is exact, with no horizon: it has unit
+    mass, and sum_i w_i (Lbar_i + c) = lambda * u(x0), both to rounding.
     """
     beta = sol.beta
-    if n_steps is None:
-        needed = int(math.ceil(math.log(1.0 / _TAIL_THRESHOLD) / (sol.lam * sol.tau)))
-        n_steps = min(needed, _MAX_STEPS)
-    tail = beta**n_steps
 
-    # walk the orbit x_0 = x0, x_{i+1} = x_i - o_policy[x_i] until the
-    # horizon or the first repeat x_L = x_mu; step i is fixed by x_i alone
+    # walk the orbit to its first repeat x_L = x_mu; step i is fixed by x_i alone
     n = sol.grid.num_nodes
     succ = sol.kernel.neighbors(-1, sol.policy, np.arange(n)).tolist()
     first_visit: dict[int, int] = {}
     x = int(x0) % n
-    while len(first_visit) < n_steps and x not in first_visit:
+    while x not in first_visit:
         first_visit[x] = len(first_visit)
         x = succ[x]
     nodes = np.fromiter(first_visit, dtype=np.int64, count=len(first_visit))
-    walked = nodes.size
-
-    # step i carries (1-beta)*beta^i; on the cycle x_mu..x_{L-1} step i recurs
-    # at i + period, i + 2*period, ... up to N-1, a geometric series in
-    # beta^period with count_i terms
-    raw = (1.0 - beta) * np.power(beta, np.arange(walked))
-    if walked < n_steps:
-        mu = first_visit[x]
-        period = walked - mu
-        counts = (n_steps - 1 - np.arange(mu, walked)) // period + 1
-        raw[mu:] *= (1.0 - np.power(beta, period * counts)) / (1.0 - beta**period)
-        x = int(nodes[mu + (n_steps - mu) % period])
-    raw /= 1.0 - tail
+    mu = first_visit[x]
+    raw = (1.0 - beta) * np.power(beta, np.arange(nodes.size))
+    raw[mu:] /= 1.0 - beta ** (nodes.size - mu)
 
     offsets = sol.policy[nodes]
     tails = sol.kernel.neighbors(-1, offsets, nodes)
     order = np.argsort(tails * sol.stencil.num_offsets + offsets)
-    tails = tails[order].astype(np.int64)
-    offset_ids = offsets[order].astype(np.int64)
-    weights = raw[order]
-
-    return DiscountedOccupationMeasure(
-        grid=sol.grid,
-        stencil=sol.stencil,
-        lam=sol.lam,
-        x0=int(x0),
-        tails=tails,
-        offset_ids=offset_ids,
-        weights=weights,
-        steps=n_steps,
-        tail_bound=float(tail),
-        tail_warning=bool(tail > _TAIL_THRESHOLD),
-        final_node=x,
-    )
+    return OccupationMeasure(grid=sol.grid, stencil=sol.stencil,
+                             tails=tails[order].astype(np.int64),
+                             offset_ids=offsets[order].astype(np.int64), weights=raw[order])

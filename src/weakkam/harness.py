@@ -128,6 +128,9 @@ class ExperimentConfig:
             raise ConfigError("dim must be 1 or 2 with matching sizes")
         if any(size < 2 for size in p.sizes):
             raise ConfigError("problem.sizes must be at least 2")
+        # node indices are int64
+        if math.prod(p.sizes) > np.iinfo(np.int64).max:
+            raise ConfigError(f"problem.sizes {list(p.sizes)!r} give more nodes than int64 holds")
         _check_potential(p)
         if p.drift is not None and (len(p.drift) != p.dim or not all(map(_finite, p.drift))):
             raise ConfigError(f"problem.drift must hold dim = {p.dim} finite numbers, "
@@ -135,7 +138,7 @@ class ExperimentConfig:
         if d.tau_rule != "sqrt_h":
             raise ConfigError(f"discretization.tau_rule must be 'sqrt_h', got {d.tau_rule!r}")
         for name in ("lambdas", "critical_lambdas"):
-            bad = [l for l in getattr(s, name) if not 0 < l < math.inf]
+            bad = [l for l in getattr(s, name) if not (_finite(l) and l > 0)]
             if bad:
                 raise ConfigError(f"schedule.{name}: lambdas must be positive and finite, "
                                   f"got {bad[0]!r}")
@@ -232,7 +235,9 @@ _POTENTIAL_KEYS = {
 
 
 def _finite(value) -> bool:
-    return _matches(value, "float") and math.isfinite(value)
+    """A number within double range: NaN, the infinities and JSON integers
+    beyond it all fail the one comparison, which never converts to float."""
+    return _matches(value, "float") and abs(value) <= sys.float_info.max
 
 
 def _check_potential(p: ProblemConfig) -> None:

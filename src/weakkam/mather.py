@@ -33,14 +33,14 @@ import numpy as np
 
 from .action_barrier import (ActionKernel, BarrierMatrix, CriticalGraph, _block_buffer, _distances,
                              _relax, aubry_report, tight_subgraph, verify_subsolution)
-from .discounted import DiscountedSolution, EdgeMeasure, discounted_occupation_measure
+# perfbench/tracing.py rebinds discounted_occupation_measure in this module
+from .discounted import DiscountedSolution, OccupationMeasure, discounted_occupation_measure
 from .errors import ConvergenceError, EmptyAubryError, InfeasibleError, WeakKamError
 from .models import LagrangianSpec, TorusGrid, eval_lagrangian
 # solve_standard_form is not called here: perfbench/tracing.py getattr's it
 from .simplex import _FEAS_TOL, solve_standard_form
 
 __all__ = [
-    "OccupationMeasure",
     "MatherSolveResult",
     "LimitFunctionResult",
     "CheckResult",
@@ -60,24 +60,15 @@ __all__ = [
 # measures
 
 
-@dataclass(frozen=True)
-class OccupationMeasure(EdgeMeasure):
-    """Nonnegative weights on stencil edges keyed by (tail node, offset id)."""
+def closedness_residual(measure: OccupationMeasure) -> float:
+    """Max over the measure's grid nodes of |inflow - outflow|; zero
+    characterizes closed measures.
 
-    grid: TorusGrid
-    stencil: object
-    tails: np.ndarray
-    offset_ids: np.ndarray
-    weights: np.ndarray
-
-    def pairing(self, edge_values: np.ndarray) -> float:
-        """Integrate a per-edge quantity given as an (offsets, nodes) array."""
-        return float(np.sum(edge_values[self.offset_ids, self.tails] * self.weights))
-
-
-def closedness_residual(measure, grid: TorusGrid | None = None) -> float:
-    """Max over nodes of |inflow - outflow|; zero characterizes closed measures."""
-    n, w = (grid or measure.grid).num_nodes, measure.weights
+    A discounted occupation measure from x0 has inflow - outflow = (1 - beta)
+    (delta_x0 - nu), nu a probability measure on its orbit, so its residual
+    is at most 1 - beta.
+    """
+    n, w = measure.grid.num_nodes, measure.weights
     return float(abs(np.bincount(measure.heads(), w, n) - np.bincount(measure.tails, w, n)).max())
 
 
@@ -450,10 +441,12 @@ def verify_limit(
     measures being those of mather and the uniform measures on the cycles of
     barrier.graph; (c) adding _PROBE_DELTA to u0 breaks (b), so u0 is maximal
     among shifted candidates; (d) ||u_lambda - u0||_inf is nonincreasing down
-    the schedule; (e) the subsolution lower bound through discounted
-    occupation measures holds, to _TOL_PRIM, for u0 and the barrier rows of
-    the first two Aubry nodes at _PRIM_SAMPLES nodes. u0 must cover every
-    node and barrier must carry its critical graph; WeakKamError otherwise.
+    the schedule; (e) the subsolution lower bound through the exact
+    discounted occupation measures of the smallest lambda's policy orbits,
+    u_lambda(x) >= kappa*(w(x) - <w, occupation>), holds to _TOL_PRIM for u0
+    and the barrier rows of the first two Aubry nodes at _PRIM_SAMPLES nodes;
+    a subsolution w meets it to rounding. u0 must cover every node and
+    barrier must carry its critical graph; WeakKamError otherwise.
     """
     grid = kernel.grid
     if not np.array_equal(u0.targets, np.arange(grid.num_nodes)):
@@ -504,7 +497,7 @@ def verify_limit(
 
     # (e) subsolution lower bound via discounted occupation measures: the
     # solver weights step costs by kappa = (1 - beta)/(lambda tau), so summing
-    # w(head) - w(tail) <= cost along the policy orbit of x gives exactly
+    # w(head) - w(tail) <= cost along the whole policy orbit of x gives exactly
     # u_lambda(x) >= kappa * (w(x) - <w, occupation>)
     if solutions:
         sol = min(solutions, key=lambda s: s.lam)

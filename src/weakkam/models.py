@@ -71,7 +71,7 @@ class TorusGrid:
 
     @property
     def num_nodes(self) -> int:
-        return int(np.prod(self.sizes))
+        return math.prod(self.sizes)
 
     @cached_property
     def coordinates(self) -> np.ndarray:
@@ -134,11 +134,16 @@ def zero_potential() -> Callable[[np.ndarray], np.ndarray]:
 
 
 def cosine_potential(amplitudes, frequencies) -> Callable[[np.ndarray], np.ndarray]:
-    """Separable cosine potential V(x) = sum_i a_i cos(2 pi f_i x_i)."""
+    """Separable cosine potential V(x) = sum_i a_i cos(2 pi f_i x_i).
+
+    A list of one entry is broadcast against the other list, as one
+    amplitude or frequency for every axis.
+    """
     amps = np.atleast_1d(np.asarray(amplitudes, dtype=float))
     freqs = np.atleast_1d(np.asarray(frequencies, dtype=float))
-    if amps.shape != freqs.shape:
+    if amps.shape != freqs.shape and 1 not in (amps.size, freqs.size):
         raise WeakKamError("amplitudes and frequencies must have matching length")
+    amps, freqs = np.broadcast_arrays(amps, freqs)
 
     def v(x: np.ndarray) -> np.ndarray:
         x = np.atleast_2d(np.asarray(x, dtype=float))
@@ -174,19 +179,51 @@ def table_potential(grid: TorusGrid, values: np.ndarray) -> Callable[[np.ndarray
 
 
 def read_potential_table(path, grid: TorusGrid) -> np.ndarray:
-    """Read a tabulated potential from CSV with columns: node index per axis, value."""
-    values = np.full(grid.sizes, np.nan)
+    """Read a tabulated potential from CSV with columns: node index per axis, value.
+
+    Lines starting with '#' and blank lines are skipped, and the first other
+    row may be a header (its first cell is not an integer). Every other row
+    holds exactly dim indices in [0, size) and one finite value, and lists
+    each node exactly once; anything else raises WeakKamError naming the
+    file and the line.
+    """
+    values = np.full(grid.sizes, np.nan)  # NaN until the node's row is read
     with open(path, newline="") as fh:
-        for row in csv.reader(fh):
+        reader = csv.reader(fh)
+        header_allowed = True
+        for row in reader:
             if not row or row[0].lstrip().startswith("#"):
                 continue
-            if not row[0].strip().lstrip("+-").isdigit():
-                continue  # header line
-            idx = tuple(int(c) for c in row[: grid.dim])
-            values[idx] = float(row[grid.dim])
+            idx = tuple(_parse(int, c) for c in row[: grid.dim])
+            if header_allowed:
+                header_allowed = False
+                if idx[0] is None:
+                    continue  # header line
+            where = f"potential table {path} line {reader.line_num}"
+            if len(row) != grid.dim + 1 or None in idx:
+                raise WeakKamError(f"{where}: a row holds {grid.dim} integer node indices and "
+                                   f"a value, not {row!r}")
+            if not all(0 <= i < n for i, n in zip(idx, grid.sizes)):
+                raise WeakKamError(f"{where}: node {idx} is outside the grid {grid.sizes}")
+            if not np.isnan(values[idx]):
+                raise WeakKamError(f"{where}: node {idx} is listed a second time")
+            value = _parse(float, row[grid.dim])
+            if value is None or not math.isfinite(value):
+                raise WeakKamError(f"{where}: value {row[grid.dim]!r} is not a finite number")
+            values[idx] = value
     if np.isnan(values).any():
-        raise WeakKamError(f"potential table {path} does not cover every node")
+        missing = tuple(int(i) for i in np.argwhere(np.isnan(values))[0])
+        raise WeakKamError(f"potential table {path} does not cover every node: {missing} "
+                           "is missing")
     return values
+
+
+def _parse(kind, cell: str):
+    """kind(cell), or None where the text is not such a number."""
+    try:
+        return kind(cell)
+    except ValueError:
+        return None
 
 
 # ---------------------------------------------------------------------------

@@ -167,6 +167,24 @@ class TestShippedConfig:
         assert report.c_cross == 2.0
         assert report.counters["lp_fallbacks"] == 0
 
+    @pytest.mark.parametrize("amplitudes,frequencies", [([1.0, 1.0], [1.0]), ([1.0], [1.0, 1.0])])
+    def test_cosine_lists_broadcast(self, tmp_path, amplitudes, frequencies):
+        # a list of one entry serves every axis: the run is the spelled-out one, bit for bit
+        path = os.path.join(os.path.dirname(__file__), os.pardir, "configs", "torus_2d.json")
+        spelled = load_config(path)
+        potential = {"name": "cosine", "amplitudes": amplitudes, "frequencies": frequencies}
+        mixed = replace(spelled, problem=replace(spelled.problem, potential=potential))
+        run_pipeline(spelled, tmp_path / "spelled")
+        run_pipeline(mixed, tmp_path / "mixed")
+        names = sorted(os.listdir(tmp_path / "spelled"))
+        assert names == sorted(os.listdir(tmp_path / "mixed"))
+        for name in names:
+            a, b = ((tmp_path / d / name).read_bytes() for d in ("spelled", "mixed"))
+            if name == "report.json":
+                a, b = ({**json.loads(doc), "config": None} for doc in (a, b))
+            if name != "timings.json":
+                assert a == b, name
+
     def test_transport_2d_config_converges(self, tmp_path):
         path = os.path.join(os.path.dirname(__file__), os.pardir, "configs", "transport_2d.json")
         report = run_pipeline(load_config(path), tmp_path)

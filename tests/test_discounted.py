@@ -37,44 +37,54 @@ def brute_force_discounted(kernel, lam, steps):
     return best
 
 
-def step_walk_occupation_measure(sol, x0, n_steps=None, tail_threshold=1e-8, max_steps=20_000_000):
-    """Reference occupation measure: walk all N policy steps and add up the
-    geometric weights edge by edge."""
+def step_walk_occupation_measure(sol, x0):
+    """Reference occupation measure: walk N policy steps, N so large that the
+    discarded tail beta^N is below 2^-60, and add up the weights
+    (1-beta)*beta^i edge by edge, with no renormalization."""
     beta = sol.beta
-    if n_steps is None:
-        needed = int(math.ceil(math.log(1.0 / tail_threshold) / (sol.lam * sol.tau)))
-        n_steps = min(needed, max_steps)
-    tail = beta**n_steps
+    n_steps = int(60 * math.log(2.0) / (sol.lam * sol.tau)) + 1
+    assert beta**n_steps < 2.0**-60
     traj = wk.backward_trajectory(sol, x0, n_steps)
     raw = (1.0 - beta) * np.power(beta, np.arange(n_steps))
-    raw /= 1.0 - tail
     key = traj.nodes[1:] * sol.stencil.num_offsets + traj.offsets
     uniq, inverse = np.unique(key, return_inverse=True)
-    weights = np.zeros(uniq.size)
-    np.add.at(weights, inverse, raw)
+    weights = np.array([math.fsum(raw[inverse == j]) for j in range(uniq.size)])
     return dict(
         tails=(uniq // sol.stencil.num_offsets).astype(np.int64),
         offset_ids=(uniq % sol.stencil.num_offsets).astype(np.int64),
         weights=weights,
-        steps=n_steps,
-        tail_bound=float(tail),
-        final_node=int(traj.nodes[-1]),
     )
 
 
-def assert_matches_step_walk(sol, x0, **kwargs):
-    """The closed-form occupation measure equals the step walk: the same
-    support in the same order, weights to 1e-12 (the sums run in another
-    order), and the same horizon, tail and final node."""
-    got = wk.discounted_occupation_measure(sol, x0, **kwargs)
-    ref = step_walk_occupation_measure(sol, x0, **kwargs)
+def assert_matches_step_walk(sol, x0):
+    """The closed-form occupation measure equals the infinite-horizon step
+    walk: the same support in the same order, weights to 1e-12 (the sums run
+    in another order)."""
+    got = wk.discounted_occupation_measure(sol, x0)
+    ref = step_walk_occupation_measure(sol, x0)
     np.testing.assert_array_equal(got.tails, ref["tails"])
     np.testing.assert_array_equal(got.offset_ids, ref["offset_ids"])
     assert got.tails.dtype == got.offset_ids.dtype == np.int64
     assert np.abs(got.weights - ref["weights"]).max() <= 1e-12
-    assert got.steps == ref["steps"]
-    assert got.tail_bound == ref["tail_bound"]
-    assert got.final_node == ref["final_node"]
+    return got
+
+
+def assert_splits_at_horizon(sol, x0, n_steps):
+    """The measure from x0 is its first n steps plus beta^n times the measure
+    from the node n steps back, mu(x0) = (1-beta) sum_{i<n} beta^i delta_i +
+    beta^n mu(x_n): the same support in the same order, weights to 1e-12."""
+    beta = sol.beta
+    traj = wk.backward_trajectory(sol, x0, n_steps)
+    split = np.zeros((sol.grid.num_nodes, sol.stencil.num_offsets))  # by (tail, offset)
+    steps = (1.0 - beta) * np.power(beta, np.arange(n_steps))
+    np.add.at(split, (traj.nodes[1:], traj.offsets), steps)
+    rest = wk.discounted_occupation_measure(sol, int(traj.nodes[-1]))
+    np.add.at(split, (rest.tails, rest.offset_ids), beta**n_steps * rest.weights)
+    got = wk.discounted_occupation_measure(sol, x0)
+    tails, offset_ids = np.nonzero(split)
+    np.testing.assert_array_equal(got.tails, tails)
+    np.testing.assert_array_equal(got.offset_ids, offset_ids)
+    assert np.abs(got.weights - split[tails, offset_ids]).max() <= 1e-12
     return got
 
 
@@ -448,7 +458,6 @@ class TestOccupationMeasure:
         occ = wk.discounted_occupation_measure(sol, 8)
         assert occ.mass == pytest.approx(1.0, abs=1e-12)
         assert (occ.weights >= 0).all()
-        assert not occ.tail_warning
 
     def test_free_particle_self_loop(self, free32):
         sol = wk.solve_discounted(
@@ -459,18 +468,17 @@ class TestOccupationMeasure:
         assert occ.offset_ids.tolist() == [free32.stencil.zero_index]
         assert occ.weights[0] == pytest.approx(1.0, abs=1e-12)
 
-    def test_exact_value_identity(self, pendulum16, monkeypatch):
-        # sum_i w_i (Lbar_i + c) = lambda (u(x0) - beta^N u(x_N)) / (1 - beta^N)
+    def test_exact_value_identity(self, pendulum16):
+        # sum_i w_i (Lbar_i + c) = lambda u(x0) over the whole orbit: u is the
+        # exact value of the policy, so the identity holds to rounding
         p = pendulum16
-        lam = 0.05
-        monkeypatch.setattr(discounted, "_TOL", 1e-12)
-        sol = wk.solve_discounted(p.grid, p.spec, lam, p.stencil, p.c_star, kernel=p.kernel)
-        occ = wk.discounted_occupation_measure(sol, 8)
         edge_vals = p.kernel.edge_lagrangian + p.c_star
-        lhs = float(np.sum(edge_vals[occ.offset_ids, occ.tails] * occ.weights))
-        u = sol.values.values
-        rhs = lam * (u[8] - occ.tail_bound * u[occ.final_node]) / (1.0 - occ.tail_bound)
-        assert abs(lhs - rhs) <= 1e-10
+        for lam in (0.5, 0.05, 0.01):
+            sol = wk.solve_discounted(p.grid, p.spec, lam, p.stencil, p.c_star, kernel=p.kernel)
+            for x0 in range(p.grid.num_nodes):
+                occ = wk.discounted_occupation_measure(sol, x0)
+                assert abs(occ.pairing(edge_vals) - lam * sol.values.values[x0]) <= 1e-12
+                assert abs(occ.mass - 1.0) <= 1e-12
 
     def test_conservation_defect_order_lambda(self, pendulum16):
         p = pendulum16
@@ -479,17 +487,10 @@ class TestOccupationMeasure:
             sol = wk.solve_discounted(p.grid, p.spec, lam, p.stencil, p.c_star, kernel=p.kernel)
             occ = wk.discounted_occupation_measure(sol, 8)
             defects[lam] = wk.closedness_residual(occ)
-        # only the endpoints break conservation: residual tracks (1 - beta)
+        # inflow - outflow is (1 - beta)(delta_x0 - nu), nu a probability on the orbit
         for lam, defect in defects.items():
             assert defect <= 3.0 * lam * p.tau
         assert defects[0.01] < defects[0.04]
-
-    def test_tail_cap_warns(self, pendulum16):
-        p = pendulum16
-        sol = wk.solve_discounted(p.grid, p.spec, 0.05, p.stencil, p.c_star, kernel=p.kernel)
-        occ = wk.discounted_occupation_measure(sol, 8, n_steps=10)
-        assert occ.tail_warning
-        assert occ.tail_bound > 1e-8
 
 
 class TestOccupationMeasureOracle:
@@ -505,23 +506,32 @@ class TestOccupationMeasureOracle:
     @pytest.mark.parametrize("n_steps", [1, 5, 7, 8, 9, 10])
     def test_truncated_horizon(self, pendulum16, n_steps):
         # the orbit of node 8 is 8, 10, 11, ..., 15 and then 0 for ever: the
-        # horizon ends before, at and after the point where the cycle closes
+        # horizon splits it before, at and after the point where the cycle
+        # closes, and the measure keeps its seven tail edges and the self-loop
+        # at 0, which carries all of beta^7
         p = pendulum16
         sol = wk.solve_discounted(p.grid, p.spec, 0.05, p.stencil, p.c_star, kernel=p.kernel)
         orbit = wk.backward_trajectory(sol, 8, 10).nodes
         assert orbit.tolist() == [8, 10, 11, 12, 13, 14, 15, 0, 0, 0, 0]
-        occ = assert_matches_step_walk(sol, 8, n_steps=n_steps)
-        assert occ.tails.size == min(n_steps, 8)
-        assert occ.tail_warning
+        occ = assert_splits_at_horizon(sol, 8, n_steps)
+        assert_matches_step_walk(sol, 8)
+        assert occ.tails.tolist() == [0, 0, 10, 11, 12, 13, 14, 15]
+        loop = occ.offset_ids == p.stencil.zero_index
+        assert occ.tails[loop].tolist() == [0]
+        assert occ.weights[loop][0] == pytest.approx(sol.beta**7, abs=1e-15)
 
     @pytest.mark.parametrize("n_steps", [None, 5, 8, 13])
     def test_transport_cycle(self, transport8, n_steps):
-        # the drift carries every orbit once round the torus: a period-8 cycle
+        # the drift carries every orbit once round the torus: a period-8 cycle,
+        # split by the horizon before, at and after one turn
         p = transport8
         sol = wk.solve_discounted(p.grid, p.spec, 0.025, p.stencil, p.c_star, kernel=p.kernel)
         assert wk.backward_trajectory(sol, 3, 8).nodes.tolist() == [3, 2, 1, 0, 7, 6, 5, 4, 3]
         for x0 in range(p.grid.num_nodes):
-            assert_matches_step_walk(sol, x0, n_steps=n_steps)
+            if n_steps is None:
+                assert_matches_step_walk(sol, x0)
+            else:
+                assert_splits_at_horizon(sol, x0, n_steps)
 
     def test_2d_cosine(self, cos2d):
         p = cos2d

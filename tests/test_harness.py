@@ -727,6 +727,26 @@ BAD_INPUTS = {
         [], _potential({"name": "cosine", "amplitudes": [1e308]}), {}, "not finite"
     ),
     "drift_nan": ([], _set("problem", drift=[math.nan]), {}, "problem.drift"),
+    # JSON integers beyond double range, and a node count beyond int64
+    "drift_huge_integer": ([], _set("problem", drift=[10**400]), {}, "problem.drift"),
+    "amplitude_huge_integer": (
+        [], _potential({"name": "cosine", "amplitudes": [10**400]}), {},
+        "problem.potential.amplitudes",
+    ),
+    "frequency_huge_integer": (
+        [], _potential({"name": "cosine", "frequencies": [10**400]}), {},
+        "problem.potential.frequencies",
+    ),
+    "lambda_huge_integer": (
+        [], _set("schedule", lambdas=[10**400, 0.5]), {}, "lambdas must be positive and finite"
+    ),
+    "critical_lambda_huge_integer": (
+        [], _set("schedule", critical_lambdas=[10**400, 0.1, 0.05]), {}, "critical_lambdas"
+    ),
+    "sizes_beyond_int64": ([], _set("problem", sizes=[2**63]), {}, "more nodes than int64 holds"),
+    "sizes_product_beyond_int64": (
+        [], _set("problem", dim=2, sizes=[2**32, 2**32]), {}, "more nodes than int64 holds"
+    ),
     "drift_infinite": ([], _set("problem", drift=[math.inf]), {}, "problem.drift"),
     "drift_wrong_length": ([], _set("problem", drift=[0.5, 0.5]), {}, "drift"),
     # transport is spelt as the mechanical family with a drift
@@ -771,6 +791,42 @@ def test_bad_input_is_one_line_error(case, tmp_path):
     assert proc.returncode in (EXIT_ERROR, EXIT_USAGE), proc.stdout
     assert len(errors) == 1 and "Traceback" not in proc.stderr, proc.stderr
     assert named in errors[0]
+
+
+def _rows(lo, hi):
+    return "".join(f"{i},{0.5 * i}\n" for i in range(lo, hi))
+
+
+# case -> (potential table text on the 32-node free grid, line the error names, reason)
+BAD_TABLES = {
+    "value_not_numeric": ("node,value\n3,abc\n" + _rows(0, 32), 2, "not a finite number"),
+    "value_infinite": ("node,value\n3,inf\n" + _rows(0, 32), 2, "not a finite number"),
+    "row_short": ("node,value\n" + _rows(0, 32) + "7\n", 34, "integer node indices"),
+    "row_long": ("node,value\n3,1.0,2.0\n", 2, "integer node indices"),
+    "index_not_integer": ("node,value\n1.5,2.0\n", 2, "integer node indices"),
+    "index_at_size": (_rows(0, 32) + "32,1.0\n", 33, "outside the grid"),
+    # -1 wrapped round to node 31
+    "index_negative": (_rows(0, 32) + "-1,3.0\n", 33, "outside the grid"),
+    "node_twice": ("# potential\n" + _rows(0, 32) + "5,1.0\n", 34, "a second time"),
+    # only the first row may be a header
+    "header_not_first": (_rows(0, 5) + "node,value\n" + _rows(5, 32), 6, "integer node indices"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_TABLES))
+def test_bad_potential_table_is_one_line_error(case, tmp_path):
+    text, line, reason = BAD_TABLES[case]
+    table = tmp_path / "pot.csv"
+    table.write_text(text)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(_potential({"name": "table", "path": str(table)})(
+        free_config(tmp_path / "out").to_dict()))
+    proc = subprocess.run([sys.executable, "-m", "weakkam", "bounds", "--config", str(cfg)],
+                          capture_output=True, text=True)
+    errors = [e for e in proc.stderr.splitlines() if e.startswith("error:")]
+    assert proc.returncode == EXIT_ERROR, proc.stdout
+    assert len(errors) == 1 and "Traceback" not in proc.stderr, proc.stderr
+    assert f"potential table {table} line {line}: " in errors[0] and reason in errors[0]
 
 
 def _fields(doc):

@@ -20,6 +20,8 @@ class TestBuildGrid:
         grid = wk.build_grid(2, [3, 3])
         assert grid.num_nodes == 9
         assert grid.spacing == (1 / 3, 1 / 3)
+        # counted exactly: an int64 product wraps round to 0
+        assert wk.build_grid(2, [2**32, 2**32]).num_nodes == 2**64
 
     def test_displacement_wraps(self):
         grid = wk.build_grid(1, [10])
@@ -88,6 +90,11 @@ class TestEvalLagrangian:
     def test_transport_drift_annihilates(self):
         spec = wk.mechanical(wk.zero_potential(), drift=[1.0])
         assert wk.eval_lagrangian(spec, 0.3, 1.0)[0] == 0.0
+
+    def test_cosine_lists_of_two_lengths_above_one(self):
+        # a list of one entry broadcasts; two longer lists must match
+        with pytest.raises(WeakKamError, match="matching length"):
+            wk.cosine_potential([1.0, 1.0, 1.0], [1.0, 2.0])
 
     def test_drift_length_must_match_dim(self):
         with pytest.raises(WeakKamError, match="drift"):
