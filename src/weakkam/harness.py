@@ -272,6 +272,8 @@ def load_config(path) -> ExperimentConfig:
             raw = json.load(fh)
         except ValueError as exc:
             raise ConfigError(f"{path}: not valid JSON: {exc}") from None
+        except RecursionError:
+            raise ConfigError(f"{path}: not valid JSON: nested too deeply") from None
     return ExperimentConfig.from_dict(raw)
 
 

@@ -33,8 +33,9 @@ import numpy as np
 
 from .action_barrier import (ActionKernel, BarrierMatrix, CriticalGraph, _block_buffer, _distances,
                              _relax, aubry_report, tight_subgraph, verify_subsolution)
-# perfbench/tracing.py rebinds discounted_occupation_measure in this module
-from .discounted import DiscountedSolution, OccupationMeasure, discounted_occupation_measure
+# discounted_occupation_measure is not called here: perfbench/tracing.py rebinds it
+from .discounted import (DiscountedSolution, OccupationMeasure, _evaluate_policy,
+                         discounted_occupation_measure)
 from .errors import ConvergenceError, EmptyAubryError, InfeasibleError, WeakKamError
 from .models import LagrangianSpec, TorusGrid, eval_lagrangian
 # solve_standard_form is not called here: perfbench/tracing.py getattr's it
@@ -418,12 +419,9 @@ class VerificationReport:
 
 
 # verification thresholds: the measure constraint int w dmu <= TOL_CONSTRAINT,
-# the shift _PROBE_DELTA that must break it, and the slack of the primal
-# inequality, checked at _PRIM_SAMPLES evenly spaced nodes
+# and the shift _PROBE_DELTA that must break it
 TOL_CONSTRAINT = 1e-6
 _PROBE_DELTA = 0.01
-_TOL_PRIM = 1e-3
-_PRIM_SAMPLES = 8
 
 
 def verify_limit(
@@ -441,12 +439,13 @@ def verify_limit(
     measures being those of mather and the uniform measures on the cycles of
     barrier.graph; (c) adding _PROBE_DELTA to u0 breaks (b), so u0 is maximal
     among shifted candidates; (d) ||u_lambda - u0||_inf is nonincreasing down
-    the schedule; (e) the subsolution lower bound through the exact
-    discounted occupation measures of the smallest lambda's policy orbits,
-    u_lambda(x) >= kappa*(w(x) - <w, occupation>), holds to _TOL_PRIM for u0
-    and the barrier rows of the first two Aubry nodes at _PRIM_SAMPLES nodes;
-    a subsolution w meets it to rounding. u0 must cover every node and
-    barrier must carry its critical graph; WeakKamError otherwise.
+    the schedule; (e) at every node x, u_lambda(x) >= kappa*(w(x) - <w,
+    occupation_x>) for u0 and the barrier rows of the first two Aubry nodes,
+    kappa = (1-beta)/(lambda tau), occupation_x being the exact discounted
+    occupation measure of the smallest lambda's policy orbit from x; a
+    subsolution to (a)'s tolerance t meets it to t/(lambda tau) plus the tol
+    of u_lambda, the threshold. u0 must cover every node and barrier must
+    carry its critical graph; WeakKamError otherwise.
     """
     grid = kernel.grid
     if not np.array_equal(u0.targets, np.arange(grid.num_nodes)):
@@ -495,27 +494,25 @@ def verify_limit(
             detail="sup errors must be nonincreasing as lambda decreases",
         ))
 
-    # (e) subsolution lower bound via discounted occupation measures: the
-    # solver weights step costs by kappa = (1 - beta)/(lambda tau), so summing
-    # w(head) - w(tail) <= cost along the whole policy orbit of x gives exactly
-    # u_lambda(x) >= kappa * (w(x) - <w, occupation>)
+    # (e) subsolution lower bound: <w, occupation_x> is the smallest lambda's
+    # policy's own discounted evaluation of (1 - beta) w at the tails, and the
+    # solver weights costs by kappa = (1 - beta)/(lambda tau), so summing
+    # w(head) - w(tail) <= cost + tol_subsolution along the orbit of x gives
+    # u_lambda(x) >= kappa * (w(x) - <w, occupation_x>) - tol_subsolution/(lambda tau)
     if solutions:
         sol = min(solutions, key=lambda s: s.lam)
-        kappa = (1.0 - sol.beta) / (sol.lam * sol.tau)
+        beta, kappa = sol.beta, (1.0 - sol.beta) / (sol.lam * sol.tau)
+        succ = sol.kernel.neighbors(-1, sol.policy, np.arange(grid.num_nodes))
         candidates = [u0.values] + [barrier.row(int(y)) for y in aubry.nodes[:2]]
-        xs = np.linspace(0, grid.num_nodes, _PRIM_SAMPLES, endpoint=False).astype(int)
-        worst_margin = np.inf
-        for x in xs:
-            marginal = discounted_occupation_measure(sol, int(x)).node_marginal()
-            for w in candidates:
-                margin = sol.values.values[x] - kappa * (w[x] - float(marginal @ w)) + _TOL_PRIM
-                worst_margin = min(worst_margin, float(margin))
+        u = sol.values.values
+        worst_margin = min(
+            float((u - kappa * (w - _evaluate_policy((1.0 - beta) * w[succ], succ, beta))).min())
+            for w in candidates)
+        floor = -(tol_subsolution / (sol.lam * sol.tau) + sol.tol)
         checks.append(check(
-            "ineq_prim", worst_margin >= 0.0, worst_margin, 0.0,
-            detail=(
-                f"u_lambda(x) >= kappa*(w(x) - <w, occupation>) - {_TOL_PRIM}, "
-                "kappa = (1-beta)/(lambda tau)"
-            ),
+            "ineq_prim", worst_margin >= floor, worst_margin, floor,
+            detail=("u_lambda(x) >= kappa*(w(x) - <w, occupation_x>) at every node, to "
+                    "tol_subsolution/(lambda tau) + tol, kappa = (1-beta)/(lambda tau)"),
         ))
 
     return VerificationReport(checks=tuple(checks), sup_errors=tuple(sup_errors), plateau=plateau)

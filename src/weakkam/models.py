@@ -18,6 +18,7 @@ Everything here is immutable after construction and free of hidden state.
 from __future__ import annotations
 
 import csv
+import io
 import math
 from dataclasses import dataclass
 from functools import cached_property
@@ -184,33 +185,40 @@ def read_potential_table(path, grid: TorusGrid) -> np.ndarray:
     Lines starting with '#' and blank lines are skipped, and the first other
     row may be a header (its first cell is not an integer). Every other row
     holds exactly dim indices in [0, size) and one finite value, and lists
-    each node exactly once; anything else raises WeakKamError naming the
-    file and the line.
+    each node exactly once; anything else, text that is not UTF-8 included,
+    raises WeakKamError naming the file and the line.
     """
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        line = data.count(b"\n", 0, exc.start) + 1
+        raise WeakKamError(f"potential table {path} line {line}: not UTF-8 text "
+                           f"(byte 0x{data[exc.start]:02x})") from None
     values = np.full(grid.sizes, np.nan)  # NaN until the node's row is read
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header_allowed = True
-        for row in reader:
-            if not row or row[0].lstrip().startswith("#"):
-                continue
-            idx = tuple(_parse(int, c) for c in row[: grid.dim])
-            if header_allowed:
-                header_allowed = False
-                if idx[0] is None:
-                    continue  # header line
-            where = f"potential table {path} line {reader.line_num}"
-            if len(row) != grid.dim + 1 or None in idx:
-                raise WeakKamError(f"{where}: a row holds {grid.dim} integer node indices and "
-                                   f"a value, not {row!r}")
-            if not all(0 <= i < n for i, n in zip(idx, grid.sizes)):
-                raise WeakKamError(f"{where}: node {idx} is outside the grid {grid.sizes}")
-            if not np.isnan(values[idx]):
-                raise WeakKamError(f"{where}: node {idx} is listed a second time")
-            value = _parse(float, row[grid.dim])
-            if value is None or not math.isfinite(value):
-                raise WeakKamError(f"{where}: value {row[grid.dim]!r} is not a finite number")
-            values[idx] = value
+    reader = csv.reader(io.StringIO(text, newline=""))
+    header_allowed = True
+    for row in reader:
+        if not row or row[0].lstrip().startswith("#"):
+            continue
+        idx = tuple(_parse(int, c) for c in row[: grid.dim])
+        if header_allowed:
+            header_allowed = False
+            if idx[0] is None:
+                continue  # header line
+        where = f"potential table {path} line {reader.line_num}"
+        if len(row) != grid.dim + 1 or None in idx:
+            raise WeakKamError(f"{where}: a row holds {grid.dim} integer node indices and "
+                               f"a value, not {row!r}")
+        if not all(0 <= i < n for i, n in zip(idx, grid.sizes)):
+            raise WeakKamError(f"{where}: node {idx} is outside the grid {grid.sizes}")
+        if not np.isnan(values[idx]):
+            raise WeakKamError(f"{where}: node {idx} is listed a second time")
+        value = _parse(float, row[grid.dim])
+        if value is None or not math.isfinite(value):
+            raise WeakKamError(f"{where}: value {row[grid.dim]!r} is not a finite number")
+        values[idx] = value
     if np.isnan(values).any():
         missing = tuple(int(i) for i in np.argwhere(np.isnan(values))[0])
         raise WeakKamError(f"potential table {path} does not cover every node: {missing} "

@@ -12,6 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 import pytest
+from hypothesis import strategies as st
 
 import weakkam as wk
 
@@ -82,6 +83,27 @@ def table_kernel(lag, heads=None, preds=None):
                                  velocities=np.zeros((m, 1)))
     return TableKernel(grid=wk.build_grid(1, [n]), stencil=stencil, c=0.0,
                        edge_lagrangian=lag, heads=heads, preds=preds)
+
+
+@st.composite
+def in_edge_problems(draw, permutations=False):
+    """(cost_in, pred, d, free) of one Bellman-Ford run: n in [3, 12] nodes,
+    m in [1, 5] in-edges per node from a random tail table, each of its rows
+    a permutation when asked (so the edges also have a table by tail),
+    costs on the 1/4 lattice in [0, 4], one to three start rows of lattice
+    values and inf, and free either True or a random mask. Every sum is
+    exact."""
+    n, m, rows = draw(st.integers(3, 12)), draw(st.integers(1, 5)), draw(st.integers(1, 3))
+    if permutations:
+        pred = sum(draw(st.lists(st.permutations(range(n)), min_size=m, max_size=m)), [])
+    else:
+        pred = draw(st.lists(st.integers(0, n - 1), min_size=m * n, max_size=m * n))
+    quarters = draw(st.lists(st.integers(0, 16), min_size=m * n, max_size=m * n))
+    start = draw(st.lists(st.sampled_from([np.inf, np.inf, 0.0, 0.25, 1.5, 3.0]),
+                          min_size=rows * n, max_size=rows * n))
+    free = draw(st.one_of(st.just(True), st.lists(st.booleans(), min_size=n, max_size=n)))
+    return (np.array(quarters).reshape(m, n) / 4, np.array(pred, dtype=np.int64).reshape(m, n),
+            np.array(start).reshape(rows, n), free if free is True else np.array(free))
 
 
 # what a peak bound allows beyond its (m, n) arrays: numpy's 64 kB ufunc

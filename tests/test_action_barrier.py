@@ -3,6 +3,7 @@ import math
 import os
 import tracemalloc
 from dataclasses import fields, replace
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -11,13 +12,13 @@ from hypothesis import strategies as st
 
 import weakkam as wk
 from weakkam import action_barrier
-from weakkam.action_barrier import barrier_step
+from weakkam.action_barrier import _cyclic_components, barrier_step
 from weakkam.discounted import discounted_policy_iteration
 from weakkam.errors import EmptyAubryError, WeakKamError
 from weakkam.harness import _Run, load_config
 
-from conftest import (PEAK_SLACK, make_problem, maupertuis_barrier, pendulum_potential,
-                      table_kernel, traced_peak, two_well_potential)
+from conftest import (PEAK_SLACK, in_edge_problems, make_problem, maupertuis_barrier,
+                      pendulum_potential, table_kernel, traced_peak, two_well_potential)
 
 
 def brute_force_h(kernel, steps):
@@ -513,22 +514,6 @@ class TestRelaxRounds:
         assert (given.residual, given.relax_rounds) == (own.residual, own.relax_rounds)
 
 
-@st.composite
-def in_edge_problems(draw):
-    """(cost_in, pred, d, free) of one Bellman-Ford run: n in [3, 12] nodes,
-    m in [1, 5] in-edges per node from a random tail table, costs on the
-    1/4 lattice in [0, 4], one to three start rows of lattice values and
-    inf, and free either True or a random mask. Every sum is exact."""
-    n, m, rows = draw(st.integers(3, 12)), draw(st.integers(1, 5)), draw(st.integers(1, 3))
-    pred = draw(st.lists(st.integers(0, n - 1), min_size=m * n, max_size=m * n))
-    quarters = draw(st.lists(st.integers(0, 16), min_size=m * n, max_size=m * n))
-    start = draw(st.lists(st.sampled_from([np.inf, np.inf, 0.0, 0.25, 1.5, 3.0]),
-                          min_size=rows * n, max_size=rows * n))
-    free = draw(st.one_of(st.just(True), st.lists(st.booleans(), min_size=n, max_size=n)))
-    return (np.array(quarters).reshape(m, n) / 4, np.array(pred, dtype=np.int64).reshape(m, n),
-            np.array(start).reshape(rows, n), free if free is True else np.array(free))
-
-
 def closure_distances(cost_in, pred, d, free):
     """d times the min-plus closure of the edges pred[k, x] -> x into the free
     nodes, the closure by repeated squaring of min(I, C) with minplus_product."""
@@ -638,6 +623,63 @@ def nx_cyclic_components(adj):
     g.add_edges_from((tail, head) for tail, heads in enumerate(adj) for head in heads)
     comps = [sorted(c) for c in nx.strongly_connected_components(g)]
     return sorted(c for c in comps if len(c) > 1 or g.has_edge(c[0], c[0]))
+
+
+def in_edge_kernel(cost_in, pred):
+    """The TableKernel of the edges pred[k, x] -> x at cost cost_in[k, x],
+    each row of pred a permutation: its Lbar and heads by tail."""
+    heads = np.argsort(pred, axis=1)
+    return table_kernel(np.take_along_axis(cost_in, heads, axis=1), heads, pred)
+
+
+def critical_cycle_oracle(cost_in, pred):
+    """(least cycle mean, cyclic components of the edges on cycles that
+    attain it) of the edges pred[k, x] -> x: every simple cycle by networkx,
+    summed in exact quarters and compared as fractions. Of parallel edges
+    only the cheapest can lie on such a cycle."""
+    import networkx as nx
+
+    g = nx.DiGraph()
+    for (k, x), q in np.ndenumerate(np.rint(4 * cost_in).astype(int)):
+        tail = int(pred[k, x])
+        if not g.has_edge(tail, x) or q < g[tail][x]["q"]:
+            g.add_edge(tail, x, q=q)
+    means = [(Fraction(sum(g[a][b]["q"] for a, b in zip(c, c[1:] + c[:1])), 4 * len(c)), c)
+             for c in nx.simple_cycles(g)]
+    least = min(mean for mean, _ in means)
+    adj = [[] for _ in range(pred.shape[1])]
+    for mean, c in means:
+        if mean == least:
+            for a, b in zip(c, c[1:] + c[:1]):
+                adj[a].append(b)
+    return least, nx_cyclic_components(adj)
+
+
+class TestCriticalGraphOracle:
+    """tight_subgraph on random in-edge tables, where equal means are common,
+    against every simple cycle."""
+
+    @given(in_edge_problems(permutations=True))
+    @settings(derandomize=True, max_examples=200, deadline=None)
+    def test_matches_every_simple_cycle(self, problem):
+        cost_in, pred = problem[:2]
+        kernel, n = in_edge_kernel(cost_in, pred), pred.shape[1]
+        tight_adj = []
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(action_barrier, "_cyclic_components",
+                          lambda adj: tight_adj.append(adj) or _cyclic_components(adj))
+            graph = action_barrier.tight_subgraph(kernel)
+        least, classes = critical_cycle_oracle(cost_in, pred)
+        # Howard's mean is the fsum of a cycle's quarters over its length: the
+        # correctly rounded least mean
+        assert graph.mean == float(least)
+        assert graph.classes == classes == nx_cyclic_components(tight_adj[0])
+        for cls, cycle in zip(graph.classes, graph.cycles, strict=True):
+            k, tails = np.divmod(cycle, n)
+            assert set(tails.tolist()) <= set(cls)
+            np.testing.assert_array_equal(kernel.heads[k, tails], np.roll(tails, -1))
+            assert Fraction(int(np.rint(4 * kernel.edge_lagrangian[k, tails]).sum()),
+                            4 * tails.size) == least
 
 
 class TestCyclicComponents:

@@ -4,13 +4,16 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import weakkam as wk
 from weakkam import action_barrier, discounted
 from weakkam.discounted import discounted_policy_iteration, discounted_sweeps
 from weakkam.errors import ConvergenceError, WeakKamError
 
-from conftest import PEAK_SLACK, make_problem, pendulum_potential, traced_peak
+from conftest import (PEAK_SLACK, in_edge_problems, make_problem, pendulum_potential, table_kernel,
+                      traced_peak)
 
 
 def brute_force_discounted(kernel, lam, steps):
@@ -294,6 +297,16 @@ class TestPolicyIteration:
         # the lambda schedule runs the same loop on the critical kernel
         sol = wk.solve_discounted(p.grid, p.spec, lam, p.stencil, p.c_star, kernel=p.kernel)
         assert np.abs(sol.values.values - converged_sweeps(p.kernel, lam)).max() <= 1e-12
+
+    @given(in_edge_problems(), st.sampled_from([0.5, 0.1, 0.05]))
+    @settings(derandomize=True, max_examples=100, deadline=None)
+    def test_random_in_edge_tables_match_value_iteration(self, problem, lam):
+        # costs on the 1/4 lattice, so tied in-edges are common; Lbar is keyed
+        # by (offset, tail), as every kernel keys it, and tau is 1
+        cost_in, pred = problem[:2]
+        kernel = table_kernel(cost_in, preds=pred)
+        sol = wk.solve_discounted(kernel.grid, None, lam, kernel.stencil, 0.0, kernel=kernel)
+        assert np.abs(sol.values.values - converged_sweeps(kernel, lam)).max() <= sol.tol
 
     def test_round_cap_raises(self, pendulum16, monkeypatch):
         p = pendulum16

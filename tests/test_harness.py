@@ -772,6 +772,8 @@ BAD_INPUTS = {
     # the round cap and the certified bound are constants of the library
     "max_iter_key": ([], _set("schedule", max_iter=1000), {}, "unknown config keys ['max_iter']"),
     "tol_solve_key": ([], _set("schedule", tol_solve=1e-8), {}, "unknown config keys ['tol_solve']"),
+    # deeper than the JSON decoder recurses
+    "json_nested_too_deeply": ([], lambda raw: "[" * 200_000, {}, "JSON: nested too deeply"),
 }
 
 
@@ -810,6 +812,8 @@ BAD_TABLES = {
     "node_twice": ("# potential\n" + _rows(0, 32) + "5,1.0\n", 34, "a second time"),
     # only the first row may be a header
     "header_not_first": (_rows(0, 5) + "node,value\n" + _rows(5, 32), 6, "integer node indices"),
+    # the table is written as Latin-1, which spells every other case as ASCII does
+    "comment_not_utf8": ("node,value\n# café\n" + _rows(0, 32), 2, "not UTF-8 text (byte 0xe9)"),
 }
 
 
@@ -817,7 +821,7 @@ BAD_TABLES = {
 def test_bad_potential_table_is_one_line_error(case, tmp_path):
     text, line, reason = BAD_TABLES[case]
     table = tmp_path / "pot.csv"
-    table.write_text(text)
+    table.write_text(text, encoding="latin-1")
     cfg = tmp_path / "cfg.json"
     cfg.write_text(_potential({"name": "table", "path": str(table)})(
         free_config(tmp_path / "out").to_dict()))

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import weakkam as wk
-from weakkam import action_barrier, mather
+from weakkam import action_barrier, discounted, mather
 from weakkam.action_barrier import _min_cycle_mean, tight_subgraph
 from weakkam.errors import ConvergenceError, EmptyAubryError, WeakKamError
 from weakkam.mather import _certifies, _cycle_potentials, _solve_edge_program
@@ -1042,6 +1042,57 @@ class TestUniquenessProbe:
         w1 = h.values[y1]
         w2 = h.values[y2] + h.values[y1, y2]
         assert np.abs(w1 - w2).max() <= 1e-9
+
+
+def ineq_prim(report):
+    return next(c for c in report.checks if c.name == "ineq_prim")
+
+
+class TestIneqPrim:
+    """Check (e) reads the smallest lambda's policy at every node at once."""
+
+    @pytest.mark.parametrize("name", ["pendulum16", "transport8", "cos2d"])
+    def test_every_node_pairing_is_the_occupation_measure(self, name, request, monkeypatch):
+        p = problem(name, request)
+        h = wk.peierls_barrier(p.kernel)
+        u0 = wk.u0_critical_cycles(h)
+        sols = [wk.solve_discounted(p.grid, p.spec, lam, p.stencil, p.c_star, kernel=p.kernel)
+                for lam in (0.1, 0.025)]
+        sol = sols[-1]
+        if name == "transport8":
+            # the drift carries every orbit once round the torus: a period-8 cycle
+            assert wk.backward_trajectory(sol, 3, 8).nodes.tolist() == [3, 2, 1, 0, 7, 6, 5, 4, 3]
+        evaluations = []
+
+        def recording(step_cost, succ, beta):
+            evaluations.append(discounted._evaluate_policy(step_cost, succ, beta))
+            return evaluations[-1]
+
+        monkeypatch.setattr(mather, "_evaluate_policy", recording)
+        report = wk.verify_limit(u0, sols, [wk.solve_mather_lp(p.kernel)], p.kernel, h)
+        assert ineq_prim(report).status == "pass"
+        candidates = [u0.values] + [h.row(int(y)) for y in wk.aubry_report(h).nodes[:2]]
+        assert len(evaluations) == len(candidates)
+        for w, got in zip(candidates, evaluations):
+            want = np.array([wk.discounted_occupation_measure(sol, x).node_marginal() @ w
+                             for x in range(p.grid.num_nodes)])
+            assert np.abs(got - want).max() <= 1e-12
+
+    def test_a_fault_between_the_old_samples_fails(self, pendulum200, pendulum200_barrier,
+                                                   pendulum200_u0, pendulum200_solutions,
+                                                   pendulum200_lp):
+        # u_lambda at the smallest lambda lowered by 1e-4 at node 7, which eight
+        # evenly spaced samples of the 200 nodes never visit; no other check sees it
+        sols = list(pendulum200_solutions)
+        low = min(range(len(sols)), key=lambda i: sols[i].lam)
+        u = sols[low].values.values.copy()
+        u[7] -= 1e-4
+        sols[low] = replace(sols[low], values=wk.GridFunction(pendulum200.grid, u))
+        report = wk.verify_limit(pendulum200_u0, sols, [pendulum200_lp], pendulum200.kernel,
+                                 pendulum200_barrier)
+        check = ineq_prim(report)
+        assert [c.name for c in report.checks if c.status == "fail"] == ["ineq_prim"]
+        assert abs(check.measured + 1e-4) <= 1e-9 and -1e-4 < check.threshold < 0.0
 
 
 class TestVerifyLimit:
