@@ -55,7 +55,6 @@ from .models import (
     build_grid,
     cosine_potential,
     default_time_step,
-    eval_hamiltonian,
     make_stencil,
     mechanical,
     read_potential_table,
@@ -380,12 +379,10 @@ class _Run:
         the velocity bound alpha that sizes the stencil."""
         grid, spec = self.grid, self.spec
 
-        def at_level():
-            coords = grid.coordinates
+        def finite():
             # a problem too large for doubles overflows here, and is refused below
             with np.errstate(over="ignore", invalid="ignore"):
-                level = float(np.abs(eval_hamiltonian(spec, coords, np.zeros_like(coords))).max())
-                b = stability_bounds(spec, level, grid=grid)
+                b = stability_bounds(spec, grid)
             if not all(map(math.isfinite, (b.kappa, b.A_kappa, b.C0, b.alpha))):
                 raise ConfigError(
                     f"the problem's stability bounds are not finite: kappa={b.kappa:.3g} "
@@ -393,7 +390,7 @@ class _Run:
                 )
             return b
 
-        return self._timed("bounds", at_level)
+        return self._timed("bounds", finite)
 
     @cached_property
     def stencil(self):

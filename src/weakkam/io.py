@@ -53,10 +53,13 @@ def write_values_binary(path, values: np.ndarray) -> None:
 
 
 def read_values_binary(path, count: int | None = None) -> np.ndarray:
-    data = np.fromfile(path, dtype="<f8")
-    if count is not None and data.size != count:
-        raise WeakKamError(f"{path}: expected {count} f64 values, found {data.size}")
-    return data
+    """The f64 values of a file of count values, or of any whole number of
+    them; a file of another size, a trailing partial value included, raises."""
+    size = os.path.getsize(path)
+    if size % 8 or (count is not None and size != 8 * count):
+        expected = "a whole number of" if count is None else f"{count}"
+        raise WeakKamError(f"{path}: expected {expected} f64 values, found {size} bytes")
+    return np.fromfile(path, dtype="<f8")
 
 
 def write_barrier(barrier: BarrierMatrix, base_path) -> None:

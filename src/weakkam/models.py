@@ -9,14 +9,16 @@ described by a family tag plus parameters; the built-in families are
   convex conjugate (1-D only).
 
 H is convex in p, so the stability bounds follow exactly from Fenchel
-duality; only positions are sampled. Their velocity bound alpha sizes the
-stencil, the one bound on the velocities the scheme evaluates L at.
+duality, taken over the grid nodes, where the scheme evaluates H and L.
+Their velocity bound alpha sizes the stencil, the one bound on the
+velocities the scheme evaluates L at.
 
 Everything here is immutable after construction and free of hidden state.
 """
 
 from __future__ import annotations
 
+import codecs
 import csv
 import io
 import math
@@ -186,10 +188,13 @@ def read_potential_table(path, grid: TorusGrid) -> np.ndarray:
     row may be a header (its first cell is not an integer). Every other row
     holds exactly dim indices in [0, size) and one finite value, and lists
     each node exactly once; anything else, text that is not UTF-8 included,
-    raises WeakKamError naming the file and the line.
+    raises WeakKamError naming the file and the line. A leading UTF-8 BOM is
+    ignored.
     """
     with open(path, "rb") as fh:
         data = fh.read()
+    # the BOM is dropped from the bytes themselves, so a decode error's offset indexes data
+    data = data.removeprefix(codecs.BOM_UTF8)
     try:
         text = data.decode("utf-8")
     except UnicodeDecodeError as exc:
@@ -382,18 +387,6 @@ class StabilityBounds:
     c: float           # level the bounds were computed at
 
 
-def _sample_points(spec: LagrangianSpec, grid: TorusGrid | None) -> np.ndarray:
-    # 2-D sampling is capped harder: the bounds are safety margins and the
-    # product grids grow quadratically
-    if grid is not None:
-        counts = [min(10 * n, 4096 if spec.dim == 1 else 64) for n in grid.sizes]
-    else:
-        counts = [1024 if spec.dim == 1 else 48] * spec.dim
-    axes = [np.arange(c) / c for c in counts]
-    mesh = np.meshgrid(*axes, indexing="ij")
-    return np.stack([m.ravel() for m in mesh], axis=1)
-
-
 def _table_sublevel_radius(rows: np.ndarray, p: np.ndarray, c: float) -> float:
     """Largest |p| at which a row, linear between momentum samples, crosses c."""
     inside = rows <= c
@@ -414,14 +407,15 @@ def _table_sublevel_radius(rows: np.ndarray, p: np.ndarray, c: float) -> float:
     return radius
 
 
-def stability_bounds(
-    spec: LagrangianSpec, c: float, grid: TorusGrid | None = None
-) -> StabilityBounds:
-    """Exact kappa_c, A_kappa, C0 and alpha at level c for H convex in p.
+def stability_bounds(spec: LagrangianSpec, grid: TorusGrid) -> StabilityBounds:
+    """Exact kappa_c, A_kappa, C0 and alpha over the nodes, at the level
+    c = max |H(x, 0)| over the nodes, for H convex in p.
 
-    Positions x are sampled (V and the table rows are black boxes in x);
-    momenta and velocities are not. Fenchel duality gives the bounds
-    (Rockafellar, Convex Analysis, 1970, section 26):
+    The scheme evaluates H and L at the nodes only, so every sup and inf over
+    x is taken there; for a table potential or a tabulated H, which are linear
+    in x between nodes, these are also the sups over the torus. Momenta and
+    velocities are not sampled: Fenchel duality gives the bounds (Rockafellar,
+    Convex Analysis, 1970, section 26):
 
     * kappa_c = sup{|p| : H(x,p) <= c}. For the mechanical family
       |p|^2/2 + w.p + V(x) this is
@@ -433,14 +427,10 @@ def stability_bounds(
 
     alpha = A_kappa + C0 bounds the speeds of optimal discrete trajectories.
     """
-    xs = _sample_points(spec, grid)
+    xs = grid.coordinates
     zeros = np.zeros_like(xs)
     h_at_zero = eval_hamiltonian(spec, xs, zeros)
-    if c < float(h_at_zero.min()) - 1e-12:
-        raise NoSublevelError(
-            f"no sampled point has H(x,0) <= c = {c:.6g} "
-            f"(min H(x,0) = {h_at_zero.min():.6g})"
-        )
+    c = float(np.abs(h_at_zero).max())
 
     if spec.family == "tabulated":
         p = spec.momentum_grid
@@ -454,7 +444,7 @@ def stability_bounds(
     else:
         w = np.asarray(spec.drift)
         speed = float(np.linalg.norm(w))
-        kappa = speed + math.sqrt(max(speed**2 + 2.0 * (c - float(h_at_zero.min())), 0.0))
+        kappa = speed + math.sqrt(speed**2 + 2.0 * (c - float(h_at_zero.min())))
         e = w / speed if speed > 0 else np.eye(spec.dim)[0]
 
     reach = (kappa + 1.0) * e
@@ -465,8 +455,7 @@ def stability_bounds(
     min_l = -float(h_at_zero.max())
     max_l_rest = float(eval_lagrangian(spec, xs, zeros).max())
     c0 = max(abs(min_l + c), max_l_rest + c)
-    return StabilityBounds(kappa=kappa, A_kappa=a_kappa, C0=c0, alpha=float(a_kappa + c0),
-                           c=float(c))
+    return StabilityBounds(kappa=kappa, A_kappa=a_kappa, C0=c0, alpha=float(a_kappa + c0), c=c)
 
 
 # ---------------------------------------------------------------------------
@@ -507,40 +496,24 @@ def default_time_step(grid: TorusGrid, alpha: float) -> float:
     return tau
 
 
-def make_stencil(
-    grid: TorusGrid,
-    tau: float,
-    alpha: float,
-    k: int | tuple[int, ...] | None = None,
-) -> VelocityStencil:
-    """Build the velocity stencil with per-axis radius K_i = ceil(alpha tau / h_i).
+def make_stencil(grid: TorusGrid, tau: float, alpha: float) -> VelocityStencil:
+    """Build the velocity stencil with per-axis radius K_i = ceil(alpha tau / h_i),
+    at least 1, so that every axis reaches alpha: K_i h_i / tau >= alpha.
 
-    Every axis must reach alpha, K_i h_i / tau >= alpha, whatever radii k gives.
     Offsets are ordered lexicographically; ties in downstream argmins resolve
     to the lowest index in this order.
     """
     if tau <= 0:
         raise StencilError("tau must be positive")
-    if k is None:
-        radii = tuple(max(1, math.ceil(alpha * tau / h - 1e-12)) for h in grid.spacing)
-    elif np.isscalar(k):
-        radii = (int(k),) * grid.dim
-    else:
-        radii = tuple(int(r) for r in k)
+    radii = tuple(max(1, math.ceil(alpha * tau / h - 1e-12)) for h in grid.spacing)
     for r, h, n in zip(radii, grid.spacing, grid.sizes):
-        if r < 1:
-            raise StencilError("stencil radius must be at least 1")
         if r * h >= 0.5:
             raise StencilError(
                 f"stencil displacement {r}*{h:.4g} exceeds half the torus (ambiguous wrap); "
-                "reduce tau or the radius"
+                "reduce tau"
             )
         if 2 * r + 1 > n:
             raise StencilError(f"stencil radius {r} too large for {n} nodes")
-        if r * h / tau < alpha * (1 - 1e-12):
-            raise StencilError(
-                f"stencil reach {r}*{h:.4g}/tau = {r * h / tau:.4g} is below alpha={alpha:.4g}"
-            )
     offsets = tuple(
         sorted(
             tuple(o - r for o, r in zip(off, radii))

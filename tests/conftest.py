@@ -32,20 +32,16 @@ class Problem:
         return self.stencil.tau
 
 
-def make_problem(n, potential=None, level=None, dim=1, drift=None, tau=None, k=None, alpha=None,
-                 spec=None):
+def make_problem(n, potential=None, dim=1, drift=None, tau=None, alpha=None, spec=None):
     """The problem of a mechanical potential and drift, or of a given spec, on
     the n^dim grid."""
     grid = wk.build_grid(dim, [n] * dim)
     if spec is None:
         spec = wk.mechanical(potential or wk.zero_potential(), dim=dim, drift=drift)
-    if level is None:
-        coords = grid.coordinates
-        level = float(np.abs(wk.eval_hamiltonian(spec, coords, np.zeros_like(coords))).max())
-    bounds = wk.stability_bounds(spec, level, grid=grid)
+    bounds = wk.stability_bounds(spec, grid)
     use_alpha = alpha or bounds.alpha
     tau = tau or wk.default_time_step(grid, use_alpha)
-    stencil = wk.make_stencil(grid, tau, use_alpha, k=k)
+    stencil = wk.make_stencil(grid, tau, use_alpha)
     kernel0 = wk.build_kernel(grid, spec, stencil, c=0.0)
     mean, _ = wk.min_mean_cycle(kernel0)
     c_star = -mean
@@ -170,7 +166,7 @@ def pendulum16():
 @pytest.fixture(scope="session")
 def pendulum8():
     # tiny graph for exhaustive oracles: modest stencil keeps paths countable
-    return make_problem(8, pendulum_potential(), tau=0.25, k=2, alpha=1.0)
+    return make_problem(8, pendulum_potential(), tau=0.25, alpha=1.0)
 
 
 @pytest.fixture(scope="session")

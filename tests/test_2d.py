@@ -109,7 +109,7 @@ class TestIneqPrim2D:
 def drift2d():
     # drift (h/tau, 0): one-node step along axis 0 each tick; the radius-1
     # stencil reaches h/tau along each axis, so that is its speed bound
-    return make_problem(6, dim=2, drift=[1 / 6 / 0.25, 0.0], tau=0.25, k=1, alpha=1 / 6 / 0.25)
+    return make_problem(6, dim=2, drift=[1 / 6 / 0.25, 0.0], tau=0.25, alpha=1 / 6 / 0.25)
 
 
 class TestTransport2D:

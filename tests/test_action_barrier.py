@@ -41,7 +41,7 @@ ORACLE_PROBLEMS = {
     "pendulum16": lambda: make_problem(16, pendulum_potential()).kernel,
     "two_well16": lambda: make_problem(16, two_well_potential()).kernel,
     "free32": lambda: make_problem(32).kernel0,
-    "transport8": lambda: make_problem(8, drift=[0.5], tau=0.25, k=2, alpha=1.0).kernel0,
+    "transport8": lambda: make_problem(8, drift=[0.5], tau=0.25, alpha=1.0).kernel0,
 }
 
 
@@ -114,13 +114,13 @@ def kernel_inputs(name, request):
     if name == "rect6x10":
         grid = wk.build_grid(2, [6, 10])
         spec = wk.mechanical(wk.cosine_potential([1.0, 0.5], [1.0, 2.0]), dim=2)
-        return grid, spec, wk.make_stencil(grid, 0.1, 1.0, k=(1, 2)), 0.5
+        return grid, spec, wk.make_stencil(grid, 0.1, 1.5), 0.5
     if name != "aliased3":
         p = request.getfixturevalue(name)
         return p.grid, p.spec, p.stencil, p.c_star
     grid = wk.build_grid(1, [3])
     spec = wk.mechanical(pendulum_potential())
-    s = wk.make_stencil(grid, 0.25, 1.0, k=1)
+    s = wk.make_stencil(grid, 0.25, 1.0)
     stencil = wk.VelocityStencil(s.tau, s.offsets + ((1,),),
                                  np.vstack([s.velocities, s.velocities[-1:]]))
     return grid, spec, stencil, 0.75
@@ -286,7 +286,7 @@ class TestMinPlus:
         # n=4 grid, K=1, tau=1, c=0: two steps from 0 to 0.5 cost 2 * (0.25^2)/2
         grid = wk.build_grid(1, [4])
         spec = wk.mechanical(wk.zero_potential(), dim=1)
-        stencil = wk.make_stencil(grid, 1.0, 0.25, k=1)
+        stencil = wk.make_stencil(grid, 1.0, 0.25)
         kernel = wk.build_kernel(grid, spec, stencil, c=0.0)
         h2 = wk.minplus_power(kernel, 2)
         assert h2.values[0, 2] == pytest.approx(0.0625, abs=1e-15)
@@ -680,6 +680,46 @@ class TestCriticalGraphOracle:
             np.testing.assert_array_equal(kernel.heads[k, tails], np.roll(tails, -1))
             assert Fraction(int(np.rint(4 * kernel.edge_lagrangian[k, tails]).sum()),
                             4 * tails.size) == least
+
+
+class TestHowardBiases:
+    """Howard's terminal biases on random in-edge tables, pinned exactly: 0 at
+    each cycle's lowest node, and Lbar - eta + bias(succ) at every other node
+    of the terminal policy. Any fixed root keeps every mean and class, so only
+    the biases show which one is taken."""
+
+    @given(in_edge_problems(permutations=True))
+    @settings(derandomize=True, max_examples=100, deadline=None)
+    def test_terminal_biases_are_rooted_at_each_cycles_lowest_node(self, problem):
+        cost_in, pred = problem[:2]
+        kernel, n = in_edge_kernel(cost_in, pred), pred.shape[1]
+        evaluate, rounds = action_barrier._evaluate_cycle_policy, []
+
+        def recorded(kernel, lag_in, policy):
+            rounds.append((policy, *evaluate(kernel, lag_in, policy)))
+            return rounds[-1][1:]
+
+        lag_in = kernel.lagrangian_by_head()
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(action_barrier, "_evaluate_cycle_policy", recorded)
+            mean, bias, _ = action_barrier._min_cycle_mean(kernel, lag_in)
+        policy, eta, last = rounds[-1]
+        np.testing.assert_array_equal(bias, last)
+        assert mean == eta.min()
+        succ = kernel.neighbors(-1, policy, np.arange(n))
+        step = lag_in[policy, np.arange(n)]
+        root = np.zeros(n, dtype=bool)
+        for start in range(n):
+            walk, x = [], start
+            while x not in walk:
+                walk.append(x)
+                x = int(succ[x])
+            cycle = walk[walk.index(x):]
+            root[min(cycle)] = True
+            assert eta[x] == math.fsum(step[cycle]) / len(cycle)
+        np.testing.assert_array_equal(eta, eta[succ])
+        np.testing.assert_array_equal(bias[root], 0.0)
+        np.testing.assert_array_equal(bias[~root], (step - eta + bias[succ])[~root])
 
 
 class TestCyclicComponents:

@@ -105,14 +105,14 @@ def converged_sweeps(kernel, lam, chunk=500, max_chunks=400):
 
 @pytest.fixture(scope="module")
 def transport8():
-    return make_problem(8, drift=[0.5], tau=0.25, k=2, alpha=1.0)
+    return make_problem(8, drift=[0.5], tau=0.25, alpha=1.0)
 
 
 @pytest.fixture(scope="module")
 def cos4x4():
     # the default time step does not fit a 4x4 torus: one-cell stencil, speed 1
     potential = wk.cosine_potential([1.0, 1.0], [1.0, 1.0])
-    return make_problem(4, potential=potential, dim=2, tau=0.25, k=1, alpha=1.0)
+    return make_problem(4, potential=potential, dim=2, tau=0.25, alpha=1.0)
 
 
 class TestSolveDiscounted:

@@ -645,8 +645,9 @@ def _discretization(**values):
     return _set("discretization", **values)
 
 
-# case -> (extra CLI arguments, free32 config document -> file text,
-#          environment, text the error line must name)
+# case -> (extra CLI arguments, {tmp} standing for the test's directory,
+#          free32 config document -> file text, environment, text the error
+#          line must name)
 BAD_INPUTS = {
     "lambda_zero": (["--lambda", "0"], _dump(), {}, "lambdas must be positive"),
     "lambda_inf": (["--lambda", "inf"], _dump(), {}, "lambdas must be positive and finite"),
@@ -774,6 +775,9 @@ BAD_INPUTS = {
     "tol_solve_key": ([], _set("schedule", tol_solve=1e-8), {}, "unknown config keys ['tol_solve']"),
     # deeper than the JSON decoder recurses
     "json_nested_too_deeply": ([], lambda raw: "[" * 200_000, {}, "JSON: nested too deeply"),
+    # verify's u0 file: 32 doubles and one stray byte, whose partial value is not dropped
+    "u0_partial_value": (["--u0", "{tmp}/u0_257.bin"], _dump(), {}, "u0_257.bin: expected 32 "
+                         "f64 values, found 257 bytes"),
 }
 
 
@@ -782,9 +786,13 @@ def test_bad_input_is_one_line_error(case, tmp_path):
     argv, text, env, named = BAD_INPUTS[case]
     path = tmp_path / "cfg.json"
     path.write_text(text(free_config(tmp_path / "out").to_dict()))
-    # critical is the first subcommand to reach the stencil stage, which checks tau
+    (tmp_path / "u0_257.bin").write_bytes(np.zeros(32).tobytes() + b"\0")
+    argv = [arg.replace("{tmp}", str(tmp_path)) for arg in argv]
+    # critical is the first subcommand to reach the stencil stage, which checks tau;
+    # verify is the one that reads a u0 file
+    command = "verify" if "--u0" in argv else "critical"
     proc = subprocess.run(
-        [sys.executable, "-m", "weakkam", "critical", "--config", str(path), *argv],
+        [sys.executable, "-m", "weakkam", command, "--config", str(path), *argv],
         capture_output=True,
         text=True,
         env={**os.environ, **env},

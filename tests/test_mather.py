@@ -92,7 +92,7 @@ def random_table8_kernel():
     grid = wk.build_grid(1, [8])
     values = rng.uniform(-1.0, 1.0, 8)
     spec = wk.mechanical(wk.table_potential(grid, values), dim=1)
-    stencil = wk.make_stencil(grid, 0.25, 1.0, k=2)
+    stencil = wk.make_stencil(grid, 0.25, 1.0)
     return wk.build_kernel(grid, spec, stencil, c=0.0)
 
 
@@ -164,9 +164,9 @@ def expand(cols):
 
 BUILT = {
     "cosine4x4": lambda: make_problem(
-        4, wk.cosine_potential([1.0, 1.0], [1.0, 1.0]), dim=2, tau=0.25, k=1, alpha=1.0
+        4, wk.cosine_potential([1.0, 1.0], [1.0, 1.0]), dim=2, tau=0.25, alpha=1.0
     ),
-    "transport8": lambda: make_problem(8, drift=[0.5], tau=0.25, k=2, alpha=1.0),
+    "transport8": lambda: make_problem(8, drift=[0.5], tau=0.25, alpha=1.0),
     "transport32": lambda: make_problem(32, drift=[0.3]),
     "two_well32": lambda: make_problem(32, two_well_potential()),
 }
@@ -739,7 +739,7 @@ class TestMinMeanCycle:
         assert cycle == [0]
 
     def test_transport_winding_cycle(self):
-        p = make_problem(8, drift=[0.5], tau=0.25, k=2, alpha=1.0)
+        p = make_problem(8, drift=[0.5], tau=0.25, alpha=1.0)
         mean, cycle = wk.min_mean_cycle(p.kernel0)
         assert abs(mean) <= 1e-15
         assert len(cycle) == 8  # whole-torus rotation at the drift velocity
@@ -1011,7 +1011,7 @@ class TestU0Mechanical:
         assert np.abs(mech.values - lp.values).max() <= 1e-5
 
     def test_guard_rejects_drifting_transport(self):
-        p = make_problem(8, drift=[0.5], tau=0.25, k=2, alpha=1.0)
+        p = make_problem(8, drift=[0.5], tau=0.25, alpha=1.0)
         h = wk.peierls_barrier(p.kernel0)
         with pytest.raises(WeakKamError, match="argmin"):
             wk.u0_mechanical(h, p.spec, p.grid, 0.0, 1e-9)
@@ -1033,7 +1033,7 @@ class TestU0Mechanical:
 class TestUniquenessProbe:
     def test_same_class_rows_agree_after_shift(self):
         # transport with representable drift: one Mather class covering the torus
-        p = make_problem(8, drift=[0.5], tau=0.25, k=2, alpha=1.0)
+        p = make_problem(8, drift=[0.5], tau=0.25, alpha=1.0)
         h = wk.peierls_barrier(p.kernel0)
         aubry = wk.aubry_set(h, 1e-9)
         classes = wk.mather_classes(h, aubry, 1e-9)

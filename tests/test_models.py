@@ -1,3 +1,4 @@
+import codecs
 from dataclasses import fields
 
 import numpy as np
@@ -6,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import weakkam as wk
-from weakkam.errors import NoSublevelError, StencilError, TruncationError, WeakKamError
+from weakkam.errors import NoSublevelError, TruncationError, WeakKamError
 
 
 class TestBuildGrid:
@@ -130,7 +131,7 @@ class TestEvalLagrangian:
     def test_superlinearity_surrogate_on_search_box(self):
         # L >= (kappa+1)|v| - A_kappa on |v| <= 2 alpha, twice the stencil's reach
         spec = wk.mechanical(wk.cosine_potential([1.0], [1.0]))
-        b = wk.stability_bounds(spec, 1.0)
+        b = wk.stability_bounds(spec, wk.build_grid(1, [200]))
         xs = np.linspace(0, 1, 101)[:, None]
         vs = np.linspace(-2 * b.alpha, 2 * b.alpha, 201)
         for v in vs:
@@ -180,27 +181,22 @@ class TestTabulated:
 
 class TestStabilityBounds:
     def test_free_quadratic_kappa(self):
-        spec = wk.mechanical(wk.zero_potential())
-        b = wk.stability_bounds(spec, 2.0)
-        assert b.kappa == pytest.approx(2.0, abs=5e-3)
+        # max |H(x, 0)| = 0: the sublevel is {0}, and alpha = (0 + 1)^2 / 2
+        b = wk.stability_bounds(wk.mechanical(wk.zero_potential()), wk.build_grid(1, [32]))
+        assert (b.c, b.kappa, b.A_kappa, b.C0, b.alpha) == (0.0, 0.0, 0.5, 0.0, 0.5)
 
     def test_pendulum_kappa_sampled(self):
         spec = wk.mechanical(wk.cosine_potential([1.0], [1.0]))
-        b = wk.stability_bounds(spec, 1.0)
+        b = wk.stability_bounds(spec, wk.build_grid(1, [200]))
         # oracle: dense sampling of sup_x sqrt(2(1 - cos 2 pi x)) = 2
         xs = np.linspace(0, 1, 20001)
         oracle = np.sqrt(2 * (1 - np.cos(2 * np.pi * xs))).max()
         assert b.kappa == pytest.approx(oracle, abs=5e-3)
         assert b.kappa == pytest.approx(2.0, abs=5e-3)
 
-    def test_empty_sublevel(self):
-        spec = wk.mechanical(wk.zero_potential())
-        with pytest.raises(NoSublevelError):
-            wk.stability_bounds(spec, -1.0)
-
     def test_alpha_composition(self):
         spec = wk.mechanical(wk.cosine_potential([1.0], [1.0]))
-        b = wk.stability_bounds(spec, 1.0)
+        b = wk.stability_bounds(spec, wk.build_grid(1, [200]))
         assert b.alpha == pytest.approx(b.A_kappa + b.C0)
         assert b.kappa >= 0 and b.alpha > 0
 
@@ -213,7 +209,7 @@ def _drift_bounds(w, c, v_min=0.0, v_max=0.0):
     return kappa, a_kappa, max(abs(c - v_max), speed**2 / 2 - v_min + c)
 
 
-# name -> (spec, level, grid, closed-form (kappa, A_kappa, C0))
+# name -> (spec, level max |H(x, 0)| over the nodes, grid, closed-form (kappa, A_kappa, C0))
 CLOSED_FORMS = {
     "pendulum": (
         wk.mechanical(wk.cosine_potential([1.0], [1.0])), 1.0, wk.build_grid(1, [200]),
@@ -228,13 +224,13 @@ CLOSED_FORMS = {
         wk.build_grid(1, [200]), _drift_bounds([0.5], 1.0, -1.0, 1.0),
     ),
     "transport_1d": (
-        wk.mechanical(wk.zero_potential(), drift=[0.7]), 0.3, wk.build_grid(1, [32]),
-        _drift_bounds([0.7], 0.3),
+        wk.mechanical(wk.zero_potential(), drift=[0.7]), 0.0, wk.build_grid(1, [32]),
+        _drift_bounds([0.7], 0.0),
     ),
     "transport_2d": (
-        wk.mechanical(wk.zero_potential(), dim=2, drift=[0.3, -0.4]), 0.5,
+        wk.mechanical(wk.zero_potential(), dim=2, drift=[0.3, -0.4]), 0.0,
         wk.build_grid(2, [8, 8]),
-        _drift_bounds([0.3, -0.4], 0.5),
+        _drift_bounds([0.3, -0.4], 0.0),
     ),
 }
 
@@ -248,7 +244,8 @@ class TestExactBounds:
     @pytest.mark.parametrize("name", sorted(CLOSED_FORMS))
     def test_closed_forms(self, name):
         spec, c, grid, (kappa, a_kappa, c0) = CLOSED_FORMS[name]
-        b = wk.stability_bounds(spec, c, grid=grid)
+        b = wk.stability_bounds(spec, grid)
+        assert b.c == c
         assert abs(b.kappa - kappa) <= 1e-12
         assert abs(b.A_kappa - a_kappa) <= 1e-12
         assert abs(b.C0 - c0) <= 1e-12
@@ -259,7 +256,7 @@ class TestExactBounds:
         # sups over a dense (x, p) and (x, v) grid never exceed the bounds and
         # come within one grid step of them
         spec, c, grid, _ = CLOSED_FORMS[name]
-        b = wk.stability_bounds(spec, c, grid=grid)
+        b = wk.stability_bounds(spec, grid)
         per_axis = (501, 2001) if spec.dim == 1 else (21, 61)
         xs = _mesh(0.0, 1.0, per_axis[0], spec.dim)
         half = b.kappa + 2.0
@@ -272,23 +269,40 @@ class TestExactBounds:
         assert b.kappa - step <= kappa <= b.kappa + 1e-12
         assert b.A_kappa - step <= a_kappa <= b.A_kappa + 1e-12
 
+    @pytest.mark.parametrize("sizes, spike", [([500], (7,)), ([12, 12], (5, 7))])
+    def test_spike_table_is_exact_at_the_nodes(self, sizes, spike):
+        # V = 0 but for 10 at one node: the level is 10, kappa = sqrt(20), and
+        # the spike, which no point between the nodes sees, enters A_kappa
+        grid = wk.build_grid(len(sizes), sizes)
+        values = np.zeros(grid.sizes)
+        values[spike] = 10.0
+        spec = wk.mechanical(wk.table_potential(grid, values), dim=grid.dim)
+        b = wk.stability_bounds(spec, grid)
+        a_kappa = 0.5 * (1 + np.sqrt(20)) ** 2 + 10
+        assert abs(b.c - 10) <= 1e-12 and abs(b.kappa - np.sqrt(20)) <= 1e-12
+        assert abs(b.A_kappa - a_kappa) <= 1e-12
+        assert abs(b.C0 - 10) <= 1e-12
+        assert abs(b.alpha - (a_kappa + 10)) <= 1e-12
+
     def test_tabulated_matches_mechanical(self):
         grid = wk.build_grid(1, [16])
         p = np.linspace(-6, 6, 1201)
         xs = grid.coordinates[:, 0]
         table = 0.5 * p[None, :] ** 2 + np.cos(2 * np.pi * xs)[:, None]
         mechanical = wk.mechanical(wk.cosine_potential([1.0], [1.0]))
-        got = wk.stability_bounds(wk.tabulated(grid, p, table), 1.0, grid=grid)
-        ref = wk.stability_bounds(mechanical, 1.0, grid=grid)
-        for field in ("kappa", "A_kappa", "C0", "alpha"):
+        got = wk.stability_bounds(wk.tabulated(grid, p, table), grid)
+        ref = wk.stability_bounds(mechanical, grid)
+        for field in ("c", "kappa", "A_kappa", "C0", "alpha"):
             assert getattr(got, field) == pytest.approx(getattr(ref, field), abs=1e-9)
 
     def test_tabulated_sublevel_at_grid_edge(self):
+        # H = p^2/2 - 2 sits at level max |H(x, 0)| = 2 on |p| <= sqrt(8),
+        # past the grid's edge at 1.5
         grid = wk.build_grid(1, [8])
         p = np.linspace(-1.5, 1.5, 301)
-        spec = wk.tabulated(grid, p, np.broadcast_to(0.5 * p**2, (8, p.size)).copy())
+        spec = wk.tabulated(grid, p, np.broadcast_to(0.5 * p**2 - 2.0, (8, p.size)).copy())
         with pytest.raises(NoSublevelError, match="coercive"):
-            wk.stability_bounds(spec, 2.0, grid=grid)
+            wk.stability_bounds(spec, grid)
 
     def test_tabulated_truncation(self):
         # the sublevel ends at |p| = 2 inside the grid, but kappa + 1 = 3 does not
@@ -296,7 +310,7 @@ class TestExactBounds:
         p = np.linspace(-2.5, 2.5, 501)
         table = 0.5 * p[None, :] ** 2 + np.cos(2 * np.pi * grid.coordinates[:, :1])
         with pytest.raises(TruncationError, match="kappa"):
-            wk.stability_bounds(wk.tabulated(grid, p, table), 1.0, grid=grid)
+            wk.stability_bounds(wk.tabulated(grid, p, table), grid)
 
 
 class TestStencil:
@@ -312,7 +326,7 @@ class TestStencil:
     def test_wrap_guard(self):
         grid = wk.build_grid(1, [8])
         with pytest.raises(wk.StencilError):
-            wk.make_stencil(grid, 1.0, 1.0, k=4)  # 4 * (1/8) = 0.5: ambiguous
+            wk.make_stencil(grid, 1.0, 0.5)  # radius 4, and 4 * (1/8) = 0.5: ambiguous
 
     def test_default_time_step_clamps(self):
         grid = wk.build_grid(1, [200])
@@ -328,14 +342,18 @@ class TestStencil:
         assert st.velocities.shape[1] == 2
         assert (0, 0) in st.offsets
 
-    @pytest.mark.parametrize("sizes", [[8], [8, 8]])
+    @pytest.mark.parametrize("sizes", [[8], [8, 8], [6, 10], [200]])
     def test_every_axis_reaches_alpha(self, sizes):
-        # radius 1 reaches 0.125 / 0.25 = 0.5 < 0.6 along each axis; the 2-D
-        # corner speed 0.707 exceeds 0.6 but no axis does
+        # along each axis the outermost offset reaches alpha, and one step
+        # less does not unless the radius is the least one, 1
         grid = wk.build_grid(len(sizes), sizes)
-        with pytest.raises(StencilError, match="below alpha=0.6"):
-            wk.make_stencil(grid, 0.25, 0.6, k=1)
-        assert wk.make_stencil(grid, 0.25, 0.5, k=1).num_offsets == 3 ** len(sizes)
+        for alpha in (0.1, 0.5, 0.6, 1.5, 7.5):
+            tau = min(0.1, wk.default_time_step(grid, alpha))
+            st = wk.make_stencil(grid, tau, alpha)
+            for axis, h in enumerate(grid.spacing):
+                radius = max(off[axis] for off in st.offsets)
+                assert radius * h / tau >= alpha * (1 - 1e-12)
+                assert radius == 1 or (radius - 1) * h / tau < alpha
 
     def test_fields(self):
         # alpha sizes the stencil and is kept nowhere else: no search box on
@@ -370,6 +388,17 @@ class TestPotentialTable:
                 fh.write(f"{i},{float(v)!r}\n")
         got = wk.models.read_potential_table(path, grid)
         np.testing.assert_array_equal(got, values)
+
+    def test_bom_table_reads_as_the_plain_one(self, tmp_path):
+        # no header: the BOM must not turn node 0's row into one
+        grid = wk.build_grid(1, [6])
+        text = "".join(f"{i},{0.5 * i - 1}\n" for i in range(6)).encode()
+        plain, bom = tmp_path / "plain.csv", tmp_path / "bom.csv"
+        plain.write_bytes(text)
+        bom.write_bytes(codecs.BOM_UTF8 + text)
+        want = wk.models.read_potential_table(plain, grid)
+        np.testing.assert_array_equal(wk.models.read_potential_table(bom, grid), want)
+        np.testing.assert_array_equal(want, 0.5 * np.arange(6) - 1)
 
     def test_interpolation_hits_nodes(self):
         grid = wk.build_grid(1, [8])
