@@ -20,7 +20,6 @@ __all__ = [
     "write_json",
     "write_barrier",
     "read_barrier",
-    "barrier_to_csv",
     "write_values_binary",
     "read_values_binary",
     "write_solution",
@@ -93,14 +92,6 @@ def read_barrier(base_path) -> BarrierMatrix:
         residual=meta["residual"],
         stable=meta["stable"],
     )
-
-
-def barrier_to_csv(barrier: BarrierMatrix, path) -> None:
-    def gen():
-        for y, row in enumerate(barrier.values):
-            for x, value in enumerate(row):
-                yield (y, x, float(value))
-    write_csv(path, ["row_node", "col_node", "value"], gen())
 
 
 def write_solution(sol, base_path) -> None:

@@ -935,15 +935,3 @@ class TestBarrierIO:
         np.testing.assert_array_equal(back.values, h.values)
         assert back.residual == h.residual and back.stable == h.stable
         assert back.tau == h.tau and back.c == h.c
-
-    def test_csv_dump(self, pendulum16, tmp_path):
-        from weakkam import io
-
-        h = wk.peierls_barrier(pendulum16.kernel)
-        io.barrier_to_csv(h, tmp_path / "barrier.csv")
-        rows = (tmp_path / "barrier.csv").read_text().strip().split("\n")
-        assert rows[0] == "row_node,col_node,value"
-        assert len(rows) == 1 + 16 * 16
-        y, x, val = rows[1 + 16 * 3 + 7].split(",")
-        assert (int(y), int(x)) == (3, 7)
-        assert float(val) == h.values[3, 7]

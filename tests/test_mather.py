@@ -11,8 +11,8 @@ import weakkam as wk
 from weakkam import action_barrier, discounted, mather
 from weakkam.action_barrier import _min_cycle_mean, tight_subgraph
 from weakkam.errors import ConvergenceError, EmptyAubryError, WeakKamError
-from weakkam.mather import _certifies, _cycle_potentials, _solve_edge_program
-from weakkam.simplex import _FEAS_TOL, _REFACTOR_EVERY, CompressedColumns, solve_standard_form
+from weakkam.mather import _CERT_TOL, _certifies, _cycle_potentials, _solve_edge_program
+from weakkam.simplex import solve_standard_form
 
 from conftest import (PEAK_SLACK, make_problem, pendulum_potential, table_kernel, traced_peak,
                       two_well_potential)
@@ -21,7 +21,7 @@ from conftest import (PEAK_SLACK, make_problem, pendulum_potential, table_kernel
 def _reduced_costs(kernel, weights, phi):
     """weights + phi(head) - phi(tail) per edge, (num_offsets, num_nodes) by tail.
 
-    For weights = c - value this is c - yA over the columns of edge_columns
+    For weights = c - value this is c - yA over the columns of dense_edge_columns
     at y = phi - phi[n - 1] on the conservation rows, value on the mass row
     and 0 on the budget row. The production check takes only its minimum,
     by one relaxation; this full array is the oracle for it.
@@ -96,40 +96,14 @@ def random_table8_kernel():
     return wk.build_kernel(grid, spec, stencil, c=0.0)
 
 
-def edge_columns(kernel, budget=None):
-    """The oracle's column assembly: conservation/mass constraint columns over
-    flattened edges (k*n + tail), for solve_standard_form.
+def dense_edge_columns(kernel):
+    """The oracle's assembly: the closed-measure constraints as a dense matrix.
 
     One conservation row per node except the last (rows sum to zero, so the
-    last is redundant), then the unit-mass row. Edge k*n + t stores +1 at its
-    tail row, -1 at its head row and 1 in the mass row; a self-loop's pair
-    cancels, and an end in the dropped last row is stored with value 0. With
-    a budget the u0 program's row n follows, sum m Lbar + slack = budget:
-    the slack >= 0 is the last column, its padding entries in row n with 0.
-    """
-    n = kernel.num_nodes
-    tails = np.tile(np.arange(n, dtype=np.int64), kernel.num_offsets)
-    heads = kernel.head_index.reshape(-1)  # [k*n + tail] -> head
-    rows = np.stack([tails, heads, np.full_like(tails, n - 1)])
-    vals = np.stack(
-        [(tails < n - 1).astype(float), -(heads < n - 1).astype(float), np.ones(tails.size)]
-    )
-    b = np.zeros(n)
-    b[n - 1] = 1.0
-    if budget is not None:
-        rows = np.pad(np.vstack([rows, np.full_like(tails, n)]), ((0, 0), (0, 1)),
-                      constant_values=n)
-        vals = np.pad(np.vstack([vals, kernel.edge_lagrangian.reshape(-1)]), ((0, 0), (0, 1)))
-        vals[-1, -1] = 1.0
-        b = np.append(b, budget)
-    return CompressedColumns(rows=rows, vals=vals, num_rows=b.size), b
-
-
-def dense_edge_columns(kernel):
-    """Reference assembly: the closed-measure constraints as a dense matrix.
-
-    One conservation row per node except the last, then the unit-mass row,
-    over flattened edges k*n + tail.
+    last is redundant), then the unit-mass row, over flattened edges
+    k*n + tail. Edge k*n + t has +1 at its tail row, -1 at its head row and
+    1 in the mass row; a self-loop's pair cancels, and an end in the dropped
+    last row is left out.
     """
     n = kernel.num_nodes
     n_edges = kernel.num_offsets * n
@@ -148,7 +122,8 @@ def dense_edge_columns(kernel):
 
 
 def dense_u0_columns(kernel, budget):
-    """Reference assembly of the u0 program: budget row and its slack column."""
+    """The u0 program: dense_edge_columns, then the budget row
+    sum m Lbar + slack = budget with the slack >= 0 as the last column."""
     a_core, b_core = dense_edge_columns(kernel)
     n, n_edges = a_core.shape
     a = np.zeros((n + 1, n_edges + 1))
@@ -156,10 +131,6 @@ def dense_u0_columns(kernel, budget):
     a[n, :-1] = kernel.edge_lagrangian.reshape(-1)
     a[n, -1] = 1.0
     return a, np.concatenate([b_core, [budget]])
-
-
-def expand(cols):
-    return cols.dense(np.arange(cols.shape[1]))
 
 
 BUILT = {
@@ -178,30 +149,13 @@ def problem(name, request):
 
 
 class TestAssembly:
-    @pytest.mark.parametrize("name", ["pendulum16", "free32", "cosine4x4", "transport8"])
-    def test_compressed_matches_dense_oracle(self, name, request):
-        p = problem(name, request)
-        kernel = p.kernel
-        a, b = edge_columns(kernel)
-        a_ref, b_ref = dense_edge_columns(kernel)
-        assert a.shape == a_ref.shape
-        np.testing.assert_array_equal(expand(a), a_ref)
-        np.testing.assert_array_equal(b, b_ref)
-        budget = -p.c_star + 1e-6
-        u, ub = edge_columns(kernel, budget)
-        u_ref, ub_ref = dense_u0_columns(kernel, budget)
-        assert u.shape == u_ref.shape
-        np.testing.assert_array_equal(expand(u), u_ref)
-        np.testing.assert_array_equal(ub, ub_ref)
-        assert a.rows.shape[0] == 3 and u.rows.shape[0] == 4
-
     def test_free_self_loops_vanish_from_conservation_rows(self, free32):
         kernel = free32.kernel
-        a, _ = edge_columns(kernel)
+        a, _ = dense_edge_columns(kernel)
         tails = np.tile(np.arange(32), kernel.num_offsets)
         loops = np.nonzero(kernel.head_index.reshape(-1) == tails)[0]
         assert loops.size == 32
-        dense = a.dense(loops)
+        dense = a[:, loops]
         np.testing.assert_array_equal(dense[:-1], 0.0)
         np.testing.assert_array_equal(dense[-1], 1.0)
 
@@ -210,12 +164,14 @@ class TestAssembly:
         budget = -p.c_star + 1e-6
         assert budget < 0
         h = wk.peierls_barrier(p.kernel)
-        u, ub = edge_columns(p.kernel, budget)
+        u, ub = dense_u0_columns(p.kernel, budget)
         c = np.concatenate([np.tile(h.values[:, 5], p.kernel.num_offsets), [0.0]])
         res = solve_standard_form(u, ub, c)
-        u_ref, _ = dense_u0_columns(p.kernel, budget)
-        assert np.abs(u_ref @ res.x - ub).max() <= 1e-10
+        assert np.abs(u @ res.x - ub).max() <= 1e-10
         assert ub[-1] == budget  # the caller's right-hand side is left as given
+        # the duals price the caller's rows, the flipped budget row included
+        assert (c - res.duals @ u).min() >= -1e-9
+        assert abs(res.duals @ ub - res.objective) <= 1e-9
 
 
 def highs(a, b, c):
@@ -246,16 +202,15 @@ class TestLPCertificates:
             c = np.concatenate([np.tile(h.values[:, t], kernel.num_offsets), [0.0]])
             assert value == pytest.approx(highs(u_ref, ub_ref, c), abs=1e-9)
 
-    def test_refactorized_solve_certifies_itself(self):
-        # enough pivots to pass several refactorization points
+    def test_two_well60_solve_certifies_itself(self):
+        # a cold solve of hundreds of pivots on the n = 60 two-well program
         kernel = make_problem(60, two_well_potential()).kernel
-        a, b = edge_columns(kernel)
+        a, b = dense_edge_columns(kernel)
         c = kernel.edge_lagrangian.reshape(-1)
         res = solve_standard_form(a, b, c)
-        assert res.iterations > _REFACTOR_EVERY
-        a_ref, _ = dense_edge_columns(kernel)
-        assert (c - res.duals @ a_ref).min() >= -1e-9
-        assert np.abs(a_ref @ res.x - b).max() <= 1e-10
+        assert (c - res.duals @ a).min() >= -1e-9
+        assert abs(res.duals @ b - res.objective) <= 1e-9
+        assert np.abs(a @ res.x - b).max() <= 1e-10
 
 
 def u0_objective(h, kernel, t):
@@ -284,7 +239,7 @@ class TestCriticalGraphStart:
         kernel = problem(name, request).kernel
         lp = wk.solve_mather_lp(kernel)
         assert lp.iterations == 0
-        a, b = edge_columns(kernel)
+        a, b = dense_edge_columns(kernel)
         cold = solve_standard_form(a, b, kernel.edge_lagrangian.reshape(-1))
         assert cold.iterations > 0
         assert abs(lp.value - cold.objective) <= 1e-12
@@ -298,7 +253,7 @@ class TestCriticalGraphStart:
         targets = np.arange(0, n, max(1, n // 8))
         u0 = wk.compute_u0(h, kernel, p.c_star, 1e-6, targets)
         assert u0.fallbacks == u0.howard_runs == 0
-        a, b = edge_columns(kernel, -p.c_star + 1e-6)
+        a, b = dense_u0_columns(kernel, -p.c_star + 1e-6)
         for t, value in zip(targets, u0.values):
             cold = solve_standard_form(a, b, u0_objective(h, kernel, t))
             assert abs(value - cold.objective) <= 1e-12
@@ -322,7 +277,7 @@ class TestCriticalGraphStart:
         assert _certifies(kernel, weights, (cycle,), phi)
         value, _, runs = _solve_edge_program(kernel, weights, weights, cycle)
         assert runs == 0 and abs(value) <= 1e-12
-        a, b = edge_columns(kernel)
+        a, b = dense_edge_columns(kernel)
         assert abs(solve_standard_form(a, b, weights.reshape(-1)).objective) <= 1e-12
 
     @pytest.mark.usefixtures("no_simplex")
@@ -342,7 +297,7 @@ class TestCriticalGraphStart:
         value, measure, runs = _solve_edge_program(kernel, weights, weights, cycle)
         assert runs == 1 and abs(value + 0.5) <= 1e-12
         assert sorted(measure.tails.tolist()) == [8, 11]
-        a, b = edge_columns(kernel)
+        a, b = dense_edge_columns(kernel)
         assert abs(solve_standard_form(a, b, weights.reshape(-1)).objective - value) <= 1e-12
 
 
@@ -363,8 +318,8 @@ def edge_program(p, program):
 
 
 def lp_form(kernel, cost, budget):
-    """(a, b, c) of an edge program over the columns of edge_columns."""
-    a, b = edge_columns(kernel, budget)
+    """(a, b, c) of an edge program over the columns of dense_edge_columns."""
+    a, b = dense_edge_columns(kernel) if budget is None else dense_u0_columns(kernel, budget)
     c = cost.reshape(-1)
     return a, b, (c if budget is None else np.append(c, 0.0))
 
@@ -427,7 +382,7 @@ class TestTreeCertificate:
         cost, value, cycle, budget = edge_program(p, program)
         phi = _cycle_potentials(kernel, cost - value, cycle)
         a, _, c = lp_form(kernel, cost, budget)
-        lp_reduced = c - a.price(potential_duals(kernel, phi, value, budget))
+        lp_reduced = c - potential_duals(kernel, phi, value, budget) @ a
         graph_reduced = _reduced_costs(kernel, cost - value, phi).reshape(-1)
         assert np.abs(lp_reduced[:graph_reduced.size] - graph_reduced).max() <= 1e-12
         if budget is not None:
@@ -449,9 +404,8 @@ class TestTreeCertificate:
         if budget is not None:
             x[-1] = budget - measure.pairing(kernel.edge_lagrangian)  # the budget slack
         y = potential_duals(kernel, _cycle_potentials(kernel, cost - value, cycle), value, budget)
-        dense_a = expand(a)
-        assert np.abs(dense_a @ x - b).max() <= 1e-12 and x.min() >= 0.0
-        assert (c - y @ dense_a).min() >= -1e-9
+        assert np.abs(a @ x - b).max() <= 1e-12 and x.min() >= 0.0
+        assert (c - y @ a).min() >= -1e-9
         assert abs(float(c @ x) - float(b @ y)) <= 1e-12
         assert abs(got - float(c @ x)) <= 1e-12
         assert abs(got - solve_standard_form(a, b, c).objective) <= 1e-12
@@ -508,7 +462,7 @@ class TestTreeCertificate:
         assert not _certifies(kernel, weights, (np.array([off_cycle]),), phi)   # closes
         assert not _certifies(kernel, weights, (cycle, np.array([off_cycle])), phi)
         assert not _certifies(kernel, weights, (cycle,), phi, slack=-1e-6)      # slack >= -tol
-        assert _certifies(kernel, weights, (cycle,), phi, slack=-_FEAS_TOL)
+        assert _certifies(kernel, weights, (cycle,), phi, slack=-_CERT_TOL)
         raised = weights.copy()
         raised.reshape(-1)[cycle[0]] += 1e-6
         assert not _certifies(kernel, raised, (cycle,), phi)                    # cycle costs 0
@@ -526,7 +480,7 @@ class TestTreeCertificate:
         weights = cost - value
         phi = _cycle_potentials(kernel, weights, cycle)
         reduced = _reduced_costs(kernel, weights, phi).reshape(-1)
-        tight = np.setdiff1d(np.nonzero(np.abs(reduced) <= _FEAS_TOL)[0], cycle)
+        tight = np.setdiff1d(np.nonzero(np.abs(reduced) <= _CERT_TOL)[0], cycle)
         raised = weights.copy()
         raised.reshape(-1)[tight[0]] += 1e-6
         assert _certifies(kernel, raised, (cycle,), phi)
@@ -642,12 +596,11 @@ class TestGraphFallback:
         h = wk.peierls_barrier(kernel)
         u0 = wk.compute_u0(h, kernel, p.c_star, 1e-6, np.arange(n))
         assert u0.fallbacks == n and u0.howard_runs == 96
-        a, b = edge_columns(kernel, -p.c_star + 1e-6)
-        u_ref, ub_ref = dense_u0_columns(kernel, -p.c_star + 1e-6)
+        a, b = dense_u0_columns(kernel, -p.c_star + 1e-6)
         for t, value in enumerate(u0.values):
             c = u0_objective(h, kernel, t)
             assert abs(value - solve_standard_form(a, b, c).objective) <= 1e-12
-            assert value == pytest.approx(highs(u_ref, ub_ref, c), abs=1e-9)
+            assert value == pytest.approx(highs(a, b, c), abs=1e-9)
         assert np.abs(u0.values - wk.u0_critical_cycles(h).values).max() <= 1e-5
 
     @pytest.mark.parametrize("name", TestCriticalGraphStart.NAMES)
@@ -693,7 +646,7 @@ class TestGraphFallback:
                     assert measure.pairing(lag) <= bound + 1e-12
                 a, b, c = lp_form(kernel, cost, bound)
                 assert abs(value - solve_standard_form(a, b, c).objective) <= 1e-9
-                assert abs(value - highs(expand(a), b, c)) <= 1e-9
+                assert abs(value - highs(a, b, c)) <= 1e-9
 
 
 class TestLargeAmplitude:

@@ -4,10 +4,7 @@ import numpy as np
 import pytest
 
 from weakkam.errors import InfeasibleError, UnboundedError
-from weakkam.simplex import CompressedColumns, _lexico_leave, solve_standard_form
-
-# every case below runs on both input forms the solver accepts
-FORMS = (np.asarray, CompressedColumns.from_dense)
+from weakkam.simplex import solve_standard_form
 
 
 def enumerate_vertices(a, b):
@@ -41,9 +38,8 @@ def test_degenerate_program():
     a = np.array([[1.0, 1.0, 1.0, 0.0], [1.0, 1.0, 0.0, 1.0]])
     b = np.array([2.0, 2.0])
     c = np.array([-1.0, 0.0, 0.0, 0.0])
-    for form in FORMS:
-        res = solve_standard_form(form(a), b, c)
-        assert res.objective == pytest.approx(-2.0)
+    res = solve_standard_form(a, b, c)
+    assert res.objective == pytest.approx(-2.0)
 
 
 def test_infeasible_raises():
@@ -65,19 +61,17 @@ def test_negative_rhs_normalized():
     # -x1 = -3 -> x1 = 3
     a = np.array([[-1.0, 0.0], [0.0, 1.0]])
     b = np.array([-3.0, 1.0])
-    for form in FORMS:
-        res = solve_standard_form(form(a), b, np.array([1.0, 1.0]))
-        np.testing.assert_allclose(res.x, [3.0, 1.0], atol=1e-9)
-        np.testing.assert_array_equal(b, [-3.0, 1.0])  # the caller's rhs is not flipped
+    res = solve_standard_form(a, b, np.array([1.0, 1.0]))
+    np.testing.assert_allclose(res.x, [3.0, 1.0], atol=1e-9)
+    np.testing.assert_array_equal(b, [-3.0, 1.0])  # the caller's rhs is not flipped
 
 
 def test_redundant_row_tolerated():
     a = np.array([[1.0, 1.0], [2.0, 2.0]])
     b = np.array([1.0, 2.0])
-    for form in FORMS:
-        res = solve_standard_form(form(a), b, np.array([1.0, 3.0]))
-        assert res.objective == pytest.approx(1.0)
-        np.testing.assert_allclose(res.x, [1.0, 0.0], atol=1e-9)
+    res = solve_standard_form(a, b, np.array([1.0, 3.0]))
+    assert res.objective == pytest.approx(1.0)
+    np.testing.assert_allclose(res.x, [1.0, 0.0], atol=1e-9)
 
 
 @pytest.mark.parametrize("seed", range(30))
@@ -90,61 +84,41 @@ def test_random_programs_match_vertex_enumeration(seed):
     c = rng.normal(size=n)
     vertices = enumerate_vertices(a, b)
     lows = [c @ v for v in vertices]
-    for form in FORMS:
-        try:
-            res = solve_standard_form(form(a), b, c)
-        except UnboundedError:
-            # certify unboundedness: a ray d >= 0, Ad = 0, c.d < 0 must exist
-            from scipy.optimize import linprog
+    try:
+        res = solve_standard_form(a, b, c)
+    except UnboundedError:
+        # certify unboundedness: a ray d >= 0, Ad = 0, c.d < 0 must exist
+        from scipy.optimize import linprog
 
-            ray = linprog(
-                c, A_eq=np.vstack([a, np.ones(n)]), b_eq=np.r_[np.zeros(m), 1.0],
-                bounds=[(0, None)] * n, method="highs",
-            )
-            assert ray.status == 0 and ray.fun < -1e-9
-            continue
-        assert res.objective == pytest.approx(min(lows), abs=1e-7)
-        np.testing.assert_allclose(a @ res.x, b, atol=1e-7)
-        assert (res.x >= -1e-9).all()
+        ray = linprog(
+            c, A_eq=np.vstack([a, np.ones(n)]), b_eq=np.r_[np.zeros(m), 1.0],
+            bounds=[(0, None)] * n, method="highs",
+        )
+        assert ray.status == 0 and ray.fun < -1e-9
+        return
+    assert res.objective == pytest.approx(min(lows), abs=1e-7)
+    np.testing.assert_allclose(a @ res.x, b, atol=1e-7)
+    assert (res.x >= -1e-9).all()
 
 
 def test_duals_certify_optimality():
     a = np.array([[1.0, 2.0, 1.0, 0.0], [3.0, 1.0, 0.0, 1.0]])
     b = np.array([4.0, 6.0])
     c = np.array([-3.0, -5.0, 0.0, 0.0])
-    for form in FORMS:
-        res = solve_standard_form(form(a), b, c)
-        reduced = c - res.duals @ a
-        assert reduced.min() >= -1e-9
-        assert res.duals @ b == pytest.approx(res.objective)
+    res = solve_standard_form(a, b, c)
+    reduced = c - res.duals @ a
+    assert reduced.min() >= -1e-9
+    assert res.duals @ b == pytest.approx(res.objective)
 
 
-def lexico_leave_reference(x_b, d, b_inv, rows, feas_tol):
-    """The ratio test read column by column of B^-1 / d, no column skipped."""
-    ratios = x_b[rows] / d[rows]
-    best = ratios.min()
-    tied = rows[ratios <= best + feas_tol * (1.0 + abs(best))]
-    for col in range(b_inv.shape[1]):
-        if tied.size == 1:
-            break
-        vals = b_inv[tied, col] / d[tied]
-        low = vals.min()
-        tied = tied[vals <= low + 1e-12 * (1.0 + abs(low))]
-    return int(tied[0])
-
-
-def test_lexico_leave_matches_full_column_scan():
-    # degenerate vertices: many zero x_B entries, B^-1 with repeated values
-    # and round-off-sized differences, so ties survive several columns
-    rng = np.random.default_rng(7)
-    for _ in range(500):
-        m = int(rng.integers(2, 12))
-        x_b = rng.choice([0.0, 0.0, 0.5, 1.0], size=m)
-        d = rng.choice([-1.0, 0.0, 0.5, 1.0, 2.0], size=m)
-        d[rng.integers(m)] = 1.0
-        b_inv = rng.choice([0.0, 0.0, 1.0, -1.0, 0.5], size=(m, m))
-        b_inv += rng.choice([0.0, 1e-16, 2e-12, 1e-9], size=(m, m), p=[0.8, 0.1, 0.05, 0.05])
-        rows = np.nonzero(d > 1e-9)[0]
-        assert _lexico_leave(x_b, d, b_inv, rows, 1e-9) == lexico_leave_reference(
-            x_b, d, b_inv, rows, 1e-9
-        )
+def test_duals_keep_the_callers_row_signs():
+    # the textbook program with its second row negated: the solver works on
+    # the flipped row, and the duals it returns must price the caller's
+    a = np.array([[1.0, 1.0, 1.0, 0.0], [-1.0, -3.0, 0.0, -1.0]])
+    b = np.array([4.0, -6.0])
+    c = np.array([-1.0, -2.0, 0.0, 0.0])
+    res = solve_standard_form(a, b, c)
+    assert res.objective == pytest.approx(-5.0)
+    np.testing.assert_allclose(res.duals, [-0.5, 0.5], atol=1e-12)
+    assert (c - res.duals @ a).min() >= -1e-9
+    assert abs(res.duals @ b - res.objective) <= 1e-9
