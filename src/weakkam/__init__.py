@@ -6,6 +6,7 @@ verifies at desk scale that the discounted solutions select a single
 critical limit.
 """
 
+import gc
 import os
 import time
 
@@ -93,3 +94,6 @@ from .models import (
 __version__ = "0.1.0"
 # seconds spent importing the package, numpy and BLAS load included
 import_s = time.perf_counter() - _IMPORT_START
+# process-wide like the BLAS setting: the import heap lives as long as the
+# process, so it leaves every later collection, the one at exit included
+gc.freeze()

@@ -15,7 +15,7 @@ same arrays.
 The kernel stores Lbar alone. On the torus the graph is a Cayley graph, an
 edge's head its tail plus the stencil offset, so every pass reads the ends
 of its edges by offset arithmetic: `ActionKernel.gather` copies a block of
-offsets from windows of a wrap-padded vector, `ActionKernel.neighbors`
+offsets from windows of wrap-padded values, `ActionKernel.neighbors`
 shifts given nodes, and no (offsets, nodes) index table is stored.
 
 The Peierls barrier is exact on this graph: the minimum mean cycle, by
@@ -59,7 +59,7 @@ __all__ = [
 # kernel
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ActionKernel:
     """Sparse one-step edges y -> y + o_k costing tau*(Lbar(y,k) + c), stored
     as Lbar alone: every pass reads the ends of the edges by offset
@@ -101,9 +101,14 @@ class ActionKernel:
         """(num_offsets, num_nodes) Lbar of the edge into each node, a fresh
         array: row k is Lbar[k] gathered at the tails x - o_k."""
         out = np.empty_like(self.edge_lagrangian)
-        for k in range(self.num_offsets):
-            self.gather(self.edge_lagrangian[k], -1, k, k + 1, out[k:])
+        for lo, hi in self._chunks():
+            self.gather(self.edge_lagrangian[lo:hi], -1, lo, hi, out[lo:])
         return out
+
+    def _chunks(self):
+        """(lo, hi) of each chunk of offsets whose rows, wrap-padded as gather
+        pads them, hold at most one block of _BLOCK_ROWS rows of floats."""
+        return _blocks(self.num_offsets, _BLOCK_ROWS * self.num_nodes // self._layout[1].size)
 
     @cached_property
     def _layout(self):
@@ -124,18 +129,21 @@ class ActionKernel:
     def gather(self, values: np.ndarray, sign: int, lo: int, hi: int, out: np.ndarray):
         """out[j, x] = values[x + sign*o_k] for the offsets k = lo + j < hi, in
         the C-ordered buffer out, returned as out[:hi - lo]: the values at the
-        tails of the in-edges (sign -1) or the heads of the out-edges (+1),
-        copied from values wrap-padded by the stencil radius, one strided
+        tails of the in-edges (sign -1) or the heads of the out-edges (+1).
+        values is one vector, or one row per offset, row j for offset lo + j.
+        It is copied wrap-padded by the stencil radius and read one strided
         window per run of offsets, so no index array is formed."""
         _, pad_index, center, shifts, ends = self._layout
-        padded, block = values[pad_index], out[:hi - lo]
+        padded, block = np.take(values, pad_index, axis=-1), out[:hi - lo]
         windows, item = block.reshape(hi - lo, *self.grid.sizes), padded.itemsize
+        row = padded.strides[0] if values.ndim > 1 else 0  # from one offset's row to the next
         a = lo
         while a < hi:
             b = min(ends[a], hi)
             windows[a - lo:b - lo] = np.ndarray(
                 (b - a, *self.grid.sizes), padded.dtype, padded,
-                (center + sign * shifts[a]) * item, (sign * item, *padded.strides))
+                (a - lo) * row + (center + sign * shifts[a]) * item,
+                (row + sign * item, *padded.strides[values.ndim - 1:]))
             a = b
         return block
 
@@ -177,24 +185,34 @@ def build_kernel(
     if any(max(abs(off[a]) for off in stencil.offsets) * h >= 0.5
            for a, h in enumerate(grid.spacing)):
         raise WeakKamError("stencil displacement exceeds half the torus: wrap is ambiguous")
-    n, coords, idx = grid.num_nodes, grid.coordinates, np.arange(grid.num_nodes)
-    # filled in place, one offset at a time: L at the heads is gathered from L
-    # at the tails, so no (m, n) array of L and no (m, n) temporary is made
-    edge_lagrangian = np.empty((stencil.num_offsets, n))
-    for k, off in enumerate(stencil.offsets):
-        v = np.broadcast_to(stencil.velocities[k], (n, grid.dim))
-        lagr_tail = eval_lagrangian(spec, coords, v)
-        np.add(lagr_tail, lagr_tail[grid.shift_indices(idx, off)], out=edge_lagrangian[k])
-    edge_lagrangian *= 0.5
-
-    return ActionKernel(grid=grid, stencil=stencil, c=float(c), edge_lagrangian=edge_lagrangian)
+    n, m, coords = grid.num_nodes, stencil.num_offsets, grid.coordinates
+    kernel = ActionKernel(grid=grid, stencil=stencil, c=float(c), edge_lagrangian=np.empty((m, n)))
+    lag = kernel.edge_lagrangian
+    if spec.family == "mechanical":
+        # L(x, v_k) = K_k - V(x), K_k = |v_k - w|^2/2: V once on the nodes, then L at
+        # the tails plus L at the heads by chunks of 4096 floats, so the V gathered
+        # there and numpy's ufunc buffer for the broadcast V hold 64 kB together
+        dv = stencil.velocities - np.asarray(spec.drift)
+        lag[:], pot = 0.5 * np.sum(dv * dv, axis=1)[:, None], spec.potential(coords)
+        at_head = np.empty((min(max(1, 4096 // n), m), n))
+        for lo, hi in _blocks(m, len(at_head)):
+            head, tail = kernel.gather(pot, 1, lo, hi, at_head), lag[lo:hi]
+            np.subtract(tail, head, out=head)
+            tail -= pot
+            tail += head
+    else:  # one offset at a time: L at the heads is gathered from L at the tails
+        for row, off, v in zip(lag, stencil.offsets, stencil.velocities):
+            tail = eval_lagrangian(spec, coords, np.broadcast_to(v, (n, grid.dim)))
+            np.add(tail, tail[grid.shift_indices(np.arange(n), off)], out=row)
+    lag *= 0.5
+    return kernel
 
 
 # ---------------------------------------------------------------------------
 # min-plus algebra
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class BarrierMatrix:
     """Dense pairwise action values: h_{n tau} at a horizon, or the Peierls barrier.
 
@@ -265,9 +283,10 @@ def minplus_power(kernel: ActionKernel, n: int) -> BarrierMatrix:
 _BLOCK_ROWS = 64
 
 
-def _blocks(m: int):
-    """(lo, hi) of each block of at most _BLOCK_ROWS of m offsets, in order."""
-    return [(lo, min(lo + _BLOCK_ROWS, m)) for lo in range(0, m, _BLOCK_ROWS)]
+def _blocks(m: int, rows: int | None = None):
+    """(lo, hi) of each block of at most rows, by default _BLOCK_ROWS, of m offsets, in order."""
+    rows = rows or _BLOCK_ROWS
+    return [(lo, min(lo + rows, m)) for lo in range(0, m, rows)]
 
 
 def _block_buffer(shape: tuple[int, int], dtype=float) -> np.ndarray:
@@ -447,7 +466,7 @@ def _min_cycle_mean(kernel: ActionKernel, lag_in: np.ndarray) -> tuple[float, np
         policy = improved
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CriticalGraph:
     """Howard's minimum mean Lbar and the critical classes and cycles.
 
@@ -670,7 +689,7 @@ def mather_classes(h: BarrierMatrix, aubry: np.ndarray, eps: float) -> list[list
     return [sorted(groups[r]) for r in sorted(groups)]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class AubryReport:
     """Aubry nodes, their diagonal values, and the Mather-class structure."""
 

@@ -49,7 +49,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DiscountedSolution:
     """Fixed point of the discounted one-step operator, certified to tol,
     and the policy whose exact value it is."""
@@ -281,7 +281,7 @@ def critical_value_estimate(
 # trajectories
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TrajectorySample:
     """Backward orbit of the converged policy from a start node."""
 
@@ -328,7 +328,7 @@ def calibration_residual(sol: DiscountedSolution, traj: TrajectorySample) -> flo
 # occupation measures
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class OccupationMeasure:
     """Nonnegative weights on stencil edges keyed by (tail node, offset id).
 

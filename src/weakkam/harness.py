@@ -29,39 +29,16 @@ from functools import cached_property
 import numpy as np
 
 from . import io
-from .action_barrier import (
-    TOL_STABLE,
-    aubry_report,
-    build_kernel,
-    peierls_barrier,
-    tight_subgraph,
-    verify_subsolution,
-)
+from .action_barrier import (TOL_STABLE, aubry_report, build_kernel, peierls_barrier,
+                             tight_subgraph, verify_subsolution)
 from .discounted import backward_trajectory, critical_value_estimate, solve_discounted
 from .errors import ConfigError, WeakKamError
-from .mather import (
-    TOL_CONSTRAINT,
-    CheckResult,
-    compute_u0,
-    cycle_marginals,
-    min_mean_cycle,
-    solve_mather_lp,
-    u0_critical_cycles,
-    u0_mechanical,  # not called here: perfbench/tracing.py and the stage-call test getattr it
-    verify_limit,
-)
-from .models import (
-    GridFunction,
-    build_grid,
-    cosine_potential,
-    default_time_step,
-    make_stencil,
-    mechanical,
-    read_potential_table,
-    stability_bounds,
-    table_potential,
-    zero_potential,
-)
+# u0_mechanical is not called here: perfbench/tracing.py and the stage-call test getattr it
+from .mather import (TOL_CONSTRAINT, CheckResult, compute_u0, cycle_marginals, min_mean_cycle,
+                     solve_mather_lp, u0_critical_cycles, u0_mechanical, verify_limit)
+from .models import (GridFunction, build_grid, cosine_potential, default_time_step, make_stencil,
+                     mechanical, read_potential_table, stability_bounds, table_potential,
+                     zero_potential)
 
 __all__ = [
     "ProblemConfig",
@@ -568,15 +545,7 @@ class _Run:
         report = RunReport(
             version=REPORT_VERSION,
             config=config_dict,
-            bounds={
-                "kappa": bounds.kappa,
-                "A_kappa": bounds.A_kappa,
-                "C0": bounds.C0,
-                "alpha": bounds.alpha,
-                "c": bounds.c,
-                "tau": stencil.tau,
-                "stencil_offsets": stencil.num_offsets,
-            },
+            bounds={**asdict(bounds), "tau": stencil.tau, "stencil_offsets": stencil.num_offsets},
             c_est=float(c_est),
             c_cross=float(kernel.c),
             cross_delta=float(abs(c_est - kernel.c)),

@@ -97,7 +97,7 @@ def min_mean_cycle(
 # Mather LP
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MatherSolveResult:
     """Optimal closed measure, its value (= -c(H) estimate), and its support."""
 
@@ -261,7 +261,7 @@ def solve_mather_lp(kernel: ActionKernel, tight: CriticalGraph | None = None) ->
 # the limit function u0
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LimitFunctionResult:
     """u0 on target nodes plus the certificate that produced each value."""
 
@@ -353,10 +353,6 @@ def compute_u0(
     )
 
 
-def _zero_minimizes_velocity(spec: LagrangianSpec) -> bool:
-    return spec.family == "mechanical" and all(abs(w) < 1e-15 for w in spec.drift)
-
-
 def u0_mechanical(
     h: BarrierMatrix,
     spec: LagrangianSpec,
@@ -372,7 +368,7 @@ def u0_mechanical(
     spec, whose fiber minimum sits at v = w, and tabulated specs must go
     through the LP route instead.
     """
-    if not _zero_minimizes_velocity(spec):
+    if not (spec.family == "mechanical" and all(abs(w) < 1e-15 for w in spec.drift)):
         raise WeakKamError(
             "u0_mechanical requires argmin_v L(x,.) = 0 for every x; "
             "use compute_u0 for this family"

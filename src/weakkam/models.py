@@ -243,7 +243,7 @@ def _parse(kind, cell: str):
 # Lagrangian specifications
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LagrangianSpec:
     """A Lagrangian family plus the data needed to evaluate L and H."""
 
@@ -462,7 +462,7 @@ def stability_bounds(spec: LagrangianSpec, grid: TorusGrid) -> StabilityBounds:
 # velocity stencils
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class VelocityStencil:
     """Duration tau plus integer node offsets and the velocities they induce."""
 
@@ -530,7 +530,7 @@ def make_stencil(grid: TorusGrid, tau: float, alpha: float) -> VelocityStencil:
 # grid functions
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class GridFunction:
     """Real values on grid nodes with a discrete Lipschitz quotient."""
 

@@ -31,7 +31,7 @@ _FEAS_TOL = 1e-9       # reduced-cost and pivot-entry tolerance
 _MAX_PIVOTS = 50_000   # pivot cap of each phase
 
 
-@dataclass
+@dataclass(eq=False)
 class SimplexResult:
     x: np.ndarray
     objective: float

@@ -52,7 +52,7 @@ def make_problem(n, potential=None, dim=1, drift=None, tau=None, alpha=None, spe
     )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TableKernel(wk.ActionKernel):
     """An action kernel on explicit edge tables, for the random graphs no
     stencil describes: heads[k, t] is the head of edge k at tail t and
@@ -64,8 +64,11 @@ class TableKernel(wk.ActionKernel):
     preds: np.ndarray | None
 
     def gather(self, values, sign, lo, hi, out):
-        table = self.heads if sign > 0 else self.preds
-        return np.take(values, table[lo:hi], out=out[:hi - lo])
+        table = (self.heads if sign > 0 else self.preds)[lo:hi]
+        if values.ndim == 1:
+            return np.take(values, table, out=out[:hi - lo])
+        np.copyto(out[:hi - lo], np.take_along_axis(values, table, axis=1))  # one row per offset
+        return out[:hi - lo]
 
     def neighbors(self, sign, ks, nodes):
         return (self.heads if sign > 0 else self.preds)[ks, nodes]

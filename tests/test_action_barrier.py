@@ -106,11 +106,36 @@ class TestDerivedCosts:
         assert not (kernel.head_index.flags.writeable or kernel.pred_index.flags.writeable)
 
 
+def default_inputs(grid, spec):
+    """(grid, spec, stencil, c) with the stencil and level of spec's bounds."""
+    bounds = wk.stability_bounds(spec, grid)
+    return grid, spec, wk.make_stencil(grid, wk.default_time_step(grid, bounds.alpha),
+                                       bounds.alpha), bounds.c
+
+
+# the inputs of default_inputs: 261 offsets, so the last chunk of the build
+# (13 offsets) and of the in-edge gather (34) is part-full; a 2-D cosine grid
+# of 169 offsets in 13 runs; the drift 2 config; and a tabulated
+# H = p^2/2 + cos 2 pi x, whose L is the conjugate on its momentum grid
+DEFAULT_INPUTS = {
+    "pendulum300": lambda: (wk.build_grid(1, [300]), wk.mechanical(pendulum_potential())),
+    "cos16": lambda: (wk.build_grid(2, [16, 16]),
+                      wk.mechanical(wk.cosine_potential([1.0], [1.0]), dim=2)),
+    "drift64": lambda: (wk.build_grid(1, [64]), wk.mechanical(pendulum_potential(), drift=[2.0])),
+    "tabulated24": lambda: (wk.build_grid(1, [24]), wk.tabulated(
+        wk.build_grid(1, [24]), np.linspace(-12, 12, 961),
+        0.5 * np.linspace(-12, 12, 961) ** 2
+        + np.cos(2 * np.pi * np.arange(24) / 24)[:, None])),
+}
+
+
 def kernel_inputs(name, request):
-    """(grid, spec, stencil, c) of a fixture; of a 6x10 torus with stencil
-    radii (1, 2), whose padded rows differ in length from its windows; or of
-    a 3-node torus whose stencil reaches every node and lists the offset +1
-    twice, so two offsets share every head."""
+    """(grid, spec, stencil, c) of a fixture; of DEFAULT_INPUTS; of a 6x10
+    torus with stencil radii (1, 2), whose padded rows differ in length from
+    its windows; or of a 3-node torus whose stencil reaches every node and
+    lists the offset +1 twice, so two offsets share every head."""
+    if name in DEFAULT_INPUTS:
+        return default_inputs(*DEFAULT_INPUTS[name]())
     if name == "rect6x10":
         grid = wk.build_grid(2, [6, 10])
         spec = wk.mechanical(wk.cosine_potential([1.0, 0.5], [1.0, 2.0]), dim=2)
@@ -127,9 +152,11 @@ def kernel_inputs(name, request):
 
 
 class TestKernelBuild:
-    @pytest.mark.parametrize("name", ["pendulum16", "cos2d", "rect6x10", "aliased3"])
+    @pytest.mark.parametrize("name", ["pendulum16", "cos2d", "rect6x10", "aliased3",
+                                      *DEFAULT_INPUTS])
     def test_matches_the_whole_array_expression_bitwise(self, name, request):
-        # the in-place build, one offset at a time, against Lbar = 0.5*(L(tail) +
+        # the in-place build, by chunks of offsets from V on the nodes (a
+        # tabulated H one offset at a time), against Lbar = 0.5*(L(tail) +
         # L(head)) evaluated on whole (m, n) arrays of L, and the derived costs
         # against tau*(Lbar + c) and its gather by head, at shift 0 and at c
         grid, spec, stencil, c = kernel_inputs(name, request)
@@ -153,6 +180,25 @@ class TestKernelBuild:
         np.testing.assert_array_equal(kernel.pred_index, preds)
         if name == "aliased3":
             np.testing.assert_array_equal(kernel.head_index[-1], kernel.head_index[-2])
+
+    def test_no_call_per_offset(self, request, monkeypatch):
+        # V is evaluated once on the nodes, and the in-edge Lbar takes one
+        # gather per chunk of offsets
+        grid, spec, stencil, c = kernel_inputs("pendulum300", request)
+        calls = []
+
+        def potential(x):
+            calls.append(len(x))
+            return spec.potential(x)
+
+        kernel = wk.build_kernel(grid, replace(spec, potential=potential), stencil, c)
+        assert calls == [grid.num_nodes]
+        gathered = []
+        gather = wk.ActionKernel.gather
+        monkeypatch.setattr(wk.ActionKernel, "gather",
+                            lambda self, *args: gathered.append(args[2:4]) or gather(self, *args))
+        kernel.lagrangian_by_head()
+        assert gathered == kernel._chunks() and len(gathered) == 8 < kernel.num_offsets
 
 
 class TestGather:
@@ -178,6 +224,18 @@ class TestGather:
             np.testing.assert_array_equal(kernel.neighbors(sign, ks, nodes), table[ks, nodes])
         assert kernel.lagrangian_by_head().tobytes() == np.take_along_axis(
             kernel.edge_lagrangian, kernel.pred_index, axis=1).tobytes()
+
+    @pytest.mark.parametrize("name", ["pendulum300", "cos16"])
+    def test_lagrangian_by_head_reads_each_row_at_its_tails(self, name, request):
+        # chunks of offsets, padded rows at most one block of floats: in 1-D
+        # more than 64 offsets, in 2-D chunks that cross the stencil's runs
+        kernel = wk.build_kernel(*kernel_inputs(name, request))
+        lag, by_head, runs = kernel.edge_lagrangian, kernel.lagrangian_by_head(), kernel._layout[4]
+        chunks = kernel._chunks()
+        assert len(chunks) > 1 and chunks[-1][1] == kernel.num_offsets
+        assert kernel.num_offsets > 64 or any(runs[lo] < hi for lo, hi in chunks)
+        for k in range(kernel.num_offsets):
+            assert by_head[k].tobytes() == lag[k][kernel.pred_index[k]].tobytes(), k
 
 
 class TestArgmin:

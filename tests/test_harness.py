@@ -608,6 +608,19 @@ class TestCli:
         for name in artifacts:
             assert (default / name).read_bytes() == (two / name).read_bytes(), name
 
+    @pytest.mark.parametrize("cmd, config", [("converge", "two_well.json"),
+                                             ("peierls", "pendulum.json")])
+    def test_a_launch_writes_what_cli_dispatch_writes(self, tmp_path, cmd, config, capsys):
+        # the package freezes its import heap out of every collection, the one
+        # at exit included: a launch that exits after the run loses no byte
+        launched = self._cli_run(tmp_path / "launched", None, cmd, config)
+        path = os.path.join(os.path.dirname(__file__), os.pardir, "configs", config)
+        assert cli_dispatch([cmd, "--config", path, "--out", str(tmp_path / "here")]) == EXIT_OK
+        names = sorted(p.name for p in launched.iterdir())
+        assert names and names == sorted(p.name for p in (tmp_path / "here").iterdir())
+        for name in set(names) - {"timings.json"}:
+            assert (launched / name).read_bytes() == (tmp_path / "here" / name).read_bytes(), name
+
     def test_pivot_counters_independent_of_blas_threads(self, tmp_path):
         # at n >= 100 LAPACK factored the basis on several threads, which moved
         # the pivot path and then the last bits of the LP values; the tree

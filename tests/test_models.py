@@ -1,5 +1,5 @@
 import codecs
-from dataclasses import fields
+from dataclasses import fields, is_dataclass
 
 import numpy as np
 import pytest
@@ -375,6 +375,29 @@ class TestGridFunction:
         grid = wk.build_grid(1, [8])
         with pytest.raises(WeakKamError):
             wk.GridFunction(grid, np.zeros(7))
+
+    def test_equal_values_compare_by_identity(self):
+        # == on two arrays of several values raised ValueError, and hash TypeError
+        grid = wk.build_grid(1, [8])
+        values = np.arange(8.0)
+        u, twin = wk.GridFunction(grid, values), wk.GridFunction(grid, values.copy())
+        assert u == u and not u == twin and u != twin
+        assert len({u, twin}) == 2
+
+
+def test_every_array_holder_compares_by_identity():
+    # the package's dataclasses with an ndarray field take eq=False, so ==
+    # and hash are identity's: the arrays are never compared
+    holders = {cls.__name__: cls for module in (wk.action_barrier, wk.discounted, wk.mather,
+                                                wk.models, wk.simplex)
+               for cls in vars(module).values() if is_dataclass(cls)
+               and cls.__module__ == module.__name__
+               and any("np.ndarray" in str(f.type) for f in fields(cls))}
+    assert sorted(holders) == sorted([
+        "ActionKernel", "AubryReport", "BarrierMatrix", "CriticalGraph", "DiscountedSolution",
+        "GridFunction", "LagrangianSpec", "LimitFunctionResult", "MatherSolveResult",
+        "OccupationMeasure", "SimplexResult", "TrajectorySample", "VelocityStencil"])
+    assert not [name for name, cls in holders.items() if cls.__dataclass_params__.eq]
 
 
 class TestPotentialTable:
