@@ -472,8 +472,7 @@ class _Run:
             ["node", "value", "method"],
             [(int(t), float(v), u0.method) for t, v in zip(u0.targets, u0.values)],
         ))
-        # near-Mather budget: mean Lagrangian within 1e-6 of -c
-        u0_lp = self._timed("u0_lp", lambda: compute_u0(barrier, kernel, kernel.c, 1e-6, targets))
+        u0_lp = self._timed("u0_lp", lambda: compute_u0(barrier, kernel, kernel.c, 0.0, targets))
         return u0, u0_lp, float(np.abs(u0.values[u0_lp.targets] - u0_lp.values).max())
 
     def discounted(self, lam):

@@ -167,12 +167,13 @@ def _graph_search(kernel: ActionKernel, cost, cycle, budget: float | None):
 
     A run at multiplier s is tight_subgraph on w_s = cost + s Lbar (weights
     is w_s less its mean), and its cycle C is the critical cycle of least
-    Lbar mean l_C, h_C being its cost mean. Without a budget B, or when
-    l_C <= B, C at s = 0 is the answer. Otherwise C is I, and F is cycle if
-    it meets B, else tight_subgraph(kernel)'s; each Newton step runs where
-    the lines h + s l of I and F meet, and C replaces I or F by the sign of
-    l_C - B, until C is not below that line: the answer is then the mix of
-    I and F whose mean Lbar is B.
+    Lbar mean l_C, h_C being its cost mean. A cycle meets the budget B when
+    its l is at most B + _CERT_TOL, the slack _certifies accepts. Without a
+    budget, or when C at s = 0 meets B, C is the answer. Otherwise C is I,
+    and F is cycle if it meets B, else tight_subgraph(kernel)'s; each Newton
+    step runs where the lines h + s l of I and F meet, and C replaces F if
+    it meets B, else I, until C is not below that line: the answer is then
+    the mix of I and F whose mean Lbar is B, or F alone when l_F > B.
     """
     n, lag = kernel.num_nodes, kernel.edge_lagrangian
 
@@ -186,21 +187,22 @@ def _graph_search(kernel: ActionKernel, cost, cycle, budget: float | None):
         best = min(graph.cycles, key=lambda c: means(c)[1])
         return w - graph.mean, best, means(best)
 
+    limit = math.inf if budget is None else budget + _CERT_TOL
     weights, low, (h_i, l_i) = howard(0.0)
-    if budget is None or l_i <= budget:
+    if l_i <= limit:
         return weights, (low,), (1.0,), 1
-    high = cycle if means(cycle)[1] <= budget else tight_subgraph(kernel).cycles[0]
+    high = cycle if means(cycle)[1] <= limit else tight_subgraph(kernel).cycles[0]
     h_f, l_f = means(high)
-    if l_f > budget:
+    if l_f > limit:
         raise InfeasibleError(f"no critical cycle meets the budget {budget:.6g}; increase eps_c")
     for runs in range(2, _MAX_NEWTON + 2):
         s = max(0.0, (h_f - h_i) / (l_i - l_f))
         weights, found, (h_c, l_c) = howard(s)
         line = h_f + s * l_f
         if h_c + s * l_c >= line - _LINE_RTOL * max(1.0, abs(line)):
-            theta = (budget - l_f) / (l_i - l_f)
+            theta = max(0.0, (budget - l_f) / (l_i - l_f))
             return weights, (low, high), (theta, 1.0 - theta), runs
-        if l_c > budget:
+        if l_c > limit:
             low, h_i, l_i = found, h_c, l_c
         else:
             high, h_f, l_f = found, h_c, l_c
@@ -311,19 +313,20 @@ def compute_u0(
     targets,
     threads: int = 1,
 ) -> LimitFunctionResult:
-    """u0(x) as the cheapest mu-average of h(., x) over near-Mather measures.
+    """u0(x) as the cheapest mu-average of h(., x) over (near-)Mather measures.
 
     For each target x this solves: minimize sum_y mu(y) h(y, x) over closed
-    unit-mass edge measures whose mean Lagrangian is within eps_c of -c_est,
-    where mu is the tail marginal. One LP per target, closed at the measure
+    unit-mass edge measures whose mean Lagrangian is at most -c_est + eps_c,
+    where mu is the tail marginal; at c_est = -h.graph.mean and eps_c = 0
+    these are the Mather measures. One LP per target, closed at the measure
     h.graph implies, the uniform measure on the cycle of u0_critical_cycles'
     certificate at x, of mean h(., x) = v, priced by potentials under node
     weights h(y, x) - v, or else by the graph search of _solve_edge_program,
     so the LP stays an independent certificate. Before any target is solved,
     h without its critical graph (a min-plus power) and a target that is not
     an int in [0, n), a bool or a float included, raise WeakKamError, and a
-    budget below h.graph's mean InfeasibleError. threads is accepted and has
-    no effect: the targets are solved one after another.
+    budget more than _CERT_TOL below h.graph's mean InfeasibleError. threads
+    is accepted and has no effect: the targets are solved one after another.
     """
     given = np.atleast_1d(np.asarray(targets, dtype=object)).tolist()
     bad = [t for t in given if isinstance(t, bool) or not isinstance(t, (int, np.integer))
@@ -333,7 +336,7 @@ def compute_u0(
     targets = np.array(given, dtype=np.int64)
     budget = -float(c_est) + float(eps_c)
     start = u0_critical_cycles(h)
-    if budget < h.graph.mean:
+    if h.graph.mean > budget + _CERT_TOL:
         raise InfeasibleError(f"no closed measure meets the near-optimality budget {budget:.6g}; "
                               "increase eps_c (the discretization rarely reaches -c_est exactly)")
     shape = kernel.edge_lagrangian.shape

@@ -156,15 +156,23 @@ def cosine_potential(amplitudes, frequencies) -> Callable[[np.ndarray], np.ndarr
     return v
 
 
+def _cell(frac: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(base, t) with frac = base + t, t in [0, 1): the cell of a point frac in
+    node units. frac within 4 ulps of an integer is that node, t = 0, so a
+    table reads its own value at every node although (i/n) * n may round."""
+    node = np.rint(frac)
+    at_node = np.abs(frac - node) <= 4.0 * np.spacing(np.maximum(np.abs(node), 1.0))
+    base = np.where(at_node, node, np.floor(frac))
+    return base.astype(np.int64), np.where(at_node, 0.0, frac - base)
+
+
 def table_potential(grid: TorusGrid, values: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
     """Potential from node values, evaluated by periodic multilinear interpolation."""
     values = np.asarray(values, dtype=float).reshape(grid.sizes)
 
     def v(x: np.ndarray) -> np.ndarray:
         x = np.atleast_2d(np.asarray(x, dtype=float))
-        frac = x * np.asarray(grid.sizes, dtype=float)
-        base = np.floor(frac).astype(np.int64)
-        t = frac - base
+        base, t = _cell(x * np.asarray(grid.sizes, dtype=float))
         out = np.zeros(x.shape[0])
         # accumulate the 2^d corner weights of the surrounding cell
         for corner in np.ndindex(*(2,) * grid.dim):
@@ -299,9 +307,8 @@ def _as_points(x, dim: int) -> np.ndarray:
 def _interp_table_rows(spec: LagrangianSpec, x: np.ndarray) -> np.ndarray:
     """Periodic-linear interpolation of the sampled Hamiltonian H(x, .) rows."""
     n = spec.table_grid.sizes[0]
-    frac = x[:, 0] * n
-    base = np.floor(frac).astype(np.int64)
-    t = (frac - base)[:, None]
+    base, t = _cell(x[:, 0] * n)
+    t = t[:, None]
     lo = spec.hamiltonian_table[base % n]
     hi = spec.hamiltonian_table[(base + 1) % n]
     return (1.0 - t) * lo + t * hi

@@ -126,9 +126,8 @@ class TestDiscountedConvergence:
 
 class TestCrossRouteGap:
     def test_gap_is_linear_in_eps_c(self, drift200):
-        # the LP route relaxes the Mather budget by eps_c, so it sits below u0 by
-        # s * eps_c with s = 3.8448 here; u0_methods_agree (1e-5) holds while
-        # s * 1e-6 does
+        # a caller's eps_c relaxes the Mather budget, so the LP route sits below
+        # u0 by s * eps_c with s = 3.8448 here, the budget row's multiplier
         p, h = drift200
         nodes = [0, 100]
         u0 = wk.u0_critical_cycles(h).values[nodes]
@@ -138,10 +137,10 @@ class TestCrossRouteGap:
         assert np.abs(gaps[0] / gaps[1] - 10).max() <= 1e-6
 
     def test_gap_at_n400_exceeds_the_cross_check(self, drift400):
-        # s = 12.1424 at n = 400, two classes of 35 nodes: at the harness's eps_c = 1e-6
-        # the gap is above u0_methods_agree's 1e-5, so that flag would fail there though
-        # neither route is wrong. Both targets take the graph search, ten Howard runs
-        # each, and _certifies then reads the gather on all 397 offsets
+        # s = 12.1424 at n = 400, two classes of 35 nodes: at eps_c = 1e-6 the gap is
+        # above u0_methods_agree's 1e-5 though neither route is wrong, which is why the
+        # pipeline solves at eps_c = 0. Both targets take the graph search, ten Howard
+        # runs each, and _certifies then reads the gather on all 397 offsets
         p, h = drift400
         assert p.kernel.num_offsets == 397 and len(h.graph.classes) == 2
         nodes = [0, 200]
@@ -150,3 +149,20 @@ class TestCrossRouteGap:
             lp = wk.compute_u0(h, p.kernel, p.kernel.c, eps, nodes)
             np.testing.assert_allclose(u0 - lp.values, 12.1424 * eps, rtol=1e-5)
             assert lp.fallbacks == 2 and lp.howard_runs == 20
+
+    def test_exact_budget_closes_the_gap(self, drift200, drift400):
+        # at eps_c = 0 the program ranges over the Mather measures themselves, at
+        # Howard's exact mean, and the two routes agree to rounding
+        for p, h in (drift200, drift400):
+            nodes = [0, p.grid.num_nodes // 2]
+            u0 = wk.u0_critical_cycles(h).values[nodes]
+            lp = wk.compute_u0(h, p.kernel, p.kernel.c, 0.0, nodes)
+            assert lp.fallbacks == 2 and np.abs(u0 - lp.values).max() <= 1e-15
+
+    def test_pipeline_cross_check_is_exact(self, tmp_path):
+        # all 16 targets of the shipped config take the graph search, and at the
+        # exact budget the two u0 routes agree to rounding
+        with open(CONFIG) as fh:
+            report = run_pipeline(ExperimentConfig.from_dict(json.load(fh)), out_dir=tmp_path)
+        assert report.passed and report.counters["lp_fallbacks"] == 16
+        assert report.u0_cross_delta <= 1e-15

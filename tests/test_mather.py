@@ -1,4 +1,5 @@
 import itertools
+import math
 import warnings
 from dataclasses import replace
 
@@ -140,6 +141,7 @@ BUILT = {
     "transport8": lambda: make_problem(8, drift=[0.5], tau=0.25, alpha=1.0),
     "transport32": lambda: make_problem(32, drift=[0.3]),
     "two_well32": lambda: make_problem(32, two_well_potential()),
+    "drift64": lambda: make_problem(64, pendulum_potential(), drift=[2.0]),
 }
 
 
@@ -619,6 +621,24 @@ class TestGraphFallback:
         assert lp.iterations == 1 and abs(lp.value - right_lp.value) <= 1e-12
         assert u0.fallbacks == targets.size and u0.howard_runs >= targets.size
         assert np.abs(u0.values - right.values).max() <= 1e-12
+
+    @pytest.mark.parametrize("name", ["pendulum16", "drift64"])
+    def test_class_cycle_one_ulp_above_the_budget(self, name, request, monkeypatch):
+        # Howard's mean moved one ulp below the class cycles' own mean Lbar: at
+        # eps_c = 0 the graph search takes a cycle within _CERT_TOL of the budget
+        # as feasible, as _certifies does, so the class cycle still ends it
+        p = problem(name, request)
+        kernel, h = p.kernel, wk.peierls_barrier(p.kernel)
+        targets = np.arange(kernel.num_nodes)
+        right = wk.compute_u0(h, kernel, kernel.c, 0.0, targets)
+        lag, n = kernel.edge_lagrangian, kernel.num_nodes
+        means = [math.fsum(lag[np.divmod(c, n)]) / c.size for c in h.graph.cycles]
+        moved = np.nextafter(min(means), -np.inf)
+        refusing_the_start(monkeypatch)
+        u0 = wk.compute_u0(replace(h, graph=replace(h.graph, mean=moved)),
+                           replace(kernel, c=-moved), -moved, 0.0, targets)
+        assert u0.fallbacks == targets.size
+        np.testing.assert_array_equal(u0.values, right.values)
 
     def test_refused_end_pair_raises(self, pendulum16, monkeypatch):
         monkeypatch.setattr(mather, "_certifies", lambda *args: False)

@@ -424,9 +424,22 @@ class TestPotentialTable:
         np.testing.assert_array_equal(want, 0.5 * np.arange(6) - 1)
 
     def test_interpolation_hits_nodes(self):
-        grid = wk.build_grid(1, [8])
-        values = np.arange(8.0)
-        pot = wk.table_potential(grid, values)
-        np.testing.assert_allclose(pot(grid.coordinates), values)
-        # periodic midpoint between last and first node
-        assert pot(np.array([[15 / 16]]))[0] == pytest.approx((7.0 + 0.0) / 2)
+        # (i/n) * n rounds below i at some nodes (8 of 100, 25 of 300), which must
+        # still read their own value, bit for bit, not an interpolation
+        for sizes in ([8], [100], [300], [30, 30], [100, 12]):
+            grid = wk.build_grid(len(sizes), sizes)
+            values = np.random.default_rng(0).normal(size=grid.num_nodes)
+            pot = wk.table_potential(grid, values)
+            np.testing.assert_array_equal(pot(grid.coordinates), values)
+            # periodic midpoint between last and first node along axis 0
+            last = grid.flat_index([-1] + [0] * (grid.dim - 1))
+            mid = np.array([[(sizes[0] - 0.5) / sizes[0]] + [0.0] * (grid.dim - 1)])
+            assert pot(mid)[0] == pytest.approx((values[last] + values[0]) / 2)
+
+    @pytest.mark.parametrize("n", [100, 300])
+    def test_tabulated_rows_hit_nodes(self, n):
+        grid = wk.build_grid(1, [n])
+        p = np.linspace(-3.0, 3.0, 7)
+        table = 0.5 * p**2 + np.random.default_rng(1).normal(size=(n, p.size))
+        spec = wk.tabulated(grid, p, table)
+        np.testing.assert_array_equal(wk.models._interp_table_rows(spec, grid.coordinates), table)
