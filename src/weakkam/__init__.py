@@ -64,7 +64,6 @@ from .mather import (
     VerificationReport,
     closedness_residual,
     compute_u0,
-    cycle_marginals,
     min_mean_cycle,
     solve_mather_lp,
     u0_critical_cycles,

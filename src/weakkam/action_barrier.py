@@ -317,6 +317,22 @@ def _relax(h: np.ndarray, cost_in: np.ndarray, kernel: ActionKernel, sign: int,
     return out
 
 
+def _reduced_cost_blocks(kernel: ActionKernel, weights, phi, shift=0.0, head_first=False):
+    """(lo, hi, block) per block of offsets, block[j, x] the reduced cost
+    (weights - shift) - phi(x) + phi(x + o_k) of out-edge k = lo + j, in a
+    buffer the next block overwrites: the one pass that prices edges against
+    potentials. The terms come in the order phi was built in, so its own
+    edges price at exactly 0: the tail's first for a bias or a subsolution,
+    the head's (head_first) for shortest paths to a cycle."""
+    buf, at_head, at_tail = _block_buffer(weights.shape), _block_buffer(weights.shape), -phi
+    for lo, hi in _blocks(kernel.num_offsets):
+        block = np.subtract(weights[lo:hi], shift, out=buf[:hi - lo])
+        at = (kernel.gather(phi, 1, lo, hi, at_head), at_tail)
+        for term in (at if head_first else at[::-1]):  # x + -y is x - y, bit for bit
+            block += term
+        yield lo, hi, block
+
+
 def barrier_step(kernel: ActionKernel, h: np.ndarray) -> np.ndarray:
     """One Lax-Oleinik step h'(y, x) = min_z h(y, z) + cost(z -> x), by _relax."""
     cost_in = kernel.costs_by_head()
@@ -531,23 +547,18 @@ def tight_subgraph(kernel: ActionKernel) -> CriticalGraph:
     edges, and every tight cycle has mean within 1e-9 of the minimum. A
     class's cycle walks from its lowest node along each node's lowest-offset
     tight edge inside the class until a node repeats. Howard's gathered Lbar
-    is freed before the slack test, which runs one block of offsets at a
-    time into an (m, n) mask; the class test reads the tight edges alone.
+    is freed before the slack test, _reduced_cost_blocks at phi = -bias,
+    which fills an (m, n) mask; the class test reads the tight edges alone.
 
     Only edge_lagrangian and the offsets are read, so the result does not
     depend on the kernel's shift c: one call serves every kernel built on
     the same grid, Lagrangian and stencil.
     """
-    (m, n), lag = kernel.edge_lagrangian.shape, kernel.edge_lagrangian
+    m, n = kernel.edge_lagrangian.shape
     mean, bias, rounds = _min_cycle_mean(kernel, kernel.lagrangian_by_head())
-    # the slack by tail, one block of offsets at a time, once Howard's gathered Lbar is freed
     tight = np.empty((m, n), dtype=bool)
-    slack, at_head = _block_buffer((m, n)), _block_buffer((m, n))
-    for lo, hi in _blocks(m):
-        block = np.subtract(lag[lo:hi], mean, out=slack[:hi - lo])
-        block += bias
-        block -= kernel.gather(bias, 1, lo, hi, at_head)
-        np.less_equal(block, 1e-9, out=tight[lo:hi])
+    for lo, hi, slack in _reduced_cost_blocks(kernel, kernel.edge_lagrangian, -bias, mean):
+        np.less_equal(slack, 1e-9, out=tight[lo:hi])
 
     out: list[list[tuple[int, int]]] = [[] for _ in range(n)]  # (offset, head) by tail
     tails, ks = np.nonzero(tight.T)  # by tail, then offset
@@ -717,11 +728,12 @@ def aubry_report(h: BarrierMatrix) -> AubryReport:
 
 
 def verify_subsolution(u: GridFunction | np.ndarray, kernel: ActionKernel) -> float:
-    """Worst violation of u(head) - u(tail) <= cost over all kernel edges.
+    """Worst violation of u(head) - u(tail) <= cost over all kernel edges,
+    minus the least reduced cost of kernel.costs at phi = -u (+0.0 for 0).
 
     A value <= tol certifies a discrete critical subsolution when the kernel
     carries the critical shift. A non-finite u raises WeakKamError: a NaN
-    would drop out of the maximum and pass.
+    would drop out of the minimum and pass.
     """
     vals = u.values if isinstance(u, GridFunction) else np.asarray(u, dtype=float)
     if vals.shape != (kernel.num_nodes,):
@@ -729,12 +741,5 @@ def verify_subsolution(u: GridFunction | np.ndarray, kernel: ActionKernel) -> fl
     bad = np.flatnonzero(~np.isfinite(vals))
     if bad.size:
         raise WeakKamError(f"u must be finite at every node; u[{bad[0]}] = {vals[bad[0]]}")
-    worst = -np.inf
-    # the edges into each node, by head, one block of offsets at a time
-    cost_in = kernel.costs_by_head()
-    tails = _block_buffer(cost_in.shape)
-    for lo, hi in _blocks(kernel.num_offsets):
-        viol = np.subtract(vals, kernel.gather(vals, -1, lo, hi, tails), out=tails[:hi - lo])
-        viol -= cost_in[lo:hi]
-        worst = max(worst, float(viol.max()))
-    return worst
+    return 0.0 - min(float(block.min())
+                     for _, _, block in _reduced_cost_blocks(kernel, kernel.costs, -vals))

@@ -34,8 +34,8 @@ from .action_barrier import (TOL_STABLE, aubry_report, build_kernel, peierls_bar
 from .discounted import backward_trajectory, critical_value_estimate, solve_discounted
 from .errors import ConfigError, WeakKamError
 # u0_mechanical is not called here: perfbench/tracing.py and the stage-call test getattr it
-from .mather import (TOL_CONSTRAINT, CheckResult, compute_u0, cycle_marginals, min_mean_cycle,
-                     solve_mather_lp, u0_critical_cycles, u0_mechanical, verify_limit)
+from .mather import (TOL_CONSTRAINT, CheckResult, compute_u0, min_mean_cycle, solve_mather_lp,
+                     u0_critical_cycles, u0_mechanical, verify_limit, worst_integrals)
 from .models import (GridFunction, build_grid, cosine_potential, default_time_step, make_stencil,
                      mechanical, read_potential_table, stability_bounds, table_potential,
                      zero_potential)
@@ -461,12 +461,12 @@ class _Run:
 
     @cached_property
     def u0(self):
-        """(u0 at every node by the critical cycles, reported on every family;
-        u0 by the LP at the u0_targets, its independent cross-check; their sup
-        distance there)."""
+        """(u0 at every node over every critical cycle, reported on every
+        family; u0 by the LP at the u0_targets, its independent cross-check;
+        their sup distance there)."""
         barrier, kernel = self.barrier, self.critical_graph[0]
         targets = _u0_target_list(self.config.schedule.u0_targets, self.grid)
-        u0 = self._timed("u0", lambda: u0_critical_cycles(barrier))
+        u0 = self._timed("u0", lambda: u0_critical_cycles(barrier, kernel))
         self.write("u0.csv", lambda path: io.write_csv(
             path,
             ["node", "value", "method"],
@@ -587,7 +587,7 @@ def run_pipeline(config: ExperimentConfig, out_dir=None) -> RunReport:
     (exact discounted solutions at shift 0 by policy iteration down
     critical_lambdas), kernel at the critical shift -(minimum cycle mean),
     Peierls barrier, Aubry set and Mather classes from its critical graph,
-    Mather LP, u0 (the least mean barrier row over one critical cycle at
+    Mather LP, u0 (the least mean barrier row over the critical cycles at
     every node, cross-checked by the LP at the u0_targets), discounted solves
     by policy iteration down the lambda schedule, verification battery.
     """
@@ -669,12 +669,6 @@ def _cmd_mather(run: _Run, args) -> int:
     return EXIT_OK
 
 
-def _cmd_u0(run: _Run, args) -> int:
-    report = run.report
-    print(f"u0 method={report.u0_method} plateau={io.fmt(report.plateau)}")
-    return EXIT_OK if report.passed else EXIT_VERIFICATION
-
-
 def _cmd_converge(run: _Run, args) -> int:
     report = run.report
     print(
@@ -689,9 +683,7 @@ def _cmd_verify(run: _Run, args) -> int:
     kernel, grid = run.critical_graph[0], run.grid
     values = io.read_values_binary(args.u0, grid.num_nodes)
     violation = verify_subsolution(GridFunction(grid, values), kernel)
-    # the worst integral over the LP measure and each critical cycle's uniform measure
-    measures = [run.mather.projected, *cycle_marginals(run.critical_graph[2], grid.num_nodes)]
-    integral = max(float(mu @ values) for mu in measures)
+    (integral,) = worst_integrals([values], [run.mather], run.critical_graph[2])
     ok = violation <= TOL_CONSTRAINT and integral <= TOL_CONSTRAINT
     print(f"subsolution_violation={io.fmt(violation)} measure_integral={io.fmt(integral)}")
     return EXIT_OK if ok else EXIT_VERIFICATION
@@ -703,7 +695,6 @@ _COMMANDS = {
     "peierls": _cmd_peierls,
     "discounted": _cmd_discounted,
     "mather": _cmd_mather,
-    "u0": _cmd_u0,
     "converge": _cmd_converge,
     "verify": _cmd_verify,
 }

@@ -16,7 +16,7 @@ Bellman-Ford loop and step, action_barrier._distances and _relax), by weak
 duality on the kernel's own arrays, where the reduced cost of an edge is
 weights + phi(head) - phi(tail). The Mather value then matches Howard's
 minimum cycle mean to 1e-8, and u0 at the targets the least mean of the
-barrier rows over one critical cycle (`u0_critical_cycles`) to 1e-5. When
+barrier rows over the critical cycles (`u0_critical_cycles`) to 1e-5. When
 that check fails, `_graph_search` runs Howard's method on the program's own
 costs, once for the Mather program, and along a Newton search on the budget
 multiplier for the u0 program (Dinkelbach; Megiddo 1979), and `_certifies`
@@ -32,8 +32,9 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .action_barrier import (ActionKernel, BarrierMatrix, CriticalGraph, _block_buffer, _distances,
-                             _relax, aubry_report, tight_subgraph, verify_subsolution)
+from .action_barrier import (ActionKernel, BarrierMatrix, CriticalGraph, _distances,
+                             _reduced_cost_blocks, aubry_report, tight_subgraph,
+                             verify_subsolution)
 # discounted_occupation_measure is not called here: perfbench/tracing.py rebinds it
 from .discounted import (DiscountedSolution, OccupationMeasure, _evaluate_policy,
                          discounted_occupation_measure)
@@ -50,10 +51,10 @@ __all__ = [
     "min_mean_cycle",
     "solve_mather_lp",
     "closedness_residual",
-    "cycle_marginals",
     "u0_critical_cycles",
     "compute_u0",
     "u0_mechanical",
+    "worst_integrals",
     "verify_limit",
 ]
 
@@ -141,10 +142,10 @@ def _certifies(kernel: ActionKernel, weights, cycles, phi, slack: float = 0.0) -
     Weak duality, with weights + phi(head) - phi(tail) the reduced cost of
     an edge: the measure is feasible when each cycle closes (each edge's
     head is the next edge's tail) and the budget slack is >= -_CERT_TOL; phi
-    is dual feasible when finite with no reduced cost below -_CERT_TOL; and
-    the two values agree when every cycle edge's reduced cost is within
-    _CERT_TOL of 0. Rounding is monotone, so one relaxation less phi(tail)
-    is exactly each tail's least reduced cost.
+    is dual feasible when finite with no reduced cost below -_CERT_TOL, a
+    running minimum over action_barrier._reduced_cost_blocks, head's term
+    first as _cycle_potentials builds phi; and the two values agree when
+    every cycle edge's reduced cost is within _CERT_TOL of 0.
     """
     if not (slack >= -_CERT_TOL and np.isfinite(phi).all()):
         return False
@@ -154,8 +155,8 @@ def _certifies(kernel: ActionKernel, weights, cycles, phi, slack: float = 0.0) -
         closes = np.array_equal(kernel.neighbors(1, cyc_k, cyc_t), np.roll(cyc_t, -1))
         if not (closes and np.abs(on_cycle).max() <= _CERT_TOL):
             return False
-    least = _relax(phi[None], weights, kernel, 1, _block_buffer(weights.shape))[0] - phi
-    return bool(least.min() >= -_CERT_TOL)
+    blocks = _reduced_cost_blocks(kernel, weights, phi, head_first=True)
+    return min(float(block.min()) for _, _, block in blocks) >= -_CERT_TOL
 
 
 _LINE_RTOL = 1e-12  # the Newton search stops within this * max(1, |line|) of the line
@@ -277,23 +278,31 @@ class LimitFunctionResult:
     howard_runs: int = 0              # Howard runs of those targets' graph search
 
 
-def cycle_marginals(graph: CriticalGraph, num_nodes: int) -> list[np.ndarray]:
-    """Node marginals of the uniform measures on graph's cycles, one per class."""
-    return [np.bincount(c % num_nodes, minlength=num_nodes) / c.size for c in graph.cycles]
-
-
-def u0_critical_cycles(h: BarrierMatrix) -> LimitFunctionResult:
+def u0_critical_cycles(h: BarrierMatrix, kernel: ActionKernel | None = None
+                       ) -> LimitFunctionResult:
     """u0(x) = min over projected Mather measures mu of the mu-average of h(., x).
 
-    The extreme mu are the uniform measures on the critical cycles, one per
-    Mather class, that h.graph holds, so u0(x) is the least mean of h(y, x)
-    over the nodes y of one cycle. Every node is a target; each certificate
-    is the index in h.graph.cycles of the cycle that attains the minimum.
+    The extreme mu are the uniform measures on the critical cycles. Two
+    nodes y, r of one Mather class have h(y, x) = h(y, r) + h(r, x), so the
+    least over a class's cycles is the least mean of h(., r) plus h(r, x),
+    r the class's lowest node. A class of one node has one critical cycle,
+    its self-loop, and gives the row h(r, .). A larger class can hold
+    several critical cycles whose means of h(., r) differ: with the kernel
+    of h, its least mean comes from compute_u0 at r over the Mather
+    measures themselves (c_est = -h.graph.mean, eps_c = 0); without, from
+    the one cycle h.graph holds for the class, which can only read above
+    it. Every node is a target; each certificate is the index of the class,
+    and of its cycle in h.graph.cycles, that attains the minimum.
     """
     if h.graph is None:
         raise WeakKamError("u0_critical_cycles needs a barrier built on a critical graph")
     n = h.num_nodes
     means = np.array([h.values[c % n].mean(axis=0) for c in h.graph.cycles])
+    many = [i for i, cls in enumerate(h.graph.classes) if len(cls) > 1]
+    if kernel is not None and many:
+        reps = [h.graph.classes[i][0] for i in many]
+        at_rep = compute_u0(h, kernel, -h.graph.mean, 0.0, reps).values
+        means[many] = at_rep[:, None] + h.values[reps]
     best = np.argmin(means, axis=0)
     return LimitFunctionResult(
         targets=np.arange(n, dtype=np.int64),
@@ -421,6 +430,15 @@ class VerificationReport:
         return all(c.status != "fail" for c in self.checks)
 
 
+def worst_integrals(functions, mather: list[MatherSolveResult], graph: CriticalGraph):
+    """Each function's largest integral against the Mather measures at hand:
+    each result's projection and the uniform measure on each cycle of graph."""
+    n = len(functions[0])
+    measures = [res.projected for res in mather] + [
+        np.bincount(c % n, minlength=n) / c.size for c in graph.cycles]
+    return [max(float(mu @ f) for mu in measures) for f in functions]
+
+
 # verification thresholds: the measure constraint int w dmu <= TOL_CONSTRAINT,
 # and the shift _PROBE_DELTA that must break it
 TOL_CONSTRAINT = 1e-6
@@ -463,15 +481,14 @@ def verify_limit(
     violation = verify_subsolution(u0.values, kernel)
     checks = [check("u0_subsolution", violation <= tol_subsolution, violation, tol_subsolution)]
 
-    # (b) measure constraints, against each LP measure and each extreme
-    # Mather measure (the uniform measure on a critical cycle of the barrier)
-    measures = [res.projected for res in mather] + cycle_marginals(barrier.graph, grid.num_nodes)
-    worst_u0 = max(float(mu @ u0.values) for mu in measures)
+    # (b) measure constraints, against each LP measure and each cycle's uniform measure
+    worst_u0, *worst_ul = worst_integrals(
+        [u0.values, *(sol.values.values for sol in solutions)], mather, barrier.graph)
     checks.append(check(
         "u0_measure_constraint", worst_u0 <= TOL_CONSTRAINT, worst_u0, TOL_CONSTRAINT
     ))
     if solutions:
-        worst_ul = max(float(mu @ sol.values.values) for sol in solutions for mu in measures)
+        worst_ul = max(worst_ul)
         checks.append(check(
             "u_lambda_measure_constraint", worst_ul <= TOL_CONSTRAINT, worst_ul, TOL_CONSTRAINT
         ))

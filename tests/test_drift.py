@@ -166,3 +166,34 @@ class TestCrossRouteGap:
             report = run_pipeline(ExperimentConfig.from_dict(json.load(fh)), out_dir=tmp_path)
         assert report.passed and report.counters["lp_fallbacks"] == 16
         assert report.u0_cross_delta <= 1e-15
+
+
+class TestSeveralCriticalCycles:
+    """Drift 1.5 at n = 200: one Mather class of 129 nodes whose walked cycle
+    is not the critical cycle of least mean barrier row, so u0 must range
+    over every critical cycle of the class, not the one it walks."""
+
+    @pytest.fixture(scope="class")
+    def drift15(self):
+        p = make_problem(200, pendulum_potential(), drift=[1.5])
+        return p, wk.peierls_barrier(p.kernel)
+
+    def test_the_walked_cycle_reads_above_u0(self, drift15):
+        p, h = drift15
+        assert [len(cls) for cls in h.graph.classes] == [129]
+        nodes = [0, 100]
+        lp = wk.compute_u0(h, p.kernel, p.kernel.c, 0.0, nodes)
+        walked = wk.u0_critical_cycles(h).values[nodes]
+        every = wk.u0_critical_cycles(h, p.kernel).values[nodes]
+        # measured: 4.7965e-4 at both nodes
+        assert np.all(walked - lp.values >= 4.79e-4)
+        assert np.abs(every - lp.values).max() <= 1e-15
+
+    def test_pipeline_passes_every_flag(self, tmp_path):
+        with open(CONFIG) as fh:
+            raw = json.load(fh)
+        raw["problem"]["drift"] = [1.5]
+        report = run_pipeline(ExperimentConfig.from_dict(raw), out_dir=tmp_path)
+        assert len(report.flags) == 10 and all(f["status"] == "pass" for f in report.flags)
+        assert report.passed and report.u0_cross_delta <= 1e-15
+        assert report.counters["lp_fallbacks"] == 16

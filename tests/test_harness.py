@@ -229,7 +229,6 @@ STAGE_CALLS = {
     "discounted": {**_GRAPH, "solve_discounted": 3},
     "mather": {**_GRAPH, "solve_mather_lp": 1},
     "verify": {**_GRAPH, "solve_mather_lp": 1},
-    "u0": _FULL,
     "converge": _FULL,
 }
 
@@ -254,6 +253,16 @@ class TestCli:
             capture_output=True,
         )
         assert proc.returncode == EXIT_USAGE
+
+    def test_u0_is_not_a_subcommand(self, tmp_path, capsys):
+        # converge runs every stage u0 did and writes the same files
+        path = write_config(tmp_path / "cfg.json", free_config(tmp_path / "out"))
+        with pytest.raises(SystemExit) as exit_:
+            cli_dispatch(["u0", "--config", path])
+        assert exit_.value.code == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.startswith("usage: weakkam ") and "invalid choice: 'u0'" in err
+        assert not (tmp_path / "out").exists()
 
     def test_unknown_subcommand_is_usage_error(self):
         proc = subprocess.run(

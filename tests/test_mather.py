@@ -25,7 +25,8 @@ def _reduced_costs(kernel, weights, phi):
     For weights = c - value this is c - yA over the columns of dense_edge_columns
     at y = phi - phi[n - 1] on the conservation rows, value on the mass row
     and 0 on the budget row. The production check takes only its minimum,
-    by one relaxation; this full array is the oracle for it.
+    block by block (action_barrier._reduced_cost_blocks); this full array is
+    the oracle for it.
     """
     reduced = np.take(phi, kernel.head_index)
     reduced += weights
@@ -427,6 +428,23 @@ class TestTreeCertificate:
         least = action_barrier._relax(phi[None], weights, kernel, 1, np.empty(weights.shape))[0]
         assert (least - phi).min().tobytes() == _reduced_costs(kernel, weights, phi).min().tobytes()
 
+    @pytest.mark.parametrize("program", ["mather", "u0"])
+    @pytest.mark.parametrize("name", NAMES)
+    def test_reduced_cost_pass_matches_the_full_array(self, name, program, request):
+        # the blocks of the one reduced-cost pass, stacked in offset order, are
+        # the full array bit for bit in either order of the potential terms;
+        # head's first, as the certificate reads it, they are the oracle's
+        p = problem(name, request)
+        kernel = p.kernel
+        weights, cycle = program_weights(p, program)
+        phi = _cycle_potentials(kernel, weights, cycle)
+        at_head = np.take(phi, kernel.head_index)
+        head_first = _reduced_costs(kernel, weights, phi)
+        for order, full in ((False, (weights - 0.0) - phi + at_head), (True, head_first)):
+            blocks = action_barrier._reduced_cost_blocks(kernel, weights, phi, head_first=order)
+            stacked = np.concatenate([block.copy() for _, _, block in blocks])
+            assert stacked.tobytes() == full.tobytes()
+
     @pytest.mark.usefixtures("no_simplex")
     @pytest.mark.parametrize("name", TestCriticalGraphStart.NAMES)
     def test_mather_lp_falls_back_from_a_wrong_cycle(self, name, request):
@@ -671,11 +689,13 @@ class TestGraphFallback:
 
 class TestLargeAmplitude:
     """Under _certifies' absolute 1e-9, Howard's terminal bias stops being a
-    Mather certificate once max|bias| reaches ~1e9: its reduced costs, summed
-    in another order than Howard's own test, go to -2.4e-7 at cosine 16x16,
-    a = 1e4, and -1.5e-5 at pendulum n=200, a = 1e6. The cycle's potentials
-    still close both edge programs there, and the Mather class stays the
-    potential's maximum."""
+    Mather certificate once max|bias| reaches ~1e9: its reduced costs, the
+    head's term first as _certifies sums them, go to -2.4e-7 at cosine
+    16x16, a = 1e4, and -1.5e-5 at pendulum n=200, a = 1e6. Summed the
+    tail's term first, the order of tight_subgraph's own test and the one
+    the bias was built in, their least is 0.0 at both. The cycle's
+    potentials still close both edge programs there, and the Mather class
+    stays the potential's maximum."""
 
     BUILD = {
         "cosine16x16": lambda: make_problem(16, wk.cosine_potential([1e4, 1e4], [1.0, 1.0]), dim=2),
@@ -690,7 +710,10 @@ class TestLargeAmplitude:
         lag_in = np.take_along_axis(kernel.edge_lagrangian, pred, axis=1)
         mean, bias, _ = _min_cycle_mean(kernel, lag_in)
         graph = tight_subgraph(kernel)
-        assert not _certifies(kernel, kernel.edge_lagrangian - mean, (graph.cycles[0],), -bias)
+        weights = kernel.edge_lagrangian - mean
+        assert not _certifies(kernel, weights, (graph.cycles[0],), -bias)
+        tail_first = action_barrier._reduced_cost_blocks(kernel, weights, -bias)
+        assert min(block.min() for _, _, block in tail_first) == 0.0
         assert graph.classes == [[0]]
         lp = wk.solve_mather_lp(kernel, tight=graph)
         assert lp.iterations == 0 and lp.value == mean
